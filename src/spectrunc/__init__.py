@@ -56,6 +56,7 @@ from .linalg import (  # noqa: E402
     spectral_norm_sym,
     spectrum_stats,
     spikeness,
+    top_eigenpairs,
     truncate,
 )
 from .proofcheck import (  # noqa: E402

@@ -182,18 +182,20 @@ def _eval_bound(kind: str, vals: dict[str, str]):
             _take(vals, "tail_F", float),
         )
     elif kind == "sampling":
-        thr = completion_sampling_threshold(
+        regime = _take(vals, "regime", str)
+        # only the relative and gap regimes use eps and k
+        eps_k_required = regime in ("relative", "gap")
+        return completion_sampling_threshold(
             _take(vals, "mu0", float),
             _take(vals, "norm_F", float),
             _take(vals, "sigma_k1", float, required=False, default=0.0),
             _take(vals, "gap", float, required=False, default=0.0),
             _take(vals, "n", int),
             _take(vals, "t", float),
-            _take(vals, "eps", float, required=False, default=0.25),
-            _take(vals, "k", int, required=False, default=1),
-            _take(vals, "regime", str),
+            _take(vals, "eps", float, required=eps_k_required),
+            _take(vals, "k", int, required=eps_k_required),
+            regime,
         )
-        return thr
     elif kind == "covariance":
         return covariance_admissible(
             _take(vals, "r_e", float),

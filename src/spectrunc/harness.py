@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg as _sla
 
 from . import __version__
 from .bounds import (
@@ -52,7 +51,14 @@ from .bounds import (
     spectral_envelope,
 )
 from .estimators import complete, denoise, sample_covariance
-from .linalg import eig_sym, spectral_norm_sym, spectrum_stats, spikeness, truncate
+from .linalg import (
+    eig_sym,
+    spectral_norm_sym,
+    spectrum_stats,
+    spikeness,
+    top_eigenpairs,
+    truncate,
+)
 from .proofcheck import check_alignment
 from .synth import (
     bernoulli_observe,
@@ -87,10 +93,6 @@ EXPERIMENTS = (
 
 #: slack used when comparing a measured error against a bound value
 BOUND_TOL = 1e-8
-
-#: above this dimension, truncation errors go through the trace identity
-#: instead of materializing the truncated matrix
-_DENSE_ERROR_CUTOFF = 600
 
 
 @dataclass(frozen=True)
@@ -285,31 +287,13 @@ def _truncation_error_F(
 
     Uses the expansion ||U L U^T - A||_F^2 = ||A||_F^2 +
     sum_i (lambda_i^2 - 2 lambda_i u_i^T A u_i) over the kept eigenpairs,
-    valid for any orthonormal U.  Small problems take the direct route.
-    A is given either densely or, when diagonal, by its spectrum.
-    A_hat may be overwritten.
+    valid for any orthonormal U, so only the top-k eigenpairs of A_hat are
+    computed (:func:`top_eigenpairs` picks the solver).  A is given either
+    densely or, when diagonal, by its spectrum.  A_hat may be overwritten.
     """
-    n = A_hat.shape[0]
     if (A is None) == (diag_spectrum is None):
         raise ValueError("give exactly one of A and diag_spectrum")
-    if n <= _DENSE_ERROR_CUTOFF:
-        if A is None:
-            A = np.diag(diag_spectrum)
-        est = truncate(eig_sym(A_hat), k)
-        return float(np.linalg.norm(est - A, "fro"))
-    if k <= n // 2:
-        w, V = _sla.eigh(
-            A_hat,
-            subset_by_index=[n - k, n - 1],
-            overwrite_a=True,
-            check_finite=False,
-        )
-        lam = w[::-1]
-        V = V[:, ::-1]
-    else:
-        w, V = np.linalg.eigh(A_hat)
-        lam = w[::-1][:k]
-        V = V[:, ::-1][:, :k]
+    lam, V = top_eigenpairs(A_hat, k)
     if diag_spectrum is not None:
         s = np.einsum("i,ij->j", diag_spectrum, V * V)
     else:

@@ -8,6 +8,27 @@ through this module, so the conventions here are load-bearing:
   on identical input produce bit-identical decompositions;
 * truncation keeps the top-k eigenpairs in algebraic order, which for
   indefinite input may discard large negative eigenvalues by design.
+
+Top-k route policy
+------------------
+:func:`top_eigenpairs` picks its solver from ``(n, k)`` alone.  The
+cut-offs come from timings on a 2-core host at n=2000 (the same order held
+at n=4000):
+
+* ``k <= ARPACK_MAX_K`` (and ``k <= n * EVR_MAX_FRACTION``): implicitly
+  restarted Lanczos (ARPACK) from a fixed start vector.  Its cost grows
+  with k through the basis size and restarts: 0.16 / 0.30 / 0.86 s for
+  k = 9 / 32 / 99, against about 0.55 s for ``evr``.
+* ``ARPACK_MAX_K < k <= n * EVR_MAX_FRACTION``: LAPACK's ``evr`` (MRRR)
+  subset solver, the fastest in between.
+* ``k > n * EVR_MAX_FRACTION``: full divide-and-conquer ``evd``, in place.
+  Its cost barely depends on k, while ``evr`` slows as the kept block
+  reaches into the clustered tail: 1.00 s against 1.16 s for ``evd`` at
+  k=332, but 3.05 s against 1.09 s at k=999, so the crossover sits near
+  k/n = 1/5.
+
+Every route is deterministic for a fixed BLAS build and thread count, so
+repeated calls agree bitwise.
 """
 
 from __future__ import annotations
@@ -23,6 +44,7 @@ __all__ = [
     "NormTriple",
     "SpectrumStats",
     "eig_sym",
+    "top_eigenpairs",
     "truncate",
     "norms",
     "spectral_norm_sym",
@@ -34,6 +56,12 @@ __all__ = [
 
 #: absolute entrywise tolerance for accepting a matrix as symmetric
 SYMMETRY_TOL = 1e-12
+
+#: top_eigenpairs uses ARPACK up to this many eigenpairs (see module docs)
+ARPACK_MAX_K = 64
+
+#: top_eigenpairs switches to the full ``evd`` solver above this k/n
+EVR_MAX_FRACTION = 0.2
 
 
 def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -156,6 +184,63 @@ def eig_sym(A: np.ndarray) -> SpectralDecomposition:
     V = V[:, ::-1].copy()
     w, V = _canonicalize(w, V)
     return SpectralDecomposition(eigenvalues=w, basis=V)
+
+
+def _top_k_route(n: int, k: int) -> str:
+    """Solver that :func:`top_eigenpairs` uses for the top ``k`` of order ``n``."""
+    if k > n * EVR_MAX_FRACTION:
+        return "evd"
+    if k <= ARPACK_MAX_K:
+        return "arpack"
+    return "evr"
+
+
+def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs of a symmetric matrix, solver chosen from (n, k).
+
+    Parameters
+    ----------
+    A : (n, n) float64 ndarray
+        Exactly symmetric; this is not validated, and the dense routes read
+        only one triangle.  ``A`` is used as workspace: its contents are
+        undefined on return, so pass a copy to keep it.
+    k : int
+        Number of eigenpairs, ``1 <= k <= n``.
+
+    Returns
+    -------
+    eigenvalues : (k,) ndarray
+        The k algebraically largest eigenvalues, descending.
+    basis : (n, k) ndarray
+        Orthonormal eigenvectors, column i paired with ``eigenvalues[i]``,
+        canonicalized as in :func:`eig_sym`.
+
+    Notes
+    -----
+    The route policy and its measured cut-offs are in the module docstring.
+    ARPACK runs to machine precision (``tol=0``) from the fixed start vector
+    ``1/sqrt(n)``, and raises ``ArpackNoConvergence`` if it does not
+    converge.  The ``evd`` route hands LAPACK the F-ordered view ``A.T``,
+    which for symmetric ``A`` is the same matrix, so it overwrites ``A``
+    instead of allocating a copy.
+    """
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    route = _top_k_route(n, k)
+    if route == "arpack":
+        v0 = np.full(n, 1.0 / np.sqrt(n))
+        w, V = _spla.eigsh(A, k=k, which="LA", v0=v0, tol=0)
+    elif route == "evr":
+        w, V = _sla.eigh(
+            A.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
+        )
+    else:
+        w, V = _sla.eigh(A.T, overwrite_a=True, driver="evd", check_finite=False)
+        w, V = w[n - k :], V[:, n - k :]
+    return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())
 
 
 def truncate(dec: SpectralDecomposition, k: int) -> np.ndarray:

@@ -88,6 +88,18 @@ def test_bounds_sampling_kind(capsys):
     assert doc["p_raw"] == pytest.approx(8.0 * 4.0 * np.log(128.0) / 64.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("regime, extra", [("relative", "sigma_k1=1"), ("gap", "gap=1")])
+def test_bounds_sampling_requires_eps_and_k(regime, extra, capsys):
+    base = ["bounds", "--kind", "sampling", "--set", f"regime={regime}", "--set", extra,
+            "--set", "mu0=1", "--set", "norm_F=2", "--set", "n=64", "--set", "t=0.5"]
+    assert run_cli(*base, "--set", "k=2") == 1
+    assert "'eps'" in capsys.readouterr().err
+    assert run_cli(*base, "--set", "eps=0.2") == 1
+    assert "'k'" in capsys.readouterr().err
+    assert run_cli(*base, "--set", "eps=0.2", "--set", "k=2") == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == regime
+
+
 def test_bounds_input_errors(capsys):
     # missing required input
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1") == 1

@@ -21,6 +21,7 @@ from spectrunc.harness import (
     _instance,
     _truncation_error_F,
 )
+from spectrunc.linalg import _top_k_route
 from spectrunc.synth import rng_stream, scaled_perturbation
 
 
@@ -270,24 +271,23 @@ def test_five_number_summary_in_report():
 
 
 def test_truncation_error_routes_agree():
-    n, k = 620, 12
+    n = 620
     rng = rng_stream(21, 0)
     sig = np.exp(-0.02 * np.arange(1, n + 1))
     A = np.diag(sig)
     G = scaled_perturbation(n, 0.05, rng_stream(21, 1))
     A_hat = A + G
     norm_F2 = float(np.sum(sig**2))
-    direct = float(np.linalg.norm(truncate(eig_sym(A_hat), k) - A, "fro"))
-    via_dense = _truncation_error_F(A_hat.copy(), k, norm_F2, A=A)
-    via_diag = _truncation_error_F(A_hat.copy(), k, norm_F2, diag_spectrum=sig)
-    assert via_dense == pytest.approx(direct, rel=1e-9)
-    assert via_diag == pytest.approx(direct, rel=1e-9)
-    # k > n/2 takes the full-decomposition branch
-    big_k = 400
-    direct_big = float(np.linalg.norm(truncate(eig_sym(A_hat), big_k) - A, "fro"))
-    via_big = _truncation_error_F(A_hat.copy(), big_k, norm_F2, diag_spectrum=sig)
-    assert via_big == pytest.approx(direct_big, rel=1e-9)
+    dec = eig_sym(A_hat)
+    # one k per top_eigenpairs route: ARPACK, evr subset, full evd
+    for k, route in ((12, "arpack"), (100, "evr"), (400, "evd")):
+        assert _top_k_route(n, k) == route
+        direct = float(np.linalg.norm(truncate(dec, k) - A, "fro"))
+        via_dense = _truncation_error_F(A_hat.copy(), k, norm_F2, A=A)
+        via_diag = _truncation_error_F(A_hat.copy(), k, norm_F2, diag_spectrum=sig)
+        assert via_dense == pytest.approx(direct, rel=1e-9)
+        assert via_diag == pytest.approx(direct, rel=1e-9)
     with pytest.raises(ValueError):
-        _truncation_error_F(A_hat.copy(), k, norm_F2, A=A, diag_spectrum=sig)
+        _truncation_error_F(A_hat.copy(), 12, norm_F2, A=A, diag_spectrum=sig)
     with pytest.raises(ValueError):
-        _truncation_error_F(A_hat.copy(), k, norm_F2)
+        _truncation_error_F(A_hat.copy(), 12, norm_F2)

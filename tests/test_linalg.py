@@ -11,9 +11,10 @@ from spectrunc import (
     spectral_norm_sym,
     spectrum_stats,
     spikeness,
+    top_eigenpairs,
     truncate,
 )
-from spectrunc.linalg import require_symmetric
+from spectrunc.linalg import _top_k_route, require_symmetric
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -159,6 +160,32 @@ def test_eig_sym_tie_ordering():
     dec = eig_sym(np.eye(5))
     np.testing.assert_array_equal(dec.basis, np.eye(5))
     np.testing.assert_array_equal(dec.eigenvalues, np.ones(5))
+
+
+@pytest.mark.parametrize("k, route", [(10, "arpack"), (100, "evr"), (300, "evd")])
+def test_top_eigenpairs_routes_match_eig_sym(k, route):
+    n = 700
+    assert _top_k_route(n, k) == route
+    A = rand_sym(np.random.default_rng(13), n)
+    dec = eig_sym(A)
+    norm_2 = float(np.max(np.abs(dec.eigenvalues)))
+    w, V = top_eigenpairs(A.copy(), k)
+    assert w.shape == (k,) and V.shape == (n, k)
+    assert np.max(np.abs(w - dec.eigenvalues[:k])) <= 1e-12 * norm_2
+    U = dec.basis[:, :k]
+    assert np.max(np.abs(V @ V.T - U @ U.T)) <= 1e-9
+    assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-12
+    w2, V2 = top_eigenpairs(A.copy(), k)
+    np.testing.assert_array_equal(w, w2)
+    np.testing.assert_array_equal(V, V2)
+
+
+def test_top_eigenpairs_rejects():
+    with pytest.raises(ValueError):
+        top_eigenpairs(np.zeros((3, 4)), 1)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            top_eigenpairs(np.eye(3), k)
 
 
 def test_spectral_norm_matches_dense_path():
