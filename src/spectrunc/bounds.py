@@ -11,6 +11,7 @@ clean spectrum only.  Two flavours recur throughout:
 
 All numerical constants are exposed as keyword arguments with the package's
 default conventions, so alternative constant choices remain reproducible.
+They are keyword-only, except the power-law cutoff prefactor ``C1``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ DEFAULT_C_COV = 1.0
 #: prefactor of the power-law rank cutoff
 DEFAULT_C1 = 1.0
 
-SAMPLING_REGIMES = ("sqrt_k", "relative", "gap")
+#: sampling regime -> the inputs its scale uses
+SAMPLING_REGIMES = {
+    "sqrt_k": ("sigma_k1",),
+    "relative": ("sigma_k1", "eps", "k"),
+    "gap": ("gap", "eps", "k"),
+}
 
 
 @dataclass(frozen=True)
@@ -345,13 +351,14 @@ def exponential_error_rate(delta: float, c: float, n: int) -> float:
 def completion_sampling_threshold(
     mu0: float,
     norm_F: float,
-    sigma_k1: float,
-    gap: float,
     n: int,
     t: float,
-    eps: float,
-    k: int,
     regime: str,
+    sigma_k1: float | None = None,
+    gap: float | None = None,
+    eps: float | None = None,
+    k: int | None = None,
+    *,
     C_mc: float = DEFAULT_C_MC,
 ) -> SamplingThreshold:
     """Observation rate required for entrywise-sampled matrix completion.
@@ -366,12 +373,17 @@ def completion_sampling_threshold(
       gap error bound).
 
     ``mu0`` is the flatness measure from :func:`spectrunc.linalg.spikeness`,
-    ``t`` the failure-probability budget.  Regimes that divide by
-    ``sigma_k1`` (resp. ``gap``) reject a zero value, since their guarantee
-    is inapplicable for exactly rank-k (resp. gapless) matrices.
+    ``t`` the failure-probability budget.  Each regime requires the inputs
+    its scale uses.  Regimes that divide by ``sigma_k1`` (resp. ``gap``)
+    reject a zero value, since their guarantee is inapplicable for exactly
+    rank-k (resp. gapless) matrices.
     """
     if regime not in SAMPLING_REGIMES:
-        raise ValueError(f"regime must be one of {SAMPLING_REGIMES}, got {regime!r}")
+        raise ValueError(f"regime must be one of {tuple(SAMPLING_REGIMES)}, got {regime!r}")
+    given = {"sigma_k1": sigma_k1, "gap": gap, "eps": eps, "k": k}
+    missing = [repr(name) for name in SAMPLING_REGIMES[regime] if given[name] is None]
+    if missing:
+        raise ValueError(f"regime {regime!r} requires {', '.join(missing)}")
     if mu0 <= 0 or norm_F <= 0:
         raise ValueError("mu0 and norm_F must be positive")
     if n < 2:
@@ -411,6 +423,7 @@ def denoising_error_bound(
     sigma_k1: float,
     k: int,
     tail_F: float,
+    *,
     C_a: float = DEFAULT_C_A,
     C_b: float = DEFAULT_C_B,
     c_dn: float = DEFAULT_C_DN,
@@ -448,14 +461,15 @@ def covariance_admissible(
     r_e: float,
     eps: float,
     k: int,
-    gamma_k: float,
-    N: int,
+    n_samples: int,
     mode: str,
+    gamma_k: float = math.inf,
     norm_2: float | None = None,
     gap: float | None = None,
+    *,
     c_cov: float = DEFAULT_C_COV,
 ) -> AdmissibilityReport:
-    """Check whether N samples support truncating the sample covariance.
+    """Check whether N = n_samples samples support truncating the sample covariance.
 
     relative mode:  r_e * max(eps**-4, k**2) * gamma_k**2 * log(N) / N <= c_cov
     gap mode:       r_e * k * norm_2**2 * log(N) / (N * eps**2 * gap**2) <= c_cov
@@ -474,8 +488,9 @@ def covariance_admissible(
         raise ValueError(f"k must be >= 1, got {k}")
     if r_e < 1:
         raise ValueError(f"r_e must be >= 1, got {r_e}")
+    N = n_samples
     if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+        raise ValueError(f"n_samples must be >= 2, got {N}")
     if mode == "relative":
         if not math.isfinite(gamma_k) or gamma_k < 1:
             raise ValueError(f"relative mode needs finite gamma_k >= 1, got {gamma_k}")
@@ -495,8 +510,8 @@ def covariance_admissible(
     )
 
 
-def sample_covariance_rates(norm_2: float, r_e: float, N: int, n: int) -> RatePair:
-    """Error scales of the full sample covariance over N Gaussian samples.
+def sample_covariance_rates(norm_2: float, r_e: float, n_samples: int, n: int) -> RatePair:
+    """Error scales of the full sample covariance over N = n_samples Gaussian samples.
 
     frobenius: ``norm_2 * r_e * sqrt(log(N) / N)``
     spectral:  ``norm_2 * max(sqrt(r_e*log(N*n)/N), r_e*log(N*n)/N)``
@@ -508,8 +523,9 @@ def sample_covariance_rates(norm_2: float, r_e: float, N: int, n: int) -> RatePa
         raise ValueError(f"norm_2 must be positive, got {norm_2}")
     if r_e < 1:
         raise ValueError(f"r_e must be >= 1, got {r_e}")
+    N = n_samples
     if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+        raise ValueError(f"n_samples must be >= 2, got {N}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     frob = norm_2 * r_e * math.sqrt(math.log(N) / N)

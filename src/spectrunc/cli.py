@@ -19,6 +19,7 @@ output is reproducible byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -79,17 +80,6 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
     return vals
 
 
-def _take(vals: dict[str, str], key: str, conv, required=True, default=None):
-    if key not in vals:
-        if required:
-            raise ValueError(f"bound kind is missing required input {key!r}")
-        return default
-    try:
-        return conv(vals.pop(key))
-    except ValueError as e:
-        raise ValueError(f"invalid value for {key!r}: {e}") from None
-
-
 def _cmd_synth(args) -> int:
     spectrum = make_spectrum(
         args.kind,
@@ -135,131 +125,50 @@ def _cmd_cov(args) -> int:
     return 0
 
 
-_BOUND_KINDS = (
-    "relative",
-    "gap",
-    "additive",
-    "denoising",
-    "sampling",
-    "covariance",
-    "covariance_rates",
-    "powerlaw_cutoff",
-    "powerlaw_rate",
-    "exponential_cutoff",
-    "exponential_rate",
-)
+#: ``bounds --kind`` -> the function it evaluates
+_BOUNDS = {
+    "relative": relative_error_bound,
+    "gap": gap_error_bound,
+    "additive": additive_error_bound,
+    "denoising": denoising_error_bound,
+    "sampling": completion_sampling_threshold,
+    "covariance": covariance_admissible,
+    "covariance_rates": sample_covariance_rates,
+    "powerlaw_cutoff": powerlaw_rank_cutoff,
+    "powerlaw_rate": powerlaw_error_rate,
+    "exponential_cutoff": exponential_rank_cutoff,
+    "exponential_rate": exponential_error_rate,
+}
 
 
 def _eval_bound(kind: str, vals: dict[str, str]):
-    if kind == "relative":
-        rep = relative_error_bound(
-            _take(vals, "k", int),
-            _take(vals, "eps", float),
-            _take(vals, "tail_F", float),
-            _take(vals, "tail_2", float),
-            _take(vals, "perturbation_2", float, required=False),
-        )
-    elif kind == "gap":
-        rep = gap_error_bound(
-            _take(vals, "k", int),
-            _take(vals, "eps", float),
-            _take(vals, "gap", float),
-            _take(vals, "tail_F", float),
-            _take(vals, "perturbation_2", float, required=False),
-        )
-    elif kind == "additive":
-        rep = additive_error_bound(
-            _take(vals, "k", int),
-            _take(vals, "delta", float),
-            _take(vals, "tail_F", float),
-            _take(vals, "head_F", float),
-        )
-    elif kind == "denoising":
-        rep = denoising_error_bound(
-            _take(vals, "nu", float),
-            _take(vals, "sigma_k1", float),
-            _take(vals, "k", int),
-            _take(vals, "tail_F", float),
-        )
-    elif kind == "sampling":
-        regime = _take(vals, "regime", str)
-        # only the relative and gap regimes use eps and k
-        eps_k_required = regime in ("relative", "gap")
-        return completion_sampling_threshold(
-            _take(vals, "mu0", float),
-            _take(vals, "norm_F", float),
-            _take(vals, "sigma_k1", float, required=False, default=0.0),
-            _take(vals, "gap", float, required=False, default=0.0),
-            _take(vals, "n", int),
-            _take(vals, "t", float),
-            _take(vals, "eps", float, required=eps_k_required),
-            _take(vals, "k", int, required=eps_k_required),
-            regime,
-        )
-    elif kind == "covariance":
-        return covariance_admissible(
-            _take(vals, "r_e", float),
-            _take(vals, "eps", float),
-            _take(vals, "k", int),
-            _take(vals, "gamma_k", float, required=False, default=float("inf")),
-            _take(vals, "n_samples", int),
-            _take(vals, "mode", str),
-            _take(vals, "norm_2", float, required=False),
-            _take(vals, "gap", float, required=False),
-        )
-    elif kind == "covariance_rates":
-        return sample_covariance_rates(
-            _take(vals, "norm_2", float),
-            _take(vals, "r_e", float),
-            _take(vals, "n_samples", int),
-            _take(vals, "n", int),
-        )
-    elif kind == "powerlaw_cutoff":
-        return powerlaw_rank_cutoff(
-            _take(vals, "delta", float),
-            _take(vals, "beta", float),
-            _take(vals, "n", int),
-            _take(vals, "C1", float, required=False, default=1.0),
-        )
-    elif kind == "powerlaw_rate":
-        return powerlaw_error_rate(
-            _take(vals, "delta", float), _take(vals, "beta", float), _take(vals, "n", int)
-        )
-    elif kind == "exponential_cutoff":
-        return exponential_rank_cutoff(
-            _take(vals, "delta", float), _take(vals, "c", float), _take(vals, "n", int)
-        )
-    else:
-        return exponential_error_rate(
-            _take(vals, "delta", float), _take(vals, "c", float), _take(vals, "n", int)
-        )
-    return rep
+    """Call the bound of ``kind`` with its ``--set`` inputs.
+
+    Every positional-or-keyword parameter is a key, required when it has
+    no default and converted by its annotation.  Keyword-only parameters
+    are the bound constants, which only ``run`` configs set.
+    """
+    func = _BOUNDS[kind]
+    kwargs = {}
+    for name, param in inspect.signature(func, eval_str=True).parameters.items():
+        if param.kind is not param.POSITIONAL_OR_KEYWORD:
+            continue
+        if name not in vals:
+            if param.default is param.empty:
+                raise ValueError(f"bound kind is missing required input {name!r}")
+            continue
+        try:
+            kwargs[name] = io.parse_value(vals.pop(name), param.annotation)
+        except ValueError as e:
+            raise ValueError(f"invalid value for {name!r}: {e}") from None
+    if vals:
+        raise ValueError(f"unused input(s): {', '.join(sorted(vals))}")
+    return func(**kwargs)
 
 
 def _cmd_bounds(args) -> int:
-    import dataclasses
-    import json
-
-    vals = _parse_kv(args.set or [])
-    result = _eval_bound(args.kind, vals)
-    if vals:
-        raise ValueError(f"unused input(s): {', '.join(sorted(vals))}")
-    from .bounds import BoundReport
-
-    if isinstance(result, BoundReport):
-        data = io.bound_json_bytes(result) if args.format == "json" else io.bound_csv_bytes(result)
-    else:
-        if dataclasses.is_dataclass(result):
-            doc = dataclasses.asdict(result)
-        else:
-            doc = {"value": result}
-        if args.format == "json":
-            data = (json.dumps(doc, indent=2) + "\n").encode()
-        else:
-            keys = list(doc)
-            row = ",".join(io._csv_cell(doc[k]) for k in keys)
-            data = (",".join(keys) + "\n" + row + "\n").encode()
-    _emit(data, args.out)
+    result = _eval_bound(args.kind, _parse_kv(args.set or []))
+    _emit((io.bound_json_bytes if args.format == "json" else io.bound_csv_bytes)(result), args.out)
     return 0
 
 
@@ -340,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cov)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form bound")
-    p.add_argument("--kind", required=True, choices=_BOUND_KINDS)
+    p.add_argument("--kind", required=True, choices=_BOUNDS)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")

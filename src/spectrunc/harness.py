@@ -17,8 +17,9 @@ decay_rate  error-vs-delta sweep with the rank chosen by the cutoff rule
 
 Determinism: trial ``i`` of a run uses the Philox stream ``(seed, i)``
 (for ``decay_rate``, one stream per perturbation-direction trial, shared
-across the delta grid).  Reports are reproducible bit-for-bit for a fixed
-numpy version, which is recorded in the report header.
+across the delta grid).  Reports are reproducible bit-for-bit only for a
+fixed numpy version, BLAS build and BLAS thread count (reports at 1 and 2
+OpenBLAS threads differ); the report header records the numpy version only.
 """
 
 from __future__ import annotations
@@ -81,15 +82,17 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = (
-    "relative",
-    "gap",
-    "alignment",
-    "denoising",
-    "completion",
-    "covariance",
-    "decay_rate",
-)
+#: experiment -> the parameters it requires beyond the common ones; a config
+#: may set a parameter only for the experiments that list it
+EXPERIMENTS = {
+    "relative": ("k", "eps"),
+    "gap": ("k", "eps"),
+    "alignment": ("k", "eps"),
+    "denoising": ("k", "nu"),
+    "completion": ("k", "eps", "p", "t"),
+    "covariance": ("k", "eps", "n_samples"),
+    "decay_rate": ("delta_grid",),
+}
 
 #: slack used when comparing a measured error against a bound value
 BOUND_TOL = 1e-8
@@ -99,8 +102,8 @@ BOUND_TOL = 1e-8
 class ExperimentConfig:
     """Validated experiment description.
 
-    Scientific parameters are mandatory for the experiments that use them;
-    only the bound constants carry defaults.  ``k_oracle`` (covariance
+    Scientific parameters are mandatory for the experiments that list them
+    in ``EXPERIMENTS``; only the bound constants carry defaults.  ``k_oracle`` (covariance
     only) selects the truncation rank per trial by minimizing the true
     error.
     """
@@ -132,7 +135,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
             )
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
@@ -151,28 +154,23 @@ class ExperimentConfig:
         if self.spectrum_kind == "explicit" and self.spectrum_values is None:
             raise ValueError("spectrum_kind=explicit requires spectrum_values")
         ex = self.experiment
-        need_k = ex in ("relative", "gap", "alignment", "denoising", "completion")
-        if need_k and self.k is None:
-            raise ValueError(f"experiment {ex!r} requires k")
-        if ex == "covariance" and self.k is None and not self.k_oracle:
-            raise ValueError("covariance requires k (an integer or 'oracle')")
+        if self.k_oracle and ex != "covariance":
+            raise ValueError("k = oracle is only valid for covariance")
+        for name in EXPERIMENTS[ex]:
+            if getattr(self, name) is None and not (name == "k" and self.k_oracle):
+                raise ValueError(f"experiment {ex!r} requires {name}")
         if self.k is not None and not 1 <= self.k <= self.n - 1:
             raise ValueError(f"k must lie in [1, {self.n - 1}], got {self.k}")
-        need_eps = ex in ("relative", "gap", "alignment", "completion", "covariance")
-        if need_eps:
-            if self.eps is None:
-                raise ValueError(f"experiment {ex!r} requires eps")
-            if not 0.0 < self.eps <= 0.25:
-                raise ValueError(f"eps must lie in (0, 0.25], got {self.eps}")
-        if ex == "denoising" and (self.nu is None or self.nu < 0):
-            raise ValueError("denoising requires nu >= 0")
-        if ex == "completion":
-            if self.p is None or not 0.0 < self.p <= 1.0:
-                raise ValueError("completion requires p in (0, 1]")
-            if self.t is None or not 0.0 < self.t < 1.0:
-                raise ValueError("completion requires t in (0, 1)")
-        if ex == "covariance" and (self.n_samples is None or self.n_samples < 2):
-            raise ValueError("covariance requires n_samples >= 2")
+        if self.eps is not None and not 0.0 < self.eps <= 0.25:
+            raise ValueError(f"eps must lie in (0, 0.25], got {self.eps}")
+        if self.nu is not None and self.nu < 0:
+            raise ValueError(f"nu must be >= 0, got {self.nu}")
+        if self.p is not None and not 0.0 < self.p <= 1.0:
+            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        if self.t is not None and not 0.0 < self.t < 1.0:
+            raise ValueError(f"t must lie in (0, 1), got {self.t}")
+        if self.n_samples is not None and self.n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if ex == "decay_rate":
             if self.spectrum_kind == "explicit":
                 raise ValueError("decay_rate requires a powerlaw or exponential spectrum")
@@ -302,6 +300,20 @@ def _truncation_error_F(
     return math.sqrt(max(err2, 0.0))
 
 
+def _judged_record(
+    *, measured_error_F: float, tail_F: float, bound_value: float, **fields
+) -> TrialRecord:
+    """TrialRecord judged against ``bound_value``: derives ratio_F and bound_satisfied."""
+    return TrialRecord(
+        measured_error_F=measured_error_F,
+        tail_F=tail_F,
+        ratio_F=measured_error_F / tail_F if tail_F > 0 else None,
+        bound_value=bound_value,
+        bound_satisfied=measured_error_F <= bound_value + BOUND_TOL,
+        **fields,
+    )
+
+
 def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     """Shared body of the relative / gap / alignment experiments."""
     rng = rng_stream(config.seed, trial_id)
@@ -339,16 +351,14 @@ def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         aux["checks_passed"] = sum(c.passed for c in rpt.checks)
         aux["checks_total"] = len(rpt.checks)
         aux["all_checks_passed"] = rpt.all_passed
-    return TrialRecord(
+    return _judged_record(
         trial_id=trial_id,
         precondition_holds=rep.precondition_holds,
         measured_error_F=err_F,
         measured_error_2=err_2,
         tail_F=stats.tail_F,
         tail_2=stats.tail_2,
-        ratio_F=err_F / stats.tail_F if stats.tail_F > 0 else None,
         bound_value=rep.value,
-        bound_satisfied=err_F <= rep.value + BOUND_TOL,
         precondition_margin=rep.margin,
         aux=aux,
     )
@@ -363,18 +373,17 @@ def _denoising_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     est = denoise(A + E, k)
     err_F = float(np.linalg.norm(est - A, "fro"))
     rep = denoising_error_bound(
-        config.nu, stats.tail_2, k, stats.tail_F, config.C_a, config.C_b, config.c_dn
+        config.nu, stats.tail_2, k, stats.tail_F,
+        C_a=config.C_a, C_b=config.C_b, c_dn=config.c_dn,
     )
-    return TrialRecord(
+    return _judged_record(
         trial_id=trial_id,
         precondition_holds=rep.precondition_holds,
         measured_error_F=err_F,
         measured_error_2=spectral_norm_sym(est - A),
         tail_F=stats.tail_F,
         tail_2=stats.tail_2,
-        ratio_F=err_F / stats.tail_F if stats.tail_F > 0 else None,
         bound_value=rep.value,
-        bound_satisfied=err_F <= rep.value + BOUND_TOL,
         precondition_margin=rep.margin,
         aux={"nu": config.nu, "noise_norm_2": spectral_norm_sym(E)},
     )
@@ -393,26 +402,22 @@ def _completion_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     thr = completion_sampling_threshold(
         mu0,
         norm_F,
-        stats.tail_2,
-        stats.gap,
         config.n,
         config.t,
-        config.eps,
-        k,
         "relative",
-        config.C_mc,
+        sigma_k1=stats.tail_2,
+        eps=config.eps,
+        k=k,
+        C_mc=config.C_mc,
     )
-    bound = (1.0 + config.eps) * stats.tail_F
-    return TrialRecord(
+    return _judged_record(
         trial_id=trial_id,
         precondition_holds=config.p >= thr.p_raw,
         measured_error_F=err_F,
         measured_error_2=spectral_norm_sym(res.estimate - A),
         tail_F=stats.tail_F,
         tail_2=stats.tail_2,
-        ratio_F=err_F / stats.tail_F if stats.tail_F > 0 else None,
-        bound_value=bound,
-        bound_satisfied=err_F <= bound + BOUND_TOL,
+        bound_value=(1.0 + config.eps) * stats.tail_F,
         precondition_margin=config.p - thr.p_raw,
         aux={
             "p": config.p,
@@ -453,10 +458,9 @@ def _covariance_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     else:
         tail_F = tail_2 = 0.0
         gamma = float("inf")
-    bound = (1.0 + config.eps) * tail_F
     if k_used <= n - 1 and math.isfinite(gamma):
         adm = covariance_admissible(
-            r_e, config.eps, k_used, gamma, config.n_samples, "relative", c_cov=config.c_cov
+            r_e, config.eps, k_used, config.n_samples, "relative", gamma, c_cov=config.c_cov
         )
         admissible = adm.admissible
         margin = adm.margin
@@ -465,16 +469,14 @@ def _covariance_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         admissible = False
         margin = None
         expr = float("inf")
-    return TrialRecord(
+    return _judged_record(
         trial_id=trial_id,
         precondition_holds=admissible,
         measured_error_F=err_F,
         measured_error_2=spectral_norm_sym(est - A),
         tail_F=tail_F,
         tail_2=tail_2,
-        ratio_F=err_F / tail_F if tail_F > 0 else None,
-        bound_value=bound,
-        bound_satisfied=err_F <= bound + BOUND_TOL,
+        bound_value=(1.0 + config.eps) * tail_F,
         precondition_margin=margin,
         aux={
             "k_used": k_used,
@@ -506,7 +508,7 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
         G = scaled_perturbation(n, 1.0, rng)
         for delta in config.delta_grid:
             if config.spectrum_kind == "powerlaw":
-                k = powerlaw_rank_cutoff(delta, config.spectrum_beta, n, config.C1)
+                k = powerlaw_rank_cutoff(delta, config.spectrum_beta, n, C1=config.C1)
                 rate = powerlaw_error_rate(delta, config.spectrum_beta, n)
             else:
                 k = exponential_rank_cutoff(delta, config.spectrum_c, n)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from typing import Any
 
 import numpy as np
 
-from .bounds import BoundReport
 from .estimators import ObservationSet, SampleSet
-from .harness import ExperimentConfig, ExperimentReport, TrialRecord
+from .harness import EXPERIMENTS, ExperimentConfig, ExperimentReport, TrialRecord
 from .proofcheck import AlignmentReport
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "read_samples",
     "write_samples",
     "samples_bytes",
+    "parse_value",
     "parse_config",
     "read_config",
     "report_json_bytes",
@@ -229,46 +231,30 @@ def write_samples(path, samples: SampleSet) -> None:
 
 # ------------------------------------------------------------------ config
 
-_COMMON_KEYS = {
-    "experiment",
-    "n",
-    "trials",
-    "seed",
-    "spectrum",
-    "spectrum_beta",
-    "spectrum_c",
-    "spectrum_values",
-    "basis",
-}
-_CONSTANT_KEYS = {"C_mc", "c_dn", "C_a", "C_b", "c_cov", "C1"}
-_EXPERIMENT_KEYS = {
-    "relative": {"k", "eps"},
-    "gap": {"k", "eps"},
-    "alignment": {"k", "eps"},
-    "denoising": {"k", "nu"},
-    "completion": {"k", "eps", "p", "t"},
-    "covariance": {"k", "eps", "n_samples"},
-    "decay_rate": {"delta_grid"},
-}
 
-_INT_KEYS = {"n", "trials", "seed", "n_samples"}
-_FLOAT_KEYS = {
-    "spectrum_beta",
-    "spectrum_c",
-    "eps",
-    "nu",
-    "p",
-    "t",
-} | _CONSTANT_KEYS
-_LIST_KEYS = {"spectrum_values", "delta_grid"}
+def parse_value(text: str, annotation: Any) -> Any:
+    """Convert one config or ``--set`` value by its parameter's type annotation.
+
+    ``X | None`` converts as ``X``; a tuple of floats accepts comma- or
+    space-separated values.
+    """
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if typing.get_origin(annotation) is tuple:
+        return tuple(float(v) for v in text.replace(",", " ").split())
+    return annotation(text)
+
+
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` experiment configuration text.
 
-    Every scientific parameter of the chosen experiment is mandatory; only
-    the bound constants (C_mc, c_dn, C_a, C_b, c_cov, C1) have defaults.
-    Unknown and duplicate keys are rejected by name.
+    The keys are the :class:`ExperimentConfig` fields (``spectrum`` for
+    ``spectrum_kind``, ``k = oracle`` for ``k_oracle``); an experiment takes
+    only its own parameters from ``EXPERIMENTS``.  Fields without a default
+    are mandatory.  Unknown and duplicate keys are rejected by name.
     """
     raw: dict[str, str] = {}
     for ln, tok in _data_lines(text):
@@ -287,45 +273,36 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in raw:
         raise FormatError("missing mandatory key 'experiment'")
     experiment = raw["experiment"]
-    if experiment not in _EXPERIMENT_KEYS:
+    if experiment not in EXPERIMENTS:
         raise FormatError(
-            f"unknown experiment {experiment!r}; expected one of "
-            f"{sorted(_EXPERIMENT_KEYS)}"
+            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"
         )
-    allowed = _COMMON_KEYS | _CONSTANT_KEYS | _EXPERIMENT_KEYS[experiment]
-    unknown = sorted(set(raw) - allowed)
+    # other experiments' parameters are not keys here; k_oracle is spelled k = oracle
+    skipped = {"k_oracle"} | (set().union(*EXPERIMENTS.values()) - set(EXPERIMENTS[experiment]))
+    fields = {
+        "spectrum" if f.name == "spectrum_kind" else f.name: f
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in skipped
+    }
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
         raise FormatError(
             f"unknown key(s) for experiment {experiment!r}: {', '.join(unknown)}"
         )
-    missing = sorted(k for k in ("n", "trials", "seed", "spectrum", "basis") if k not in raw)
+    missing = sorted(
+        key for key, f in fields.items() if f.default is dataclasses.MISSING and key not in raw
+    )
     if missing:
         raise FormatError(f"missing mandatory key(s): {', '.join(missing)}")
 
-    kwargs: dict[str, Any] = {"experiment": experiment}
+    kwargs: dict[str, Any] = {}
     for key, value in raw.items():
-        if key == "experiment":
+        if key == "k" and value == "oracle":
+            kwargs["k_oracle"] = True
             continue
+        name = fields[key].name
         try:
-            if key == "spectrum":
-                kwargs["spectrum_kind"] = value
-            elif key == "k":
-                if value == "oracle":
-                    if experiment != "covariance":
-                        raise ValueError("k = oracle is only valid for covariance")
-                    kwargs["k_oracle"] = True
-                else:
-                    kwargs["k"] = int(value)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _LIST_KEYS:
-                kwargs[key] = tuple(float(v) for v in value.replace(",", " ").split())
-            else:
-                kwargs[key] = value
-        except ArithmeticError:
-            raise
+            kwargs[name] = parse_value(value, _CONFIG_TYPES[name])
         except ValueError as e:
             raise FormatError(f"invalid value for {key!r}: {e}") from None
     try:
@@ -385,18 +362,7 @@ CSV_COLUMNS = (
     "all_checks_passed",
 )
 
-_RECORD_FIELDS = {
-    "trial_id",
-    "precondition_holds",
-    "precondition_margin",
-    "measured_error_F",
-    "measured_error_2",
-    "tail_F",
-    "tail_2",
-    "ratio_F",
-    "bound_value",
-    "bound_satisfied",
-}
+_RECORD_FIELDS = {f.name for f in dataclasses.fields(TrialRecord)}
 
 
 def _csv_cell(v: Any) -> str:
@@ -467,14 +433,17 @@ def alignment_csv_bytes(report: AlignmentReport) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
-def bound_json_bytes(report: BoundReport) -> bytes:
-    return (json.dumps(_jsonable(dataclasses.asdict(report)), indent=2) + "\n").encode()
+def _bound_doc(result: Any) -> dict[str, Any]:
+    doc = dataclasses.asdict(result) if dataclasses.is_dataclass(result) else {"value": result}
+    return _jsonable(doc)
 
 
-def bound_csv_bytes(report: BoundReport) -> bytes:
-    rows = [
-        "name,value,precondition_holds,margin",
-        f"{report.name},{_fmt(report.value)},{_csv_cell(report.precondition_holds)},"
-        f"{_csv_cell(report.margin)}",
-    ]
-    return ("\n".join(rows) + "\n").encode()
+def bound_json_bytes(result: Any) -> bytes:
+    """Any :mod:`spectrunc.bounds` result, a report dataclass or a scalar, as JSON."""
+    return (json.dumps(_bound_doc(result), indent=2) + "\n").encode()
+
+
+def bound_csv_bytes(result: Any) -> bytes:
+    """Any bounds result as a header and one row; dict fields (``inputs``) are dropped."""
+    doc = {k: v for k, v in _bound_doc(result).items() if not isinstance(v, dict)}
+    return (",".join(doc) + "\n" + ",".join(map(_csv_cell, doc.values())) + "\n").encode()

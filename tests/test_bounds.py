@@ -237,6 +237,12 @@ def test_sampling_threshold_domain():
         completion_sampling_threshold(sigma_k1=1.0, gap=1.0, regime="sqrt_k",
                                       mu0=1.0, norm_F=1.0, n=10, t=1.0,
                                       eps=0.1, k=1)  # t must sit inside (0, 1)
+    # an input the regime needs and did not get is named
+    with pytest.raises(ValueError, match="'gap'"):
+        completion_sampling_threshold(sigma_k1=1.0, regime="gap", **kw)
+    with pytest.raises(ValueError, match="'eps'"):
+        completion_sampling_threshold(mu0=1.0, norm_F=1.0, n=10, t=0.5, k=1,
+                                      sigma_k1=1.0, regime="relative")
 
 
 # ------------------------------------------------------------- denoising
@@ -262,7 +268,7 @@ def test_denoising_bound_precondition():
 
 def test_covariance_admissible_frozen():
     rep = covariance_admissible(
-        r_e=5.0, eps=0.25, k=2, gamma_k=2.0, N=10**6, mode="relative",
+        r_e=5.0, eps=0.25, k=2, gamma_k=2.0, n_samples=10**6, mode="relative",
     )
     assert rep.expr == pytest.approx(0.07073541405677708, rel=1e-12)
     assert rep.admissible
@@ -272,24 +278,24 @@ def test_covariance_admissible_frozen():
 def test_covariance_admissible_rejects_infinite_ratio():
     with pytest.raises(ValueError):
         covariance_admissible(
-            r_e=5.0, eps=0.25, k=2, gamma_k=np.inf, N=10**6, mode="relative",
+            r_e=5.0, eps=0.25, k=2, gamma_k=np.inf, n_samples=10**6, mode="relative",
         )
 
 
 def test_covariance_admissible_gap_mode():
     rep = covariance_admissible(
-        r_e=3.0, eps=0.2, k=2, gamma_k=1.0, N=10**4, mode="gap",
+        r_e=3.0, eps=0.2, k=2, gamma_k=1.0, n_samples=10**4, mode="gap",
         norm_2=2.0, gap=0.5,
     )
     expect = 3.0 * 2 * 4.0 * np.log(10**4) / (10**4 * 0.04 * 0.25)
     assert rep.expr == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
-        covariance_admissible(r_e=3.0, eps=0.2, k=2, gamma_k=1.0, N=10**4,
+        covariance_admissible(r_e=3.0, eps=0.2, k=2, gamma_k=1.0, n_samples=10**4,
                               mode="gap")  # gap mode needs norm_2 and gap
 
 
 def test_sample_covariance_rates_frozen():
-    pair = sample_covariance_rates(norm_2=2.0, r_e=10.0, N=10**4, n=100)
+    pair = sample_covariance_rates(norm_2=2.0, r_e=10.0, n_samples=10**4, n=100)
     assert pair.frobenius == pytest.approx(0.6069708517540586, rel=1e-12)
     assert pair.frobenius == pytest.approx(0.607, abs=1e-3)
     ln_nn = np.log(10**4 * 100)
@@ -299,6 +305,6 @@ def test_sample_covariance_rates_frozen():
 
 def test_sample_covariance_rates_large_rank_branch():
     # once r_e ln(Nn)/N exceeds 1 the linear term dominates the square root
-    pair = sample_covariance_rates(norm_2=1.0, r_e=500.0, N=100, n=10)
+    pair = sample_covariance_rates(norm_2=1.0, r_e=500.0, n_samples=100, n=10)
     lin = 500.0 * np.log(1000.0) / 100.0
     assert pair.spectral == pytest.approx(lin, rel=1e-12)

@@ -1,5 +1,6 @@
 """Command-line interface: round trips, exit codes, byte-determinism."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectrunc import covariance_reduced
-from spectrunc.cli import main
+from spectrunc.cli import _BOUNDS, main
 from spectrunc.io import read_matrix, read_samples
 
 
@@ -77,6 +78,12 @@ def test_bounds_json_and_csv(capsys):
                    "--set", "delta=0.01", "--set", "beta=1", "--set", "n=10000") == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out == ["value", "99"]
+    assert run_cli("bounds", "--kind", "covariance_rates", "--format", "csv",
+                   "--set", "norm_2=2", "--set", "r_e=10", "--set", "n_samples=10000",
+                   "--set", "n=100") == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[0] == "frobenius,spectral"
+    assert float(out[1].split(",")[0]) == pytest.approx(0.6069708517540586, rel=1e-14)
 
 
 def test_bounds_sampling_kind(capsys):
@@ -100,10 +107,18 @@ def test_bounds_sampling_requires_eps_and_k(regime, extra, capsys):
     assert json.loads(capsys.readouterr().out)["regime"] == regime
 
 
+@pytest.mark.parametrize("kind", list(_BOUNDS))
+def test_bounds_names_first_required_input(kind, capsys):
+    params = inspect.signature(_BOUNDS[kind]).parameters.values()
+    first = next(p.name for p in params if p.default is p.empty)
+    assert run_cli("bounds", "--kind", kind) == 1
+    assert f"{first!r}" in capsys.readouterr().err
+
+
 def test_bounds_input_errors(capsys):
     # missing required input
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1") == 1
-    assert "tail_F" in capsys.readouterr().err or True
+    assert "'eps'" in capsys.readouterr().err
     # unused input is rejected by name
     assert run_cli("bounds", "--kind", "powerlaw_rate", "--set", "delta=0.1",
                    "--set", "beta=1", "--set", "n=100", "--set", "zeta=3") == 1

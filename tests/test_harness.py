@@ -82,6 +82,8 @@ def test_config_accepts_each_experiment():
         dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1,),
              spectrum_kind="explicit", spectrum_beta=None,
              spectrum_values=tuple(1.0 / j for j in range(1, 25))),
+        dict(k_oracle=True),  # oracle rank is covariance-only
+        dict(k=None, k_oracle=True),
     ],
 )
 def test_config_rejects(kw):
