@@ -374,9 +374,9 @@ def completion_sampling_threshold(
 
     ``mu0`` is the flatness measure from :func:`spectrunc.linalg.spikeness`,
     ``t`` the failure-probability budget.  Each regime requires the inputs
-    its scale uses.  Regimes that divide by ``sigma_k1`` (resp. ``gap``)
-    reject a zero value, since their guarantee is inapplicable for exactly
-    rank-k (resp. gapless) matrices.
+    its scale uses and rejects the others.  Regimes that divide by
+    ``sigma_k1`` (resp. ``gap``) reject a zero value, since their guarantee
+    is inapplicable for exactly rank-k (resp. gapless) matrices.
     """
     if regime not in SAMPLING_REGIMES:
         raise ValueError(f"regime must be one of {tuple(SAMPLING_REGIMES)}, got {regime!r}")
@@ -384,6 +384,13 @@ def completion_sampling_threshold(
     missing = [repr(name) for name in SAMPLING_REGIMES[regime] if given[name] is None]
     if missing:
         raise ValueError(f"regime {regime!r} requires {', '.join(missing)}")
+    unused = [
+        repr(name)
+        for name, v in given.items()
+        if v is not None and name not in SAMPLING_REGIMES[regime]
+    ]
+    if unused:
+        raise ValueError(f"regime {regime!r} does not use {', '.join(unused)}")
     if mu0 <= 0 or norm_F <= 0:
         raise ValueError("mu0 and norm_F must be positive")
     if n < 2:
@@ -479,10 +486,17 @@ def covariance_admissible(
     the best rank-k approximation up to the tail multiplier
     ``1 + eps`` (reported as ``multiplier``).  relative mode rejects
     ``gamma_k = inf``: a spectrum with sigma_{k+1} = 0 has no relative
-    scale to measure against.
+    scale to measure against.  Each mode rejects the inputs it does not
+    use: ``norm_2`` and ``gap`` in relative mode, ``gamma_k`` in gap mode.
     """
     if mode not in ("relative", "gap"):
         raise ValueError(f"mode must be 'relative' or 'gap', got {mode!r}")
+    if mode == "relative":
+        unused = [repr(name) for name, v in (("norm_2", norm_2), ("gap", gap)) if v is not None]
+    else:
+        unused = ["'gamma_k'"] if gamma_k != math.inf else []
+    if unused:
+        raise ValueError(f"{mode} mode does not use {', '.join(unused)}")
     _check_eps(eps)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

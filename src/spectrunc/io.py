@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from typing import Any
@@ -66,14 +67,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _data_lines(text: str) -> list[tuple[int, list[str]]]:
-    """(line_number, tokens) for every non-blank, non-comment line."""
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(line_number, stripped line) for every non-blank, non-comment line."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        out.append((i, s.split()))
+        if s and not s.startswith("#"):
+            out.append((i, s))
     return out
 
 
@@ -82,7 +82,7 @@ def _parse_float(tok: str, line: int, what: str) -> float:
         v = float(tok)
     except ValueError:
         raise FormatError(f"invalid {what} {tok!r}", line) from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise FormatError(f"{what} must be finite, got {tok!r}", line)
     return v
 
@@ -94,6 +94,41 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise FormatError(f"invalid {what} {tok!r}", line) from None
 
 
+def _read_rows(lines: list[tuple[int, str]], width: int, what: str) -> np.ndarray:
+    """Parse data lines into a ``(len(lines), width)`` float array, one line at a time.
+
+    A line converts whole, each token through ``float``; only a line that fails
+    (a token ``float`` rejects, or a non-finite value) is walked token by token,
+    to name its first bad token.  Lines are checked in order, so the first bad
+    line is the one reported.
+    """
+    out = np.empty((len(lines), width))
+    for r, (ln, s) in enumerate(lines):
+        tok = s.split()
+        if len(tok) != width:
+            raise FormatError(f"expected {width} entries in row, found {len(tok)}", ln)
+        try:
+            out[r] = list(map(float, tok))
+            ok = np.isfinite(out[r]).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            for t in tok:  # raises at the first bad token
+                _parse_float(t, ln, what)
+    return out
+
+
+def _table_bytes(header: str, fmt: str, rows) -> bytes:
+    """``header``, then one line ``fmt % row`` per row tuple; newline-terminated."""
+    return ("\n".join([header, *(fmt % row for row in rows)]) + "\n").encode()
+
+
+def _float_rows_bytes(header: str, X: np.ndarray) -> bytes:
+    """``header``, then each row of ``X`` with every entry as ``format(v, ".17g")``."""
+    fmt = " ".join(["%.17g"] * X.shape[1])  # "%.17g" % v == format(v, ".17g")
+    return _table_bytes(header, fmt, (tuple(row.tolist()) for row in X))
+
+
 # ---------------------------------------------------------------- matrices
 
 
@@ -101,7 +136,7 @@ def read_matrix(text: str) -> np.ndarray:
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty matrix file")
-    hline, htok = lines[0]
+    hline, htok = lines[0][0], lines[0][1].split()
     if len(htok) != 2 or htok[0] != "sym":
         raise FormatError("expected header 'sym n'", hline)
     n = _parse_int(htok[1], hline, "dimension")
@@ -109,12 +144,7 @@ def read_matrix(text: str) -> np.ndarray:
         raise FormatError(f"dimension must be >= 1, got {n}", hline)
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} data rows, found {len(lines) - 1}", hline)
-    A = np.empty((n, n))
-    for r, (ln, tok) in enumerate(lines[1:]):
-        if len(tok) != n:
-            raise FormatError(f"expected {n} entries in row, found {len(tok)}", ln)
-        for c, t in enumerate(tok):
-            A[r, c] = _parse_float(t, ln, "matrix entry")
+    A = _read_rows(lines[1:], n, "matrix entry")
     with np.errstate(over="ignore", invalid="ignore"):
         asym = np.abs(A - A.T)
         if asym.size and asym.max() > 1e-12:
@@ -134,10 +164,7 @@ def read_matrix(text: str) -> np.ndarray:
 
 def matrix_bytes(A: np.ndarray) -> bytes:
     A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    rows = [f"sym {n}"]
-    rows += [" ".join(_fmt(v) for v in A[i]) for i in range(n)]
-    return ("\n".join(rows) + "\n").encode()
+    return _float_rows_bytes(f"sym {A.shape[0]}", A)
 
 
 def write_matrix(path, A: np.ndarray) -> None:
@@ -152,7 +179,7 @@ def read_observations(text: str) -> ObservationSet:
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty observation file")
-    hline, htok = lines[0]
+    hline, htok = lines[0][0], lines[0][1].split()
     if len(htok) != 4 or htok[0] != "obs":
         raise FormatError("expected header 'obs n p count'", hline)
     n = _parse_int(htok[1], hline, "dimension")
@@ -163,7 +190,8 @@ def read_observations(text: str) -> ObservationSet:
     rows = np.empty(count, dtype=np.int64)
     cols = np.empty(count, dtype=np.int64)
     vals = np.empty(count)
-    for idx, (ln, tok) in enumerate(lines[1:]):
+    for idx, (ln, s) in enumerate(lines[1:]):
+        tok = s.split()
         if len(tok) != 3:
             raise FormatError("expected 'i j value'", ln)
         i = _parse_int(tok[0], ln, "row index")
@@ -180,12 +208,11 @@ def read_observations(text: str) -> ObservationSet:
 
 
 def observations_bytes(obs: ObservationSet) -> bytes:
-    rows = [f"obs {obs.n} {_fmt(obs.p)} {obs.count}"]
-    rows += [
-        f"{int(i) + 1} {int(j) + 1} {_fmt(v)}"
-        for i, j, v in zip(obs.rows, obs.cols, obs.values)
-    ]
-    return ("\n".join(rows) + "\n").encode()
+    return _table_bytes(
+        f"obs {obs.n} {_fmt(obs.p)} {obs.count}",
+        "%d %d %.17g",
+        zip((obs.rows + 1).tolist(), (obs.cols + 1).tolist(), obs.values.tolist()),
+    )
 
 
 def write_observations(path, obs: ObservationSet) -> None:
@@ -200,7 +227,7 @@ def read_samples(text: str) -> SampleSet:
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty sample file")
-    hline, htok = lines[0]
+    hline, htok = lines[0][0], lines[0][1].split()
     if len(htok) != 3 or htok[0] != "samples":
         raise FormatError("expected header 'samples N n'", hline)
     N = _parse_int(htok[1], hline, "sample count")
@@ -209,19 +236,11 @@ def read_samples(text: str) -> SampleSet:
         raise FormatError("sample count and dimension must be >= 1", hline)
     if len(lines) - 1 != N:
         raise FormatError(f"expected {N} sample rows, found {len(lines) - 1}", hline)
-    X = np.empty((N, n))
-    for r, (ln, tok) in enumerate(lines[1:]):
-        if len(tok) != n:
-            raise FormatError(f"expected {n} entries in row, found {len(tok)}", ln)
-        for c, t in enumerate(tok):
-            X[r, c] = _parse_float(t, ln, "sample entry")
-    return SampleSet(N=N, n=n, X=X)
+    return SampleSet(N=N, n=n, X=_read_rows(lines[1:], n, "sample entry"))
 
 
 def samples_bytes(samples: SampleSet) -> bytes:
-    rows = [f"samples {samples.N} {samples.n}"]
-    rows += [" ".join(_fmt(v) for v in row) for row in samples.X]
-    return ("\n".join(rows) + "\n").encode()
+    return _float_rows_bytes(f"samples {samples.N} {samples.n}", samples.X)
 
 
 def write_samples(path, samples: SampleSet) -> None:
@@ -257,8 +276,8 @@ def parse_config(text: str) -> ExperimentConfig:
     are mandatory.  Unknown and duplicate keys are rejected by name.
     """
     raw: dict[str, str] = {}
-    for ln, tok in _data_lines(text):
-        joined = " ".join(tok)
+    for ln, s in _data_lines(text):
+        joined = " ".join(s.split())
         if "=" not in joined:
             raise FormatError("expected 'key = value'", ln)
         key, _, value = joined.partition("=")

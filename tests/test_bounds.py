@@ -198,8 +198,7 @@ def test_exponential_domain():
 def test_sampling_threshold_sqrt_k_formula():
     n, k, t = 64, 4, 0.5
     thr = completion_sampling_threshold(
-        mu0=1.0, norm_F=np.sqrt(float(k)), sigma_k1=1.0, gap=1.0,
-        n=n, t=t, eps=0.1, k=k, regime="sqrt_k",
+        mu0=1.0, norm_F=np.sqrt(float(k)), sigma_k1=1.0, n=n, t=t, regime="sqrt_k",
     )
     expect = 8.0 * k * np.log(n / t) / n
     assert thr.p_raw == pytest.approx(expect, rel=1e-12)
@@ -208,17 +207,16 @@ def test_sampling_threshold_sqrt_k_formula():
 
 
 def test_sampling_threshold_relative_scales_sqrt_k():
-    kw = dict(mu0=2.0, norm_F=4.0, sigma_k1=0.5, gap=0.2, n=128, t=0.1, k=3)
-    base = completion_sampling_threshold(eps=0.1, regime="sqrt_k", **kw)
-    rel = completion_sampling_threshold(eps=0.1, regime="relative", **kw)
+    kw = dict(mu0=2.0, norm_F=4.0, sigma_k1=0.5, n=128, t=0.1)
+    base = completion_sampling_threshold(regime="sqrt_k", **kw)
+    rel = completion_sampling_threshold(eps=0.1, k=3, regime="relative", **kw)
     assert rel.p_raw == pytest.approx(base.p_raw * max(0.1**-4, 9.0), rel=1e-12)
     assert rel.vacuous and rel.p == 1.0
 
 
 def test_sampling_threshold_gap_regime():
     thr = completion_sampling_threshold(
-        mu0=1.5, norm_F=3.0, sigma_k1=0.5, gap=0.4, n=100, t=0.5,
-        eps=0.2, k=2, regime="gap",
+        mu0=1.5, norm_F=3.0, gap=0.4, n=100, t=0.5, eps=0.2, k=2, regime="gap",
     )
     expect = 8.0 * 1.5**2 * 9.0 * np.log(200.0) / 100.0 * 2.0 / (0.04 * 0.16)
     assert thr.p_raw == pytest.approx(expect, rel=1e-12)
@@ -226,23 +224,39 @@ def test_sampling_threshold_gap_regime():
 
 
 def test_sampling_threshold_domain():
-    kw = dict(mu0=1.0, norm_F=1.0, n=10, t=0.5, eps=0.1, k=1)
-    with pytest.raises(ValueError):
-        completion_sampling_threshold(sigma_k1=0.0, gap=1.0, regime="sqrt_k", **kw)
-    with pytest.raises(ValueError):
-        completion_sampling_threshold(sigma_k1=1.0, gap=0.0, regime="gap", **kw)
+    base = dict(mu0=1.0, norm_F=1.0, n=10, t=0.5)
+    kw = dict(base, eps=0.1, k=1)
+    with pytest.raises(ValueError, match="sigma_k1 must be positive"):
+        completion_sampling_threshold(sigma_k1=0.0, regime="sqrt_k", **base)
+    with pytest.raises(ValueError, match="gap must be positive"):
+        completion_sampling_threshold(gap=0.0, regime="gap", **kw)
     with pytest.raises(ValueError):
         completion_sampling_threshold(sigma_k1=1.0, gap=1.0, regime="nope", **kw)
-    with pytest.raises(ValueError):
-        completion_sampling_threshold(sigma_k1=1.0, gap=1.0, regime="sqrt_k",
-                                      mu0=1.0, norm_F=1.0, n=10, t=1.0,
-                                      eps=0.1, k=1)  # t must sit inside (0, 1)
+    with pytest.raises(ValueError, match="t must lie"):
+        completion_sampling_threshold(sigma_k1=1.0, regime="sqrt_k",
+                                      mu0=1.0, norm_F=1.0, n=10, t=1.0)
     # an input the regime needs and did not get is named
     with pytest.raises(ValueError, match="'gap'"):
-        completion_sampling_threshold(sigma_k1=1.0, regime="gap", **kw)
+        completion_sampling_threshold(regime="gap", **kw)
     with pytest.raises(ValueError, match="'eps'"):
         completion_sampling_threshold(mu0=1.0, norm_F=1.0, n=10, t=0.5, k=1,
                                       sigma_k1=1.0, regime="relative")
+
+
+def test_sampling_threshold_rejects_unused_inputs():
+    kw = dict(mu0=1.0, norm_F=1.0, n=10, t=0.5)
+    # sqrt_k reads only sigma_k1: an out-of-domain eps must not pass silently
+    with pytest.raises(ValueError, match="'eps'"):
+        completion_sampling_threshold(sigma_k1=1.0, eps=0.9, regime="sqrt_k", **kw)
+    with pytest.raises(ValueError, match="'gap', 'eps', 'k'"):
+        completion_sampling_threshold(sigma_k1=1.0, gap=1.0, eps=0.1, k=1,
+                                      regime="sqrt_k", **kw)
+    with pytest.raises(ValueError, match="'gap'"):
+        completion_sampling_threshold(sigma_k1=1.0, gap=1.0, eps=0.1, k=1,
+                                      regime="relative", **kw)
+    with pytest.raises(ValueError, match="'sigma_k1'"):
+        completion_sampling_threshold(sigma_k1=1.0, gap=1.0, eps=0.1, k=1,
+                                      regime="gap", **kw)
 
 
 # ------------------------------------------------------------- denoising
@@ -284,14 +298,25 @@ def test_covariance_admissible_rejects_infinite_ratio():
 
 def test_covariance_admissible_gap_mode():
     rep = covariance_admissible(
-        r_e=3.0, eps=0.2, k=2, gamma_k=1.0, n_samples=10**4, mode="gap",
-        norm_2=2.0, gap=0.5,
+        r_e=3.0, eps=0.2, k=2, n_samples=10**4, mode="gap", norm_2=2.0, gap=0.5,
     )
     expect = 3.0 * 2 * 4.0 * np.log(10**4) / (10**4 * 0.04 * 0.25)
     assert rep.expr == pytest.approx(expect, rel=1e-12)
     with pytest.raises(ValueError):
-        covariance_admissible(r_e=3.0, eps=0.2, k=2, gamma_k=1.0, n_samples=10**4,
+        covariance_admissible(r_e=3.0, eps=0.2, k=2, n_samples=10**4,
                               mode="gap")  # gap mode needs norm_2 and gap
+
+
+def test_covariance_admissible_rejects_unused_inputs():
+    kw = dict(r_e=3.0, eps=0.2, k=2, n_samples=10**4)
+    with pytest.raises(ValueError, match="'norm_2'"):
+        covariance_admissible(mode="relative", gamma_k=2.0, norm_2=-5.0, **kw)
+    with pytest.raises(ValueError, match="'norm_2', 'gap'"):
+        covariance_admissible(mode="relative", gamma_k=2.0, norm_2=2.0, gap=0.5, **kw)
+    with pytest.raises(ValueError, match="'gamma_k'"):
+        covariance_admissible(mode="gap", gamma_k=2.0, norm_2=2.0, gap=0.5, **kw)
+    # the default gamma_k is not an input the caller gave
+    assert covariance_admissible(mode="gap", gamma_k=np.inf, norm_2=2.0, gap=0.5, **kw).expr > 0
 
 
 def test_sample_covariance_rates_frozen():

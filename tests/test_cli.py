@@ -134,6 +134,22 @@ def test_bounds_input_errors(capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, inputs, unused", [
+    ("sampling", ["regime=sqrt_k", "mu0=1", "norm_F=2", "sigma_k1=1", "n=64", "t=0.5",
+                  "eps=0.9"], "'eps'"),
+    ("covariance", ["mode=relative", "r_e=3", "eps=0.2", "k=2", "n_samples=10000",
+                    "gamma_k=2", "norm_2=-5"], "'norm_2'"),
+    ("covariance", ["mode=gap", "r_e=3", "eps=0.2", "k=2", "n_samples=10000",
+                    "norm_2=2", "gap=0.5", "gamma_k=2"], "'gamma_k'"),
+])
+def test_bounds_rejects_inputs_the_regime_does_not_use(kind, inputs, unused, capsys):
+    args = [a for kv in inputs for a in ("--set", kv)]
+    assert run_cli("bounds", "--kind", kind, *args[:-2]) == 0
+    capsys.readouterr()
+    assert run_cli("bounds", "--kind", kind, *args) == 1
+    assert unused in capsys.readouterr().err
+
+
 def test_verify_chain(workdir, capsys):
     a = workdir / "A.mat"
     run_cli("synth", "--kind", "powerlaw", "--n", "10", "--beta", "1.0",

@@ -69,6 +69,31 @@ def test_comments_and_blank_lines_are_skipped():
     np.testing.assert_array_equal(read_matrix(text), np.eye(2))
 
 
+def _reference_row(row) -> str:
+    return " ".join(format(float(v), ".17g") for v in row)
+
+
+def test_writers_match_per_entry_format():
+    rng = rng_stream(33, 0)
+    X = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+    X[0] = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1 / 3]
+    X[1] = rng.standard_normal(5)
+    A = X[:5]
+    assert matrix_bytes(A).decode() == "\n".join(
+        ["sym 5", *map(_reference_row, A)]
+    ) + "\n"
+    assert samples_bytes(SampleSet(N=6, n=5, X=X)).decode() == "\n".join(
+        ["samples 6 5", *map(_reference_row, X)]
+    ) + "\n"
+    iu, ju = np.triu_indices(5)
+    values = A[iu, ju]
+    obs = ObservationSet(n=5, p=1 / 3, rows=iu, cols=ju, values=values)
+    assert observations_bytes(obs).decode() == "\n".join(
+        [f"obs 5 {format(1 / 3, '.17g')} {iu.size}"]
+        + [f"{i + 1} {j + 1} {format(v, '.17g')}" for i, j, v in zip(iu, ju, values)]
+    ) + "\n"
+
+
 # ------------------------------------------------------------ format errors
 
 
@@ -76,6 +101,13 @@ def err_line(fn, text):
     with pytest.raises(FormatError) as ei:
         fn(text)
     return ei.value.line
+
+
+def test_accepted_tokens_are_those_float_accepts():
+    assert read_matrix("sym 1\n1_0\n")[0, 0] == float("1_0")
+    assert read_samples("samples 1 2\n\u0661 +.5\n").X.tolist() == [[1.0, 0.5]]
+    assert err_line(read_matrix, "sym 1\n0x10\n") == 2
+    assert err_line(read_matrix, "sym 1\nInfinity\n") == 2
 
 
 def test_matrix_errors_carry_line_numbers():
@@ -96,12 +128,40 @@ def test_observations_errors():
     assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n") == 1
     assert err_line(read_observations, "obs 3 0.5 1\n1 1\n") == 2
     assert err_line(read_observations, "obs 3 2.0 1\n1 1 5.0\n") == 1  # bad p
+    assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n1.0 2 3\n") == 3  # index
+    assert err_line(read_observations, "obs 3 0.5 1\n1 x 5.0\n") == 2
+    assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n1 2 inf\n") == 3  # value
 
 
 def test_samples_errors():
     assert err_line(read_samples, "samples 2 2\n1 0\n") == 1
     assert err_line(read_samples, "samples 2 2\n1 0\n0 1 2\n") == 3
     assert err_line(read_samples, "samples 0 2\n") == 1
+    assert err_line(read_samples, "samples 2 2\n1 0\n0 x\n") == 3
+    assert err_line(read_samples, "samples 2 2\n1 nan\n0 1\n") == 2
+
+
+def test_first_bad_row_is_reported():
+    # a bad or non-finite token in row 2 comes before a short row 4
+    short4 = "0 0 1 0\n0 0 0\n"
+    assert err_line(read_matrix, "sym 4\n1 0 0 0\n0 x 0 0\n" + short4) == 3
+    assert err_line(read_matrix, "sym 4\n1 0 0 0\n0 1e999 0 0\n" + short4) == 3
+    assert err_line(read_samples, "samples 4 4\n1 0 0 0\n0 nan 0 0\n" + short4) == 3
+    # and an out-of-range index on one line before a bad value on a later one
+    assert err_line(read_observations, "obs 3 0.5 2\n2 1 5.0\n1 1 x\n") == 2
+
+
+def test_comment_lines_between_rows_keep_line_numbers():
+    text = "sym 2\n# first row\n1 0\n\n   \n# second row\n0 1\n"
+    np.testing.assert_array_equal(read_matrix(text), np.eye(2))
+    assert err_line(read_matrix, text.replace("0 1\n", "0 inf\n")) == 7
+    samples = "samples 2 1\n\n# a\n3\n# b\n4\n"
+    np.testing.assert_array_equal(read_samples(samples).X, [[3.0], [4.0]])
+    assert err_line(read_samples, samples.replace("4\n", "four\n")) == 6
+    obs = "obs 2 0.5 2\n# i j value\n1 1 2.5\n\n1 2 -1\n"
+    back = read_observations(obs)
+    np.testing.assert_array_equal(back.values, [2.5, -1.0])
+    assert err_line(read_observations, obs.replace("1 2 -1", "2 1 -1")) == 5
 
 
 # ----------------------------------------------------------------- config
