@@ -42,6 +42,7 @@ from .bounds import (
 from .estimators import complete as _complete
 from .estimators import covariance_reduced, denoise as _denoise
 from .harness import run_experiment
+from .linalg import eig_sym
 from .proofcheck import check_alignment
 from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
 
@@ -176,7 +177,7 @@ def _cmd_verify(args) -> int:
         A = io.read_matrix(fh.read())
     with open(args.perturbed, "r", encoding="utf-8") as fh:
         A_hat = io.read_matrix(fh.read())
-    report = check_alignment(A, A_hat, args.k, args.eps)
+    report = check_alignment(A, A_hat, eig_sym(A_hat), args.k, args.eps)
     data = (
         io.alignment_json_bytes(report)
         if args.format == "json"

@@ -330,7 +330,8 @@ def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         )
     E = scaled_perturbation(config.n, target, rng)
     A_hat = A + E
-    est = truncate(eig_sym(A_hat), k)
+    dec_hat = eig_sym(A_hat)
+    est = truncate(dec_hat, k)
     err_F = float(np.linalg.norm(est - A, "fro"))
     err_2 = spectral_norm_sym(est - A)
     env = spectral_envelope(sig, k, config.eps)
@@ -344,7 +345,7 @@ def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         "m2": env.m2,
     }
     if config.experiment == "alignment":
-        rpt = check_alignment(A, A_hat, k, config.eps)
+        rpt = check_alignment(A, A_hat, dec_hat, k, config.eps)
         aux.update(
             {f"sin_{name}": val for name, val in rpt.sin_angles().items()}
         )

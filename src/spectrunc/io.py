@@ -204,6 +204,13 @@ def read_observations(text: str) -> ObservationSet:
     try:
         return ObservationSet(n=n, p=p, rows=rows, cols=cols, values=vals)
     except ValueError as e:
+        if "duplicate" in str(e):  # only a failing read pays for locating the repeat
+            first: dict[tuple[int, int], int] = {}
+            for (ln, _), i, j in zip(lines[1:], rows.tolist(), cols.tolist()):
+                if (i, j) in first:
+                    msg = f"duplicate observation position ({i + 1}, {j + 1}), first on line"
+                    raise FormatError(f"{msg} {first[i, j]}", ln) from None
+                first[i, j] = ln
         raise FormatError(str(e), hline) from None
 
 

@@ -63,6 +63,9 @@ ARPACK_MAX_K = 64
 #: top_eigenpairs switches to the full ``evd`` solver above this k/n
 EVR_MAX_FRACTION = 0.2
 
+#: spectral_norm_sym uses the dense eigenvalue solver up to this order
+NORM_DENSE_MAX_N = 512
+
 
 def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Validate that ``A`` is square, finite and symmetric; return it as float64.
@@ -103,11 +106,6 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Reassemble the (symmetrized) matrix from the decomposition."""
-        B = (self.basis * self.eigenvalues) @ self.basis.T
-        return (B + B.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -259,18 +257,18 @@ def truncate(dec: SpectralDecomposition, k: int) -> np.ndarray:
     return (B + B.T) / 2.0
 
 
-def spectral_norm_sym(A: np.ndarray, dense_cutoff: int = 512) -> float:
+def spectral_norm_sym(A: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest eigenvalue magnitude).
 
-    Small matrices go through the dense symmetric eigenvalue solver; large
-    ones through a Lanczos iteration run to machine precision from a fixed
+    Orders up to ``NORM_DENSE_MAX_N`` use the dense eigenvalue solver;
+    larger ones a Lanczos iteration run to machine precision from a fixed
     deterministic start vector, so repeated calls agree bitwise.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     if n == 0:
         return 0.0
-    if n <= dense_cutoff:
+    if n <= NORM_DENSE_MAX_N:
         w = np.linalg.eigvalsh(A)
         return float(max(abs(w[0]), abs(w[-1])))
     v0 = np.full(n, 1.0 / np.sqrt(n))

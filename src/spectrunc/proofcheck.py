@@ -14,7 +14,7 @@ All checks are normalized to the orientation ``lhs <= rhs`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "AlignmentArtifacts",
     "AlignmentCheck",
     "AlignmentReport",
     "aligned_subspace",
@@ -43,15 +42,6 @@ __all__ = [
 CHECK_TOL = 1e-9
 #: eigenvalues of the reference matrix below this fraction of ||A||_2 count as zero
 RANGE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class AlignmentArtifacts:
-    """Intermediate objects of the alignment construction."""
-
-    envelope: EnvelopeIndices
-    W: np.ndarray
-    A_tilde: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,25 +128,29 @@ def reference_matrix(
     Keeps the well-separated head of A exactly and compresses the rest of A
     onto the aligned subspace; its rank is at most m1 + (columns of W).
     """
-    A = dec_A.matrix()
-    core = W.T @ A @ W
+    G = W.T @ dec_A.basis
+    core = (G * dec_A.eigenvalues) @ G.T
     T = truncate(dec_A, m1) + W @ ((core + core.T) / 2.0) @ W.T
     return (T + T.T) / 2.0
 
 
-def range_basis(M: np.ndarray, scale: float, tol: float = RANGE_TOL) -> np.ndarray:
+def range_basis(M: np.ndarray, scale: float) -> np.ndarray:
     """Orthonormal eigenbasis of the numerically nonzero eigenspace of M.
 
-    Eigenvalues with magnitude at most ``tol * scale`` are treated as zero;
-    the returned columns span the numerical range of M.
+    Eigenvalues with magnitude at most ``RANGE_TOL * scale`` are treated as
+    zero; the returned columns span the numerical range of M.
     """
     dec = eig_sym(M)
-    keep = np.abs(dec.eigenvalues) > tol * scale
+    keep = np.abs(dec.eigenvalues) > RANGE_TOL * scale
     return dec.basis[:, keep]
 
 
-def check_alignment(A: np.ndarray, A_hat: np.ndarray, k: int, eps: float) -> AlignmentReport:
+def check_alignment(
+    A: np.ndarray, A_hat: np.ndarray, dec_hat: SpectralDecomposition, k: int, eps: float
+) -> AlignmentReport:
     """Measure the alignment inequality chain on one perturbed instance.
+
+    ``dec_hat`` is ``eig_sym(A_hat)``, which callers already hold; it is not recomputed.
 
     Checks (all lhs <= rhs, clean spectrum sigma, perturbed basis U_hat):
 
@@ -175,30 +169,32 @@ def check_alignment(A: np.ndarray, A_hat: np.ndarray, k: int, eps: float) -> Ali
     """
     A_sym = require_symmetric(A)
     Ahat_sym = require_symmetric(A_hat)
-    if A_sym.shape != Ahat_sym.shape:
-        raise ValueError("A and A_hat must have the same shape")
+    if not A_sym.shape == Ahat_sym.shape == dec_hat.basis.shape:
+        raise ValueError("A, A_hat and dec_hat must have the same shape")
     dec_A = eig_sym(A_sym)
-    dec_hat = eig_sym(Ahat_sym)
     stats = spectrum_stats(dec_A.eigenvalues, k)
     delta_allowed = eps**2 * stats.tail_2
     delta_measured = spectral_norm_sym(Ahat_sym - A_sym)
     applicable = delta_measured <= delta_allowed * (1.0 + 1e-9) + 1e-300
     W, env = aligned_subspace(dec_A, dec_hat, k, eps)
+    report = AlignmentReport(
+        k=k,
+        eps=eps,
+        delta_measured=delta_measured,
+        delta_allowed=delta_allowed,
+        applicable=applicable,
+        m1=env.m1,
+        m2=env.m2,
+    )
     if not applicable:
-        return AlignmentReport(
-            k=k,
-            eps=eps,
-            delta_measured=delta_measured,
-            delta_allowed=delta_allowed,
-            applicable=False,
-            m1=env.m1,
-            m2=env.m2,
-        )
+        return report
     Ahat_k = truncate(dec_hat, k)
     U = dec_A.basis
     Uhat_k = dec_hat.basis[:, :k]
     A_ref = reference_matrix(dec_A, W, env.m1)
-    U_ref = range_basis(A_ref, scale=abs(dec_A.eigenvalues[0]))
+    Q = np.hstack([U[:, : env.m1], W])  # A_ref's range lies in span Q
+    C = Q.T @ A_ref @ Q
+    U_ref = Q @ range_basis((C + C.T) / 2.0, scale=abs(dec_A.eigenvalues[0]))
 
     checks: list[AlignmentCheck] = []
 
@@ -226,14 +222,4 @@ def check_alignment(A: np.ndarray, A_hat: np.ndarray, k: int, eps: float) -> Ali
     add("truncation_proximity", prox_2, 102.0 * eps**2 * stats.tail_2)
     err_F = float(np.linalg.norm(Ahat_k - A_sym, "fro"))
     add("error_split", err_F, bias_F + math.sqrt(2.0 * k) * prox_2)
-
-    return AlignmentReport(
-        k=k,
-        eps=eps,
-        delta_measured=delta_measured,
-        delta_allowed=delta_allowed,
-        applicable=True,
-        m1=env.m1,
-        m2=env.m2,
-        checks=checks,
-    )
+    return replace(report, checks=checks)

@@ -2,12 +2,15 @@
 
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectrunc
 from spectrunc import covariance_reduced
 from spectrunc.cli import _BOUNDS, main
 from spectrunc.io import read_matrix, read_samples
@@ -249,9 +252,14 @@ def test_help_and_version_exit_zero(capsys):
 
 
 def test_module_entrypoint():
+    # the child imports the same spectrunc package as this process
+    src = str(Path(spectrunc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
     proc = subprocess.run(
         [sys.executable, "-m", "spectrunc.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("spectrunc ")

@@ -1,12 +1,14 @@
 """Experiment harness: config validation, trial invariants, aggregation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from spectrunc import (
     ExperimentConfig,
+    cli,
     eig_sym,
     mvn_samples,
     rate_regression,
@@ -21,6 +23,7 @@ from spectrunc.harness import (
     _instance,
     _truncation_error_F,
 )
+from spectrunc.io import write_matrix
 from spectrunc.linalg import _top_k_route
 from spectrunc.synth import rng_stream, scaled_perturbation
 
@@ -150,6 +153,39 @@ def test_alignment_trial_carries_chain_results():
         assert r.aux["all_checks_passed"]
         assert 0.0 <= r.aux["sin_head_alignment"] <= 1.0
     assert rep.aggregates["all_checks_passed_rate"] == 1.0
+
+
+def _dense_eigh_orders(monkeypatch):
+    """Orders of the matrices passed to numpy.linalg.eigh from now on."""
+    orders = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return orders
+
+
+def test_alignment_decomposes_each_matrix_once(monkeypatch, tmp_path):
+    n = 24
+    cfg = base_cfg(experiment="alignment", n=n, trials=1)
+    orders = _dense_eigh_orders(monkeypatch)
+    rec = run_trial(cfg, 0)
+    assert rec.aux["checks_total"] > 0  # the whole chain ran
+    assert orders.count(n) == 2  # A_hat in the harness, A in the chain
+
+    sig, A = _instance(cfg, rng_stream(cfg.seed, 0))
+    E = scaled_perturbation(n, 0.5 * cfg.eps**2 * sig[cfg.k], rng_stream(cfg.seed, 1))
+    write_matrix(tmp_path / "A.sym", A)
+    write_matrix(tmp_path / "Ahat.sym", A + E)
+    orders.clear()
+    assert cli.main(["verify", "--matrix", str(tmp_path / "A.sym"),
+                     "--perturbed", str(tmp_path / "Ahat.sym"), "--k", str(cfg.k),
+                     "--eps", str(cfg.eps), "--out", str(tmp_path / "v.json")]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["applicable"]
+    assert orders.count(n) == 2
 
 
 def test_denoising_zero_noise_reduces_to_truncation():

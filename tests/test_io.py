@@ -131,6 +131,13 @@ def test_observations_errors():
     assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n1.0 2 3\n") == 3  # index
     assert err_line(read_observations, "obs 3 0.5 1\n1 x 5.0\n") == 2
     assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n1 2 inf\n") == 3  # value
+    # a repeated position names the repeating line and the pair
+    dup = "obs 3 0.5 3\n1 1 5.0\n1 2 1.0\n1 1 6.0\n"
+    assert err_line(read_observations, dup) == 4
+    with pytest.raises(FormatError, match=r"\(1, 1\), first on line 2"):
+        read_observations(dup)
+    assert err_line(read_observations, dup.replace("1 2 1.0\n", "# c\n1 2 1.0\n")) == 5
+    assert err_line(read_observations, "obs 3 2.0 2\n1 1 5.0\n1 1 6.0\n") == 1  # bad p first
 
 
 def test_samples_errors():

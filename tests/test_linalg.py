@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as hst
 
 from spectrunc import (
     eig_sym,
+    linalg,
     norms,
     principal_angle_sin,
     spectral_norm_sym,
@@ -121,7 +122,8 @@ def test_eig_sym_reconstructs(n, seed):
     A = rand_sym(np.random.default_rng(seed), n)
     dec = eig_sym(A)
     fro = np.linalg.norm(A, "fro")
-    assert np.linalg.norm(dec.matrix() - A, "fro") <= 1e-10 * max(fro, 1.0)
+    B = (dec.basis * dec.eigenvalues) @ dec.basis.T
+    assert np.linalg.norm(B - A, "fro") <= 1e-10 * max(fro, 1.0)
     G = dec.basis.T @ dec.basis
     assert np.max(np.abs(G - np.eye(n))) <= 1e-10
     assert np.all(np.diff(dec.eigenvalues) <= 0)
@@ -188,12 +190,13 @@ def test_top_eigenpairs_rejects():
             top_eigenpairs(np.eye(3), k)
 
 
-def test_spectral_norm_matches_dense_path():
+def test_spectral_norm_matches_dense_path(monkeypatch):
     rng = np.random.default_rng(11)
     A = rand_sym(rng, 530)  # above the dense cutoff: exercises the Lanczos path
     direct = float(np.max(np.abs(np.linalg.eigvalsh(A))))
     assert spectral_norm_sym(A) == pytest.approx(direct, rel=1e-12)
-    assert spectral_norm_sym(A, dense_cutoff=1000) == pytest.approx(direct, rel=1e-15)
+    monkeypatch.setattr(linalg, "NORM_DENSE_MAX_N", 1000)
+    assert spectral_norm_sym(A) == pytest.approx(direct, rel=1e-15)
 
 
 def test_truncate_best_rank_spectral():

@@ -81,9 +81,34 @@ def test_range_basis_drops_numerical_zeros():
     assert abs(U[0, 0]) == 1.0
 
 
+def test_reference_range_from_k_by_k_compression():
+    # A_ref's range lies in span Q = [U_m1 | W], so the range of Q^T A_ref Q,
+    # mapped back through Q, is the range of the n-by-n A_ref
+    cases = [band_instance(s) for s in (1, 2)]  # m1 < k
+    cases += [band_instance(s, beta=2.0) for s in (3, 4)]  # m1 == k: W is empty
+    A0 = np.diag([1.0, 0.5, 0.0, 0.0, 0.0])  # U_m1 carries exact zero eigenvalues
+    cases.append((A0, A0, 3, 0.2))
+    seen = set()
+    for A, Ah, k, eps in cases:
+        dec, dech = eig_sym(A), eig_sym(Ah)
+        W, env = aligned_subspace(dec, dech, k, eps)
+        seen.add((env.m1 < k, W.shape[1] == 0))
+        A_ref = reference_matrix(dec, W, env.m1)
+        scale = abs(dec.eigenvalues[0])
+        full = range_basis(A_ref, scale)
+        Q = np.hstack([dec.basis[:, : env.m1], W])
+        C = Q.T @ A_ref @ Q
+        small = Q @ range_basis((C + C.T) / 2.0, scale)
+        assert small.shape == full.shape
+        assert principal_angle_sin(small, full) <= 1e-10
+        assert principal_angle_sin(full, small) <= 1e-10
+    assert seen == {(True, False), (False, True)}
+    assert full.shape == (5, 2)  # the zero eigenvalues of U_m1 are dropped
+
+
 def test_check_alignment_unperturbed_all_pass():
     A, _, k, eps = band_instance(5)
-    rep = check_alignment(A, A, k, eps)
+    rep = check_alignment(A, A, eig_sym(A), k, eps)
     assert rep.applicable
     assert rep.delta_measured == 0.0
     assert rep.all_passed
@@ -106,7 +131,7 @@ def test_check_alignment_unperturbed_all_pass():
 
 def test_check_alignment_perturbed_instance_passes():
     A, Ah, k, eps = band_instance(6, n=30, beta=1.0, k=3, eps=0.25)
-    rep = check_alignment(A, Ah, k, eps)
+    rep = check_alignment(A, Ah, eig_sym(Ah), k, eps)
     assert rep.applicable
     assert rep.all_passed
     assert min(c.slack for c in rep.checks) >= 0.0
@@ -123,7 +148,7 @@ def test_check_alignment_perturbed_instance_passes():
 def test_check_alignment_skips_capture_when_band_empty():
     sig = np.array([10.0, 1.0, 0.1, 0.01])
     A = np.diag(sig)
-    rep = check_alignment(A, A, 1, 0.25)
+    rep = check_alignment(A, A, eig_sym(A), 1, 0.25)
     assert rep.m1 == 1
     assert "capture_strength" not in [c.name for c in rep.checks]
     assert rep.all_passed
@@ -132,7 +157,7 @@ def test_check_alignment_skips_capture_when_band_empty():
 def test_check_alignment_gates_on_large_perturbation():
     A, _, k, eps = band_instance(7)
     E = scaled_perturbation(A.shape[0], 1.0, rng_stream(7, 5))  # way over allowance
-    rep = check_alignment(A, A + E, k, eps)
+    rep = check_alignment(A, A + E, eig_sym(A + E), k, eps)
     assert not rep.applicable
     assert rep.checks == []
     assert not rep.all_passed
@@ -142,17 +167,19 @@ def test_check_alignment_gates_on_large_perturbation():
 def test_check_alignment_input_validation():
     A, Ah, k, _ = band_instance(8)
     with pytest.raises(ValueError):
-        check_alignment(A, Ah, k, 0.3)
+        check_alignment(A, Ah, eig_sym(Ah), k, 0.3)
     with pytest.raises(ValueError):
-        check_alignment(A, Ah[:10, :10], k, 0.2)
+        check_alignment(A, Ah[:10, :10], eig_sym(Ah[:10, :10]), k, 0.2)
     with pytest.raises(ValueError):
-        check_alignment(np.triu(A), Ah, k, 0.2)
+        check_alignment(np.triu(A), Ah, eig_sym(Ah), k, 0.2)
+    with pytest.raises(ValueError, match="same shape"):
+        check_alignment(A, Ah, eig_sym(Ah[:10, :10]), k, 0.2)
 
 
 def test_check_alignment_deterministic():
     A, Ah, k, eps = band_instance(9)
-    r1 = check_alignment(A, Ah, k, eps)
-    r2 = check_alignment(A.copy(), Ah.copy(), k, eps)
+    r1 = check_alignment(A, Ah, eig_sym(Ah), k, eps)
+    r2 = check_alignment(A.copy(), Ah.copy(), eig_sym(Ah.copy()), k, eps)
     assert [(c.lhs, c.rhs, c.slack) for c in r1.checks] == [
         (c.lhs, c.rhs, c.slack) for c in r2.checks
     ]
