@@ -28,7 +28,6 @@ from .bounds import (  # noqa: E402
     spectral_envelope,
 )
 from .estimators import (  # noqa: E402
-    CompletionResult,
     ObservationSet,
     SampleSet,
     complete,
@@ -47,11 +46,9 @@ from .harness import (  # noqa: E402
     run_trial,
 )
 from .linalg import (  # noqa: E402
-    NormTriple,
     SpectralDecomposition,
     SpectrumStats,
     eig_sym,
-    norms,
     principal_angle_sin,
     spectral_norm_sym,
     spectrum_stats,

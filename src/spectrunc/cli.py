@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import time
 
 import numpy as np
 
@@ -100,8 +99,7 @@ def _cmd_synth(args) -> int:
 def _cmd_complete(args) -> int:
     with open(args.obs, "r", encoding="utf-8") as fh:
         obs = io.read_observations(fh.read())
-    res = _complete(obs, args.k)
-    _emit(io.matrix_bytes(res.estimate), args.out)
+    _emit(io.matrix_bytes(_complete(obs, args.k)), args.out)
     print(
         f"completed n={obs.n} from {obs.count} observations at p={obs.p} "
         f"(rank {args.k})",
@@ -195,7 +193,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     config = io.read_config(args.config)
-    t0 = time.perf_counter()
     report = run_experiment(config)
     data = (
         io.report_json_bytes(report)
@@ -205,7 +202,7 @@ def _cmd_run(args) -> int:
     _emit(data, args.out)
     print(
         f"{config.experiment}: {len(report.trials)} trial(s) in "
-        f"{time.perf_counter() - t0:.2f}s",
+        f"{report.runtime_seconds:.2f}s",
         file=sys.stderr,
     )
     return 0

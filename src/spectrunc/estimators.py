@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym, require_symmetric, truncate
+from .linalg import eig_sym, truncate
 
 __all__ = [
     "ObservationSet",
     "SampleSet",
-    "CompletionResult",
     "zero_fill_rescale",
     "complete",
     "denoise",
@@ -80,16 +79,6 @@ class SampleSet:
             raise ValueError("samples must be finite")
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    """Rank-k completion estimate together with basic provenance."""
-
-    estimate: np.ndarray
-    k: int
-    p: float
-    observed_count: int
-
-
 def zero_fill_rescale(obs: ObservationSet) -> np.ndarray:
     """Unbiased dense surrogate: observed entries divided by p, rest zero.
 
@@ -103,11 +92,9 @@ def zero_fill_rescale(obs: ObservationSet) -> np.ndarray:
     return M
 
 
-def complete(obs: ObservationSet, k: int) -> CompletionResult:
+def complete(obs: ObservationSet, k: int) -> np.ndarray:
     """Rank-k estimate of a partially observed symmetric matrix."""
-    filled = zero_fill_rescale(obs)
-    est = truncate(eig_sym(filled), k)
-    return CompletionResult(estimate=est, k=k, p=obs.p, observed_count=obs.count)
+    return truncate(eig_sym(zero_fill_rescale(obs)), k)
 
 
 def denoise(Y: np.ndarray, k: int) -> np.ndarray:
@@ -135,5 +122,4 @@ def sample_covariance(samples: SampleSet, center: bool = False) -> np.ndarray:
 
 def covariance_reduced(samples: SampleSet, k: int, center: bool = False) -> np.ndarray:
     """Rank-k truncation of the sample covariance."""
-    S = require_symmetric(sample_covariance(samples, center=center))
-    return truncate(eig_sym(S), k)
+    return truncate(eig_sym(sample_covariance(samples, center=center)), k)

@@ -15,6 +15,22 @@ completion  Bernoulli-observed entries at rate p, rescaled and truncated
 covariance  truncated sample covariance over n_samples Gaussian draws
 decay_rate  error-vs-delta sweep with the rank chosen by the cutoff rule
 
+Trial skeleton
+--------------
+:func:`run_trial` runs one trial of any experiment but ``decay_rate``: it
+draws the instance (spectrum ``sig``, matrix ``A``) from the trial's stream,
+measures the estimate's errors against ``A`` and the tail of ``sig`` past the
+kept rank (zero when every rank is kept), and builds the judged
+:class:`TrialRecord`.  Each experiment supplies only its step, which
+``EXPERIMENTS`` stores next to its parameters::
+
+    step(config, sig, A, rng) -> (estimate, k, judge)
+    judge(err_F, tail_F) -> (bound_value, precondition_holds, precondition_margin, aux)
+
+``judge`` sees the measured error and the tail, so the bound or an ``aux``
+entry may use them.  ``decay_rate`` sweeps each perturbation over a delta
+grid in its own loop.
+
 Determinism: trial ``i`` of a run uses the Philox stream ``(seed, i)``
 (for ``decay_rate``, one stream per perturbation-direction trial, shared
 across the delta grid).  Reports are reproducible bit-for-bit only for a
@@ -82,18 +98,6 @@ __all__ = [
     "run_experiment",
 ]
 
-#: experiment -> the parameters it requires beyond the common ones; a config
-#: may set a parameter only for the experiments that list it
-EXPERIMENTS = {
-    "relative": ("k", "eps"),
-    "gap": ("k", "eps"),
-    "alignment": ("k", "eps"),
-    "denoising": ("k", "nu"),
-    "completion": ("k", "eps", "p", "t"),
-    "covariance": ("k", "eps", "n_samples"),
-    "decay_rate": ("delta_grid",),
-}
-
 #: slack used when comparing a measured error against a bound value
 BOUND_TOL = 1e-8
 
@@ -104,8 +108,8 @@ class ExperimentConfig:
 
     Scientific parameters are mandatory for the experiments that list them
     in ``EXPERIMENTS``; only the bound constants carry defaults.  ``k_oracle`` (covariance
-    only) selects the truncation rank per trial by minimizing the true
-    error.
+    only, in place of ``k``) selects the truncation rank per trial by
+    minimizing the true error.
     """
 
     experiment: str
@@ -145,18 +149,13 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.basis not in ("haar", "identity"):
             raise ValueError(f"basis must be 'haar' or 'identity', got {self.basis!r}")
-        if self.spectrum_kind not in ("powerlaw", "exponential", "explicit"):
-            raise ValueError(f"unknown spectrum kind {self.spectrum_kind!r}")
-        if self.spectrum_kind == "powerlaw" and self.spectrum_beta is None:
-            raise ValueError("spectrum_kind=powerlaw requires spectrum_beta")
-        if self.spectrum_kind == "exponential" and self.spectrum_c is None:
-            raise ValueError("spectrum_kind=exponential requires spectrum_c")
-        if self.spectrum_kind == "explicit" and self.spectrum_values is None:
-            raise ValueError("spectrum_kind=explicit requires spectrum_values")
+        self.spectrum()  # the kind, its parameter, and no other kind's parameter
         ex = self.experiment
         if self.k_oracle and ex != "covariance":
             raise ValueError("k = oracle is only valid for covariance")
-        for name in EXPERIMENTS[ex]:
+        if self.k_oracle and self.k is not None:
+            raise ValueError("k = oracle chooses k per trial; do not also set k")
+        for name in EXPERIMENTS[ex][0]:
             if getattr(self, name) is None and not (name == "k" and self.k_oracle):
                 raise ValueError(f"experiment {ex!r} requires {name}")
         if self.k is not None and not 1 <= self.k <= self.n - 1:
@@ -300,24 +299,8 @@ def _truncation_error_F(
     return math.sqrt(max(err2, 0.0))
 
 
-def _judged_record(
-    *, measured_error_F: float, tail_F: float, bound_value: float, **fields
-) -> TrialRecord:
-    """TrialRecord judged against ``bound_value``: derives ratio_F and bound_satisfied."""
-    return TrialRecord(
-        measured_error_F=measured_error_F,
-        tail_F=tail_F,
-        ratio_F=measured_error_F / tail_F if tail_F > 0 else None,
-        bound_value=bound_value,
-        bound_satisfied=measured_error_F <= bound_value + BOUND_TOL,
-        **fields,
-    )
-
-
-def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    """Shared body of the relative / gap / alignment experiments."""
-    rng = rng_stream(config.seed, trial_id)
-    sig, A = _instance(config, rng)
+def _perturbation_step(config: ExperimentConfig, sig, A, rng):
+    """relative / gap / alignment: a perturbation placed exactly at the allowance."""
     k = config.k
     stats = spectrum_stats(sig, k)
     if config.experiment == "gap":
@@ -328,12 +311,8 @@ def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         rep = relative_error_bound(
             k, config.eps, stats.tail_F, stats.tail_2, perturbation_2=target
         )
-    E = scaled_perturbation(config.n, target, rng)
-    A_hat = A + E
+    A_hat = A + scaled_perturbation(config.n, target, rng)
     dec_hat = eig_sym(A_hat)
-    est = truncate(dec_hat, k)
-    err_F = float(np.linalg.norm(est - A, "fro"))
-    err_2 = spectral_norm_sym(est - A)
     env = spectral_envelope(sig, k, config.eps)
     aux: dict[str, Any] = {
         "delta": target,
@@ -352,57 +331,35 @@ def _perturbation_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         aux["checks_passed"] = sum(c.passed for c in rpt.checks)
         aux["checks_total"] = len(rpt.checks)
         aux["all_checks_passed"] = rpt.all_passed
-    return _judged_record(
-        trial_id=trial_id,
-        precondition_holds=rep.precondition_holds,
-        measured_error_F=err_F,
-        measured_error_2=err_2,
-        tail_F=stats.tail_F,
-        tail_2=stats.tail_2,
-        bound_value=rep.value,
-        precondition_margin=rep.margin,
-        aux=aux,
+    return truncate(dec_hat, k), k, lambda err_F, tail_F: (
+        rep.value, rep.precondition_holds, rep.margin, aux
     )
 
 
-def _denoising_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    rng = rng_stream(config.seed, trial_id)
-    sig, A = _instance(config, rng)
+def _denoising_step(config: ExperimentConfig, sig, A, rng):
+    """Additive GOE noise at level nu."""
     k = config.k
     stats = spectrum_stats(sig, k)
     E = goe_noise(config.n, config.nu, rng)
-    est = denoise(A + E, k)
-    err_F = float(np.linalg.norm(est - A, "fro"))
     rep = denoising_error_bound(
         config.nu, stats.tail_2, k, stats.tail_F,
         C_a=config.C_a, C_b=config.C_b, c_dn=config.c_dn,
     )
-    return _judged_record(
-        trial_id=trial_id,
-        precondition_holds=rep.precondition_holds,
-        measured_error_F=err_F,
-        measured_error_2=spectral_norm_sym(est - A),
-        tail_F=stats.tail_F,
-        tail_2=stats.tail_2,
-        bound_value=rep.value,
-        precondition_margin=rep.margin,
-        aux={"nu": config.nu, "noise_norm_2": spectral_norm_sym(E)},
+    aux = {"nu": config.nu, "noise_norm_2": spectral_norm_sym(E)}
+    return denoise(A + E, k), k, lambda err_F, tail_F: (
+        rep.value, rep.precondition_holds, rep.margin, aux
     )
 
 
-def _completion_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    rng = rng_stream(config.seed, trial_id)
-    sig, A = _instance(config, rng)
+def _completion_step(config: ExperimentConfig, sig, A, rng):
+    """Bernoulli-observed entries at rate p, judged against (1 + eps) * tail_F."""
     k = config.k
     stats = spectrum_stats(sig, k)
     mu0 = spikeness(A)
     obs = bernoulli_observe(A, config.p, rng)
-    res = complete(obs, k)
-    err_F = float(np.linalg.norm(res.estimate - A, "fro"))
-    norm_F = float(np.linalg.norm(A, "fro"))
     thr = completion_sampling_threshold(
         mu0,
-        norm_F,
+        float(np.linalg.norm(A, "fro")),
         config.n,
         config.t,
         "relative",
@@ -411,76 +368,46 @@ def _completion_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
         k=k,
         C_mc=config.C_mc,
     )
-    return _judged_record(
-        trial_id=trial_id,
-        precondition_holds=config.p >= thr.p_raw,
-        measured_error_F=err_F,
-        measured_error_2=spectral_norm_sym(res.estimate - A),
-        tail_F=stats.tail_F,
-        tail_2=stats.tail_2,
-        bound_value=(1.0 + config.eps) * stats.tail_F,
-        precondition_margin=config.p - thr.p_raw,
-        aux={
-            "p": config.p,
-            "observed_count": res.observed_count,
-            "mu0": mu0,
-            "threshold_raw": thr.p_raw,
-            "threshold_clamped": thr.p,
-            "threshold_vacuous": thr.vacuous,
-        },
+    aux = {
+        "p": config.p,
+        "observed_count": obs.count,
+        "mu0": mu0,
+        "threshold_raw": thr.p_raw,
+        "threshold_clamped": thr.p,
+        "threshold_vacuous": thr.vacuous,
+    }
+    return complete(obs, k), k, lambda err_F, tail_F: (
+        (1.0 + config.eps) * tail_F, config.p >= thr.p_raw, config.p - thr.p_raw, aux
     )
 
 
-def _covariance_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    rng = rng_stream(config.seed, trial_id)
-    sig, A = _instance(config, rng)
-    n = config.n
-    S = mvn_samples(A, config.n_samples, rng)
-    SC = sample_covariance(S)
+def _covariance_step(config: ExperimentConfig, sig, A, rng):
+    """Truncated sample covariance, judged against (1 + eps) * tail_F."""
+    SC = sample_covariance(mvn_samples(A, config.n_samples, rng))
     dec = eig_sym(SC)
     if config.k_oracle:
         # true error at every rank via the trace expansion, then argmin
         lam = dec.eigenvalues
         s = np.einsum("ij,ij->j", dec.basis, A @ dec.basis)
-        base = float(np.sum(sig**2))
-        errs2 = base + np.cumsum(lam * lam - 2.0 * lam * s)
-        k_used = int(np.argmin(errs2)) + 1
+        errs2 = float(np.sum(sig**2)) + np.cumsum(lam * lam - 2.0 * lam * s)
+        k = int(np.argmin(errs2)) + 1
     else:
-        k_used = config.k
-    est = truncate(dec, k_used)
-    err_F = float(np.linalg.norm(est - A, "fro"))
+        k = config.k
     err_full = float(np.linalg.norm(SC - A, "fro"))
     r_e = float(np.sum(sig) / sig[0])
-    rates = sample_covariance_rates(float(sig[0]), r_e, config.n_samples, n)
-    if k_used <= n - 1:
-        stats = spectrum_stats(sig, k_used)
-        tail_F, tail_2 = stats.tail_F, stats.tail_2
-        gamma = stats.gamma_k
-    else:
-        tail_F = tail_2 = 0.0
-        gamma = float("inf")
-    if k_used <= n - 1 and math.isfinite(gamma):
+    rates = sample_covariance_rates(float(sig[0]), r_e, config.n_samples, config.n)
+    gamma = spectrum_stats(sig, k).gamma_k if k < config.n else math.inf
+    if math.isfinite(gamma):
         adm = covariance_admissible(
-            r_e, config.eps, k_used, config.n_samples, "relative", gamma, c_cov=config.c_cov
+            r_e, config.eps, k, config.n_samples, "relative", gamma, c_cov=config.c_cov
         )
-        admissible = adm.admissible
-        margin = adm.margin
-        expr = adm.expr
+        admissible, margin, expr = adm.admissible, adm.margin, adm.expr
     else:
-        admissible = False
-        margin = None
-        expr = float("inf")
-    return _judged_record(
-        trial_id=trial_id,
-        precondition_holds=admissible,
-        measured_error_F=err_F,
-        measured_error_2=spectral_norm_sym(est - A),
-        tail_F=tail_F,
-        tail_2=tail_2,
-        bound_value=(1.0 + config.eps) * tail_F,
-        precondition_margin=margin,
-        aux={
-            "k_used": k_used,
+        admissible, margin, expr = False, None, math.inf
+
+    def judge(err_F: float, tail_F: float):
+        return (1.0 + config.eps) * tail_F, admissible, margin, {
+            "k_used": k,
             "err_full_F": err_full,
             "rate_frobenius": rates.frobenius,
             "rate_spectral": rates.spectral,
@@ -490,8 +417,9 @@ def _covariance_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
             "beats_full": err_F <= err_full + 1e-12,
             "admissibility_expr": expr,
             "effective_rank": r_e,
-        },
-    )
+        }
+
+    return truncate(dec, k), k, judge
 
 
 def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
@@ -542,18 +470,46 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
+#: experiment -> (the parameters it requires beyond the common ones, its
+#: per-trial step); a config may set a parameter only for the experiments
+#: that list it.  decay_rate has no step: it sweeps a delta grid per trial.
+EXPERIMENTS = {
+    "relative": (("k", "eps"), _perturbation_step),
+    "gap": (("k", "eps"), _perturbation_step),
+    "alignment": (("k", "eps"), _perturbation_step),
+    "denoising": (("k", "nu"), _denoising_step),
+    "completion": (("k", "eps", "p", "t"), _completion_step),
+    "covariance": (("k", "eps", "n_samples"), _covariance_step),
+    "decay_rate": (("delta_grid",), None),
+}
+
+
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    """Run a single trial of any per-trial experiment (not decay_rate)."""
-    ex = config.experiment
-    if ex in ("relative", "gap", "alignment"):
-        return _perturbation_trial(config, trial_id)
-    if ex == "denoising":
-        return _denoising_trial(config, trial_id)
-    if ex == "completion":
-        return _completion_trial(config, trial_id)
-    if ex == "covariance":
-        return _covariance_trial(config, trial_id)
-    raise ValueError(f"experiment {ex!r} is not organized per trial")
+    """Run one trial of a per-trial experiment (not decay_rate) through its step."""
+    _, step = EXPERIMENTS[config.experiment]
+    if step is None:
+        raise ValueError(f"experiment {config.experiment!r} is not organized per trial")
+    rng = rng_stream(config.seed, trial_id)
+    sig, A = _instance(config, rng)
+    est, k, judge = step(config, sig, A, rng)
+    D = est - A
+    err_F = float(np.linalg.norm(D, "fro"))
+    tail_F = float(np.sqrt(np.sum(sig[k:] ** 2)))
+    bound_value, holds, margin, aux = judge(err_F, tail_F)
+    return TrialRecord(
+        trial_id=trial_id,
+        precondition_holds=holds,
+        measured_error_F=err_F,
+        measured_error_2=spectral_norm_sym(D),
+        tail_F=tail_F,
+        tail_2=float(sig[k]) if k < config.n else 0.0,
+        ratio_F=err_F / tail_F if tail_F > 0 else None,
+        bound_value=bound_value,
+        bound_satisfied=err_F <= bound_value + BOUND_TOL,
+        precondition_margin=margin,
+        aux=aux,
+    )
+
 
 
 def _five_number(values: list[float]) -> dict[str, float]:

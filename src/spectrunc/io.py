@@ -35,13 +35,10 @@ from .proofcheck import AlignmentReport
 __all__ = [
     "FormatError",
     "read_matrix",
-    "write_matrix",
     "matrix_bytes",
     "read_observations",
-    "write_observations",
     "observations_bytes",
     "read_samples",
-    "write_samples",
     "samples_bytes",
     "parse_value",
     "parse_config",
@@ -167,11 +164,6 @@ def matrix_bytes(A: np.ndarray) -> bytes:
     return _float_rows_bytes(f"sym {A.shape[0]}", A)
 
 
-def write_matrix(path, A: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(matrix_bytes(A))
-
-
 # ------------------------------------------------------------ observations
 
 
@@ -222,11 +214,6 @@ def observations_bytes(obs: ObservationSet) -> bytes:
     )
 
 
-def write_observations(path, obs: ObservationSet) -> None:
-    with open(path, "wb") as fh:
-        fh.write(observations_bytes(obs))
-
-
 # ----------------------------------------------------------------- samples
 
 
@@ -250,11 +237,6 @@ def samples_bytes(samples: SampleSet) -> bytes:
     return _float_rows_bytes(f"samples {samples.N} {samples.n}", samples.X)
 
 
-def write_samples(path, samples: SampleSet) -> None:
-    with open(path, "wb") as fh:
-        fh.write(samples_bytes(samples))
-
-
 # ------------------------------------------------------------------ config
 
 
@@ -262,13 +244,18 @@ def parse_value(text: str, annotation: Any) -> Any:
     """Convert one config or ``--set`` value by its parameter's type annotation.
 
     ``X | None`` converts as ``X``; a tuple of floats accepts comma- or
-    space-separated values.
+    space-separated values.  Floats, alone or in a tuple, must be finite.
     """
     if typing.get_origin(annotation) in (typing.Union, types.UnionType):
         (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
     if typing.get_origin(annotation) is tuple:
-        return tuple(float(v) for v in text.replace(",", " ").split())
-    return annotation(text)
+        value = floats = tuple(float(v) for v in text.replace(",", " ").split())
+    else:
+        value = annotation(text)
+        floats = (value,) if annotation is float else ()
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -304,7 +291,8 @@ def parse_config(text: str) -> ExperimentConfig:
             f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"
         )
     # other experiments' parameters are not keys here; k_oracle is spelled k = oracle
-    skipped = {"k_oracle"} | (set().union(*EXPERIMENTS.values()) - set(EXPERIMENTS[experiment]))
+    params = {ex: names for ex, (names, _) in EXPERIMENTS.items()}
+    skipped = {"k_oracle"} | (set().union(*params.values()) - set(params[experiment]))
     fields = {
         "spectrum" if f.name == "spectrum_kind" else f.name: f
         for f in dataclasses.fields(ExperimentConfig)

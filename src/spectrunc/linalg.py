@@ -41,12 +41,10 @@ import scipy.sparse.linalg as _spla
 
 __all__ = [
     "SpectralDecomposition",
-    "NormTriple",
     "SpectrumStats",
     "eig_sym",
     "top_eigenpairs",
     "truncate",
-    "norms",
     "spectral_norm_sym",
     "spectrum_stats",
     "principal_angle_sin",
@@ -109,13 +107,6 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True)
-class NormTriple:
-    spectral: float
-    frobenius: float
-    max_abs: float
-
-
-@dataclass(frozen=True)
 class SpectrumStats:
     """Scalar summaries of a descending spectrum relative to a cut at ``k``."""
 
@@ -129,31 +120,34 @@ class SpectrumStats:
     effective_rank: float
 
 
+def _fix_signs(V: np.ndarray) -> np.ndarray:
+    """Scale each column of ``V`` in place so that its largest-magnitude
+    component (first such index on magnitude ties) is positive; return ``V``."""
+    signs = np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])])
+    signs[signs == 0] = 1.0
+    V *= signs
+    return V
+
+
 def _canonicalize(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fix eigenvector order within exact eigenvalue ties and normalize signs.
 
     Within each run of bitwise-equal eigenvalues, columns are ordered by the
-    row index of their largest-magnitude component; every column is then
-    scaled so that its largest-magnitude component (first such index on
-    magnitude ties) is positive.
+    row index of their largest-magnitude component; every column's sign is
+    then fixed by :func:`_fix_signs`.
     """
     n = w.shape[0]
     if n == 0:
         return w, V
-    anchor = np.argmax(np.abs(V), axis=0)
     # stable reorder inside each maximal run of identical eigenvalues
     start = 0
     for stop in range(1, n + 1):
         if stop == n or w[stop] != w[start]:
             if stop - start > 1:
-                order = start + np.argsort(anchor[start:stop], kind="stable")
-                V[:, start:stop] = V[:, order]
-                anchor[start:stop] = anchor[order]
+                anchor = np.argmax(np.abs(V[:, start:stop]), axis=0)
+                V[:, start:stop] = V[:, start + np.argsort(anchor, kind="stable")]
             start = stop
-    signs = np.sign(V[anchor, np.arange(n)])
-    signs[signs == 0] = 1.0
-    V *= signs
-    return w, V
+    return w, _fix_signs(V)
 
 
 def eig_sym(A: np.ndarray) -> SpectralDecomposition:
@@ -277,20 +271,6 @@ def spectral_norm_sym(A: np.ndarray) -> float:
         A, k=1, which="LM", v0=v0, ncv=ncv, tol=0, return_eigenvectors=False
     )
     return float(abs(vals[0]))
-
-
-def norms(A: np.ndarray) -> NormTriple:
-    """Spectral norm, Frobenius norm and largest absolute entry of ``A``.
-
-    The spectral norm is exact (symmetric eigenvalues), not a power-method
-    estimate.
-    """
-    A = require_symmetric(A)
-    return NormTriple(
-        spectral=spectral_norm_sym(A),
-        frobenius=float(np.linalg.norm(A, "fro")),
-        max_abs=float(np.max(np.abs(A))) if A.size else 0.0,
-    )
 
 
 def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:

@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import EnvelopeIndices, spectral_envelope
 from .linalg import (
     SpectralDecomposition,
+    _fix_signs,
     eig_sym,
     principal_angle_sin,
     require_symmetric,
@@ -85,15 +86,6 @@ class AlignmentReport:
         return {c.name: c.lhs for c in self.checks if c.name in wanted}
 
 
-def _signfix(P: np.ndarray) -> np.ndarray:
-    if P.size == 0:
-        return P
-    anchor = np.argmax(np.abs(P), axis=0)
-    signs = np.sign(P[anchor, np.arange(P.shape[1])])
-    signs[signs == 0] = 1.0
-    return P * signs
-
-
 def aligned_subspace(
     dec_A: SpectralDecomposition,
     dec_hat: SpectralDecomposition,
@@ -116,8 +108,7 @@ def aligned_subspace(
         return np.zeros((n, 0)), env
     M = B.T @ dec_hat.basis[:, :k]
     P, _, _ = np.linalg.svd(M, full_matrices=False)
-    P = _signfix(P[:, :r])
-    return B @ P, env
+    return B @ _fix_signs(P[:, :r]), env
 
 
 def reference_matrix(

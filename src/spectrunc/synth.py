@@ -48,34 +48,41 @@ def make_spectrum(
 ) -> np.ndarray:
     """Descending eigenvalue sequence of one of the stock decay profiles.
 
-    kind ``"powerlaw"``   : sigma_j = j**(-beta), needs ``beta`` > 0;
-    kind ``"exponential"``: sigma_j = exp(-c*j),  needs ``c`` > 0;
+    kind ``"powerlaw"``   : sigma_j = j**(-beta), needs finite ``beta`` > 0;
+    kind ``"exponential"``: sigma_j = exp(-c*j),  needs finite ``c`` > 0;
     kind ``"explicit"``   : ``values`` verbatim (validated nonincreasing,
-    nonnegative, length n).
+    finite, nonnegative, length n).
+
+    A parameter that ``kind`` does not read must be None.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    reads = {"powerlaw": "beta", "exponential": "c", "explicit": "values"}.get(kind)
+    if reads is None:
+        raise ValueError(f"unknown spectrum kind {kind!r}")
+    given = {"beta": beta, "c": c, "values": values}
+    unused = [name for name, v in given.items() if v is not None and name != reads]
+    if unused:
+        raise ValueError(f"{kind} spectrum does not use {', '.join(unused)}")
     j = np.arange(1, n + 1, dtype=np.float64)
     if kind == "powerlaw":
-        if beta is None or beta <= 0:
-            raise ValueError("powerlaw spectrum requires beta > 0")
+        if beta is None or not 0.0 < beta < np.inf:
+            raise ValueError(f"powerlaw spectrum requires finite beta > 0, got {beta}")
         return j ** (-beta)
     if kind == "exponential":
-        if c is None or c <= 0:
-            raise ValueError("exponential spectrum requires c > 0")
+        if c is None or not 0.0 < c < np.inf:
+            raise ValueError(f"exponential spectrum requires finite c > 0, got {c}")
         return np.exp(-c * j)
-    if kind == "explicit":
-        if values is None:
-            raise ValueError("explicit spectrum requires values")
-        sig = np.asarray(values, dtype=np.float64)
-        if sig.shape != (n,):
-            raise ValueError(f"expected {n} values, got shape {sig.shape}")
-        if np.any(np.diff(sig) > 0):
-            raise ValueError("explicit spectrum must be nonincreasing")
-        if np.any(sig < 0):
-            raise ValueError("explicit spectrum must be nonnegative")
-        return sig.copy()
-    raise ValueError(f"unknown spectrum kind {kind!r}")
+    if values is None:
+        raise ValueError("explicit spectrum requires values")
+    sig = np.asarray(values, dtype=np.float64)
+    if sig.shape != (n,):
+        raise ValueError(f"expected {n} values, got shape {sig.shape}")
+    if np.any(np.diff(sig) > 0):
+        raise ValueError("explicit spectrum must be nonincreasing")
+    if not np.all(np.isfinite(sig) & (sig >= 0)):
+        raise ValueError("explicit spectrum must be finite and nonnegative")
+    return sig.copy()
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

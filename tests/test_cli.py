@@ -135,6 +135,12 @@ def test_bounds_input_errors(capsys):
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.4",
                    "--set", "tail_F=1", "--set", "tail_2=1") == 1
     assert "eps" in capsys.readouterr().err
+    # non-finite numbers are rejected by key, never printed as NaN
+    for bad in ("nan", "inf", "-inf", "1e999"):
+        assert run_cli("bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.25",
+                       "--set", f"tail_F={bad}", "--set", "tail_2=1") == 1
+        captured = capsys.readouterr()
+        assert "invalid value for 'tail_F'" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("kind, inputs, unused", [
@@ -225,6 +231,10 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     bad_mat.write_text("sym 2\n1 2\n3 1\n")
     assert run_cli("denoise", "--matrix", str(bad_mat), "--k", "1") == 1
     assert "not symmetric" in capsys.readouterr().err
+    # a spectrum parameter its kind does not read
+    assert run_cli("synth", "--kind", "powerlaw", "--n", "4", "--beta", "1", "--c", "0.5",
+                   "--basis", "identity") == 1
+    assert "powerlaw spectrum does not use c" in capsys.readouterr().err
     # argparse-level misuse also maps to 1
     assert run_cli("denoise", "--nope") == 1
     capsys.readouterr()

@@ -23,7 +23,7 @@ from spectrunc.harness import (
     _instance,
     _truncation_error_F,
 )
-from spectrunc.io import write_matrix
+from spectrunc.io import matrix_bytes
 from spectrunc.linalg import _top_k_route
 from spectrunc.synth import rng_stream, scaled_perturbation
 
@@ -87,6 +87,11 @@ def test_config_accepts_each_experiment():
              spectrum_values=tuple(1.0 / j for j in range(1, 25))),
         dict(k_oracle=True),  # oracle rank is covariance-only
         dict(k=None, k_oracle=True),
+        dict(experiment="covariance", n_samples=50, k_oracle=True),  # k set as well
+        dict(spectrum_c=0.5),  # a parameter the powerlaw kind does not read
+        dict(spectrum_kind="exponential", spectrum_c=0.3),  # spectrum_beta left set
+        dict(spectrum_kind="explicit", spectrum_beta=None,
+             spectrum_values=(1.0, 0.5, 0.25)),  # not n values
     ],
 )
 def test_config_rejects(kw):
@@ -178,8 +183,8 @@ def test_alignment_decomposes_each_matrix_once(monkeypatch, tmp_path):
 
     sig, A = _instance(cfg, rng_stream(cfg.seed, 0))
     E = scaled_perturbation(n, 0.5 * cfg.eps**2 * sig[cfg.k], rng_stream(cfg.seed, 1))
-    write_matrix(tmp_path / "A.sym", A)
-    write_matrix(tmp_path / "Ahat.sym", A + E)
+    (tmp_path / "A.sym").write_bytes(matrix_bytes(A))
+    (tmp_path / "Ahat.sym").write_bytes(matrix_bytes(A + E))
     orders.clear()
     assert cli.main(["verify", "--matrix", str(tmp_path / "A.sym"),
                      "--perturbed", str(tmp_path / "Ahat.sym"), "--k", str(cfg.k),

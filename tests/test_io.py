@@ -1,12 +1,13 @@
 """File formats and serialization: lossless round trips, line-numbered errors."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from spectrunc import ExperimentConfig, run_experiment
+from spectrunc import EXPERIMENTS, ExperimentConfig, TrialRecord, run_experiment
 from spectrunc.estimators import ObservationSet, SampleSet
 from spectrunc.io import (
     CSV_COLUMNS,
@@ -254,6 +255,17 @@ def test_parse_config_error_reporting():
     assert "oracle" in config_error(
         GOOD_CONFIG.replace("k = 3", "k = oracle")
     )
+    # non-finite numbers are rejected by key, alone or in a list
+    denoising = GOOD_CONFIG.replace("relative", "denoising").replace("eps = 0.2", "nu = nan")
+    assert "invalid value for 'nu'" in config_error(denoising)
+    explicit = GOOD_CONFIG.replace("spectrum = powerlaw", "spectrum = explicit").replace(
+        "spectrum_beta = 1.0", "spectrum_values = " + ", ".join(["1"] * 23 + ["nan"])
+    )
+    assert "invalid value for 'spectrum_values'" in config_error(explicit)
+    # another kind's spectrum parameter, and a wrong-length explicit spectrum
+    msg = config_error(GOOD_CONFIG.replace("powerlaw", "exponential") + "spectrum_c = 0.5\n")
+    assert "does not use beta" in msg
+    assert "expected 24 values" in config_error(explicit.replace(", nan", ""))
 
 
 # ----------------------------------------------------------------- reports
@@ -310,3 +322,33 @@ def test_report_csv_booleans_and_blanks():
     assert row["bound_satisfied"] == ""  # decay trials carry no per-trial bound
     assert row["measured_error_2"] == ""
     assert row["k_used"] == "9"
+
+
+#: what each experiment needs on top of small_report's parameters
+SMALL_EXPERIMENTS = {
+    "relative": {},
+    "gap": {},
+    "alignment": {},
+    "denoising": dict(eps=None, nu=0.01),
+    "completion": dict(p=0.5, t=0.1),
+    "covariance": dict(n_samples=40),
+    "decay_rate": dict(k=None, eps=None, delta_grid=(0.1,)),
+}
+
+
+@pytest.fixture(scope="module")
+def aux_keys():
+    """experiment -> every aux key its trials write."""
+    return {
+        ex: {key for r in small_report(ex, **kw).trials for key in r.aux}
+        for ex, kw in SMALL_EXPERIMENTS.items()
+    }
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_csv_columns_cover_every_aux_key(experiment, aux_keys):
+    # an aux key missing from CSV_COLUMNS would be dropped from the CSV silently
+    assert aux_keys[experiment] <= set(CSV_COLUMNS)
+    # and every column that is not a record field is written by some experiment
+    record_fields = {f.name for f in dataclasses.fields(TrialRecord)}
+    assert set(CSV_COLUMNS) - record_fields <= set().union(*aux_keys.values())

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as hst
 from spectrunc import (
     eig_sym,
     linalg,
-    norms,
     principal_angle_sin,
     spectral_norm_sym,
     spectrum_stats,
@@ -24,13 +23,6 @@ def rand_sym(rng, n, scale=1.0):
 
 
 # ----------------------------------------------------------- frozen examples
-
-
-def test_norms_diag_321():
-    t = norms(np.diag([3.0, 2.0, 1.0]))
-    assert t.spectral == 3.0
-    assert t.frobenius == pytest.approx(np.sqrt(14.0), abs=1e-15)
-    assert t.max_abs == 3.0
 
 
 def test_truncate_diag_321_rank1():

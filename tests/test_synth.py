@@ -51,6 +51,18 @@ def test_make_spectrum_validation():
         make_spectrum("explicit", 3, values=[1.0, 0.5])  # wrong length
     with pytest.raises(ValueError):
         make_spectrum("cauchy", 3)
+    # non-finite parameters
+    for kw in (dict(beta=np.nan), dict(beta=np.inf)):
+        with pytest.raises(ValueError, match="finite beta"):
+            make_spectrum("powerlaw", 3, **kw)
+    with pytest.raises(ValueError, match="finite c"):
+        make_spectrum("exponential", 3, c=np.nan)
+    for values in ([1.0, np.nan, 0.5], [np.inf, 1.0, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            make_spectrum("explicit", 3, values=values)
+    # a parameter the kind does not read is named
+    with pytest.raises(ValueError, match="powerlaw spectrum does not use c, values"):
+        make_spectrum("powerlaw", 3, beta=1.0, c=0.5, values=[1.0, 0.5, 0.2])
 
 
 def test_haar_orthogonal_is_orthogonal():
