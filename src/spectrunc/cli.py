@@ -23,6 +23,7 @@ import inspect
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import __version__, io
 from .bounds import (
@@ -41,7 +42,7 @@ from .bounds import (
 from .estimators import complete as _complete
 from .estimators import covariance_reduced, denoise as _denoise
 from .harness import run_experiment
-from .linalg import eig_sym
+from .linalg import spectral_norm_sym, top_eigenpairs
 from .proofcheck import check_alignment
 from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
 
@@ -175,7 +176,13 @@ def _cmd_verify(args) -> int:
         A = io.read_matrix(fh.read())
     with open(args.perturbed, "r", encoding="utf-8") as fh:
         A_hat = io.read_matrix(fh.read())
-    report = check_alignment(A, A_hat, eig_sym(A_hat), args.k, args.eps)
+    n = A.shape[0]
+    if A_hat.shape != A.shape:
+        raise ValueError(f"--matrix is {A.shape}, --perturbed is {A_hat.shape}")
+    if not 1 <= args.k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {args.k}")
+    delta = spectral_norm_sym(A_hat - A)
+    report = check_alignment(A, *top_eigenpairs(A_hat, args.k), args.k, args.eps, delta)
     data = (
         io.alignment_json_bytes(report)
         if args.format == "json"
@@ -279,7 +286,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError, so the numerical branch must come first
-    except (np.linalg.LinAlgError, ArithmeticError) as e:
+    except (np.linalg.LinAlgError, ArithmeticError, ArpackError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 2
     except (io.FormatError, ValueError, OSError) as e:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym, truncate
+from .linalg import require_symmetric, top_eigenpairs, truncate
 
 __all__ = [
     "ObservationSet",
@@ -92,14 +92,24 @@ def zero_fill_rescale(obs: ObservationSet) -> np.ndarray:
     return M
 
 
+def _rank_k(M: np.ndarray, k: int) -> np.ndarray:
+    """Top-k truncation of the symmetric ``M``, ``0 <= k <= n``; overwrites ``M``."""
+    n = M.shape[0]
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, {n}], got {k}")
+    if k == 0:
+        return np.zeros((n, n))
+    return truncate(*top_eigenpairs(M, k))
+
+
 def complete(obs: ObservationSet, k: int) -> np.ndarray:
     """Rank-k estimate of a partially observed symmetric matrix."""
-    return truncate(eig_sym(zero_fill_rescale(obs)), k)
+    return _rank_k(zero_fill_rescale(obs), k)
 
 
 def denoise(Y: np.ndarray, k: int) -> np.ndarray:
-    """Rank-k truncation of a noisy symmetric observation."""
-    return truncate(eig_sym(Y), k)
+    """Rank-k truncation of a noisy symmetric observation (``Y`` is not modified)."""
+    return _rank_k(require_symmetric(Y), k)
 
 
 def sample_covariance(samples: SampleSet, center: bool = False) -> np.ndarray:
@@ -122,4 +132,4 @@ def sample_covariance(samples: SampleSet, center: bool = False) -> np.ndarray:
 
 def covariance_reduced(samples: SampleSet, k: int, center: bool = False) -> np.ndarray:
     """Rank-k truncation of the sample covariance."""
-    return truncate(eig_sym(sample_covariance(samples, center=center)), k)
+    return _rank_k(sample_covariance(samples, center=center), k)

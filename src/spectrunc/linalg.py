@@ -15,10 +15,18 @@ Top-k route policy
 cut-offs come from timings on a 2-core host at n=2000 (the same order held
 at n=4000):
 
-* ``k <= ARPACK_MAX_K`` (and ``k <= n * EVR_MAX_FRACTION``): implicitly
-  restarted Lanczos (ARPACK) from a fixed start vector.  Its cost grows
-  with k through the basis size and restarts: 0.16 / 0.30 / 0.86 s for
-  k = 9 / 32 / 99, against about 0.55 s for ``evr``.
+* ``k <= ARPACK_MAX_K`` and ``n >= ARPACK_MIN_N`` (and
+  ``k <= n * EVR_MAX_FRACTION``): implicitly restarted Lanczos (ARPACK)
+  from a fixed start vector.  Its cost grows with k through the basis size
+  and restarts: 0.16 / 0.30 / 0.86 s for k = 9 / 32 / 99, against about
+  0.55 s for ``evr``.
+* ``n < ARPACK_MIN_N``: the dense routes below, whatever k is.  ARPACK's
+  fixed cost per call loses at small orders: at n=60 it takes 0.5-2.9 ms
+  for k = 2..10 against 0.2-0.6 ms for ``evr``.  Measured with the pin
+  below, the two are even at n=150 and ARPACK wins from n=200 (at k=5,
+  2.3 against 2.9 ms), except where the kept eigenvalues sit inside a
+  noise bulk (exponential decay c=0.5 plus noise, k=10), where ``evr``
+  wins up to n=400.
 * ``ARPACK_MAX_K < k <= n * EVR_MAX_FRACTION``: LAPACK's ``evr`` (MRRR)
   subset solver, the fastest in between.
 * ``k > n * EVR_MAX_FRACTION``: full divide-and-conquer ``evd``, in place.
@@ -29,10 +37,29 @@ at n=4000):
 
 Every route is deterministic for a fixed BLAS build and thread count, so
 repeated calls agree bitwise.
+
+One scipy BLAS thread for ARPACK
+--------------------------------
+numpy and scipy each load their own OpenBLAS copy.  After a scipy BLAS
+call at 2 threads, scipy's idle worker thread keeps spinning on one of the
+2 cores, and the next numpy call runs at half speed: a numpy QR at n=500
+takes 33 ms alone but 57 ms right after a scipy ``eigsh`` (32 ms at one
+BLAS thread).  Inside ARPACK the same contention repeats every iteration,
+since its matrix-vector products run in numpy's copy and its own steps in
+scipy's.  Both ``eigsh`` calls (the ARPACK route of
+:func:`top_eigenpairs` and the Lanczos route of :func:`spectral_norm_sym`)
+therefore run with scipy's copy set to one thread, restored afterwards.
+numpy's copy is never touched; ARPACK's results at n=600 and n=2000 were
+bit-identical with and without the pin.  The dense
+``evr`` and ``evd`` routes keep scipy's thread count: a global one-thread
+setting makes them 1.6x slower at n=2000.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +84,9 @@ SYMMETRY_TOL = 1e-12
 
 #: top_eigenpairs uses ARPACK up to this many eigenpairs (see module docs)
 ARPACK_MAX_K = 64
+
+#: top_eigenpairs uses ARPACK only from this order up (see module docs)
+ARPACK_MIN_N = 200
 
 #: top_eigenpairs switches to the full ``evd`` solver above this k/n
 EVR_MAX_FRACTION = 0.2
@@ -178,11 +208,49 @@ def eig_sym(A: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, basis=V)
 
 
+@functools.cache
+def _scipy_openblas():
+    """``(get, set)`` of the thread count of scipy's bundled OpenBLAS, or None.
+
+    scipy and numpy each load their own OpenBLAS copy; the symbols are
+    looked up through scipy's LAPACK extension, so numpy's copy (whose
+    symbols carry a ``64_`` suffix) is never reached.
+    """
+    try:
+        lib = ctypes.CDLL(_sla._flapack.__file__)
+        get = lib.scipy_openblas_get_num_threads
+        set_ = lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_scipy_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore its count.
+
+    Does nothing when scipy's BLAS does not export the thread-count symbols.
+    """
+    funcs = _scipy_openblas()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _top_k_route(n: int, k: int) -> str:
     """Solver that :func:`top_eigenpairs` uses for the top ``k`` of order ``n``."""
     if k > n * EVR_MAX_FRACTION:
         return "evd"
-    if k <= ARPACK_MAX_K:
+    if k <= ARPACK_MAX_K and n >= ARPACK_MIN_N:
         return "arpack"
     return "evr"
 
@@ -211,10 +279,10 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     -----
     The route policy and its measured cut-offs are in the module docstring.
     ARPACK runs to machine precision (``tol=0``) from the fixed start vector
-    ``1/sqrt(n)``, and raises ``ArpackNoConvergence`` if it does not
-    converge.  The ``evd`` route hands LAPACK the F-ordered view ``A.T``,
-    which for symmetric ``A`` is the same matrix, so it overwrites ``A``
-    instead of allocating a copy.
+    ``1/sqrt(n)``, with scipy's BLAS on one thread, and raises
+    ``ArpackNoConvergence`` if it does not converge.  The ``evd`` route
+    hands LAPACK the F-ordered view ``A.T``, which for symmetric ``A`` is
+    the same matrix, so it overwrites ``A`` instead of allocating a copy.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -224,7 +292,8 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     route = _top_k_route(n, k)
     if route == "arpack":
         v0 = np.full(n, 1.0 / np.sqrt(n))
-        w, V = _spla.eigsh(A, k=k, which="LA", v0=v0, tol=0)
+        with _one_scipy_blas_thread():
+            w, V = _spla.eigsh(A, k=k, which="LA", v0=v0, tol=0)
     elif route == "evr":
         w, V = _sla.eigh(
             A.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
@@ -235,19 +304,21 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())
 
 
-def truncate(dec: SpectralDecomposition, k: int) -> np.ndarray:
-    """Rank-k truncation: keep the top ``k`` eigenpairs in algebraic order.
+def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The matrix ``V diag(lambda) V^T`` of the eigenpairs kept.
 
-    ``k`` may be 0 (zero matrix) up to ``n`` (full reconstruction). The
-    result is exactly symmetric.
+    ``eigenvalues`` (k,) and ``basis`` (n, k) are the kept pairs, as
+    :func:`top_eigenpairs` returns them or as leading slices of a
+    :class:`SpectralDecomposition`; k = 0 gives the zero matrix.  The result
+    is exactly symmetric.
     """
-    n = dec.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    if k == 0:
-        return np.zeros((n, n))
-    Uk = dec.basis[:, :k]
-    B = (Uk * dec.eigenvalues[:k]) @ Uk.T
+    k = eigenvalues.shape[0]
+    if eigenvalues.ndim != 1 or basis.ndim != 2 or basis.shape[1] != k:
+        raise ValueError(
+            f"need k eigenvalues and an n-by-k basis, got shapes "
+            f"{eigenvalues.shape} and {basis.shape}"
+        )
+    B = (basis * eigenvalues) @ basis.T
     return (B + B.T) / 2.0
 
 
@@ -256,7 +327,8 @@ def spectral_norm_sym(A: np.ndarray) -> float:
 
     Orders up to ``NORM_DENSE_MAX_N`` use the dense eigenvalue solver;
     larger ones a Lanczos iteration run to machine precision from a fixed
-    deterministic start vector, so repeated calls agree bitwise.
+    deterministic start vector, with scipy's BLAS on one thread, so
+    repeated calls agree bitwise.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
@@ -267,9 +339,10 @@ def spectral_norm_sym(A: np.ndarray) -> float:
         return float(max(abs(w[0]), abs(w[-1])))
     v0 = np.full(n, 1.0 / np.sqrt(n))
     ncv = min(n, 100)
-    vals = _spla.eigsh(
-        A, k=1, which="LM", v0=v0, ncv=ncv, tol=0, return_eigenvectors=False
-    )
+    with _one_scipy_blas_thread():
+        vals = _spla.eigsh(
+            A, k=1, which="LM", v0=v0, ncv=ncv, tol=0, return_eigenvectors=False
+        )
     return float(abs(vals[0]))
 
 

@@ -88,7 +88,7 @@ class AlignmentReport:
 
 def aligned_subspace(
     dec_A: SpectralDecomposition,
-    dec_hat: SpectralDecomposition,
+    basis_hat: np.ndarray,
     k: int,
     eps: float,
 ) -> tuple[np.ndarray, EnvelopeIndices]:
@@ -98,7 +98,9 @@ def aligned_subspace(
     smallest singular value of W^T U_hat_k: with M = B^T U_hat_k for the
     band basis B, any orthonormal P satisfies
     sigma_j(P^T M) <= sigma_j(M), and the top k - m1 left singular vectors
-    of M attain equality.  When m1 == k, W is the empty n-by-0 matrix.
+    of M attain equality.  ``basis_hat`` holds the perturbed eigenvectors in
+    descending order; its first k columns are U_hat_k.  When m1 == k, W is
+    the empty n-by-0 matrix.
     """
     env = spectral_envelope(dec_A.eigenvalues, k, eps)
     n = dec_A.n
@@ -106,7 +108,7 @@ def aligned_subspace(
     r = k - env.m1
     if r == 0:
         return np.zeros((n, 0)), env
-    M = B.T @ dec_hat.basis[:, :k]
+    M = B.T @ basis_hat[:, :k]
     P, _, _ = np.linalg.svd(M, full_matrices=False)
     return B @ _fix_signs(P[:, :r]), env
 
@@ -121,7 +123,8 @@ def reference_matrix(
     """
     G = W.T @ dec_A.basis
     core = (G * dec_A.eigenvalues) @ G.T
-    T = truncate(dec_A, m1) + W @ ((core + core.T) / 2.0) @ W.T
+    head = truncate(dec_A.eigenvalues[:m1], dec_A.basis[:, :m1])
+    T = head + W @ ((core + core.T) / 2.0) @ W.T
     return (T + T.T) / 2.0
 
 
@@ -137,11 +140,20 @@ def range_basis(M: np.ndarray, scale: float) -> np.ndarray:
 
 
 def check_alignment(
-    A: np.ndarray, A_hat: np.ndarray, dec_hat: SpectralDecomposition, k: int, eps: float
+    A: np.ndarray,
+    eigenvalues_hat: np.ndarray,
+    basis_hat: np.ndarray,
+    k: int,
+    eps: float,
+    delta: float,
 ) -> AlignmentReport:
     """Measure the alignment inequality chain on one perturbed instance.
 
-    ``dec_hat`` is ``eig_sym(A_hat)``, which callers already hold; it is not recomputed.
+    ``eigenvalues_hat`` (k,) and ``basis_hat`` (n, k) are the top-k
+    eigenpairs of the perturbed matrix A_hat, and ``delta`` is
+    ||A_hat - A||_2; callers already hold all three (the harness placed the
+    perturbation at that norm, ``verify`` measures it), so none is
+    recomputed.
 
     Checks (all lhs <= rhs, clean spectrum sigma, perturbed basis U_hat):
 
@@ -159,19 +171,21 @@ def check_alignment(
                             ||A - A_ref||_F + sqrt(2*k) * ||A_hat_k - A_ref||_2
     """
     A_sym = require_symmetric(A)
-    Ahat_sym = require_symmetric(A_hat)
-    if not A_sym.shape == Ahat_sym.shape == dec_hat.basis.shape:
-        raise ValueError("A, A_hat and dec_hat must have the same shape")
+    n = A_sym.shape[0]
+    if eigenvalues_hat.shape != (k,) or basis_hat.shape != (n, k):
+        raise ValueError(
+            f"need the top {k} eigenpairs of an {n}-by-{n} A_hat, got shapes "
+            f"{eigenvalues_hat.shape} and {basis_hat.shape}"
+        )
     dec_A = eig_sym(A_sym)
     stats = spectrum_stats(dec_A.eigenvalues, k)
     delta_allowed = eps**2 * stats.tail_2
-    delta_measured = spectral_norm_sym(Ahat_sym - A_sym)
-    applicable = delta_measured <= delta_allowed * (1.0 + 1e-9) + 1e-300
-    W, env = aligned_subspace(dec_A, dec_hat, k, eps)
+    applicable = delta <= delta_allowed * (1.0 + 1e-9) + 1e-300
+    W, env = aligned_subspace(dec_A, basis_hat, k, eps)
     report = AlignmentReport(
         k=k,
         eps=eps,
-        delta_measured=delta_measured,
+        delta_measured=delta,
         delta_allowed=delta_allowed,
         applicable=applicable,
         m1=env.m1,
@@ -179,9 +193,8 @@ def check_alignment(
     )
     if not applicable:
         return report
-    Ahat_k = truncate(dec_hat, k)
+    Ahat_k = truncate(eigenvalues_hat, basis_hat)
     U = dec_A.basis
-    Uhat_k = dec_hat.basis[:, :k]
     A_ref = reference_matrix(dec_A, W, env.m1)
     Q = np.hstack([U[:, : env.m1], W])  # A_ref's range lies in span Q
     C = Q.T @ A_ref @ Q
@@ -195,16 +208,16 @@ def check_alignment(
             AlignmentCheck(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -CHECK_TOL)
         )
 
-    add("head_alignment", principal_angle_sin(U[:, : env.m1], Uhat_k), eps)
-    add("tail_separation", principal_angle_sin(Uhat_k, U[:, : env.m2]), eps)
-    add("subspace_capture", principal_angle_sin(W, Uhat_k), eps)
+    add("head_alignment", principal_angle_sin(U[:, : env.m1], basis_hat), eps)
+    add("tail_separation", principal_angle_sin(basis_hat, U[:, : env.m2]), eps)
+    add("subspace_capture", principal_angle_sin(W, basis_hat), eps)
     if k > env.m1:
-        smin = float(np.linalg.svd(W.T @ Uhat_k, compute_uv=False)[-1])
+        smin = float(np.linalg.svd(W.T @ basis_hat, compute_uv=False)[-1])
         add("capture_strength", math.sqrt(1.0 - eps**2), smin)
-    add("reference_range_alignment", principal_angle_sin(Uhat_k, U_ref), 2.0 * eps)
+    add("reference_range_alignment", principal_angle_sin(basis_hat, U_ref), 2.0 * eps)
     add(
         "reference_complement_alignment",
-        principal_angle_sin(U_ref, Uhat_k),
+        principal_angle_sin(U_ref, basis_hat),
         2.0 * eps,
     )
     bias_F = float(np.linalg.norm(A_sym - A_ref, "fro"))

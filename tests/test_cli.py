@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectrunc
-from spectrunc import covariance_reduced
+from spectrunc import covariance_reduced, linalg
 from spectrunc.cli import _BOUNDS, main
-from spectrunc.io import read_matrix, read_samples
+from spectrunc.io import matrix_bytes, read_matrix, read_samples
 
 
 def run_cli(*argv):
@@ -174,6 +175,10 @@ def test_verify_chain(workdir, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "name,lhs,rhs,slack,passed"
     assert all(row.endswith(",true") for row in lines[1:])
+    for k in ("0", "10"):
+        assert run_cli("verify", "--matrix", str(a), "--perturbed", str(a),
+                       "--k", k, "--eps", "0.2") == 1
+        assert f"k must lie in [1, 9], got {k}" in capsys.readouterr().err
 
 
 def test_verify_notes_inapplicable_instance(workdir, capsys):
@@ -252,6 +257,45 @@ def test_numerical_failures_map_to_two(monkeypatch, workdir, capsys):
     monkeypatch.setattr("spectrunc.cli.run_experiment", boom)
     assert run_cli("run", "--config", str(cfg)) == 2
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_arpack_failures_map_to_two(monkeypatch, workdir, capsys):
+    n = linalg.ARPACK_MIN_N
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((n, n))
+    src = workdir / "Y.mat"
+    src.write_bytes(matrix_bytes((Y + Y.T) / 2.0))
+    big = workdir / "A600.mat"
+    assert run_cli("synth", "--kind", "powerlaw", "--n", "600", "--beta", "1",
+                   "--basis", "haar", "--out", str(big)) == 0
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((n, 0)))
+
+    monkeypatch.setattr(linalg._spla, "eigsh", no_convergence)
+    capsys.readouterr()
+    for argv in (
+        ["denoise", "--matrix", str(src), "--k", "3"],
+        # n=600 is above both the ARPACK cut-off and the norm's dense cut-off
+        ["verify", "--matrix", str(big), "--perturbed", str(big), "--k", "5", "--eps", "0.1"],
+    ):
+        out = workdir / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_denoise_rank_range(workdir, capsys):
+    src = workdir / "Y.mat"
+    assert run_cli("synth", "--kind", "explicit", "--n", "3", "--values", "3,2,1",
+                   "--basis", "identity", "--out", str(src)) == 0
+    out = workdir / "D.mat"
+    assert run_cli("denoise", "--matrix", str(src), "--k", "0", "--out", str(out)) == 0
+    np.testing.assert_array_equal(read_matrix(out.read_text()), np.zeros((3, 3)))
+    out.unlink()
+    assert run_cli("denoise", "--matrix", str(src), "--k", "4", "--out", str(out)) == 1
+    assert "k must lie in [0, 3], got 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_and_version_exit_zero(capsys):

@@ -19,6 +19,17 @@ from spectrunc import (
     truncate,
     zero_fill_rescale,
 )
+from spectrunc.linalg import ARPACK_MIN_N
+
+
+def assert_same_truncation(est, M, k):
+    """``est`` equals the rank-k truncation of ``M`` from a full eig_sym, to
+    the tolerances that top_eigenpairs' routes keep against eig_sym."""
+    dec = eig_sym(M)
+    ref = truncate(dec.eigenvalues[:k], dec.basis[:, :k])
+    norm_2 = float(np.max(np.abs(dec.eigenvalues)))
+    assert np.max(np.abs(est - ref)) <= 1e-9 * norm_2
+    np.testing.assert_array_equal(est, est.T)
 
 
 def obs_of(n, p, entries):
@@ -85,9 +96,40 @@ def test_zero_fill_is_unbiased():
 
 def test_denoise_is_truncated_eigendecomposition():
     rng = rng_stream(13, 0)
-    Y = rng.standard_normal((9, 9))
-    Y = (Y + Y.T) / 2.0
-    np.testing.assert_array_equal(denoise(Y, 3), truncate(eig_sym(Y), 3))
+    for n in (9, ARPACK_MIN_N):  # a dense route and the ARPACK route
+        Y = rng.standard_normal((n, n))
+        Y = (Y + Y.T) / 2.0
+        assert_same_truncation(denoise(Y, 3), Y, 3)
+        np.testing.assert_array_equal(denoise(Y, 3), denoise(Y, 3))
+
+
+def test_estimators_leave_arguments_unmodified():
+    # top_eigenpairs uses its input as workspace on the dense routes
+    rng = rng_stream(15, 0)
+    for n in (30, ARPACK_MIN_N):  # the evr route and the ARPACK route
+        Y = rng.standard_normal((n, n))
+        Y = (Y + Y.T) / 2.0
+        Y0 = Y.copy()
+        denoise(Y, 3)
+        np.testing.assert_array_equal(Y, Y0)
+        obs = bernoulli_observe(Y, 0.5, rng)
+        kept = (obs.rows.copy(), obs.cols.copy(), obs.values.copy())
+        complete(obs, 3)
+        for now, before in zip((obs.rows, obs.cols, obs.values), kept):
+            np.testing.assert_array_equal(now, before)
+        ss = SampleSet(N=2 * n, n=n, X=rng.standard_normal((2 * n, n)))
+        X0 = ss.X.copy()
+        covariance_reduced(ss, 3, center=True)
+        np.testing.assert_array_equal(ss.X, X0)
+
+
+def test_estimators_rank_range():
+    Y = np.diag([3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(denoise(Y, 0), np.zeros((3, 3)))
+    np.testing.assert_array_equal(denoise(Y, 3), Y)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 3\]"):
+            denoise(Y, k)
 
 
 def test_sample_covariance_hand_case():
@@ -111,7 +153,6 @@ def test_covariance_reduced_composition():
     X = rng.standard_normal((50, 6))
     ss = SampleSet(N=50, n=6, X=X)
     direct = covariance_reduced(ss, k=2)
-    manual = truncate(eig_sym(sample_covariance(ss)), 2)
-    np.testing.assert_array_equal(direct, manual)
+    assert_same_truncation(direct, sample_covariance(ss), 2)
     w = np.linalg.eigvalsh(direct)
     assert np.sum(w > 1e-10 * w.max()) <= 2

@@ -179,7 +179,7 @@ def test_alignment_decomposes_each_matrix_once(monkeypatch, tmp_path):
     orders = _dense_eigh_orders(monkeypatch)
     rec = run_trial(cfg, 0)
     assert rec.aux["checks_total"] > 0  # the whole chain ran
-    assert orders.count(n) == 2  # A_hat in the harness, A in the chain
+    assert orders.count(n) == 1  # A in the chain; A_hat keeps only its top k
 
     sig, A = _instance(cfg, rng_stream(cfg.seed, 0))
     E = scaled_perturbation(n, 0.5 * cfg.eps**2 * sig[cfg.k], rng_stream(cfg.seed, 1))
@@ -190,7 +190,7 @@ def test_alignment_decomposes_each_matrix_once(monkeypatch, tmp_path):
                      "--perturbed", str(tmp_path / "Ahat.sym"), "--k", str(cfg.k),
                      "--eps", str(cfg.eps), "--out", str(tmp_path / "v.json")]) == 0
     assert json.loads((tmp_path / "v.json").read_text())["applicable"]
-    assert orders.count(n) == 2
+    assert orders.count(n) == 1
 
 
 def test_denoising_zero_noise_reduces_to_truncation():
@@ -224,7 +224,8 @@ def test_covariance_oracle_rank_matches_brute_force():
     SC = sample_covariance(mvn_samples(A, cfg.n_samples, rng))
     dec = eig_sym(SC)
     errs = [
-        float(np.linalg.norm(truncate(dec, k) - A, "fro")) for k in range(1, cfg.n + 1)
+        float(np.linalg.norm(truncate(dec.eigenvalues[:k], dec.basis[:, :k]) - A, "fro"))
+        for k in range(1, cfg.n + 1)
     ]
     assert rec.aux["k_used"] == int(np.argmin(errs)) + 1
     assert rec.measured_error_F == pytest.approx(min(errs), rel=1e-9)
@@ -325,7 +326,7 @@ def test_truncation_error_routes_agree():
     # one k per top_eigenpairs route: ARPACK, evr subset, full evd
     for k, route in ((12, "arpack"), (100, "evr"), (400, "evd")):
         assert _top_k_route(n, k) == route
-        direct = float(np.linalg.norm(truncate(dec, k) - A, "fro"))
+        direct = float(np.linalg.norm(truncate(dec.eigenvalues[:k], dec.basis[:, :k]) - A, "fro"))
         via_dense = _truncation_error_F(A_hat.copy(), k, norm_F2, A=A)
         via_diag = _truncation_error_F(A_hat.copy(), k, norm_F2, diag_spectrum=sig)
         assert via_dense == pytest.approx(direct, rel=1e-9)

@@ -1,8 +1,11 @@
 """Core spectral primitives: frozen examples, determinism, classical inequalities."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectrunc import (
     eig_sym,
@@ -27,8 +30,9 @@ def rand_sym(rng, n, scale=1.0):
 
 def test_truncate_diag_321_rank1():
     dec = eig_sym(np.diag([3.0, 2.0, 1.0]))
-    np.testing.assert_array_equal(truncate(dec, 1), np.diag([3.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(truncate(dec, 0), np.zeros((3, 3)))
+    w, U = dec.eigenvalues, dec.basis
+    np.testing.assert_array_equal(truncate(w[:1], U[:, :1]), np.diag([3.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(truncate(w[:0], U[:, :0]), np.zeros((3, 3)))
 
 
 def test_spectrum_stats_diag_421():
@@ -90,10 +94,13 @@ def test_require_symmetric_rejects():
 
 def test_truncate_rank_bounds():
     dec = eig_sym(np.eye(3))
-    with pytest.raises(ValueError):
-        truncate(dec, 4)
-    with pytest.raises(ValueError):
-        truncate(dec, -1)
+    w, U = dec.eigenvalues, dec.basis
+    with pytest.raises(ValueError, match="n-by-k basis"):
+        truncate(w, U[:, :2])  # more eigenvalues than basis columns
+    with pytest.raises(ValueError, match="n-by-k basis"):
+        truncate(w[:1], U)  # more basis columns than eigenvalues
+    with pytest.raises(ValueError, match="n-by-k basis"):
+        truncate(w[:, None], U)
 
 
 def test_spectrum_stats_domain():
@@ -156,9 +163,19 @@ def test_eig_sym_tie_ordering():
     np.testing.assert_array_equal(dec.eigenvalues, np.ones(5))
 
 
-@pytest.mark.parametrize("k, route", [(10, "arpack"), (100, "evr"), (300, "evd")])
-def test_top_eigenpairs_routes_match_eig_sym(k, route):
-    n = 700
+@pytest.mark.parametrize(
+    "n, k, route",
+    [
+        (700, 10, "arpack"),
+        (700, 100, "evr"),
+        (700, 300, "evd"),
+        # small orders go to the dense routes: either side of ARPACK_MIN_N
+        (linalg.ARPACK_MIN_N - 1, 5, "evr"),
+        (linalg.ARPACK_MIN_N, 5, "arpack"),
+    ],
+    ids=["10-arpack", "100-evr", "300-evd", "below_arpack_min_n-evr", "arpack_min_n-arpack"],
+)
+def test_top_eigenpairs_routes_match_eig_sym(n, k, route):
     assert _top_k_route(n, k) == route
     A = rand_sym(np.random.default_rng(13), n)
     dec = eig_sym(A)
@@ -182,6 +199,57 @@ def test_top_eigenpairs_rejects():
             top_eigenpairs(np.eye(3), k)
 
 
+def _numpy_blas_threads():
+    """Thread count of numpy's own OpenBLAS copy, or None if it is not exported."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+    return get
+
+
+def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
+    scipy_blas, numpy_blas = linalg._scipy_openblas(), _numpy_blas_threads()
+    if scipy_blas is None or numpy_blas is None:
+        pytest.skip("this BLAS build does not export its thread count")
+    get, set_ = scipy_blas
+    A = rand_sym(np.random.default_rng(17), 600)  # ARPACK route for both calls
+    calls = (lambda: top_eigenpairs(A.copy(), 5), lambda: spectral_norm_sym(A))
+    real_eigsh = linalg._spla.eigsh
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((get(), numpy_blas()))
+        return real_eigsh(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        seen.append((get(), numpy_blas()))
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((600, 0)))
+
+    original = get()
+    try:
+        set_(2)  # a count the pin must restore, whatever the environment set
+        before = (get(), numpy_blas())
+        for eigsh in (spy, fail):
+            monkeypatch.setattr(linalg._spla, "eigsh", eigsh)
+            for call in calls:
+                seen.clear()
+                if eigsh is fail:
+                    with pytest.raises(ArpackNoConvergence):
+                        call()
+                else:
+                    call()
+                assert seen == [(1, before[1])]
+                assert (get(), numpy_blas()) == before
+    finally:
+        set_(original)
+    # without the symbols the pin does nothing and the solve still runs
+    monkeypatch.setattr(linalg._spla, "eigsh", real_eigsh)
+    monkeypatch.setattr(linalg, "_scipy_openblas", lambda: None)
+    w, _ = top_eigenpairs(A.copy(), 5)
+    assert w.shape == (5,)
+
+
 def test_spectral_norm_matches_dense_path(monkeypatch):
     rng = np.random.default_rng(11)
     A = rand_sym(rng, 530)  # above the dense cutoff: exercises the Lanczos path
@@ -202,7 +270,7 @@ def test_truncate_best_rank_spectral():
         A = (A + A.T) / 2.0
         dec = eig_sym(A)
         k = int(rng.integers(1, n))
-        base = spectral_norm_sym(truncate(dec, k) - A)
+        base = spectral_norm_sym(truncate(dec.eigenvalues[:k], dec.basis[:, :k]) - A)
         assert base <= sig[k] + 1e-10
         V = np.linalg.qr(rng.standard_normal((n, k)))[0]
         B = (V * rng.standard_normal(k)) @ V.T

@@ -12,6 +12,8 @@ from spectrunc import (
     psd_from_spectrum,
     rng_stream,
     scaled_perturbation,
+    spectral_norm_sym,
+    top_eigenpairs,
     truncate,
 )
 from spectrunc.proofcheck import aligned_subspace, range_basis, reference_matrix
@@ -25,10 +27,15 @@ def band_instance(seed, n=20, beta=1.0, k=3, eps=0.2):
     return A, A + E, k, eps
 
 
+def chain(A, Ah, k, eps):
+    """check_alignment given Ah's top-k pairs and ||Ah - A||_2, as ``verify`` does."""
+    return check_alignment(A, *top_eigenpairs(Ah.copy(), k), k, eps, spectral_norm_sym(Ah - A))
+
+
 def test_aligned_subspace_identity_perturbation():
     A, _, k, eps = band_instance(1)
     dec = eig_sym(A)
-    W, env = aligned_subspace(dec, dec, k, eps)
+    W, env = aligned_subspace(dec, dec.basis, k, eps)
     r = k - env.m1
     assert W.shape == (A.shape[0], r)
     assert np.max(np.abs(W.T @ W - np.eye(r))) <= 1e-12
@@ -41,7 +48,7 @@ def test_aligned_subspace_identity_perturbation():
 def test_aligned_subspace_empty_when_head_is_steep():
     sig = np.array([10.0, 1.0, 0.1, 0.01])
     dec = eig_sym(np.diag(sig))
-    W, env = aligned_subspace(dec, dec, 1, 0.25)
+    W, env = aligned_subspace(dec, dec.basis, 1, 0.25)
     assert (env.m1, env.m2) == (1, 1)
     assert W.shape == (4, 0)
 
@@ -51,7 +58,7 @@ def test_aligned_subspace_maximizes_overlap():
     for seed in (2, 3):
         A, Ah, k, eps = band_instance(seed, n=8, k=2, eps=0.25)
         dec, dech = eig_sym(A), eig_sym(Ah)
-        W, env = aligned_subspace(dec, dech, k, eps)
+        W, env = aligned_subspace(dec, dech.basis, k, eps)
         r = k - env.m1
         if r == 0:
             continue
@@ -67,9 +74,9 @@ def test_aligned_subspace_maximizes_overlap():
 def test_reference_matrix_identity_case_recovers_truncation():
     A, _, k, eps = band_instance(4)
     dec = eig_sym(A)
-    W, env = aligned_subspace(dec, dec, k, eps)
+    W, env = aligned_subspace(dec, dec.basis, k, eps)
     A_ref = reference_matrix(dec, W, env.m1)
-    assert np.linalg.norm(A_ref - truncate(dec, k), "fro") <= 1e-10
+    assert np.linalg.norm(A_ref - truncate(dec.eigenvalues[:k], dec.basis[:, :k]), "fro") <= 1e-10
     w = np.abs(np.linalg.eigvalsh(A_ref))
     assert np.sum(w > 1e-9 * w.max()) <= k
 
@@ -91,7 +98,7 @@ def test_reference_range_from_k_by_k_compression():
     seen = set()
     for A, Ah, k, eps in cases:
         dec, dech = eig_sym(A), eig_sym(Ah)
-        W, env = aligned_subspace(dec, dech, k, eps)
+        W, env = aligned_subspace(dec, dech.basis, k, eps)
         seen.add((env.m1 < k, W.shape[1] == 0))
         A_ref = reference_matrix(dec, W, env.m1)
         scale = abs(dec.eigenvalues[0])
@@ -108,7 +115,7 @@ def test_reference_range_from_k_by_k_compression():
 
 def test_check_alignment_unperturbed_all_pass():
     A, _, k, eps = band_instance(5)
-    rep = check_alignment(A, A, eig_sym(A), k, eps)
+    rep = chain(A, A, k, eps)
     assert rep.applicable
     assert rep.delta_measured == 0.0
     assert rep.all_passed
@@ -131,7 +138,7 @@ def test_check_alignment_unperturbed_all_pass():
 
 def test_check_alignment_perturbed_instance_passes():
     A, Ah, k, eps = band_instance(6, n=30, beta=1.0, k=3, eps=0.25)
-    rep = check_alignment(A, Ah, eig_sym(Ah), k, eps)
+    rep = chain(A, Ah, k, eps)
     assert rep.applicable
     assert rep.all_passed
     assert min(c.slack for c in rep.checks) >= 0.0
@@ -148,7 +155,7 @@ def test_check_alignment_perturbed_instance_passes():
 def test_check_alignment_skips_capture_when_band_empty():
     sig = np.array([10.0, 1.0, 0.1, 0.01])
     A = np.diag(sig)
-    rep = check_alignment(A, A, eig_sym(A), 1, 0.25)
+    rep = chain(A, A, 1, 0.25)
     assert rep.m1 == 1
     assert "capture_strength" not in [c.name for c in rep.checks]
     assert rep.all_passed
@@ -157,7 +164,7 @@ def test_check_alignment_skips_capture_when_band_empty():
 def test_check_alignment_gates_on_large_perturbation():
     A, _, k, eps = band_instance(7)
     E = scaled_perturbation(A.shape[0], 1.0, rng_stream(7, 5))  # way over allowance
-    rep = check_alignment(A, A + E, eig_sym(A + E), k, eps)
+    rep = chain(A, A + E, k, eps)
     assert not rep.applicable
     assert rep.checks == []
     assert not rep.all_passed
@@ -166,20 +173,23 @@ def test_check_alignment_gates_on_large_perturbation():
 
 def test_check_alignment_input_validation():
     A, Ah, k, _ = band_instance(8)
+    lam, V = top_eigenpairs(Ah.copy(), k)
     with pytest.raises(ValueError):
-        check_alignment(A, Ah, eig_sym(Ah), k, 0.3)
+        check_alignment(A, lam, V, k, 0.3, 0.0)
     with pytest.raises(ValueError):
-        check_alignment(A, Ah[:10, :10], eig_sym(Ah[:10, :10]), k, 0.2)
-    with pytest.raises(ValueError):
-        check_alignment(np.triu(A), Ah, eig_sym(Ah), k, 0.2)
-    with pytest.raises(ValueError, match="same shape"):
-        check_alignment(A, Ah, eig_sym(Ah[:10, :10]), k, 0.2)
+        check_alignment(np.triu(A), lam, V, k, 0.2, 0.0)
+    with pytest.raises(ValueError, match="top 3 eigenpairs"):
+        check_alignment(A, *top_eigenpairs(Ah[:10, :10].copy(), k), k, 0.2, 0.0)
+    with pytest.raises(ValueError, match="top 3 eigenpairs"):
+        check_alignment(A, lam[:2], V[:, :2], k, 0.2, 0.0)
+    with pytest.raises(ValueError, match="top 3 eigenpairs"):
+        check_alignment(A, lam, V[:10], k, 0.2, 0.0)
 
 
 def test_check_alignment_deterministic():
     A, Ah, k, eps = band_instance(9)
-    r1 = check_alignment(A, Ah, eig_sym(Ah), k, eps)
-    r2 = check_alignment(A.copy(), Ah.copy(), eig_sym(Ah.copy()), k, eps)
+    r1 = chain(A, Ah, k, eps)
+    r2 = chain(A.copy(), Ah.copy(), k, eps)
     assert [(c.lhs, c.rhs, c.slack) for c in r1.checks] == [
         (c.lhs, c.rhs, c.slack) for c in r2.checks
     ]
