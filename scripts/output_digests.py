@@ -15,6 +15,10 @@ runs in-process:
 * ``spectrunc bounds`` in JSON and CSV for all 11 kinds, with every
   sampling regime and both covariance modes.
 
+Every ``run`` config has n <= 120, below ``linalg.ARPACK_MIN_N``, so the
+digests cover the dense eigensolver routes only; the Lanczos routes (ARPACK)
+are covered by the seed-0 reference gate of ``perfbench``.
+
 It prints ``<sha256>  <output>`` per output.  Report bytes are reproducible
 only for a fixed numpy version, BLAS build and BLAS thread count, so compare
 two trees on one host::

@@ -38,6 +38,38 @@ at n=4000):
 Every route is deterministic for a fixed BLAS build and thread count, so
 repeated calls agree bitwise.
 
+Spectral norm
+-------------
+:func:`spectral_norm_sym` switches at the same order: below
+``ARPACK_MIN_N`` it takes ``max |eigvalsh|``, from there on Lanczos for the
+largest magnitude (``which="LM"``) in scipy's default Krylov basis of
+``max(2k + 1, 20) = 20`` vectors.  Most norms a trial takes are of
+truncation errors and low-rank differences (``A_hat_k - A``,
+``A_hat_k - A_ref``), whose top magnitude is well separated: Lanczos
+converges on them after 31 operator applications (21 on a rank-10
+difference), where a 100-vector basis spends 101 before its first
+convergence test.  A GOE draw's top magnitude sits at the edge of a
+semicircle and takes 101-281 applications for n = 200..4000.  Per call,
+2 BLAS threads, each order in a fresh process (ms)::
+
+            truncation error            GOE draw
+       n   default  ncv=100  dense    default  ncv=100  dense
+     200       1.6      5.4    2.5        3.3      3.6    2.4
+     400       2.5      9.2    9.1        9.3     11.6   10.4
+     600       7.0     24.9   23.7       26.0     35.3   25.7
+    2000                                  206      241    634
+    4000                                 1823     1836
+
+Dense wins on a GOE draw only at n = 200..250; the benchmark's workloads
+take GOE norms at n = 500, 600 and 2000.
+
+Both ARPACK callers share :func:`_lanczos`: the start vector ``1/sqrt(n)``,
+``tol=0``, the default basis and the BLAS pin below.  When ``A`` maps the
+start vector exactly to zero (a zero matrix, or any matrix whose rows sum
+to zero, such as a graph Laplacian) ARPACK cannot start; the helper sees
+this from one matrix-vector product (0.15 ms at n=600) and the caller takes
+its dense route instead.
+
 One scipy BLAS thread for ARPACK
 --------------------------------
 numpy and scipy each load their own OpenBLAS copy.  After a scipy BLAS
@@ -46,9 +78,10 @@ call at 2 threads, scipy's idle worker thread keeps spinning on one of the
 takes 33 ms alone but 57 ms right after a scipy ``eigsh`` (32 ms at one
 BLAS thread).  Inside ARPACK the same contention repeats every iteration,
 since its matrix-vector products run in numpy's copy and its own steps in
-scipy's.  Both ``eigsh`` calls (the ARPACK route of
-:func:`top_eigenpairs` and the Lanczos route of :func:`spectral_norm_sym`)
-therefore run with scipy's copy set to one thread, restored afterwards.
+scipy's.  :func:`_lanczos`, which makes both ``eigsh`` calls (the ARPACK
+route of :func:`top_eigenpairs` and the Lanczos route of
+:func:`spectral_norm_sym`), therefore runs them with scipy's copy set to
+one thread, restored afterwards.
 numpy's copy is never touched; ARPACK's results at n=600 and n=2000 were
 bit-identical with and without the pin.  The dense
 ``evr`` and ``evd`` routes keep scipy's thread count: a global one-thread
@@ -90,9 +123,6 @@ ARPACK_MIN_N = 200
 
 #: top_eigenpairs switches to the full ``evd`` solver above this k/n
 EVR_MAX_FRACTION = 0.2
-
-#: spectral_norm_sym uses the dense eigenvalue solver up to this order
-NORM_DENSE_MAX_N = 512
 
 
 def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -246,6 +276,25 @@ def _one_scipy_blas_thread():
         set_(previous)
 
 
+def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
+    """``eigsh`` of ``A`` as both ARPACK callers run it, or None if it cannot start.
+
+    Lanczos starts from the fixed vector ``1/sqrt(n)`` and runs to machine
+    precision (``tol=0``) in scipy's default Krylov basis, with scipy's BLAS
+    on one thread.  When ``A`` maps the start vector exactly to zero (a
+    zero matrix, or rows that sum to zero) ARPACK would stop with "Starting
+    vector is zero"; None then tells the caller to take its dense route.
+    """
+    n = A.shape[0]
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    if not np.any(A @ v0):
+        return None
+    with _one_scipy_blas_thread():
+        return _spla.eigsh(
+            A, k=k, which=which, v0=v0, tol=0, return_eigenvectors=return_eigenvectors
+        )
+
+
 def _top_k_route(n: int, k: int) -> str:
     """Solver that :func:`top_eigenpairs` uses for the top ``k`` of order ``n``."""
     if k > n * EVR_MAX_FRACTION:
@@ -280,9 +329,10 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     The route policy and its measured cut-offs are in the module docstring.
     ARPACK runs to machine precision (``tol=0``) from the fixed start vector
     ``1/sqrt(n)``, with scipy's BLAS on one thread, and raises
-    ``ArpackNoConvergence`` if it does not converge.  The ``evd`` route
-    hands LAPACK the F-ordered view ``A.T``, which for symmetric ``A`` is
-    the same matrix, so it overwrites ``A`` instead of allocating a copy.
+    ``ArpackNoConvergence`` if it does not converge; a matrix that maps the
+    start vector to zero takes the ``evr`` route instead.  The ``evd``
+    route hands LAPACK the F-ordered view ``A.T``, which for symmetric ``A``
+    is the same matrix, so it overwrites ``A`` instead of allocating a copy.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -290,17 +340,18 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     route = _top_k_route(n, k)
+    pairs = None
     if route == "arpack":
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        with _one_scipy_blas_thread():
-            w, V = _spla.eigsh(A, k=k, which="LA", v0=v0, tol=0)
-    elif route == "evr":
+        pairs = _lanczos(A, k, "LA", return_eigenvectors=True)
+    if pairs is not None:
+        w, V = pairs
+    elif route == "evd":
+        w, V = _sla.eigh(A.T, overwrite_a=True, driver="evd", check_finite=False)
+        w, V = w[n - k :], V[:, n - k :]
+    else:
         w, V = _sla.eigh(
             A.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
         )
-    else:
-        w, V = _sla.eigh(A.T, overwrite_a=True, driver="evd", check_finite=False)
-        w, V = w[n - k :], V[:, n - k :]
     return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())
 
 
@@ -325,25 +376,23 @@ def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def spectral_norm_sym(A: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest eigenvalue magnitude).
 
-    Orders up to ``NORM_DENSE_MAX_N`` use the dense eigenvalue solver;
-    larger ones a Lanczos iteration run to machine precision from a fixed
-    deterministic start vector, with scipy's BLAS on one thread, so
-    repeated calls agree bitwise.
+    Orders below ``ARPACK_MIN_N`` use the dense eigenvalue solver; from
+    there on a Lanczos iteration (``which="LM"``, scipy's default basis) run
+    to machine precision from a fixed start vector, with scipy's BLAS on one
+    thread, so repeated calls agree bitwise.  A matrix that annihilates the
+    start vector takes the dense solver at any order.  The cut-off and its
+    timings are in the module docstring.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     if n == 0:
         return 0.0
-    if n <= NORM_DENSE_MAX_N:
-        w = np.linalg.eigvalsh(A)
-        return float(max(abs(w[0]), abs(w[-1])))
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    ncv = min(n, 100)
-    with _one_scipy_blas_thread():
-        vals = _spla.eigsh(
-            A, k=1, which="LM", v0=v0, ncv=ncv, tol=0, return_eigenvectors=False
-        )
-    return float(abs(vals[0]))
+    vals = None
+    if n >= ARPACK_MIN_N:
+        vals = _lanczos(A, 1, "LM", return_eigenvectors=False)
+    if vals is None:
+        vals = np.linalg.eigvalsh(A)
+    return float(np.max(np.abs(vals)))
 
 
 def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:

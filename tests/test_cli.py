@@ -181,6 +181,26 @@ def test_verify_chain(workdir, capsys):
         assert f"k must lie in [1, 9], got {k}" in capsys.readouterr().err
 
 
+def test_unperturbed_verify_and_noiseless_run_at_lanczos_orders(workdir, capsys):
+    # A_hat - A and the noise are zero matrices, which annihilate the fixed
+    # Lanczos start vector: both norms take the dense route and read 0
+    a = workdir / "A.mat"
+    assert run_cli("synth", "--kind", "powerlaw", "--n", "600", "--beta", "1",
+                   "--basis", "haar", "--out", str(a)) == 0
+    assert run_cli("verify", "--matrix", str(a), "--perturbed", str(a),
+                   "--k", "5", "--eps", "0.1") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["delta_measured"] == 0.0
+    assert doc["applicable"] and doc["all_passed"]
+    cfg = workdir / "denoising.cfg"
+    cfg.write_text("experiment = denoising\nn = 600\ntrials = 1\nseed = 0\n"
+                   "spectrum = powerlaw\nspectrum_beta = 1.0\nbasis = haar\nk = 5\nnu = 0\n")
+    assert run_cli("run", "--config", str(cfg)) == 0
+    trial = json.loads(capsys.readouterr().out)["trials"][0]
+    assert trial["aux"]["noise_norm_2"] == 0.0
+    assert trial["bound_satisfied"]
+
+
 def test_verify_notes_inapplicable_instance(workdir, capsys):
     a = workdir / "A.mat"
     b = workdir / "B.mat"
@@ -276,7 +296,7 @@ def test_arpack_failures_map_to_two(monkeypatch, workdir, capsys):
     capsys.readouterr()
     for argv in (
         ["denoise", "--matrix", str(src), "--k", "3"],
-        # n=600 is above both the ARPACK cut-off and the norm's dense cut-off
+        # n=600 takes ARPACK for the top-k pairs of the perturbed matrix
         ["verify", "--matrix", str(big), "--perturbed", str(big), "--k", "5", "--eps", "0.1"],
     ):
         out = workdir / "out"

@@ -5,7 +5,7 @@ import ctypes
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from spectrunc import (
     eig_sym,
@@ -252,11 +252,93 @@ def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
 
 def test_spectral_norm_matches_dense_path(monkeypatch):
     rng = np.random.default_rng(11)
-    A = rand_sym(rng, 530)  # above the dense cutoff: exercises the Lanczos path
+    A = rand_sym(rng, 530)  # above ARPACK_MIN_N: exercises the Lanczos path
     direct = float(np.max(np.abs(np.linalg.eigvalsh(A))))
     assert spectral_norm_sym(A) == pytest.approx(direct, rel=1e-12)
-    monkeypatch.setattr(linalg, "NORM_DENSE_MAX_N", 1000)
+    monkeypatch.setattr(linalg, "ARPACK_MIN_N", 1000)
     assert spectral_norm_sym(A) == pytest.approx(direct, rel=1e-15)
+
+
+def _haar_sym(rng, n, eigenvalues):
+    """Symmetric matrix with the given nonzero eigenvalues on a Haar basis."""
+    Q = np.linalg.qr(rng.standard_normal((n, len(eigenvalues))))[0]
+    B = (Q * eigenvalues) @ Q.T
+    return (B + B.T) / 2.0
+
+
+NORM_CASES = {
+    "goe": lambda rng, n: rand_sym(rng, n),
+    # +1 and -1 share the top magnitude
+    "pm1_tie": lambda rng, n: _haar_sym(rng, n, np.r_[1.0, -1.0, rng.uniform(-0.5, 0.5, n - 2)]),
+    # a rank-10 difference such as A_hat_k - A_ref, its top magnitude well separated
+    "rank10": lambda rng, n: _haar_sym(rng, n, np.array(
+        [1.0, -0.8, 0.6, -0.5, 0.4, 0.3, -0.2, 0.1, 0.05, -0.02])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NORM_CASES))
+@pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "lanczos"])
+def test_spectral_norm_either_side_of_arpack_min_n(monkeypatch, kind, offset):
+    n = linalg.ARPACK_MIN_N + offset
+    A = NORM_CASES[kind](np.random.default_rng(19), n)
+    real_eigsh = linalg._spla.eigsh
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(kwargs["which"])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg._spla, "eigsh", spy)
+    norm = spectral_norm_sym(A)
+    assert solves == ([] if offset < 0 else ["LM"])
+    direct = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    assert norm == pytest.approx(direct, rel=1e-12)
+    assert spectral_norm_sym(A) == norm
+
+
+def test_spectral_norm_lanczos_stops_when_converged(monkeypatch):
+    # a well-separated top magnitude converges in a few Lanczos steps; a
+    # forced 100-vector basis took 101 operator applications here
+    A = NORM_CASES["rank10"](np.random.default_rng(19), 600)
+    real_eigsh = linalg._spla.eigsh
+    applied = []
+
+    def counting_eigsh(M, *args, **kwargs):
+        def matvec(x):
+            applied.append(1)
+            return M @ x
+
+        op = LinearOperator(M.shape, matvec=matvec, dtype=M.dtype)
+        return real_eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(linalg._spla, "eigsh", counting_eigsh)
+    norm = spectral_norm_sym(A)
+    assert norm == pytest.approx(1.0, rel=1e-12)
+    assert 0 < len(applied) <= 41
+
+
+def _path_laplacian(n):
+    L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    L[0, 0] = L[-1, -1] = 1.0
+    return L
+
+
+@pytest.mark.parametrize("n", [linalg.ARPACK_MIN_N, 300, 600])
+@pytest.mark.parametrize("kind", ["zero", "laplacian"])
+def test_annihilated_start_vector_takes_dense_route(n, kind):
+    # A @ (1/sqrt(n)) = 0 exactly: ARPACK cannot start from the fixed vector
+    A = np.zeros((n, n)) if kind == "zero" else _path_laplacian(n)
+    dense = np.linalg.eigvalsh(A)
+    assert spectral_norm_sym(A) == float(np.max(np.abs(dense)))
+    k = 3
+    assert _top_k_route(n, k) == "arpack"
+    w, V = top_eigenpairs(A.copy(), k)
+    assert np.max(np.abs(w - dense[::-1][:k])) <= 1e-12 * max(1.0, abs(dense[-1]))
+    assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-12
+    assert np.max(np.abs(A @ V - V * w)) <= 1e-12 * max(1.0, abs(dense[-1]))
+    w2, V2 = top_eigenpairs(A.copy(), k)
+    np.testing.assert_array_equal(w, w2)
+    np.testing.assert_array_equal(V, V2)
 
 
 def test_truncate_best_rank_spectral():
