@@ -10,14 +10,16 @@ runs in-process:
 
 * ``spectrunc run`` in JSON and CSV for every experiment, including
   covariance with ``k = oracle`` (once where the oracle keeps every rank),
-  an identity-basis exponential ``decay_rate``, and a variant of each config
-  that overrides every bound constant;
+  an identity-basis exponential ``decay_rate``, alignment and denoising at
+  n = 200, and a variant of each config that overrides every bound constant;
 * ``spectrunc bounds`` in JSON and CSV for all 11 kinds, with every
   sampling regime and both covariance modes.
 
-Every ``run`` config has n <= 120, below ``linalg.ARPACK_MIN_N``, so the
-digests cover the dense eigensolver routes only; the Lanczos routes (ARPACK)
-are covered by the seed-0 reference gate of ``perfbench``.
+The n = 200 configs sit at ``linalg.ARPACK_MIN_N``, so they reach the
+Lanczos routes: ARPACK top-k in the alignment step and in ``denoise``, and
+``spectral_norm_sym`` for the perturbation scale, the noise norm, the
+spectral error and ``check_alignment``'s proximity check.  Every other
+``run`` config has n <= 120 and takes the dense routes.
 
 It prints ``<sha256>  <output>`` per output.  Report bytes are reproducible
 only for a fixed numpy version, BLAS build and BLAS thread count, so compare
@@ -49,6 +51,11 @@ CONFIGS = {
     "gap": {"experiment": "gap", "n": 40, **EXPONENTIAL, "k": 3, "eps": 0.1},
     "alignment": {"experiment": "alignment", "n": 40, **POWERLAW, "k": 3, "eps": 0.2},
     "denoising": {"experiment": "denoising", "n": 40, **POWERLAW, "k": 3, "nu": 0.01},
+    # n = linalg.ARPACK_MIN_N: the Lanczos routes
+    "alignment_lanczos": {"experiment": "alignment", "n": 200, **POWERLAW, "k": 5,
+                          "eps": 0.1},
+    "denoising_lanczos": {"experiment": "denoising", "n": 200, **POWERLAW, "k": 5,
+                          "nu": 0.01},
     "completion": {"experiment": "completion", "n": 40, **POWERLAW, "k": 2, "eps": 0.2,
                    "p": 0.6, "t": 0.1},
     "covariance": {"experiment": "covariance", "n": 30, **EXPONENTIAL, "k": 3, "eps": 0.25,

@@ -46,7 +46,6 @@ from .harness import (  # noqa: E402
     run_trial,
 )
 from .linalg import (  # noqa: E402
-    SpectralDecomposition,
     SpectrumStats,
     eig_sym,
     principal_angle_sin,

@@ -31,6 +31,16 @@ kept rank (zero when every rank is kept), and builds the judged
 entry may use them.  ``decay_rate`` sweeps each perturbation over a delta
 grid in its own loop.
 
+Decay sweep
+-----------
+``decay_rate`` runs in A's eigenbasis.  For orthogonal U,
+``||(U M U^T)_k - U diag(sig) U^T||_F = ||M_k - diag(sig)||_F``, so a Haar
+trial rotates its unit direction G once into ``U^T G U`` and every delta's
+A_hat is ``delta * G + diag(sig)``, exactly as for the identity basis; A is
+never assembled.  The error comes from the top-k eigenpairs of A_hat alone
+through a trace identity, or densely when the identity would cancel (see
+:func:`_truncation_error_F`).
+
 Determinism: trial ``i`` of a run uses the Philox stream ``(seed, i)``
 (for ``decay_rate``, one stream per perturbation-direction trial, shared
 across the delta grid).  Reports are reproducible bit-for-bit only for a
@@ -101,6 +111,9 @@ __all__ = [
 #: slack used when comparing a measured error against a bound value
 BOUND_TOL = 1e-8
 
+#: err^2 below this many rounding scales of the trace identity is measured densely
+TRACE_IDENTITY_MARGIN = 1e8
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -149,7 +162,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.basis not in ("haar", "identity"):
             raise ValueError(f"basis must be 'haar' or 'identity', got {self.basis!r}")
-        self.spectrum()  # the kind, its parameter, and no other kind's parameter
+        # the kind, its parameter, no other kind's parameter, and sigma_1 > 0
+        if self.spectrum()[0] <= 0:
+            name = "spectrum_c" if self.spectrum_kind == "exponential" else "spectrum_values"
+            raise ValueError(f"{name} gives a leading eigenvalue of 0; it must be positive")
         ex = self.experiment
         if self.k_oracle and ex != "covariance":
             raise ValueError("k = oracle is only valid for covariance")
@@ -273,30 +289,29 @@ def _instance(config: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     return sig, A
 
 
-def _truncation_error_F(
-    A_hat: np.ndarray,
-    k: int,
-    norm_A_F2: float,
-    A: np.ndarray | None = None,
-    diag_spectrum: np.ndarray | None = None,
-) -> float:
-    """Frobenius error ||(A_hat)_k - A||_F without forming the truncation.
+def _truncation_error_F(A_hat: np.ndarray, k: int, sig: np.ndarray) -> float:
+    """Frobenius error ||(A_hat)_k - diag(sig)||_F from the top-k eigenpairs of A_hat.
 
-    Uses the expansion ||U L U^T - A||_F^2 = ||A||_F^2 +
-    sum_i (lambda_i^2 - 2 lambda_i u_i^T A u_i) over the kept eigenpairs,
-    valid for any orthonormal U, so only the top-k eigenpairs of A_hat are
-    computed (:func:`top_eigenpairs` picks the solver).  A is given either
-    densely or, when diagonal, by its spectrum.  A_hat may be overwritten.
+    Uses the expansion ||V L V^T - D||_F^2 = ||sig||^2 +
+    sum_i (lambda_i^2 - 2 lambda_i v_i^T D v_i) over the kept eigenpairs,
+    valid for any orthonormal V, so only the top-k eigenpairs of A_hat are
+    computed (:func:`top_eigenpairs` picks the solver).  The sum cancels
+    down to err^2 with an absolute rounding error of a few
+    u * (||sig||^2 + ||lambda||^2), u the machine epsilon (at most 41 of it,
+    measured for n <= 2000).  Where err^2 is less than
+    ``TRACE_IDENTITY_MARGIN = 1e8`` times that scale, the identity would keep
+    fewer than about seven digits of err, and err is measured densely as
+    ||V L V^T - diag(sig)||_F instead.  A_hat is overwritten.
     """
-    if (A is None) == (diag_spectrum is None):
-        raise ValueError("give exactly one of A and diag_spectrum")
     lam, V = top_eigenpairs(A_hat, k)
-    if diag_spectrum is not None:
-        s = np.einsum("i,ij->j", diag_spectrum, V * V)
-    else:
-        s = np.einsum("ij,ij->j", V, A @ V)
-    err2 = norm_A_F2 + float(np.sum(lam * lam - 2.0 * lam * s))
-    return math.sqrt(max(err2, 0.0))
+    norm2 = float(np.sum(sig**2))
+    s = np.einsum("i,ij->j", sig, V * V)
+    err2 = norm2 + float(np.sum(lam * lam - 2.0 * lam * s))
+    if err2 > TRACE_IDENTITY_MARGIN * np.finfo(np.float64).eps * (norm2 + float(lam @ lam)):
+        return math.sqrt(err2)
+    R = np.matmul(V * lam, V.T, out=A_hat)
+    R[np.diag_indices_from(R)] -= sig
+    return float(np.linalg.norm(R, "fro"))
 
 
 def _perturbation_step(config: ExperimentConfig, sig, A, rng):
@@ -386,8 +401,7 @@ def _covariance_step(config: ExperimentConfig, sig, A, rng):
     err_full = float(np.linalg.norm(SC - A, "fro"))
     if config.k_oracle:
         # true error at every rank via the trace expansion, then argmin
-        dec = eig_sym(SC)
-        lam, V = dec.eigenvalues, dec.basis
+        lam, V = eig_sym(SC)
         s = np.einsum("ij,ij->j", V, A @ V)
         errs2 = float(np.sum(sig**2)) + np.cumsum(lam * lam - 2.0 * lam * s)
         k = int(np.argmin(errs2)) + 1
@@ -424,18 +438,19 @@ def _covariance_step(config: ExperimentConfig, sig, A, rng):
 
 
 def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
-    """decay_rate trials: one perturbation direction per stream, swept over deltas."""
+    """decay_rate trials: one direction per stream, swept over deltas in A's eigenbasis."""
     sig = config.spectrum()
     n = config.n
-    norm_A_F2 = float(np.sum(sig**2))
-    haar_basis = config.basis == "haar"
     diag_idx = np.arange(n)
     records: list[TrialRecord] = []
     trial_id = 0
     for t in range(config.trials):
         rng = rng_stream(config.seed, t)
-        A = psd_from_spectrum(sig, haar_orthogonal(n, rng)) if haar_basis else None
+        U = haar_orthogonal(n, rng) if config.basis == "haar" else None
         G = scaled_perturbation(n, 1.0, rng)
+        if U is not None:
+            G = U.T @ G @ U
+            G = (G + G.T) / 2.0
         for delta in config.delta_grid:
             if config.spectrum_kind == "powerlaw":
                 k = powerlaw_rank_cutoff(delta, config.spectrum_beta, n, C1=config.C1)
@@ -443,14 +458,9 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
             else:
                 k = exponential_rank_cutoff(delta, config.spectrum_c, n)
                 rate = exponential_error_rate(delta, config.spectrum_c, n)
-            if haar_basis:
-                err_F = _truncation_error_F(A + delta * G, k, norm_A_F2, A=A)
-            else:
-                A_hat = delta * G
-                A_hat[diag_idx, diag_idx] += sig
-                err_F = _truncation_error_F(
-                    A_hat, k, norm_A_F2, diag_spectrum=sig
-                )
+            A_hat = delta * G
+            A_hat[diag_idx, diag_idx] += sig
+            err_F = _truncation_error_F(A_hat, k, sig)
             stats = spectrum_stats(sig, k)
             records.append(
                 TrialRecord(

@@ -3,6 +3,8 @@
 Everything downstream (bounds, estimators, the experiment harness) funnels
 through this module, so the conventions here are load-bearing:
 
+* eigendecompositions are bare ``(eigenvalues, basis)`` pairs, all n from
+  :func:`eig_sym` or the top k from :func:`top_eigenpairs`;
 * eigenvalues are always reported in descending algebraic order;
 * eigenvectors are canonicalized (sign and tie order) so that repeated runs
   on identical input produce bit-identical decompositions;
@@ -36,7 +38,10 @@ at n=4000):
   k/n = 1/5.
 
 Every route is deterministic for a fixed BLAS build and thread count, so
-repeated calls agree bitwise.
+repeated calls agree bitwise.  The decay sweep reads only these k pairs of
+each perturbed matrix, built in A's eigenbasis, and forms the dense residual
+``V diag(lambda) V^T - diag(sigma)`` only where its trace identity would
+cancel (``harness._truncation_error_F``).
 
 Spectral norm
 -------------
@@ -100,7 +105,6 @@ import scipy.linalg as _sla
 import scipy.sparse.linalg as _spla
 
 __all__ = [
-    "SpectralDecomposition",
     "SpectrumStats",
     "eig_sym",
     "top_eigenpairs",
@@ -143,27 +147,6 @@ def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {tol:.1e}"
         )
     return (A + A.T) / 2.0
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : (n,) ndarray
-        Descending algebraic order.
-    basis : (n, n) ndarray
-        Orthonormal eigenvectors, column i paired with ``eigenvalues[i]``,
-        canonicalized for determinism.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 @dataclass(frozen=True)
@@ -210,7 +193,7 @@ def _canonicalize(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return w, _fix_signs(V)
 
 
-def eig_sym(A: np.ndarray) -> SpectralDecomposition:
+def eig_sym(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix.
 
     Parameters
@@ -220,9 +203,12 @@ def eig_sym(A: np.ndarray) -> SpectralDecomposition:
 
     Returns
     -------
-    SpectralDecomposition
-        Eigenvalues descending; basis orthonormal and canonicalized so that
-        identical input yields bit-identical output across runs.
+    eigenvalues : (n,) ndarray
+        Descending algebraic order.
+    basis : (n, n) ndarray
+        Orthonormal eigenvectors, column i paired with ``eigenvalues[i]``,
+        canonicalized so that identical input yields bit-identical output
+        across runs.
 
     Notes
     -----
@@ -234,8 +220,7 @@ def eig_sym(A: np.ndarray) -> SpectralDecomposition:
     w, V = np.linalg.eigh(A)
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
-    w, V = _canonicalize(w, V)
-    return SpectralDecomposition(eigenvalues=w, basis=V)
+    return _canonicalize(w, V)
 
 
 @functools.cache
@@ -359,8 +344,8 @@ def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The matrix ``V diag(lambda) V^T`` of the eigenpairs kept.
 
     ``eigenvalues`` (k,) and ``basis`` (n, k) are the kept pairs, as
-    :func:`top_eigenpairs` returns them or as leading slices of a
-    :class:`SpectralDecomposition`; k = 0 gives the zero matrix.  The result
+    :func:`top_eigenpairs` returns them or as leading slices of what
+    :func:`eig_sym` returns; k = 0 gives the zero matrix.  The result
     is exactly symmetric.
     """
     k = eigenvalues.shape[0]

@@ -20,7 +20,6 @@ import numpy as np
 
 from .bounds import EnvelopeIndices, spectral_envelope
 from .linalg import (
-    SpectralDecomposition,
     _fix_signs,
     eig_sym,
     principal_angle_sin,
@@ -87,7 +86,8 @@ class AlignmentReport:
 
 
 def aligned_subspace(
-    dec_A: SpectralDecomposition,
+    sigma: np.ndarray,
+    U: np.ndarray,
     basis_hat: np.ndarray,
     k: int,
     eps: float,
@@ -98,32 +98,32 @@ def aligned_subspace(
     smallest singular value of W^T U_hat_k: with M = B^T U_hat_k for the
     band basis B, any orthonormal P satisfies
     sigma_j(P^T M) <= sigma_j(M), and the top k - m1 left singular vectors
-    of M attain equality.  ``basis_hat`` holds the perturbed eigenvectors in
-    descending order; its first k columns are U_hat_k.  When m1 == k, W is
-    the empty n-by-0 matrix.
+    of M attain equality.  ``(sigma, U)`` are the clean eigenpairs, descending,
+    as :func:`eig_sym` returns them; ``basis_hat`` holds the perturbed
+    eigenvectors in descending order, and its first k columns are U_hat_k.
+    When m1 == k, W is the empty n-by-0 matrix.
     """
-    env = spectral_envelope(dec_A.eigenvalues, k, eps)
-    n = dec_A.n
-    B = dec_A.basis[:, env.m1 : env.m2]
+    env = spectral_envelope(sigma, k, eps)
+    B = U[:, env.m1 : env.m2]
     r = k - env.m1
     if r == 0:
-        return np.zeros((n, 0)), env
+        return np.zeros((U.shape[0], 0)), env
     M = B.T @ basis_hat[:, :k]
     P, _, _ = np.linalg.svd(M, full_matrices=False)
     return B @ _fix_signs(P[:, :r]), env
 
 
 def reference_matrix(
-    dec_A: SpectralDecomposition, W: np.ndarray, m1: int
+    sigma: np.ndarray, U: np.ndarray, W: np.ndarray, m1: int
 ) -> np.ndarray:
-    """Reference comparison point A_m1 + W (W^T A W) W^T.
+    """Reference comparison point A_m1 + W (W^T A W) W^T, for A = U diag(sigma) U^T.
 
     Keeps the well-separated head of A exactly and compresses the rest of A
     onto the aligned subspace; its rank is at most m1 + (columns of W).
     """
-    G = W.T @ dec_A.basis
-    core = (G * dec_A.eigenvalues) @ G.T
-    head = truncate(dec_A.eigenvalues[:m1], dec_A.basis[:, :m1])
+    G = W.T @ U
+    core = (G * sigma) @ G.T
+    head = truncate(sigma[:m1], U[:, :m1])
     T = head + W @ ((core + core.T) / 2.0) @ W.T
     return (T + T.T) / 2.0
 
@@ -134,9 +134,8 @@ def range_basis(M: np.ndarray, scale: float) -> np.ndarray:
     Eigenvalues with magnitude at most ``RANGE_TOL * scale`` are treated as
     zero; the returned columns span the numerical range of M.
     """
-    dec = eig_sym(M)
-    keep = np.abs(dec.eigenvalues) > RANGE_TOL * scale
-    return dec.basis[:, keep]
+    w, V = eig_sym(M)
+    return V[:, np.abs(w) > RANGE_TOL * scale]
 
 
 def check_alignment(
@@ -177,11 +176,11 @@ def check_alignment(
             f"need the top {k} eigenpairs of an {n}-by-{n} A_hat, got shapes "
             f"{eigenvalues_hat.shape} and {basis_hat.shape}"
         )
-    dec_A = eig_sym(A_sym)
-    stats = spectrum_stats(dec_A.eigenvalues, k)
+    sigma, U = eig_sym(A_sym)
+    stats = spectrum_stats(sigma, k)
     delta_allowed = eps**2 * stats.tail_2
     applicable = delta <= delta_allowed * (1.0 + 1e-9) + 1e-300
-    W, env = aligned_subspace(dec_A, basis_hat, k, eps)
+    W, env = aligned_subspace(sigma, U, basis_hat, k, eps)
     report = AlignmentReport(
         k=k,
         eps=eps,
@@ -194,11 +193,10 @@ def check_alignment(
     if not applicable:
         return report
     Ahat_k = truncate(eigenvalues_hat, basis_hat)
-    U = dec_A.basis
-    A_ref = reference_matrix(dec_A, W, env.m1)
+    A_ref = reference_matrix(sigma, U, W, env.m1)
     Q = np.hstack([U[:, : env.m1], W])  # A_ref's range lies in span Q
     C = Q.T @ A_ref @ Q
-    U_ref = Q @ range_basis((C + C.T) / 2.0, scale=abs(dec_A.eigenvalues[0]))
+    U_ref = Q @ range_basis((C + C.T) / 2.0, scale=abs(sigma[0]))
 
     checks: list[AlignmentCheck] = []
 

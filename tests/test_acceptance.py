@@ -244,16 +244,16 @@ def test_criterion_05_alignment_chain_and_subspace_oracle():
         A = psd_from_spectrum(sig, haar_orthogonal(n, rng))
         stats = spectrum_stats(sig, k)
         E = scaled_perturbation(n, eps**2 * stats.tail_2, rng)
-        dec, dech = eig_sym(A), eig_sym(A + E)
-        W, env = aligned_subspace(dec, dech.basis, k, eps)
+        (w, U), (_, U_hat) = eig_sym(A), eig_sym(A + E)
+        W, env = aligned_subspace(w, U, U_hat, k, eps)
         r = k - env.m1
         assert r >= 1, f"oracle combo {j} left no band to search"
         searched += 1
-        closed = float(np.linalg.svd(W.T @ dech.basis[:, :k], compute_uv=False)[-1])
-        B = dec.basis[:, env.m1 : env.m2]
+        closed = float(np.linalg.svd(W.T @ U_hat[:, :k], compute_uv=False)[-1])
+        B = U[:, env.m1 : env.m2]
         for _ in range(10_000):
             S = B @ np.linalg.qr(rng.standard_normal((B.shape[1], r)))[0]
-            cand = float(np.linalg.svd(S.T @ dech.basis[:, :k], compute_uv=False)[-1])
+            cand = float(np.linalg.svd(S.T @ U_hat[:, :k], compute_uv=False)[-1])
             worst_excess = max(worst_excess, cand - closed)
     elapsed = time.perf_counter() - t0
     ok = min_slack >= 0.0 and worst_excess <= 1e-8 and elapsed < 300

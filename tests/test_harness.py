@@ -25,7 +25,12 @@ from spectrunc.harness import (
 )
 from spectrunc.io import matrix_bytes
 from spectrunc.linalg import _top_k_route
-from spectrunc.synth import rng_stream, scaled_perturbation
+from spectrunc.synth import (
+    haar_orthogonal,
+    psd_from_spectrum,
+    rng_stream,
+    scaled_perturbation,
+)
 
 
 def base_cfg(**kw):
@@ -92,6 +97,10 @@ def test_config_accepts_each_experiment():
         dict(spectrum_kind="exponential", spectrum_c=0.3),  # spectrum_beta left set
         dict(spectrum_kind="explicit", spectrum_beta=None,
              spectrum_values=(1.0, 0.5, 0.25)),  # not n values
+        # a zero leading eigenvalue: all zero, or exp(-750) underflowing
+        dict(experiment="covariance", n=4, k=1, n_samples=50, spectrum_kind="explicit",
+             spectrum_beta=None, spectrum_values=(0.0, 0.0, 0.0, 0.0)),
+        dict(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=750.0),
     ],
 )
 def test_config_rejects(kw):
@@ -222,9 +231,9 @@ def test_covariance_oracle_rank_matches_brute_force():
     rng = rng_stream(cfg.seed, 0)
     sig, A = _instance(cfg, rng)
     SC = sample_covariance(mvn_samples(A, cfg.n_samples, rng))
-    dec = eig_sym(SC)
+    w, U = eig_sym(SC)
     errs = [
-        float(np.linalg.norm(truncate(dec.eigenvalues[:k], dec.basis[:, :k]) - A, "fro"))
+        float(np.linalg.norm(truncate(w[:k], U[:, :k]) - A, "fro"))
         for k in range(1, cfg.n + 1)
     ]
     assert rec.aux["k_used"] == int(np.argmin(errs)) + 1
@@ -316,22 +325,62 @@ def test_five_number_summary_in_report():
 
 def test_truncation_error_routes_agree():
     n = 620
-    rng = rng_stream(21, 0)
     sig = np.exp(-0.02 * np.arange(1, n + 1))
     A = np.diag(sig)
-    G = scaled_perturbation(n, 0.05, rng_stream(21, 1))
-    A_hat = A + G
-    norm_F2 = float(np.sum(sig**2))
-    dec = eig_sym(A_hat)
+    A_hat = A + scaled_perturbation(n, 0.05, rng_stream(21, 1))
+    w, U = eig_sym(A_hat)
     # one k per top_eigenpairs route: ARPACK, evr subset, full evd
     for k, route in ((12, "arpack"), (100, "evr"), (400, "evd")):
         assert _top_k_route(n, k) == route
-        direct = float(np.linalg.norm(truncate(dec.eigenvalues[:k], dec.basis[:, :k]) - A, "fro"))
-        via_dense = _truncation_error_F(A_hat.copy(), k, norm_F2, A=A)
-        via_diag = _truncation_error_F(A_hat.copy(), k, norm_F2, diag_spectrum=sig)
-        assert via_dense == pytest.approx(direct, rel=1e-9)
-        assert via_diag == pytest.approx(direct, rel=1e-9)
-    with pytest.raises(ValueError):
-        _truncation_error_F(A_hat.copy(), 12, norm_F2, A=A, diag_spectrum=sig)
-    with pytest.raises(ValueError):
-        _truncation_error_F(A_hat.copy(), 12, norm_F2)
+        direct = float(np.linalg.norm(truncate(w[:k], U[:, :k]) - A, "fro"))
+        assert _truncation_error_F(A_hat.copy(), k, sig) == pytest.approx(direct, rel=1e-9)
+
+
+def decay_cfg(n, seed, basis, **spectrum):
+    return ExperimentConfig(
+        experiment="decay_rate", n=n, trials=2, seed=seed, basis=basis, **spectrum
+    )
+
+
+@pytest.mark.parametrize("n, seed, basis", [(120, 11, "identity"), (300, 3, "haar")])
+def test_decay_errors_below_identity_rounding_are_dense(n, seed, basis):
+    # exponential decay at these deltas leaves err^2 within a few rounding
+    # units of the trace identity's scale; the identity alone read up to 6x
+    # the dense error here, or 0 (a failed rate regression), or less than tail_F
+    cfg = decay_cfg(n, seed, basis, spectrum_kind="exponential", spectrum_c=0.5,
+                    delta_grid=(1e-8, 1e-9, 1e-10))
+    rep = run_experiment(cfg)
+    sig = cfg.spectrum()
+    for t in range(cfg.trials):
+        rng = rng_stream(seed, t)
+        U = haar_orthogonal(n, rng) if basis == "haar" else np.eye(n)
+        G = U.T @ scaled_perturbation(n, 1.0, rng) @ U
+        for r in (r for r in rep.trials if r.aux["direction_trial"] == t):
+            k = r.aux["k_used"]
+            w, V = eig_sym(r.aux["delta"] * (G + G.T) / 2.0 + np.diag(sig))
+            ref = float(np.linalg.norm(truncate(w[:k], V[:, :k]) - np.diag(sig), "fro"))
+            assert r.measured_error_F == pytest.approx(ref, rel=1e-9)
+            assert r.measured_error_F >= r.tail_F  # Eckart-Young
+    assert rep.aggregates["slope"] > 0
+
+
+@pytest.mark.parametrize("n", [150, 300])
+def test_haar_decay_error_matches_original_basis(n):
+    # the sweep runs in A's eigenbasis; measure ||A_hat_k - A||_F densely in
+    # the basis the trial drew, with A assembled
+    cfg = decay_cfg(n, 5, "haar", spectrum_kind="powerlaw", spectrum_beta=1.0,
+                    delta_grid=(0.1, 0.05, 0.03))
+    rep = run_experiment(cfg)
+    sig = cfg.spectrum()
+    routes = set()
+    for t in range(cfg.trials):
+        rng = rng_stream(cfg.seed, t)
+        A = psd_from_spectrum(sig, haar_orthogonal(n, rng))
+        G = scaled_perturbation(n, 1.0, rng)
+        for r in (r for r in rep.trials if r.aux["direction_trial"] == t):
+            k = r.aux["k_used"]
+            routes.add(_top_k_route(n, k))
+            w, V = eig_sym(A + r.aux["delta"] * G)
+            ref = float(np.linalg.norm(truncate(w[:k], V[:, :k]) - A, "fro"))
+            assert r.measured_error_F == pytest.approx(ref, rel=1e-9)
+    assert routes == ({"evr", "evd"} if n == 150 else {"arpack"})

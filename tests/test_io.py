@@ -266,6 +266,16 @@ def test_parse_config_error_reporting():
     msg = config_error(GOOD_CONFIG.replace("powerlaw", "exponential") + "spectrum_c = 0.5\n")
     assert "does not use beta" in msg
     assert "expected 24 values" in config_error(explicit.replace(", nan", ""))
+    # a zero leading eigenvalue is rejected by the parameter that gives it
+    zeros = (
+        "experiment = covariance\nn = 4\ntrials = 1\nseed = 0\nspectrum = explicit\n"
+        "spectrum_values = 0, 0, 0, 0\nbasis = haar\nk = 1\neps = 0.2\nn_samples = 50\n"
+    )
+    assert "spectrum_values gives a leading eigenvalue of 0" in config_error(zeros)
+    underflow = GOOD_CONFIG.replace("powerlaw", "exponential").replace(
+        "spectrum_beta = 1.0", "spectrum_c = 750"
+    )
+    assert "spectrum_c gives a leading eigenvalue of 0" in config_error(underflow)
 
 
 # ----------------------------------------------------------------- reports

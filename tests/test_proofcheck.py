@@ -34,21 +34,21 @@ def chain(A, Ah, k, eps):
 
 def test_aligned_subspace_identity_perturbation():
     A, _, k, eps = band_instance(1)
-    dec = eig_sym(A)
-    W, env = aligned_subspace(dec, dec.basis, k, eps)
+    w, U = eig_sym(A)
+    W, env = aligned_subspace(w, U, U, k, eps)
     r = k - env.m1
     assert W.shape == (A.shape[0], r)
     assert np.max(np.abs(W.T @ W - np.eye(r))) <= 1e-12
     # unperturbed, the aligned frame is exactly the clean directions m1+1..k
-    assert principal_angle_sin(W, dec.basis[:, env.m1 : k]) <= 1e-10
-    smin = np.linalg.svd(W.T @ dec.basis[:, :k], compute_uv=False)[-1]
+    assert principal_angle_sin(W, U[:, env.m1 : k]) <= 1e-10
+    smin = np.linalg.svd(W.T @ U[:, :k], compute_uv=False)[-1]
     assert smin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_aligned_subspace_empty_when_head_is_steep():
     sig = np.array([10.0, 1.0, 0.1, 0.01])
-    dec = eig_sym(np.diag(sig))
-    W, env = aligned_subspace(dec, dec.basis, 1, 0.25)
+    w, U = eig_sym(np.diag(sig))
+    W, env = aligned_subspace(w, U, U, 1, 0.25)
     assert (env.m1, env.m2) == (1, 1)
     assert W.shape == (4, 0)
 
@@ -57,26 +57,26 @@ def test_aligned_subspace_maximizes_overlap():
     # random search over frames in the band never beats the closed form
     for seed in (2, 3):
         A, Ah, k, eps = band_instance(seed, n=8, k=2, eps=0.25)
-        dec, dech = eig_sym(A), eig_sym(Ah)
-        W, env = aligned_subspace(dec, dech.basis, k, eps)
+        (w, U), (_, U_hat) = eig_sym(A), eig_sym(Ah)
+        W, env = aligned_subspace(w, U, U_hat, k, eps)
         r = k - env.m1
         if r == 0:
             continue
-        best = np.linalg.svd(W.T @ dech.basis[:, :k], compute_uv=False)[-1]
-        B = dec.basis[:, env.m1 : env.m2]
+        best = np.linalg.svd(W.T @ U_hat[:, :k], compute_uv=False)[-1]
+        B = U[:, env.m1 : env.m2]
         rng = rng_stream(seed, 9)
         for _ in range(2000):
             S = B @ np.linalg.qr(rng.standard_normal((B.shape[1], r)))[0]
-            cand = np.linalg.svd(S.T @ dech.basis[:, :k], compute_uv=False)[-1]
+            cand = np.linalg.svd(S.T @ U_hat[:, :k], compute_uv=False)[-1]
             assert cand <= best + 1e-8
 
 
 def test_reference_matrix_identity_case_recovers_truncation():
     A, _, k, eps = band_instance(4)
-    dec = eig_sym(A)
-    W, env = aligned_subspace(dec, dec.basis, k, eps)
-    A_ref = reference_matrix(dec, W, env.m1)
-    assert np.linalg.norm(A_ref - truncate(dec.eigenvalues[:k], dec.basis[:, :k]), "fro") <= 1e-10
+    w, U = eig_sym(A)
+    W, env = aligned_subspace(w, U, U, k, eps)
+    A_ref = reference_matrix(w, U, W, env.m1)
+    assert np.linalg.norm(A_ref - truncate(w[:k], U[:, :k]), "fro") <= 1e-10
     w = np.abs(np.linalg.eigvalsh(A_ref))
     assert np.sum(w > 1e-9 * w.max()) <= k
 
@@ -97,13 +97,13 @@ def test_reference_range_from_k_by_k_compression():
     cases.append((A0, A0, 3, 0.2))
     seen = set()
     for A, Ah, k, eps in cases:
-        dec, dech = eig_sym(A), eig_sym(Ah)
-        W, env = aligned_subspace(dec, dech.basis, k, eps)
+        (w, U), (_, U_hat) = eig_sym(A), eig_sym(Ah)
+        W, env = aligned_subspace(w, U, U_hat, k, eps)
         seen.add((env.m1 < k, W.shape[1] == 0))
-        A_ref = reference_matrix(dec, W, env.m1)
-        scale = abs(dec.eigenvalues[0])
+        A_ref = reference_matrix(w, U, W, env.m1)
+        scale = abs(w[0])
         full = range_basis(A_ref, scale)
-        Q = np.hstack([dec.basis[:, : env.m1], W])
+        Q = np.hstack([U[:, : env.m1], W])
         C = Q.T @ A_ref @ Q
         small = Q @ range_basis((C + C.T) / 2.0, scale)
         assert small.shape == full.shape
