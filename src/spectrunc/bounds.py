@@ -12,6 +12,15 @@ clean spectrum only.  Two flavours recur throughout:
 All numerical constants are exposed as keyword arguments with the package's
 default conventions, so alternative constant choices remain reproducible.
 They are keyword-only, except the power-law cutoff prefactor ``C1``.
+
+Each parameter name these functions share, the six constants included, has
+its domain in ``_DOMAIN``, which :func:`check_domain` and the run config
+(``harness.ExperimentConfig``) apply; a predicate states what must hold, so
+NaN fails each one.  Rules of one function, regime or mode stay inline: the
+delta ranges, which differ per family; gap > 0 where the gap regime or mode
+divides by it; ``gamma_k``; the n >= 1 of ``sample_covariance_rates``; k < n
+in ``spectral_envelope``; and the missing- and unused-input checks, which run
+first so that an input a regime ignores is named as unused.
 """
 
 from __future__ import annotations
@@ -122,9 +131,46 @@ class RatePair:
     spectral: float
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps <= 0.25:
-        raise ValueError(f"eps must lie in (0, 0.25], got {eps}")
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+
+#: parameter -> (predicate, requirement); see the module docstring
+_DOMAIN = {
+    "k": (lambda v: v >= 1, "be >= 1"),
+    "n": (lambda v: v >= 2, "be >= 2"),
+    "eps": (lambda v: 0.0 < v <= 0.25, "lie in (0, 0.25]"),
+    "t": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "beta": (lambda v: v > 0.5, "exceed 1/2"),
+    "r_e": (lambda v: v >= 1, "be >= 1"),
+    "n_samples": (lambda v: v >= 2, "be >= 2"),
+    **dict.fromkeys(
+        ("c", "mu0", "norm_F", "norm_2", "sigma_k1", "C_mc", "C1", "c_dn", "c_cov"), _POSITIVE
+    ),
+    **dict.fromkeys(("tail_F", "tail_2", "head_F", "gap", "nu", "C_a", "C_b"), _NONNEGATIVE),
+}
+
+
+def check_domain(**values) -> None:
+    """Raise ValueError for the first value outside its ``_DOMAIN`` entry; None is skipped."""
+    for name, v in values.items():
+        holds, requirement = _DOMAIN[name]
+        if v is not None and not holds(v):
+            raise ValueError(f"{name} must {requirement}, got {v}")
+
+
+def descending_spectrum(eigenvalues, k: int) -> np.ndarray:
+    """``eigenvalues`` as a float64 vector, checked finite and nonincreasing, cut at 1 <= k < n."""
+    sig = np.asarray(eigenvalues, dtype=np.float64)
+    if sig.ndim != 1:
+        raise ValueError("eigenvalues must be one-dimensional")
+    n = sig.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    if not np.all(np.isfinite(sig)):
+        raise ValueError("eigenvalues must be finite")
+    if np.any(np.diff(sig) > 0):
+        raise ValueError("eigenvalues must be nonincreasing")
+    return sig
 
 
 def _precondition(allowance: float, measured: float | None) -> tuple[bool, float | None]:
@@ -164,11 +210,7 @@ def relative_error_bound(
         Measured spectral norm of the perturbation; when given, the report
         records whether it is within the allowance ``eps**2 * tail_2``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_eps(eps)
-    if tail_F < 0 or tail_2 < 0:
-        raise ValueError("tail norms must be nonnegative")
+    check_domain(k=k, eps=eps, tail_F=tail_F, tail_2=tail_2)
     value = (1.0 + 32.0 * eps) * tail_F + 102.0 * math.sqrt(2.0 * k) * eps**2 * tail_2
     holds, margin = _precondition(eps**2 * tail_2, perturbation_2)
     return BoundReport(
@@ -197,11 +239,7 @@ def gap_error_bound(
     Unlike :func:`relative_error_bound` the additive term is linear in eps,
     which is the stronger statement when the spectrum has a genuine gap.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_eps(eps)
-    if gap < 0 or tail_F < 0:
-        raise ValueError("gap and tail_F must be nonnegative")
+    check_domain(k=k, eps=eps, gap=gap, tail_F=tail_F)
     value = tail_F + 102.0 * math.sqrt(2.0 * k) * eps * gap
     holds, margin = _precondition(eps * gap, perturbation_2)
     return BoundReport(
@@ -225,10 +263,9 @@ def additive_error_bound(k: int, delta: float, tail_F: float, head_F: float) -> 
     bound improves on for small perturbations: its delta-dependence decays
     like sqrt(delta) instead of delta.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if delta < 0 or tail_F < 0 or head_F < 0:
-        raise ValueError("delta and norms must be nonnegative")
+    check_domain(k=k, tail_F=tail_F, head_F=head_F)
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     value = tail_F + math.sqrt(k) * delta + 2.0 * k**0.25 * math.sqrt(delta * head_F)
     return BoundReport(
         name="additive",
@@ -251,15 +288,9 @@ def spectral_envelope(eigenvalues: np.ndarray, k: int, eps: float) -> EnvelopeIn
     eigenvalues beyond m2 sit clearly below the kept spectrum; only the
     band (m1, m2] can rotate appreciably under an admissible perturbation.
     """
-    sig = np.asarray(eigenvalues, dtype=np.float64)
-    if sig.ndim != 1:
-        raise ValueError("eigenvalues must be one-dimensional")
+    sig = descending_spectrum(eigenvalues, k)
+    check_domain(eps=eps)
     n = sig.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
-    _check_eps(eps)
-    if np.any(np.diff(sig) > 0):
-        raise ValueError("eigenvalues must be nonincreasing")
     sig_k1 = sig[k]
     m1 = 0
     for j in range(1, k + 1):
@@ -273,6 +304,12 @@ def spectral_envelope(eigenvalues: np.ndarray, k: int, eps: float) -> EnvelopeIn
     return EnvelopeIndices(m1=m1, m2=m2)
 
 
+def _powerlaw_domain(delta: float, beta: float, n: int, C1: float | None) -> None:
+    check_domain(beta=beta, n=n, C1=C1)
+    if not 0.0 < delta <= 0.5:
+        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+
+
 def powerlaw_rank_cutoff(delta: float, beta: float, n: int, C1: float = DEFAULT_C1) -> int:
     """Truncation rank for a power-law spectrum sigma_j = j**(-beta).
 
@@ -281,14 +318,7 @@ def powerlaw_rank_cutoff(delta: float, beta: float, n: int, C1: float = DEFAULT_
     ``delta``.  Requires beta > 1/2, delta in (0, 1/2], n >= 2 and a
     resulting rank of at least 1.
     """
-    if beta <= 0.5:
-        raise ValueError(f"beta must exceed 1/2, got {beta}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if C1 <= 0:
-        raise ValueError(f"C1 must be positive, got {C1}")
+    _powerlaw_domain(delta, beta, n, C1)
     k = math.floor(min(C1 * delta ** (-1.0 / beta), float(n)) - 1.0)
     if k < 1:
         raise ValueError(
@@ -303,13 +333,14 @@ def powerlaw_error_rate(delta: float, beta: float, n: int) -> float:
     ``max(delta, 1/n) ** ((2*beta - 1) / (2*beta))`` -- sublinear in delta,
     with the 1/n floor reflecting that at most n - 1 ranks are available.
     """
-    if beta <= 0.5:
-        raise ValueError(f"beta must exceed 1/2, got {beta}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _powerlaw_domain(delta, beta, n, None)
     return max(delta, 1.0 / n) ** ((2.0 * beta - 1.0) / (2.0 * beta))
+
+
+def _exponential_domain(delta: float, c: float, n: int) -> None:
+    check_domain(c=c, n=n)
+    if not 0.0 < delta < math.exp(-16.0):
+        raise ValueError(f"delta must lie in (0, e^-16), got {delta}")
 
 
 def exponential_rank_cutoff(delta: float, c: float, n: int) -> int:
@@ -318,12 +349,7 @@ def exponential_rank_cutoff(delta: float, c: float, n: int) -> int:
     Returns ``floor(min((log(1/delta) - log(log(1/delta))) / c, n) - 1)``.
     Requires c > 0, delta in (0, e**-16) and a resulting rank >= 1.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if not 0.0 < delta < math.exp(-16.0):
-        raise ValueError(f"delta must lie in (0, e^-16), got {delta}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _exponential_domain(delta, c, n)
     L = math.log(1.0 / delta)
     k = math.floor(min((L - math.log(L)) / c, float(n)) - 1.0)
     if k < 1:
@@ -338,12 +364,7 @@ def exponential_error_rate(delta: float, c: float, n: int) -> float:
     in delta up to a log factor, floored by the fully-resolved regime where
     every available rank is kept.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if not 0.0 < delta < math.exp(-16.0):
-        raise ValueError(f"delta must lie in (0, e^-16), got {delta}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _exponential_domain(delta, c, n)
     L = math.log(1.0 / delta)
     return max(delta * L**1.5, math.sqrt(n) * math.exp(-c * n))
 
@@ -391,33 +412,17 @@ def completion_sampling_threshold(
     ]
     if unused:
         raise ValueError(f"regime {regime!r} does not use {', '.join(unused)}")
-    if mu0 <= 0 or norm_F <= 0:
-        raise ValueError("mu0 and norm_F must be positive")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    if C_mc <= 0:
-        raise ValueError("C_mc must be positive")
+    # gap is left to the gap regime's own, stricter rule
+    check_domain(mu0=mu0, norm_F=norm_F, n=n, t=t, C_mc=C_mc, sigma_k1=sigma_k1, eps=eps, k=k)
     log_term = math.log(n / t)
     base = mu0**2 * norm_F**2 * log_term / n
     if regime == "sqrt_k":
-        if sigma_k1 <= 0:
-            raise ValueError("sigma_k1 must be positive in the sqrt_k regime")
         expr = base / sigma_k1**2
     elif regime == "relative":
-        if sigma_k1 <= 0:
-            raise ValueError("sigma_k1 must be positive in the relative regime")
-        _check_eps(eps)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         expr = base * max(eps**-4, float(k) ** 2) / sigma_k1**2
     else:  # gap
-        if gap <= 0:
+        if not gap > 0:
             raise ValueError("gap must be positive in the gap regime")
-        _check_eps(eps)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         expr = base * k / (eps**2 * gap**2)
     p_raw = C_mc * expr
     return SamplingThreshold(
@@ -445,14 +450,7 @@ def denoising_error_bound(
 
     holding with probability at least 0.8 over the noise draw.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    if sigma_k1 <= 0:
-        raise ValueError(f"sigma_k1 must be positive, got {sigma_k1}")
-    if tail_F < 0:
-        raise ValueError("tail_F must be nonnegative")
+    check_domain(k=k, nu=nu, sigma_k1=sigma_k1, tail_F=tail_F, C_a=C_a, C_b=C_b, c_dn=c_dn)
     value = (1.0 + C_a * math.sqrt(nu / sigma_k1)) * tail_F + C_b * math.sqrt(k) * nu
     allowance = c_dn * sigma_k1
     return BoundReport(
@@ -497,14 +495,8 @@ def covariance_admissible(
         unused = ["'gamma_k'"] if gamma_k != math.inf else []
     if unused:
         raise ValueError(f"{mode} mode does not use {', '.join(unused)}")
-    _check_eps(eps)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if r_e < 1:
-        raise ValueError(f"r_e must be >= 1, got {r_e}")
+    check_domain(eps=eps, k=k, r_e=r_e, n_samples=n_samples, norm_2=norm_2, c_cov=c_cov)
     N = n_samples
-    if N < 2:
-        raise ValueError(f"n_samples must be >= 2, got {N}")
     if mode == "relative":
         if not math.isfinite(gamma_k) or gamma_k < 1:
             raise ValueError(f"relative mode needs finite gamma_k >= 1, got {gamma_k}")
@@ -512,8 +504,8 @@ def covariance_admissible(
     else:
         if norm_2 is None or gap is None:
             raise ValueError("gap mode requires norm_2 and gap")
-        if norm_2 <= 0 or gap <= 0:
-            raise ValueError("norm_2 and gap must be positive in gap mode")
+        if not gap > 0:
+            raise ValueError("gap must be positive in gap mode")
         expr = r_e * k * norm_2**2 * math.log(N) / (N * eps**2 * gap**2)
     return AdmissibilityReport(
         mode=mode,
@@ -533,15 +525,10 @@ def sample_covariance_rates(norm_2: float, r_e: float, n_samples: int, n: int) -
     These are the guarantees the truncated estimator is measured against;
     leading constants are taken as 1.
     """
-    if norm_2 <= 0:
-        raise ValueError(f"norm_2 must be positive, got {norm_2}")
-    if r_e < 1:
-        raise ValueError(f"r_e must be >= 1, got {r_e}")
-    N = n_samples
-    if N < 2:
-        raise ValueError(f"n_samples must be >= 2, got {N}")
-    if n < 1:
+    check_domain(norm_2=norm_2, r_e=r_e, n_samples=n_samples)
+    if not n >= 1:  # a single coordinate is enough here, unlike the table's n >= 2
         raise ValueError(f"n must be >= 1, got {n}")
+    N = n_samples
     frob = norm_2 * r_e * math.sqrt(math.log(N) / N)
     ratio = r_e * math.log(N * n) / N
     spec = norm_2 * max(math.sqrt(ratio), ratio)

@@ -65,6 +65,7 @@ from .bounds import (
     DEFAULT_C_COV,
     DEFAULT_C_DN,
     DEFAULT_C_MC,
+    check_domain,
     completion_sampling_threshold,
     covariance_admissible,
     denoising_error_bound,
@@ -154,8 +155,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
             )
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        shared = ("n", "eps", "nu", "t", "n_samples", "C_mc", "c_dn", "C_a", "C_b", "c_cov", "C1")
+        check_domain(**{name: getattr(self, name) for name in shared})
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -176,16 +177,8 @@ class ExperimentConfig:
                 raise ValueError(f"experiment {ex!r} requires {name}")
         if self.k is not None and not 1 <= self.k <= self.n - 1:
             raise ValueError(f"k must lie in [1, {self.n - 1}], got {self.k}")
-        if self.eps is not None and not 0.0 < self.eps <= 0.25:
-            raise ValueError(f"eps must lie in (0, 0.25], got {self.eps}")
-        if self.nu is not None and self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if self.t is not None and not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must lie in (0, 1), got {self.t}")
-        if self.n_samples is not None and self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if ex == "decay_rate":
             if self.spectrum_kind == "explicit":
                 raise ValueError("decay_rate requires a powerlaw or exponential spectrum")

@@ -104,6 +104,8 @@ import numpy as np
 import scipy.linalg as _sla
 import scipy.sparse.linalg as _spla
 
+from .bounds import descending_spectrum
+
 __all__ = [
     "SpectrumStats",
     "eig_sym",
@@ -386,9 +388,9 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
     Parameters
     ----------
     eigenvalues : (n,) array_like
-        Nonincreasing; the leading value must be positive. Intended for
-        (numerically) positive semidefinite spectra -- tiny negative tail
-        values are tolerated.
+        Finite and nonincreasing; the leading value must be positive.
+        Intended for (numerically) positive semidefinite spectra -- tiny
+        negative tail values are tolerated.
     k : int
         Cut position, ``1 <= k <= n - 1``.
 
@@ -400,14 +402,7 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         gamma_k = sigma_k / sigma_{k+1} (+inf when the tail vanishes);
         stable rank = ||.||_F^2 / sigma_1^2; effective rank = trace / sigma_1.
     """
-    sig = np.asarray(eigenvalues, dtype=np.float64)
-    if sig.ndim != 1:
-        raise ValueError("eigenvalues must be one-dimensional")
-    n = sig.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
-    if np.any(np.diff(sig) > 0):
-        raise ValueError("eigenvalues must be nonincreasing")
+    sig = descending_spectrum(eigenvalues, k)
     if sig[0] <= 0:
         raise ValueError("leading eigenvalue must be positive")
     head = sig[:k]

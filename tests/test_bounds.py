@@ -20,6 +20,7 @@ from spectrunc import (
     relative_error_bound,
     sample_covariance_rates,
     spectral_envelope,
+    spectrum_stats,
 )
 
 
@@ -333,3 +334,139 @@ def test_sample_covariance_rates_large_rank_branch():
     pair = sample_covariance_rates(norm_2=1.0, r_e=500.0, n_samples=100, n=10)
     lin = 500.0 * np.log(1000.0) / 100.0
     assert pair.spectral == pytest.approx(lin, rel=1e-12)
+
+
+# ------------------------------------------------------- raise-site messages
+
+#: one in-domain call per function; each case below puts one input out of it
+VALID = {
+    relative_error_bound: dict(k=1, eps=0.1, tail_F=1.0, tail_2=1.0),
+    gap_error_bound: dict(k=1, eps=0.1, gap=1.0, tail_F=1.0),
+    additive_error_bound: dict(k=1, delta=0.1, tail_F=1.0, head_F=1.0),
+    spectral_envelope: dict(eigenvalues=[2.0, 1.0, 0.5], k=1, eps=0.1),
+    powerlaw_rank_cutoff: dict(delta=0.01, beta=1.0, n=100, C1=1.0),
+    powerlaw_error_rate: dict(delta=0.01, beta=1.0, n=100),
+    exponential_rank_cutoff: dict(delta=1e-8, c=1.0, n=100),
+    exponential_error_rate: dict(delta=1e-8, c=1.0, n=100),
+    completion_sampling_threshold: dict(mu0=1.0, norm_F=1.0, n=10, t=0.5,
+                                        regime="sqrt_k", sigma_k1=1.0),
+    denoising_error_bound: dict(nu=0.01, sigma_k1=1.0, k=1, tail_F=1.0),
+    covariance_admissible: dict(r_e=3.0, eps=0.2, k=2, n_samples=10**4,
+                                mode="relative", gamma_k=2.0),
+    sample_covariance_rates: dict(norm_2=2.0, r_e=10.0, n_samples=100, n=10),
+}
+REL = dict(regime="relative", eps=0.1, k=1)
+GAP = dict(regime="gap", sigma_k1=None, gap=1.0, eps=0.1, k=1)
+GAP_MODE = dict(mode="gap", gamma_k=np.inf, norm_2=2.0, gap=0.5)
+
+
+def _site(func, message, **fault):
+    name = "-".join(f"{key}={value}" for key, value in fault.items())
+    return pytest.param(func, fault, message, id=f"{func.__name__}-{name}")
+
+
+RAISE_SITES = [
+    _site(relative_error_bound, "k must be >= 1, got 0", k=0),
+    _site(relative_error_bound, "eps must lie in (0, 0.25], got 0.3", eps=0.3),
+    _site(relative_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
+    _site(relative_error_bound, "tail_2 must be nonnegative, got -1.0", tail_2=-1.0),
+    _site(gap_error_bound, "k must be >= 1, got 0", k=0),
+    _site(gap_error_bound, "eps must lie in (0, 0.25], got 0.0", eps=0.0),
+    _site(gap_error_bound, "gap must be nonnegative, got -1.0", gap=-1.0),
+    _site(gap_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
+    _site(additive_error_bound, "k must be >= 1, got 0", k=0),
+    _site(additive_error_bound, "delta must be nonnegative, got -0.1", delta=-0.1),
+    _site(additive_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
+    _site(additive_error_bound, "head_F must be nonnegative, got -1.0", head_F=-1.0),
+    _site(spectral_envelope, "eigenvalues must be one-dimensional",
+          eigenvalues=[[2.0, 1.0], [1.0, 0.5]]),
+    _site(spectral_envelope, "k must lie in [1, 2], got 3", k=3),
+    _site(spectral_envelope, "eps must lie in (0, 0.25], got 0.3", eps=0.3),
+    _site(spectral_envelope, "eigenvalues must be nonincreasing", eigenvalues=[1.0, 2.0, 0.5]),
+    _site(powerlaw_rank_cutoff, "beta must exceed 1/2, got 0.5", beta=0.5),
+    _site(powerlaw_rank_cutoff, "delta must lie in (0, 1/2], got 0.6", delta=0.6),
+    _site(powerlaw_rank_cutoff, "n must be >= 2, got 1", n=1),
+    _site(powerlaw_rank_cutoff, "C1 must be positive, got 0.0", C1=0.0),
+    _site(powerlaw_rank_cutoff, "cutoff rule yields k = 0 < 1 for delta=0.5, beta=1.0, n=100",
+          delta=0.5, C1=0.5),
+    _site(powerlaw_error_rate, "beta must exceed 1/2, got 0.5", beta=0.5),
+    _site(powerlaw_error_rate, "delta must lie in (0, 1/2], got 0.0", delta=0.0),
+    _site(powerlaw_error_rate, "n must be >= 2, got 1", n=1),
+    _site(exponential_rank_cutoff, "c must be positive, got 0.0", c=0.0),
+    _site(exponential_rank_cutoff, "delta must lie in (0, e^-16), got 0.001", delta=1e-3),
+    _site(exponential_rank_cutoff, "n must be >= 2, got 1", n=1),
+    _site(exponential_rank_cutoff, "cutoff rule yields k = -1 < 1 for delta=1e-08, c=100.0, n=100",
+          c=100.0),
+    _site(exponential_error_rate, "c must be positive, got -1.0", c=-1.0),
+    _site(exponential_error_rate, "delta must lie in (0, e^-16), got 0.0", delta=0.0),
+    _site(exponential_error_rate, "n must be >= 2, got 0", n=0),
+    _site(completion_sampling_threshold,
+          "regime must be one of ('sqrt_k', 'relative', 'gap'), got 'nope'", regime="nope"),
+    _site(completion_sampling_threshold, "regime 'relative' requires 'k'",
+          regime="relative", eps=0.1),
+    _site(completion_sampling_threshold, "regime 'sqrt_k' does not use 'k'", k=1),
+    _site(completion_sampling_threshold, "mu0 must be positive, got 0.0", mu0=0.0),
+    _site(completion_sampling_threshold, "norm_F must be positive, got 0.0", norm_F=0.0),
+    _site(completion_sampling_threshold, "n must be >= 2, got 1", n=1),
+    _site(completion_sampling_threshold, "t must lie in (0, 1), got 1.0", t=1.0),
+    _site(completion_sampling_threshold, "C_mc must be positive, got 0.0", C_mc=0.0),
+    _site(completion_sampling_threshold, "sigma_k1 must be positive, got 0.0", sigma_k1=0.0),
+    _site(completion_sampling_threshold, "sigma_k1 must be positive, got 0.0",
+          **REL, sigma_k1=0.0),
+    _site(completion_sampling_threshold, "eps must lie in (0, 0.25], got 0.3",
+          **{**REL, "eps": 0.3}),
+    _site(completion_sampling_threshold, "k must be >= 1, got 0", **{**REL, "k": 0}),
+    _site(completion_sampling_threshold, "gap must be positive in the gap regime",
+          **{**GAP, "gap": 0.0}),
+    _site(completion_sampling_threshold, "eps must lie in (0, 0.25], got 0.3",
+          **{**GAP, "eps": 0.3}),
+    _site(completion_sampling_threshold, "k must be >= 1, got 0", **{**GAP, "k": 0}),
+    _site(denoising_error_bound, "nu must be nonnegative, got -0.1", nu=-0.1),
+    _site(denoising_error_bound, "sigma_k1 must be positive, got 0.0", sigma_k1=0.0),
+    _site(denoising_error_bound, "k must be >= 1, got 0", k=0),
+    _site(denoising_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
+    _site(denoising_error_bound, "C_a must be nonnegative, got -5.0", C_a=-5.0),
+    _site(denoising_error_bound, "C_b must be nonnegative, got -1.0", C_b=-1.0),
+    _site(denoising_error_bound, "c_dn must be positive, got -1.0", c_dn=-1.0),
+    _site(covariance_admissible, "mode must be 'relative' or 'gap', got 'nope'", mode="nope"),
+    _site(covariance_admissible, "relative mode does not use 'norm_2'", norm_2=2.0),
+    _site(covariance_admissible, "gap mode does not use 'gamma_k'", **{**GAP_MODE, "gamma_k": 2.0}),
+    _site(covariance_admissible, "eps must lie in (0, 0.25], got 0.3", eps=0.3),
+    _site(covariance_admissible, "k must be >= 1, got 0", k=0),
+    _site(covariance_admissible, "r_e must be >= 1, got 0.5", r_e=0.5),
+    _site(covariance_admissible, "n_samples must be >= 2, got 1", n_samples=1),
+    _site(covariance_admissible, "c_cov must be positive, got -1.0", c_cov=-1.0),
+    _site(covariance_admissible, "relative mode needs finite gamma_k >= 1, got 0.5", gamma_k=0.5),
+    _site(covariance_admissible, "gap mode requires norm_2 and gap", **{**GAP_MODE, "gap": None}),
+    _site(covariance_admissible, "norm_2 must be positive, got 0.0", **{**GAP_MODE, "norm_2": 0.0}),
+    _site(covariance_admissible, "gap must be positive in gap mode", **{**GAP_MODE, "gap": 0.0}),
+    _site(sample_covariance_rates, "norm_2 must be positive, got 0.0", norm_2=0.0),
+    _site(sample_covariance_rates, "r_e must be >= 1, got 0.5", r_e=0.5),
+    _site(sample_covariance_rates, "n_samples must be >= 2, got 1", n_samples=1),
+    _site(sample_covariance_rates, "n must be >= 1, got 0", n=0),
+]
+
+
+@pytest.mark.parametrize("func, fault, message", RAISE_SITES)
+def test_raise_site_messages(func, fault, message):
+    with pytest.raises(ValueError) as info:
+        func(**{**VALID[func], **fault})
+    assert str(info.value) == message
+
+
+def test_nan_inputs_are_rejected_by_name():
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"^tail_F must be nonnegative, got nan$"):
+        relative_error_bound(k=1, eps=0.1, tail_F=nan, tail_2=1.0)
+    with pytest.raises(ValueError, match=r"^nu must be nonnegative, got nan$"):
+        denoising_error_bound(nu=nan, sigma_k1=1.0, k=1, tail_F=1.0)
+    with pytest.raises(ValueError, match=r"^norm_2 must be positive, got nan$"):
+        sample_covariance_rates(norm_2=nan, r_e=10.0, n_samples=100, n=10)
+
+
+@pytest.mark.parametrize("sig", [[1.0, np.nan, 0.5], [np.inf, 1.0, 0.5]])
+def test_nonfinite_eigenvalues_are_rejected_by_name(sig):
+    with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+        spectrum_stats(sig, 1)
+    with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+        spectral_envelope(sig, k=1, eps=0.1)

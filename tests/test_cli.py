@@ -250,6 +250,12 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     cfg.write_text(CONFIG + "widget = 1\n")
     assert run_cli("run", "--config", str(cfg)) == 1
     assert "widget" in capsys.readouterr().err
+    # a bound constant outside its domain fails before anything runs
+    cfg.write_text(CONFIG + "c_cov = -1\n")
+    assert run_cli("run", "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert "c_cov must be positive, got -1.0" in captured.err
+    assert captured.out == ""
     assert run_cli("run", "--config", str(workdir / "missing.cfg")) == 1
     capsys.readouterr()
     bad_mat = workdir / "bad.mat"

@@ -101,6 +101,13 @@ def test_config_accepts_each_experiment():
         dict(experiment="covariance", n=4, k=1, n_samples=50, spectrum_kind="explicit",
              spectrum_beta=None, spectrum_values=(0.0, 0.0, 0.0, 0.0)),
         dict(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=750.0),
+        # bound constants outside their domains
+        dict(C_mc=0.0),
+        dict(c_dn=-1.0),
+        dict(C_a=-5.0),
+        dict(C_b=-1.0),
+        dict(c_cov=-1.0),
+        dict(C1=0.0),
     ],
 )
 def test_config_rejects(kw):
