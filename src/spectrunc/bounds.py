@@ -15,12 +15,14 @@ They are keyword-only, except the power-law cutoff prefactor ``C1``.
 
 Each parameter name these functions share, the six constants included, has
 its domain in ``_DOMAIN``, which :func:`check_domain` and the run config
-(``harness.ExperimentConfig``) apply; a predicate states what must hold, so
-NaN fails each one.  Rules of one function, regime or mode stay inline: the
-delta ranges, which differ per family; gap > 0 where the gap regime or mode
-divides by it; ``gamma_k``; the n >= 1 of ``sample_covariance_rates``; k < n
-in ``spectral_envelope``; and the missing- and unused-input checks, which run
-first so that an input a regime ignores is named as unused.
+(``harness.ExperimentConfig``) apply; the observation rate ``p`` has its
+domain there too, for the config, ``estimators`` and ``synth``.  A predicate
+states what must hold, so NaN fails each one.  Rules of one function, regime
+or mode stay inline: the delta ranges, which differ per family; gap > 0 where
+the gap regime or mode divides by it; ``gamma_k``; the n >= 1 of
+``sample_covariance_rates``; k < n in ``spectral_envelope``; and the missing-
+and unused-input checks, which run first so that an input a regime ignores is
+named as unused.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ _DOMAIN = {
     "k": (lambda v: v >= 1, "be >= 1"),
     "n": (lambda v: v >= 2, "be >= 2"),
     "eps": (lambda v: 0.0 < v <= 0.25, "lie in (0, 0.25]"),
+    "p": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "t": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "beta": (lambda v: v > 0.5, "exceed 1/2"),
     "r_e": (lambda v: v >= 1, "be >= 1"),
@@ -146,7 +149,9 @@ _DOMAIN = {
     **dict.fromkeys(
         ("c", "mu0", "norm_F", "norm_2", "sigma_k1", "C_mc", "C1", "c_dn", "c_cov"), _POSITIVE
     ),
-    **dict.fromkeys(("tail_F", "tail_2", "head_F", "gap", "nu", "C_a", "C_b"), _NONNEGATIVE),
+    **dict.fromkeys(
+        ("tail_F", "tail_2", "head_F", "gap", "nu", "perturbation_2", "C_a", "C_b"), _NONNEGATIVE
+    ),
 }
 
 
@@ -210,7 +215,7 @@ def relative_error_bound(
         Measured spectral norm of the perturbation; when given, the report
         records whether it is within the allowance ``eps**2 * tail_2``.
     """
-    check_domain(k=k, eps=eps, tail_F=tail_F, tail_2=tail_2)
+    check_domain(k=k, eps=eps, tail_F=tail_F, tail_2=tail_2, perturbation_2=perturbation_2)
     value = (1.0 + 32.0 * eps) * tail_F + 102.0 * math.sqrt(2.0 * k) * eps**2 * tail_2
     holds, margin = _precondition(eps**2 * tail_2, perturbation_2)
     return BoundReport(
@@ -239,7 +244,7 @@ def gap_error_bound(
     Unlike :func:`relative_error_bound` the additive term is linear in eps,
     which is the stronger statement when the spectrum has a genuine gap.
     """
-    check_domain(k=k, eps=eps, gap=gap, tail_F=tail_F)
+    check_domain(k=k, eps=eps, gap=gap, tail_F=tail_F, perturbation_2=perturbation_2)
     value = tail_F + 102.0 * math.sqrt(2.0 * k) * eps * gap
     holds, margin = _precondition(eps * gap, perturbation_2)
     return BoundReport(

@@ -23,7 +23,6 @@ import inspect
 import sys
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from . import __version__, io
 from .bounds import (
@@ -45,6 +44,14 @@ from .harness import run_experiment
 from .linalg import spectral_norm_sym, top_eigenpairs
 from .proofcheck import check_alignment
 from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
+
+
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 2; ``ArpackError`` is among them once
+    ``scipy.sparse.linalg`` is loaded, as it must be for ARPACK to raise."""
+    spla = sys.modules.get("scipy.sparse.linalg")
+    arpack = (spla.ArpackError,) if spla is not None else ()
+    return (np.linalg.LinAlgError, ArithmeticError, *arpack)
 
 
 def _fail(message: str) -> int:
@@ -285,8 +292,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    # LinAlgError subclasses ValueError, so the numerical branch must come first
-    except (np.linalg.LinAlgError, ArithmeticError, ArpackError) as e:
+    # LinAlgError subclasses ValueError, so the numerical branch must come
+    # first; its tuple is built only once an exception reaches it
+    except _numerical_errors() as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 2
     except (io.FormatError, ValueError, OSError) as e:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check_domain
 from .linalg import require_symmetric, top_eigenpairs, truncate
 
 __all__ = [
@@ -44,8 +45,7 @@ class ObservationSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        check_domain(p=self.p)
         if not (self.rows.shape == self.cols.shape == self.values.shape):
             raise ValueError("rows, cols and values must have equal length")
         if self.rows.size:

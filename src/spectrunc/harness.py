@@ -177,8 +177,7 @@ class ExperimentConfig:
                 raise ValueError(f"experiment {ex!r} requires {name}")
         if self.k is not None and not 1 <= self.k <= self.n - 1:
             raise ValueError(f"k must lie in [1, {self.n - 1}], got {self.k}")
-        if self.p is not None and not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        check_domain(p=self.p)
         if ex == "decay_rate":
             if self.spectrum_kind == "explicit":
                 raise ValueError("decay_rate requires a powerlaw or exponential spectrum")

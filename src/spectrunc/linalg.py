@@ -91,6 +91,17 @@ numpy's copy is never touched; ARPACK's results at n=600 and n=2000 were
 bit-identical with and without the pin.  The dense
 ``evr`` and ``evd`` routes keep scipy's thread count: a global one-thread
 setting makes them 1.6x slower at n=2000.
+
+Where scipy is loaded
+---------------------
+Importing this module does not import scipy: :func:`top_eigenpairs` imports
+``scipy.linalg`` once its arguments are valid and :func:`_lanczos` imports
+``scipy.sparse.linalg``, while :func:`eig_sym` and the dense route of
+:func:`spectral_norm_sym` use numpy alone.  A process that never solves
+(``spectrunc bounds``, ``--version``, a rejected config) skips that import,
+about 0.2 s on a 2-core host; the first solve pays it instead.  ``eigh``
+and ``eigsh`` are looked up on the scipy modules at each call, so a wrapper
+patched onto a module is seen.
 """
 
 from __future__ import annotations
@@ -101,8 +112,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as _sla
-import scipy.sparse.linalg as _spla
 
 from .bounds import descending_spectrum
 
@@ -233,8 +242,10 @@ def _scipy_openblas():
     looked up through scipy's LAPACK extension, so numpy's copy (whose
     symbols carry a ``64_`` suffix) is never reached.
     """
+    import scipy.linalg
+
     try:
-        lib = ctypes.CDLL(_sla._flapack.__file__)
+        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
         get = lib.scipy_openblas_get_num_threads
         set_ = lib.scipy_openblas_set_num_threads
     except (OSError, AttributeError):
@@ -276,8 +287,10 @@ def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
     v0 = np.full(n, 1.0 / np.sqrt(n))
     if not np.any(A @ v0):
         return None
+    import scipy.sparse.linalg
+
     with _one_scipy_blas_thread():
-        return _spla.eigsh(
+        return scipy.sparse.linalg.eigsh(
             A, k=k, which=which, v0=v0, tol=0, return_eigenvectors=return_eigenvectors
         )
 
@@ -326,6 +339,8 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
+    import scipy.linalg
+
     route = _top_k_route(n, k)
     pairs = None
     if route == "arpack":
@@ -333,10 +348,10 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if pairs is not None:
         w, V = pairs
     elif route == "evd":
-        w, V = _sla.eigh(A.T, overwrite_a=True, driver="evd", check_finite=False)
+        w, V = scipy.linalg.eigh(A.T, overwrite_a=True, driver="evd", check_finite=False)
         w, V = w[n - k :], V[:, n - k :]
     else:
-        w, V = _sla.eigh(
+        w, V = scipy.linalg.eigh(
             A.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
         )
     return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())

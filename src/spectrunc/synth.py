@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import check_domain
 from .estimators import ObservationSet, SampleSet
 from .linalg import require_symmetric, spectral_norm_sym
 
@@ -118,8 +119,7 @@ def bernoulli_observe(A: np.ndarray, p: float, rng: np.random.Generator) -> Obse
     time, not here.
     """
     A = require_symmetric(A)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    check_domain(p=p)
     n = A.shape[0]
     iu, ju = np.triu_indices(n)
     mask = rng.random(iu.shape[0]) < p

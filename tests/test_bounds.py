@@ -370,10 +370,14 @@ RAISE_SITES = [
     _site(relative_error_bound, "eps must lie in (0, 0.25], got 0.3", eps=0.3),
     _site(relative_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
     _site(relative_error_bound, "tail_2 must be nonnegative, got -1.0", tail_2=-1.0),
+    _site(relative_error_bound, "perturbation_2 must be nonnegative, got -1.0",
+          perturbation_2=-1.0),
     _site(gap_error_bound, "k must be >= 1, got 0", k=0),
     _site(gap_error_bound, "eps must lie in (0, 0.25], got 0.0", eps=0.0),
     _site(gap_error_bound, "gap must be nonnegative, got -1.0", gap=-1.0),
     _site(gap_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
+    _site(gap_error_bound, "perturbation_2 must be nonnegative, got -1.0",
+          perturbation_2=-1.0),
     _site(additive_error_bound, "k must be >= 1, got 0", k=0),
     _site(additive_error_bound, "delta must be nonnegative, got -0.1", delta=-0.1),
     _site(additive_error_bound, "tail_F must be nonnegative, got -1.0", tail_F=-1.0),
@@ -462,6 +466,15 @@ def test_nan_inputs_are_rejected_by_name():
         denoising_error_bound(nu=nan, sigma_k1=1.0, k=1, tail_F=1.0)
     with pytest.raises(ValueError, match=r"^norm_2 must be positive, got nan$"):
         sample_covariance_rates(norm_2=nan, r_e=10.0, n_samples=100, n=10)
+
+
+def test_nan_measured_perturbation_is_rejected_by_name():
+    # NaN used to give precondition_holds=False with margin=nan
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"^perturbation_2 must be nonnegative, got nan$"):
+        relative_error_bound(k=1, eps=0.1, tail_F=1.0, tail_2=1.0, perturbation_2=nan)
+    with pytest.raises(ValueError, match=r"^perturbation_2 must be nonnegative, got nan$"):
+        gap_error_bound(k=1, eps=0.1, gap=1.0, tail_F=1.0, perturbation_2=nan)
 
 
 @pytest.mark.parametrize("sig", [[1.0, np.nan, 0.5], [np.inf, 1.0, 0.5]])

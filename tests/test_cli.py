@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectrunc
@@ -117,6 +118,20 @@ def test_bounds_names_first_required_input(kind, capsys):
     first = next(p.name for p in params if p.default is p.empty)
     assert run_cli("bounds", "--kind", kind) == 1
     assert f"{first!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, scale", [("relative", "tail_2=1"), ("gap", "gap=1")])
+def test_bounds_rejects_a_measured_perturbation_out_of_domain(kind, scale, capsys):
+    base = ["bounds", "--kind", kind, "--set", "k=1", "--set", "eps=0.1",
+            "--set", "tail_F=1", "--set", scale]
+    assert run_cli(*base, "--set", "perturbation_2=0.001") == 0
+    capsys.readouterr()
+    assert run_cli(*base, "--set", "perturbation_2=-1") == 1
+    captured = capsys.readouterr()
+    assert "perturbation_2 must be nonnegative, got -1.0" in captured.err
+    assert captured.out == ""
+    assert run_cli(*base, "--set", "perturbation_2=nan") == 1
+    assert "'perturbation_2'" in capsys.readouterr().err
 
 
 def test_bounds_input_errors(capsys):
@@ -298,7 +313,7 @@ def test_arpack_failures_map_to_two(monkeypatch, workdir, capsys):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((n, 0)))
 
-    monkeypatch.setattr(linalg._spla, "eigsh", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     capsys.readouterr()
     for argv in (
         ["denoise", "--matrix", str(src), "--k", "3"],
@@ -309,6 +324,18 @@ def test_arpack_failures_map_to_two(monkeypatch, workdir, capsys):
         assert run_cli(*argv, "--out", str(out)) == 2
         assert "numerical error" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_runtime_errors_not_from_arpack_propagate(monkeypatch, workdir):
+    cfg = workdir / "exp.cfg"
+    cfg.write_text(CONFIG)
+
+    def boom(_):
+        raise RuntimeError("not a numerical failure")
+
+    monkeypatch.setattr("spectrunc.cli.run_experiment", boom)
+    with pytest.raises(RuntimeError, match="^not a numerical failure$"):
+        run_cli("run", "--config", str(cfg))
 
 
 def test_denoise_rank_range(workdir, capsys):
@@ -331,15 +358,65 @@ def test_help_and_version_exit_zero(capsys):
     capsys.readouterr()
 
 
-def test_module_entrypoint():
-    # the child imports the same spectrunc package as this process
+def _child_env():
+    """The environment of a child that imports the same spectrunc as this process."""
     src = str(Path(spectrunc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+
+
+def test_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "spectrunc.cli", "--version"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("spectrunc ")
+
+
+# runs each argv through cli.main in turn and reports, after each, its exit
+# code and whether scipy has been imported
+_STARTUP_CHILD = """
+import contextlib, io, json, sys
+from spectrunc.cli import main
+
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen.append([argv[0], code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
+    # this process has scipy loaded (conftest reads its BLAS), so a fresh
+    # interpreter runs the commands
+    bad_cfg = workdir / "bad.cfg"
+    bad_cfg.write_text(CONFIG + "widget = 1\n")
+    A = workdir / "A.mat"
+    argvs = [
+        ["--version"],
+        ["--help"],
+        ["bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.1",
+         "--set", "tail_F=1", "--set", "tail_2=1"],
+        ["synth", "--kind", "powerlaw", "--n", "200", "--beta", "1",
+         "--basis", "identity", "--out", str(A)],
+        ["run", "--config", str(bad_cfg)],
+        # the first solve imports scipy
+        ["denoise", "--matrix", str(A), "--k", "3", "--out", str(workdir / "D.mat")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["--version", 0, False],
+        ["--help", 0, False],
+        ["bounds", 0, False],
+        ["synth", 0, False],
+        ["run", 1, False],
+        ["denoise", 0, True],
+    ]

@@ -8,6 +8,8 @@ import pytest
 
 from spectrunc import (
     ExperimentConfig,
+    ObservationSet,
+    bernoulli_observe,
     cli,
     eig_sym,
     mvn_samples,
@@ -113,6 +115,20 @@ def test_config_accepts_each_experiment():
 def test_config_rejects(kw):
     with pytest.raises(ValueError):
         base_cfg(**kw)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.5, float("nan")])
+def test_observation_rate_domain_at_every_site(p):
+    empty = np.zeros(0, dtype=np.int64)
+    sites = (
+        lambda: base_cfg(experiment="completion", p=p, t=0.1),
+        lambda: ObservationSet(n=2, p=p, rows=empty, cols=empty, values=np.zeros(0)),
+        lambda: bernoulli_observe(np.eye(3), p, np.random.default_rng(0)),
+    )
+    for site in sites:
+        with pytest.raises(ValueError) as info:
+            site()
+        assert str(info.value) == f"p must lie in (0, 1], got {p}"
 
 
 def test_config_is_frozen():

@@ -4,6 +4,7 @@ import ctypes
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as hst
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
@@ -212,7 +213,7 @@ def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
     get, set_ = scipy_blas
     A = rand_sym(np.random.default_rng(17), 600)  # ARPACK route for both calls
     calls = (lambda: top_eigenpairs(A.copy(), 5), lambda: spectral_norm_sym(A))
-    real_eigsh = linalg._spla.eigsh
+    real_eigsh = scipy.sparse.linalg.eigsh
     seen = []
 
     def spy(*args, **kwargs):
@@ -228,7 +229,7 @@ def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
         set_(2)  # a count the pin must restore, whatever the environment set
         before = (get(), numpy_blas())
         for eigsh in (spy, fail):
-            monkeypatch.setattr(linalg._spla, "eigsh", eigsh)
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
             for call in calls:
                 seen.clear()
                 if eigsh is fail:
@@ -241,7 +242,7 @@ def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
     finally:
         set_(original)
     # without the symbols the pin does nothing and the solve still runs
-    monkeypatch.setattr(linalg._spla, "eigsh", real_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
     monkeypatch.setattr(linalg, "_scipy_openblas", lambda: None)
     w, _ = top_eigenpairs(A.copy(), 5)
     assert w.shape == (5,)
@@ -278,14 +279,14 @@ NORM_CASES = {
 def test_spectral_norm_either_side_of_arpack_min_n(monkeypatch, kind, offset):
     n = linalg.ARPACK_MIN_N + offset
     A = NORM_CASES[kind](np.random.default_rng(19), n)
-    real_eigsh = linalg._spla.eigsh
+    real_eigsh = scipy.sparse.linalg.eigsh
     solves = []
 
     def spy(*args, **kwargs):
         solves.append(kwargs["which"])
         return real_eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(linalg._spla, "eigsh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     norm = spectral_norm_sym(A)
     assert solves == ([] if offset < 0 else ["LM"])
     direct = float(np.max(np.abs(np.linalg.eigvalsh(A))))
@@ -297,7 +298,7 @@ def test_spectral_norm_lanczos_stops_when_converged(monkeypatch):
     # a well-separated top magnitude converges in a few Lanczos steps; a
     # forced 100-vector basis took 101 operator applications here
     A = NORM_CASES["rank10"](np.random.default_rng(19), 600)
-    real_eigsh = linalg._spla.eigsh
+    real_eigsh = scipy.sparse.linalg.eigsh
     applied = []
 
     def counting_eigsh(M, *args, **kwargs):
@@ -308,7 +309,7 @@ def test_spectral_norm_lanczos_stops_when_converged(monkeypatch):
         op = LinearOperator(M.shape, matvec=matvec, dtype=M.dtype)
         return real_eigsh(op, *args, **kwargs)
 
-    monkeypatch.setattr(linalg._spla, "eigsh", counting_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
     norm = spectral_norm_sym(A)
     assert norm == pytest.approx(1.0, rel=1e-12)
     assert 0 < len(applied) <= 41
