@@ -54,7 +54,9 @@ class ObservationSet:
             if np.any(self.rows > self.cols):
                 raise ValueError("observations must be upper-triangular (row <= col)")
             flat = self.rows.astype(np.int64) * self.n + self.cols.astype(np.int64)
-            if np.unique(flat).size != flat.size:
+            # strictly increasing (row-major, as bernoulli_observe and files give
+            # it) already rules out a repeat, without np.unique's sort
+            if np.any(flat[1:] <= flat[:-1]) and np.unique(flat).size != flat.size:
                 raise ValueError("duplicate observation positions")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("observed values must be finite")
@@ -109,7 +111,7 @@ def complete(obs: ObservationSet, k: int) -> np.ndarray:
 
 def denoise(Y: np.ndarray, k: int) -> np.ndarray:
     """Rank-k truncation of a noisy symmetric observation (``Y`` is not modified)."""
-    return _rank_k(require_symmetric(Y), k)
+    return _rank_k(require_symmetric(Y).copy(), k)
 
 
 def sample_covariance(samples: SampleSet, center: bool = False) -> np.ndarray:

@@ -54,54 +54,56 @@ truncation errors and low-rank differences (``A_hat_k - A``,
 converges on them after 31 operator applications (21 on a rank-10
 difference), where a 100-vector basis spends 101 before its first
 convergence test.  A GOE draw's top magnitude sits at the edge of a
-semicircle and takes 101-281 applications for n = 200..4000.  Per call,
+semicircle and takes 111-401 applications for n = 200..4000.  Per call,
 2 BLAS threads, each order in a fresh process (ms)::
 
             truncation error            GOE draw
        n   default  ncv=100  dense    default  ncv=100  dense
-     200       1.6      5.4    2.5        3.3      3.6    2.4
-     400       2.5      9.2    9.1        9.3     11.6   10.4
-     600       7.0     24.9   23.7       26.0     35.3   25.7
-    2000                                  206      241    634
-    4000                                 1823     1836
+     200       1.5      5.0    2.7        4.5      5.0    2.7
+     400       1.9      6.9   10.8        7.8     11.6   11.8
+     600       4.4     15.9   25.4       21.3     25.0   26.3
+    2000                                  292      319    672
+    4000                                 2407     1605
 
 Dense wins on a GOE draw only at n = 200..250; the benchmark's workloads
-take GOE norms at n = 500, 600 and 2000.
+take GOE norms at n = 500, 600 and 2000.  At n = 4000 this draw took 401
+applications in the default basis and 251 in the larger one; an earlier
+draw, with the products in numpy, had the two even (1823 against 1836 ms).
 
+Lanczos products, on one scipy BLAS thread
+------------------------------------------
 Both ARPACK callers share :func:`_lanczos`: the start vector ``1/sqrt(n)``,
-``tol=0``, the default basis and the BLAS pin below.  When ``A`` maps the
-start vector exactly to zero (a zero matrix, or any matrix whose rows sum
-to zero, such as a graph Laplacian) ARPACK cannot start; the helper sees
-this from one matrix-vector product (0.15 ms at n=600) and the caller takes
-its dense route instead.
+``tol=0``, the default basis, and an operator that applies scipy's BLAS
+``dsymv`` to the upper triangle of ``A``.  ``dsymv`` moves half the bytes
+of numpy's general product.  Per product through the operator, 2 BLAS
+threads, a fresh process per order, the better of two runs: numpy's took
+7.2 / 37.5 / 158 / 1035 / 5809 us at n = 200 / 400 / 600 / 2000 / 4000,
+and ``dsymv`` on one thread 5.7 / 23.7 / 62.9 / 1030 / 5425 us.  When
+``A`` maps the start vector exactly to zero (a zero matrix, or any matrix
+whose rows sum to zero, such as a graph Laplacian) ARPACK cannot start;
+one operator application (0.06 ms at n=600) shows this, and the caller
+takes its dense route instead.
 
-One scipy BLAS thread for ARPACK
---------------------------------
-numpy and scipy each load their own OpenBLAS copy.  After a scipy BLAS
-call at 2 threads, scipy's idle worker thread keeps spinning on one of the
-2 cores, and the next numpy call runs at half speed: a numpy QR at n=500
-takes 33 ms alone but 57 ms right after a scipy ``eigsh`` (32 ms at one
-BLAS thread).  Inside ARPACK the same contention repeats every iteration,
-since its matrix-vector products run in numpy's copy and its own steps in
-scipy's.  :func:`_lanczos`, which makes both ``eigsh`` calls (the ARPACK
-route of :func:`top_eigenpairs` and the Lanczos route of
-:func:`spectral_norm_sym`), therefore runs them with scipy's copy set to
-one thread, restored afterwards.
-numpy's copy is never touched; ARPACK's results at n=600 and n=2000 were
-bit-identical with and without the pin.  The dense
-``evr`` and ``evd`` routes keep scipy's thread count: a global one-thread
-setting makes them 1.6x slower at n=2000.
+numpy and scipy each load their own OpenBLAS copy, and the whole Lanczos
+loop runs in scipy's, which :func:`_lanczos` sets to one thread for the
+call.  At 2 threads scipy's idle worker thread keeps spinning on one of
+the 2 cores after each call, and numpy runs at half speed next to it: at
+n=600 a top-5 solve took 76 ms unpinned against 42-51 ms pinned, and the
+numpy QR at n=500 after it 80 ms against 26-28 ms.  Pinned, Lanczos output
+is bit-identical at ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  numpy's copy is
+never touched, and the dense ``evr`` and ``evd`` routes keep scipy's thread
+count: one thread makes them 1.6x slower at n=2000.
 
 Where scipy is loaded
 ---------------------
 Importing this module does not import scipy: :func:`top_eigenpairs` imports
 ``scipy.linalg`` once its arguments are valid and :func:`_lanczos` imports
-``scipy.sparse.linalg``, while :func:`eig_sym` and the dense route of
-:func:`spectral_norm_sym` use numpy alone.  A process that never solves
-(``spectrunc bounds``, ``--version``, a rejected config) skips that import,
-about 0.2 s on a 2-core host; the first solve pays it instead.  ``eigh``
-and ``eigsh`` are looked up on the scipy modules at each call, so a wrapper
-patched onto a module is seen.
+``scipy.sparse.linalg`` and ``scipy.linalg.blas``, while :func:`eig_sym`
+and the dense route of :func:`spectral_norm_sym` use numpy alone.  A
+process that never solves (``spectrunc bounds``, ``--version``, a rejected
+config) skips that import, about 0.2 s on a 2-core host; the first solve
+pays it instead.  ``eigh`` and ``eigsh`` are looked up on the scipy modules
+at each call, so a wrapper patched onto a module is seen.
 """
 
 from __future__ import annotations
@@ -143,21 +145,27 @@ EVR_MAX_FRACTION = 0.2
 def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Validate that ``A`` is square, finite and symmetric; return it as float64.
 
-    Symmetry is checked entrywise with absolute tolerance ``tol``; the
-    returned array is exactly symmetrized so later algebra never sees the
-    sub-tolerance asymmetry.
+    Symmetry is checked entrywise with absolute tolerance ``tol``.  An
+    exactly symmetric float64 array is returned as it is, so a caller that
+    overwrites the result must copy it first; any other input is averaged
+    with its transpose, so later algebra never sees the sub-tolerance
+    asymmetry.  The average is taken as ``A / 2 + A.T / 2``, which cannot
+    overflow and gives the bits of ``(A + A.T) / 2`` for entries in the
+    normal range.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    asym = np.max(np.abs(A - A.T)) if A.size else 0.0
+    if np.array_equal(A, A.T):
+        return A
+    asym = np.max(np.abs(A - A.T))
     if asym > tol:
         raise ValueError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {tol:.1e}"
         )
-    return (A + A.T) / 2.0
+    return A / 2.0 + A.T / 2.0
 
 
 @dataclass(frozen=True)
@@ -279,19 +287,26 @@ def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
 
     Lanczos starts from the fixed vector ``1/sqrt(n)`` and runs to machine
     precision (``tol=0``) in scipy's default Krylov basis, with scipy's BLAS
-    on one thread.  When ``A`` maps the start vector exactly to zero (a
-    zero matrix, or rows that sum to zero) ARPACK would stop with "Starting
+    on one thread.  Its operator is BLAS ``dsymv`` on the upper triangle of
+    ``A``, handed over as the F-ordered view ``A.T`` (no copy for C-ordered
+    ``A``).  When ``A`` maps the start vector exactly to zero (a zero
+    matrix, or rows that sum to zero) ARPACK would stop with "Starting
     vector is zero"; None then tells the caller to take its dense route.
     """
-    n = A.shape[0]
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    if not np.any(A @ v0):
-        return None
     import scipy.sparse.linalg
+    from scipy.linalg.blas import dsymv
 
+    n = A.shape[0]
+    At = np.asfortranarray(A.T)
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: dsymv(1.0, At, x, lower=1), dtype=np.float64
+    )
+    v0 = np.full(n, 1.0 / np.sqrt(n))
     with _one_scipy_blas_thread():
+        if not np.any(op.matvec(v0)):
+            return None
         return scipy.sparse.linalg.eigsh(
-            A, k=k, which=which, v0=v0, tol=0, return_eigenvectors=return_eigenvectors
+            op, k=k, which=which, v0=v0, tol=0, return_eigenvectors=return_eigenvectors
         )
 
 
@@ -310,8 +325,8 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     A : (n, n) float64 ndarray
-        Exactly symmetric; this is not validated, and the dense routes read
-        only one triangle.  ``A`` is used as workspace: its contents are
+        Exactly symmetric; this is not validated, and every route reads
+        only the upper triangle.  ``A`` is used as workspace: its contents are
         undefined on return, so pass a copy to keep it.
     k : int
         Number of eigenpairs, ``1 <= k <= n``.
@@ -378,12 +393,13 @@ def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def spectral_norm_sym(A: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest eigenvalue magnitude).
 
-    Orders below ``ARPACK_MIN_N`` use the dense eigenvalue solver; from
-    there on a Lanczos iteration (``which="LM"``, scipy's default basis) run
-    to machine precision from a fixed start vector, with scipy's BLAS on one
-    thread, so repeated calls agree bitwise.  A matrix that annihilates the
-    start vector takes the dense solver at any order.  The cut-off and its
-    timings are in the module docstring.
+    Reads only the upper triangle of ``A``.  Orders below ``ARPACK_MIN_N``
+    use the dense eigenvalue solver; from there on a Lanczos iteration
+    (``which="LM"``, scipy's default basis) run to machine precision from a
+    fixed start vector, with scipy's BLAS on one thread, so repeated calls
+    agree bitwise.  A matrix that annihilates the start vector takes the
+    dense solver at any order.  The cut-off and its timings are in the
+    module docstring.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
@@ -393,7 +409,7 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     if n >= ARPACK_MIN_N:
         vals = _lanczos(A, 1, "LM", return_eigenvectors=False)
     if vals is None:
-        vals = np.linalg.eigvalsh(A)
+        vals = np.linalg.eigvalsh(A.T)  # A.T: the upper triangle, as Lanczos reads
     return float(np.max(np.abs(vals)))
 
 

@@ -92,7 +92,8 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(G)
     d = np.sign(np.diag(R))
     d[d == 0] = 1.0
-    return Q * d
+    Q *= d
+    return Q
 
 
 def psd_from_spectrum(spectrum: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
@@ -131,7 +132,8 @@ def bernoulli_observe(A: np.ndarray, p: float, rng: np.random.Generator) -> Obse
 def goe_noise(n: int, nu: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric Gaussian noise, every entry (diagonal included) N(0, nu^2/n).
 
-    The spectral norm of such a draw concentrates near 2*nu.
+    The spectral norm of such a draw concentrates near 2*nu.  The draw's
+    upper triangle is kept and mirrored into its lower one in place.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -140,7 +142,9 @@ def goe_noise(n: int, nu: float, rng: np.random.Generator) -> np.ndarray:
     if nu == 0.0:
         return np.zeros((n, n))
     M = rng.normal(scale=nu / np.sqrt(n), size=(n, n))
-    return np.triu(M) + np.triu(M, 1).T
+    for i in range(1, n):
+        M[i, :i] = M[:i, i]
+    return M
 
 
 def scaled_perturbation(n: int, target_norm_2: float, rng: np.random.Generator) -> np.ndarray:
@@ -156,8 +160,8 @@ def scaled_perturbation(n: int, target_norm_2: float, rng: np.random.Generator) 
     G = goe_noise(n, 1.0, rng)
     if target_norm_2 == 0.0:
         return np.zeros((n, n))
-    s = spectral_norm_sym(G)
-    return G * (target_norm_2 / s)
+    G *= target_norm_2 / spectral_norm_sym(G)
+    return G
 
 
 def mvn_samples(A: np.ndarray, N: int, rng: np.random.Generator) -> SampleSet:

@@ -59,6 +59,12 @@ def test_observation_set_validation():
         obs_of(3, 0.5, [(2, 0, 1.0)])
     with pytest.raises(ValueError, match="duplicate"):
         obs_of(3, 0.5, [(0, 1, 1.0), (0, 1, 2.0)])
+    # a duplicate is found whether or not the positions are in row-major order
+    with pytest.raises(ValueError, match="duplicate"):
+        obs_of(3, 0.5, [(0, 0, 1.0), (0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="duplicate"):
+        obs_of(3, 0.5, [(1, 2, 1.0), (0, 1, 1.0), (2, 2, 1.0), (0, 1, 2.0)])
+    assert obs_of(3, 0.5, [(1, 2, 1.0), (0, 1, 1.0), (2, 2, 1.0)]).count == 3
     with pytest.raises(ValueError, match="out of range"):
         obs_of(3, 0.5, [(0, 3, 1.0)])
     with pytest.raises(ValueError, match="p must"):
@@ -106,12 +112,13 @@ def test_denoise_is_truncated_eigendecomposition():
 def test_estimators_leave_arguments_unmodified():
     # top_eigenpairs uses its input as workspace on the dense routes
     rng = rng_stream(15, 0)
-    for n in (30, ARPACK_MIN_N):  # the evr route and the ARPACK route
+    for n in (30, ARPACK_MIN_N):  # k = 3: evr and ARPACK; k = n // 4: evd
         Y = rng.standard_normal((n, n))
         Y = (Y + Y.T) / 2.0
         Y0 = Y.copy()
-        denoise(Y, 3)
-        np.testing.assert_array_equal(Y, Y0)
+        for k in (3, n // 4):
+            denoise(Y, k)
+            np.testing.assert_array_equal(Y, Y0)
         obs = bernoulli_observe(Y, 0.5, rng)
         kept = (obs.rows.copy(), obs.cols.copy(), obs.values.copy())
         complete(obs, 3)

@@ -1,6 +1,10 @@
 """Core spectral primitives: frozen examples, determinism, classical inequalities."""
 
 import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +94,40 @@ def test_require_symmetric_rejects():
         require_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         require_symmetric(np.zeros((2, 3)))
+
+
+def _bits(M):
+    return np.ascontiguousarray(M).view(np.uint64)
+
+
+def test_require_symmetric_returns_exact_input_as_it_is():
+    rng = np.random.default_rng(23)
+    for n in (0, 1, 5, 200):
+        A = rand_sym(rng, n)
+        assert require_symmetric(A) is A
+        np.testing.assert_array_equal(_bits(A), _bits((A + A.T) / 2.0))
+    # a sub-tolerance asymmetry is averaged away, into a new array
+    B = A.copy()
+    B[0, 1] += 1e-14
+    B0 = B.copy()
+    out = require_symmetric(B)
+    assert out is not B
+    np.testing.assert_array_equal(_bits(out), _bits((B + B.T) / 2.0))
+    np.testing.assert_array_equal(_bits(B), _bits(B0))
+
+
+def test_require_symmetric_does_not_overflow_near_the_float64_limit():
+    # (a + a) / 2 is inf for |a| above half the float64 range
+    exact = np.array([[1e308, 1.0], [1.0, -1e308]])
+    nearly = exact.copy()
+    nearly[1, 0] = np.nextafter(1.0, 2.0)
+    for A in (exact, nearly):
+        assert np.all(np.isfinite(require_symmetric(A)))
+        w, V = eig_sym(A)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(V))
+        np.testing.assert_allclose(w, [1e308, -1e308], rtol=1e-15)
+    with pytest.raises(ValueError, match="not symmetric"), np.errstate(over="ignore"):
+        require_symmetric(np.array([[1e308, 1e308], [-1e308, 1e308]]))
 
 
 def test_truncate_rank_bounds():
@@ -264,8 +302,16 @@ def _haar_sym(rng, n, eigenvalues):
     return (B + B.T) / 2.0
 
 
+def _truncation_error(rng, n, k=5):
+    """``A_hat_k - A`` for a Haar power-law ``A`` plus GOE noise, as a trial measures it."""
+    A = _haar_sym(rng, n, 1.0 / np.arange(1, n + 1))
+    w, U = eig_sym(A + rand_sym(rng, n, scale=0.1 / np.sqrt(n)))
+    return truncate(w[:k], U[:, :k]) - A
+
+
 NORM_CASES = {
     "goe": lambda rng, n: rand_sym(rng, n),
+    "truncation_error": _truncation_error,
     # +1 and -1 share the top magnitude
     "pm1_tie": lambda rng, n: _haar_sym(rng, n, np.r_[1.0, -1.0, rng.uniform(-0.5, 0.5, n - 2)]),
     # a rank-10 difference such as A_hat_k - A_ref, its top magnitude well separated
@@ -313,6 +359,70 @@ def test_spectral_norm_lanczos_stops_when_converged(monkeypatch):
     norm = spectral_norm_sym(A)
     assert norm == pytest.approx(1.0, rel=1e-12)
     assert 0 < len(applied) <= 41
+
+
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("kind", ["goe", "truncation_error"])
+def test_lanczos_routes_agree_with_dense(n, kind):
+    A = NORM_CASES[kind](np.random.default_rng(29), n)
+    dense = np.linalg.eigvalsh(A)[::-1]
+    norm = float(np.max(np.abs(dense)))
+    assert spectral_norm_sym(A) == pytest.approx(norm, rel=1e-12)
+    k = 5
+    assert _top_k_route(n, k) == "arpack"
+    w, V = top_eigenpairs(A.copy(), k)
+    assert np.max(np.abs(w - dense[:k])) <= 1e-12 * norm
+    assert np.max(np.abs(A @ V - V * w)) <= 1e-12 * norm
+
+
+def test_every_route_reads_the_upper_triangle(monkeypatch):
+    rng = np.random.default_rng(31)
+    n = 400
+    U, L = rand_sym(rng, n), rand_sym(rng, n)
+    A = np.triu(U) + np.tril(L, -1)
+    upper = np.linalg.eigvalsh(U)[::-1]
+    norm = float(np.max(np.abs(upper)))
+    assert abs(np.max(np.abs(np.linalg.eigvalsh(L))) - norm) > 1e-3  # the triangles differ
+    assert spectral_norm_sym(A) == pytest.approx(norm, rel=1e-12)  # Lanczos
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "ARPACK_MIN_N", n + 1)
+        assert spectral_norm_sym(A) == norm  # dense
+    for k, route in ((5, "arpack"), (70, "evr"), (100, "evd")):
+        assert _top_k_route(n, k) == route
+        w, _ = top_eigenpairs(A.copy(), k)
+        assert np.max(np.abs(w - upper[:k])) <= 1e-12 * norm
+
+
+# hashes a Lanczos input and what both Lanczos callers return for it; the
+# inputs are built without BLAS, so they cannot depend on its thread count
+_THREADS_CHILD = """
+import hashlib
+import numpy as np
+from spectrunc import goe_noise, rng_stream, spectral_norm_sym, top_eigenpairs
+
+inputs, outputs = hashlib.sha256(), hashlib.sha256()
+for n in (300, 600):
+    G = goe_noise(n, 1.0, rng_stream(7, n))
+    G[np.diag_indices(n)] += np.linspace(3.0, 0.0, n)
+    inputs.update(G.tobytes())
+    outputs.update(np.float64(spectral_norm_sym(G)).tobytes())
+    w, V = top_eigenpairs(G.copy(), 5)
+    outputs.update(w.tobytes() + V.tobytes())
+print(inputs.hexdigest(), outputs.hexdigest())
+"""
+
+
+def test_lanczos_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(linalg.__file__).resolve().parent.parent)
+    printed = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_CHILD], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.add(proc.stdout)
+    assert len(printed) == 1
 
 
 def _path_laplacian(n):

@@ -106,6 +106,36 @@ def test_goe_spectral_norm_concentrates():
     assert 1.7 <= float(np.mean(ratios)) <= 2.2
 
 
+def _bits(M):
+    return np.ascontiguousarray(M).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 600])
+def test_goe_noise_mirrors_the_upper_triangle_bitwise(n):
+    nu = 0.3
+    M = rng_stream(21, n).normal(scale=nu / np.sqrt(n), size=(n, n))
+    expected = np.triu(M) + np.triu(M, 1).T
+    np.testing.assert_array_equal(_bits(goe_noise(n, nu, rng_stream(21, n))), _bits(expected))
+
+
+@pytest.mark.parametrize("n", [30, 300])  # the dense and the Lanczos norm
+def test_scaled_perturbation_is_the_scaled_draw_bitwise(n):
+    target = 0.37
+    G = goe_noise(n, 1.0, rng_stream(22, n))
+    expected = G * (target / spectral_norm_sym(G))
+    np.testing.assert_array_equal(
+        _bits(scaled_perturbation(n, target, rng_stream(22, n))), _bits(expected)
+    )
+
+
+def test_haar_orthogonal_is_the_sign_corrected_qr_bitwise():
+    n = 40
+    Q, R = np.linalg.qr(rng_stream(23, 0).standard_normal((n, n)))
+    d = np.sign(np.diag(R))
+    d[d == 0] = 1.0
+    np.testing.assert_array_equal(_bits(haar_orthogonal(n, rng_stream(23, 0))), _bits(Q * d))
+
+
 def test_scaled_perturbation_exact_norm():
     for n, target in ((30, 0.37), (120, 5.0)):
         E = scaled_perturbation(n, target, rng_stream(4, 0))
