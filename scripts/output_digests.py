@@ -13,13 +13,19 @@ runs in-process:
   an identity-basis exponential ``decay_rate``, alignment and denoising at
   n = 200, and a variant of each config that overrides every bound constant;
 * ``spectrunc bounds`` in JSON and CSV for all 11 kinds, with every
-  sampling regime and both covariance modes.
+  sampling regime and both covariance modes;
+* the file commands at n = 40 and n = 200: ``synth`` (Haar and identity
+  basis), ``denoise``, ``complete``, ``cov --center``, and ``verify`` in
+  JSON and CSV.  The script writes their input files itself (a Haar
+  power-law matrix, that matrix plus a small symmetric perturbation, its
+  observations at p = 0.6 and 2n samples) from its own generator and its
+  own ``%.17g`` writer, so both trees read the same bytes.
 
-The n = 200 configs sit at ``linalg.ARPACK_MIN_N``, so they reach the
-Lanczos routes: ARPACK top-k in the alignment step and in ``denoise``, and
-``spectral_norm_sym`` for the perturbation scale, the noise norm, the
-spectral error and ``check_alignment``'s proximity check.  Every other
-``run`` config has n <= 120 and takes the dense routes.
+The n = 200 configs and file inputs sit at ``linalg.ARPACK_MIN_N``, so they
+reach the Lanczos routes: ARPACK top-k in the alignment step and in
+``denoise``, and ``spectral_norm_sym`` for the perturbation scale, the
+noise norm, the spectral error and ``check_alignment``'s proximity check.
+Every other ``run`` config has n <= 120 and takes the dense routes.
 
 It prints ``<sha256>  <output>`` per output.  Report bytes are reproducible
 only for a fixed numpy version, BLAS build and BLAS thread count, so compare
@@ -131,6 +137,71 @@ def digests(work: Path):
             yield f"bounds {name} {fmt}", hashlib.sha256(data).hexdigest()
 
 
+#: file-command inputs: order -> rank k; the files are drawn from seed [FILES_SEED, n]
+FILE_ORDERS = {40: 3, 200: 5}
+FILES_SEED = 11
+FILES_EPS = 0.2
+
+
+def _rows_text(header: str, rows) -> str:
+    """``header``, then one line per row with every entry as ``%.17g``."""
+    return "".join([header + "\n", *(" ".join("%.17g" % v for v in row) + "\n" for row in rows)])
+
+
+def _write_file_inputs(work: Path, n: int, k: int) -> dict[str, Path]:
+    """The matrix, perturbed matrix, observation and sample files at order n."""
+    import numpy as np
+
+    rng = np.random.default_rng([FILES_SEED, n])
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q *= np.where(np.diag(R) < 0, -1.0, 1.0)
+    sig = 1.0 / np.arange(1, n + 1)
+    A = (Q * sig) @ Q.T
+    A = (A + A.T) / 2.0
+    M = rng.standard_normal((n, n))
+    E = (M + M.T) / 2.0
+    # half the relative-regime allowance eps^2 * sigma_{k+1}: verify applies
+    E *= 0.5 * FILES_EPS**2 * sig[k] / np.max(np.abs(np.linalg.eigvalsh(E)))
+    iu, ju = np.triu_indices(n)
+    seen = rng.random(iu.size) < 0.6
+    X = rng.standard_normal((2 * n, n)) @ (Q * np.sqrt(sig)).T
+    paths = {name: work / f"{name}{n}" for name in ("A.sym", "Ahat.sym", "A.obs", "X.samples")}
+    paths["A.sym"].write_text(_rows_text(f"sym {n}", A.tolist()))
+    paths["Ahat.sym"].write_text(_rows_text(f"sym {n}", (A + E).tolist()))
+    obs = zip((iu[seen] + 1).tolist(), (ju[seen] + 1).tolist(), A[iu[seen], ju[seen]].tolist())
+    paths["A.obs"].write_text(
+        f"obs {n} 0.6 {int(seen.sum())}\n" + "".join(f"{i} {j} {v:.17g}\n" for i, j, v in obs)
+    )
+    paths["X.samples"].write_text(_rows_text(f"samples {2 * n} {n}", X.tolist()))
+    return paths
+
+
+def file_digests(work: Path):
+    """(output name, sha256) for the file commands at each order in FILE_ORDERS."""
+    from spectrunc.cli import main
+
+    for n, k in FILE_ORDERS.items():
+        paths = {name: str(p) for name, p in _write_file_inputs(work, n, k).items()}
+        commands = {
+            "synth haar": ["synth", "--kind", "powerlaw", "--beta", "1", "--n", str(n),
+                           "--basis", "haar", "--seed", str(FILES_SEED)],
+            "synth identity": ["synth", "--kind", "exponential", "--c", "0.3", "--n", str(n),
+                               "--basis", "identity"],
+            "denoise": ["denoise", "--matrix", paths["Ahat.sym"], "--k", str(k)],
+            "complete": ["complete", "--obs", paths["A.obs"], "--k", str(k)],
+            "cov --center": ["cov", "--samples", paths["X.samples"], "--k", str(k), "--center"],
+            **{
+                f"verify {fmt}": ["verify", "--matrix", paths["A.sym"], "--perturbed",
+                                  paths["Ahat.sym"], "--k", str(k), "--eps", str(FILES_EPS),
+                                  "--format", fmt]
+                for fmt in ("json", "csv")
+            },
+        }
+        for name, argv in commands.items():
+            data = _cli(main, argv, work / "out")
+            yield f"{name} n={n}", hashlib.sha256(data).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
@@ -144,7 +215,7 @@ def main(argv: list[str]) -> int:
         print(f"spectrunc imported from {spectrunc.__file__}, not from {src}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in digests(Path(tmp)):
+        for name, digest in [*digests(Path(tmp)), *file_digests(Path(tmp))]:
             print(f"{digest}  {name}")
     return 0
 

@@ -10,6 +10,12 @@ observations  ``obs n p count`` header, then ``count`` lines ``i j value``
 samples       ``samples N n`` header, then N rows of n entries.
 config        ``key = value`` lines; unknown or duplicate keys are errors.
 
+Decimal conversion is the cost of the file formats, so a ``sym n`` file
+converts only its n(n+1)/2 distinct values: the writer formats each upper
+entry once and reuses its text for a bitwise-equal mirror, and the reader
+parses a lower token only where its text differs from the upper token it
+mirrors.  Output bytes and parsed bits are those of converting every entry.
+
 Reports serialize to JSON (full nested structure, config and tool stamp
 included) or CSV (one row per trial, fixed column set across all
 experiments).  Serialization contains nothing volatile -- two runs with
@@ -19,6 +25,7 @@ wall-clock time is reported on stderr by the CLI but never serialized.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import json
 import math
@@ -129,6 +136,36 @@ def _float_rows_bytes(header: str, X: np.ndarray) -> bytes:
 # ---------------------------------------------------------------- matrices
 
 
+def _read_sym_rows(lines: list[tuple[int, str]], n: int) -> np.ndarray | None:
+    """Parse ``n`` rows of ``n`` entries, converting each distinct token once.
+
+    Each row's upper part (j >= i) goes through ``float``; a lower token is
+    converted only where its text differs from the upper token it mirrors,
+    and otherwise takes that token's value, which is what ``float`` gives
+    for equal text.  Returns None on any malformed row or non-finite value,
+    for :func:`_read_rows` to name the first bad line.
+    """
+    A = np.empty((n, n))
+    pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper tokens
+    for i, (_, s) in enumerate(lines):
+        tok = s.split()
+        if len(tok) != n:
+            return None
+        try:
+            A[i, i:] = list(map(float, tok[i:]))
+            A[i, :i] = A[:i, i]
+            lower, mirror = tok[:i], pending[i]
+            if lower != mirror:
+                for j in [j for j, (a, b) in enumerate(zip(lower, mirror)) if a != b]:
+                    A[i, j] = float(lower[j])
+        except ValueError:
+            return None
+        pending[i] = None
+        for col, t in zip(pending[i + 1 :], tok[i + 1 :]):
+            col.append(t)
+    return A if np.isfinite(A).all() else None
+
+
 def read_matrix(text: str) -> np.ndarray:
     lines = _data_lines(text)
     if not lines:
@@ -141,7 +178,9 @@ def read_matrix(text: str) -> np.ndarray:
         raise FormatError(f"dimension must be >= 1, got {n}", hline)
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} data rows, found {len(lines) - 1}", hline)
-    A = _read_rows(lines[1:], n, "matrix entry")
+    A = _read_sym_rows(lines[1:], n)
+    if A is None:  # the row walk converts every token and names the first bad line
+        A = _read_rows(lines[1:], n, "matrix entry")
     with np.errstate(over="ignore", invalid="ignore"):
         asym = np.abs(A - A.T)
         if asym.size and asym.max() > 1e-12:
@@ -160,11 +199,51 @@ def read_matrix(text: str) -> np.ndarray:
 
 
 def matrix_bytes(A: np.ndarray) -> bytes:
-    A = np.asarray(A, dtype=np.float64)
-    return _float_rows_bytes(f"sym {A.shape[0]}", A)
+    """``sym n`` text of a square matrix, every entry as ``format(v, ".17g")``.
+
+    Each row's upper part (j >= i) is formatted once; an entry below the
+    diagonal reuses its mirror's text where the two are bitwise equal (so
+    0.0 and -0.0 stay distinct) and is formatted itself otherwise.
+    """
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    n = A.shape[0]
+    bits = A.view(np.uint64)
+    fmt = " ".join(["%.17g"] * n)
+    pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper texts
+    rows = [f"sym {n}".encode()]
+    for i in range(n):
+        upper = (fmt[6 * i :] % tuple(A[i, i:].tolist())).split(" ")
+        lower, pending[i] = pending[i], None
+        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+            lower[j] = _fmt(A[i, j])
+        rows.append(" ".join(lower + upper).encode())
+        for col, t in zip(pending[i + 1 :], upper[1:]):
+            col.append(t)
+    rows.append(b"")  # the final newline
+    return b"\n".join(rows)
 
 
 # ------------------------------------------------------------ observations
+
+
+def _convert_observations(lines: list[tuple[int, str]]):
+    """``i j value`` lines as int64, int64 and float arrays, unchecked.
+
+    Raises ValueError on a line without three tokens or a token that ``int``
+    or ``float`` rejects, and OverflowError on an index beyond int64.  The
+    numbers go straight into C arrays, so no Python number outlives its line.
+    """
+    rows, cols, vals = array.array("q"), array.array("q"), array.array("d")
+    for _, s in lines:
+        i, j, v = s.split()
+        rows.append(int(i))
+        cols.append(int(j))
+        vals.append(float(v))
+    return (
+        np.frombuffer(rows, dtype=np.int64),
+        np.frombuffer(cols, dtype=np.int64),
+        np.frombuffer(vals, dtype=np.float64),
+    )
 
 
 def read_observations(text: str) -> ObservationSet:
@@ -179,20 +258,31 @@ def read_observations(text: str) -> ObservationSet:
     count = _parse_int(htok[3], hline, "observation count")
     if len(lines) - 1 != count:
         raise FormatError(f"expected {count} observation lines, found {len(lines) - 1}", hline)
-    rows = np.empty(count, dtype=np.int64)
-    cols = np.empty(count, dtype=np.int64)
-    vals = np.empty(count)
-    for idx, (ln, s) in enumerate(lines[1:]):
-        tok = s.split()
-        if len(tok) != 3:
-            raise FormatError("expected 'i j value'", ln)
-        i = _parse_int(tok[0], ln, "row index")
-        j = _parse_int(tok[1], ln, "column index")
-        if not 1 <= i <= j <= n:
-            raise FormatError(f"indices must satisfy 1 <= i <= j <= {n}, got ({i}, {j})", ln)
-        rows[idx] = i - 1
-        cols[idx] = j - 1
-        vals[idx] = _parse_float(tok[2], ln, "observed value")
+    try:
+        rows, cols, vals = _convert_observations(lines[1:])
+        ok = ((1 <= rows) & (rows <= cols) & (cols <= n)).all() and np.isfinite(vals).all()
+    except (ValueError, OverflowError):
+        ok = False
+    if ok:
+        rows -= 1
+        cols -= 1
+    else:  # convert again line by line, raising at the first bad line
+        rows = np.empty(count, dtype=np.int64)
+        cols = np.empty(count, dtype=np.int64)
+        vals = np.empty(count)
+        for idx, (ln, s) in enumerate(lines[1:]):
+            tok = s.split()
+            if len(tok) != 3:
+                raise FormatError("expected 'i j value'", ln)
+            i = _parse_int(tok[0], ln, "row index")
+            j = _parse_int(tok[1], ln, "column index")
+            if not 1 <= i <= j <= n:
+                raise FormatError(
+                    f"indices must satisfy 1 <= i <= j <= {n}, got ({i}, {j})", ln
+                )
+            rows[idx] = i - 1
+            cols[idx] = j - 1
+            vals[idx] = _parse_float(tok[2], ln, "observed value")
     try:
         return ObservationSet(n=n, p=p, rows=rows, cols=cols, values=vals)
     except ValueError as e:

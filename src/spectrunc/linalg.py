@@ -111,6 +111,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -486,7 +487,12 @@ def spikeness(A: np.ndarray) -> float:
     and n when all mass sits in a single diagonal entry. Requires A != 0.
     """
     A = require_symmetric(A)
-    fro = float(np.linalg.norm(A, "fro"))
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(A, "fro"))
     if fro == 0.0:
         raise ValueError("spikeness is undefined for the zero matrix")
-    return float(A.shape[0] * np.max(np.abs(A)) / fro)
+    n, top = A.shape[0], float(np.max(np.abs(A)))
+    if math.isfinite(fro) and math.isfinite(n * top):
+        return n * top / fro
+    # ||A||_F or n * max|A| overflows near the top of the float range
+    return n / float(np.linalg.norm(A / top, "fro"))

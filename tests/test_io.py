@@ -95,6 +95,88 @@ def test_writers_match_per_entry_format():
     ) + "\n"
 
 
+#: values whose text is easy to get wrong: signed zeros, subnormals, the float range
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+_ENTRIES = hst.floats(allow_nan=False, allow_infinity=False, width=64) | hst.sampled_from(
+    _EDGE_VALUES
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_matrix_bytes_reuses_mirror_text_only_for_equal_bits(data):
+    n = data.draw(hst.integers(1, 8))
+    A = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            A[i, j] = A[j, i] = data.draw(_ENTRIES)
+    # break some mirror pairs: another value, the negated value (0.0 against
+    # -0.0 when the entry is zero), or the next float
+    for i, j in data.draw(hst.lists(hst.tuples(hst.integers(0, n - 1),
+                                               hst.integers(0, n - 1)), max_size=6)):
+        if i != j:
+            mirror = A[j, i]
+            A[i, j] = data.draw(hst.sampled_from(
+                [-mirror, np.nextafter(mirror, 0.0), data.draw(_ENTRIES)]
+            ))
+    expected = "\n".join([f"sym {n}", *map(_reference_row, A)]) + "\n"
+    assert matrix_bytes(A).decode() == expected
+    assert matrix_bytes(np.asfortranarray(A)).decode() == expected
+
+
+def test_matrix_bytes_keeps_signed_zero_mirrors_apart():
+    A = np.array([[1.0, 0.0], [-0.0, 1.0]])
+    assert matrix_bytes(A) == b"sym 2\n1 0\n-0 1\n"
+    assert matrix_bytes(A.T) == b"sym 2\n1 -0\n0 1\n"
+
+
+def _reference_read(text: str) -> np.ndarray:
+    """Every token through ``float``, then the symmetric average."""
+    A = np.array([[float(t) for t in row.split()] for row in text.splitlines()[1:]])
+    assert np.abs(A - A.T).max() <= 1e-12
+    return (A + A.T) / 2.0
+
+
+def test_read_matrix_parses_differently_spelled_mirrors():
+    for half in ("0.5", "5e-1", "+.5", "0.50000"):
+        text = f"sym 3\n1 0.5 -2\n{half} 3 1e-3\n-2.0 0.001 2\n"
+        back = read_matrix(text)
+        np.testing.assert_array_equal(back, _reference_read(text))
+        assert back[1, 0] == back[0, 1] == 0.5
+
+
+_SPELLINGS = [
+    lambda v: format(v, ".17g"),
+    repr,
+    lambda v: format(v, ".30e"),
+    lambda v: format(v, "+.17e").replace("e-0", "e-").replace("+0.", "+."),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_read_matrix_bits_match_per_token_parse(data):
+    n = data.draw(hst.integers(1, 6))
+    unit = hst.floats(-1.0, 1.0, width=64)
+    U = np.array([[data.draw(unit) for _ in range(n)] for _ in range(n)])
+    A = np.triu(U) + np.triu(U, 1).T
+    # asymmetry just inside or just outside the 1e-12 tolerance
+    for i, j in data.draw(hst.lists(hst.tuples(hst.integers(0, n - 1),
+                                               hst.integers(0, n - 1)), max_size=3)):
+        if i > j:
+            A[i, j] = A[j, i] + data.draw(hst.sampled_from([0.0, 0.9e-12, -1.1e-12]))
+    rows = [" ".join(data.draw(hst.sampled_from(_SPELLINGS))(float(v)) for v in row)
+            for row in A]
+    text = "\n".join([f"sym {n}", *rows]) + "\n"
+    parsed = np.array([[float(t) for t in row.split()] for row in rows])
+    asym = np.abs(parsed - parsed.T)
+    if asym.max() > 1e-12:
+        assert err_line(read_matrix, text) == 2 + int(np.argmax(asym)) // n
+    else:
+        assert read_matrix(text).tobytes() == _reference_read(text).tobytes()
+
+
 # ------------------------------------------------------------ format errors
 
 
@@ -157,6 +239,17 @@ def test_first_bad_row_is_reported():
     assert err_line(read_samples, "samples 4 4\n1 0 0 0\n0 nan 0 0\n" + short4) == 3
     # and an out-of-range index on one line before a bad value on a later one
     assert err_line(read_observations, "obs 3 0.5 2\n2 1 5.0\n1 1 x\n") == 2
+
+
+def test_first_bad_matrix_line_wins_across_mirrors():
+    # a bad lower token on line 3 (its mirror reads 2) before a bad upper token on line 4
+    text = "sym 3\n1 2 3\nx 1 0\n3 0 y\n"
+    assert err_line(read_matrix, text) == 3
+    with pytest.raises(FormatError, match="'x'"):
+        read_matrix(text)
+    # an inf below the diagonal is the inf above it, reported on the earlier line
+    assert err_line(read_matrix, "sym 3\n1 0 inf\n0 1 0\ninf 0 1\n") == 2
+    assert err_line(read_matrix, "sym 3\n1 0 0\n0 1 0\n1e999 0 1\n") == 4
 
 
 def test_comment_lines_between_rows_keep_line_numbers():

@@ -16,6 +16,7 @@ from spectrunc import (
     eig_sym,
     linalg,
     principal_angle_sin,
+    rng_stream,
     spectral_norm_sym,
     spectrum_stats,
     spikeness,
@@ -82,6 +83,17 @@ def test_spikeness_frozen():
     assert spikeness(A) == pytest.approx(9.0, abs=1e-15)
     with pytest.raises(ValueError):
         spikeness(np.zeros((3, 3)))
+
+
+def test_spikeness_near_float_max():
+    # ||A||_F and n * max|A| both overflow; the scaled form does not
+    A = np.array([[1e308, 1.0], [1.0, -1e308]])
+    assert spikeness(A) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    assert spikeness(np.diag([1.7976931348623157e308, 0.0])) == 2.0
+    # ordinary matrices keep the plain quotient's bits
+    M = rng_stream(34, 0).standard_normal((7, 7))
+    assert spikeness((M + M.T) / 2.0).hex() == "0x1.423481ba38cebp+1"
+    assert spikeness(np.diag([3.0, -1.0, 0.5])).hex() == "0x1.67d3086e3e626p+1"
 
 
 # ------------------------------------------------------- validation behavior
