@@ -19,7 +19,12 @@ runs in-process:
   JSON and CSV.  The script writes their input files itself (a Haar
   power-law matrix, that matrix plus a small symmetric perturbation, its
   observations at p = 0.6 and 2n samples) from its own generator and its
-  own ``%.17g`` writer, so both trees read the same bytes.
+  own ``%.17g`` writer, so both trees read the same bytes;
+* rejected inputs: ``run`` of configs with an unknown key, a parameter the
+  spectrum kind does not read, an increasing explicit spectrum and a zero
+  sigma_1, and ``bounds`` with a malformed ``--set`` and an unknown
+  ``--kind``.  Their digest covers the exit code and stderr, so a moved
+  check cannot change an error message unnoticed.
 
 The n = 200 configs and file inputs sit at ``linalg.ARPACK_MIN_N``, so they
 reach the Lanczos routes: ARPACK top-k in the alignment step and in
@@ -46,6 +51,7 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to the terminal width
 
 COMMON = {"trials": 3, "seed": 11, "basis": "haar"}
 POWERLAW = {"spectrum": "powerlaw", "spectrum_beta": 1.0}
@@ -107,6 +113,19 @@ BOUNDS = {
 }
 
 
+#: rejected inputs: name -> a config, run through ``spectrunc run``, or an argv
+REJECTED = {
+    "unknown key": {**CONFIGS["relative"], "widget": 1},
+    "wrong kind parameter": {**CONFIGS["relative"], "spectrum_c": 0.5},
+    "increasing explicit spectrum": {"experiment": "relative", "n": 4, "spectrum": "explicit",
+                                     "spectrum_values": "1, 2, 0.5, 0.25", "k": 1,
+                                     "eps": 0.2},
+    "zero sigma_1": {**CONFIGS["gap"], "spectrum_c": 750},
+    "bad --set": ["bounds", "--kind", "relative", "--set", "k"],
+    "unknown --kind": ["bounds", "--kind", "nope", "--set", "k=1"],
+}
+
+
 def _cli(main, argv: list[str], out: Path) -> bytes:
     err = _io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -135,6 +154,24 @@ def digests(work: Path):
         for fmt in ("json", "csv"):
             data = _cli(main, ["bounds", "--kind", kind, *sets, "--format", fmt], work / "out")
             yield f"bounds {name} {fmt}", hashlib.sha256(data).hexdigest()
+
+
+def rejection_digests(work: Path):
+    """(input name, sha256 of the exit code and stderr) for every rejected input."""
+    from spectrunc.cli import main
+
+    for name, spec in REJECTED.items():
+        argv = spec
+        if isinstance(spec, dict):
+            argv = ["run", "--config", str(work / "rejected.cfg")]
+            text = "".join(f"{key} = {value}\n" for key, value in {**COMMON, **spec}.items())
+            (work / "rejected.cfg").write_text(text)
+        err = _io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(_io.StringIO()):
+            code = main(argv)
+        if code == 0:
+            raise SystemExit(f"spectrunc {' '.join(argv)} was accepted")
+        yield f"rejected {name}", hashlib.sha256(f"{code}\n{err.getvalue()}".encode()).hexdigest()
 
 
 #: file-command inputs: order -> rank k; the files are drawn from seed [FILES_SEED, n]
@@ -215,7 +252,8 @@ def main(argv: list[str]) -> int:
         print(f"spectrunc imported from {spectrunc.__file__}, not from {src}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in [*digests(Path(tmp)), *file_digests(Path(tmp))]:
+        work = Path(tmp)
+        for name, digest in [*digests(work), *file_digests(work), *rejection_digests(work)]:
             print(f"{digest}  {name}")
     return 0
 

@@ -15,7 +15,7 @@ They are keyword-only, except the power-law cutoff prefactor ``C1``.
 
 Each parameter name these functions share, the six constants included, has
 its domain in ``_DOMAIN``, which :func:`check_domain` and the run config
-(``harness.ExperimentConfig``) apply; the observation rate ``p`` has its
+(``config.ExperimentConfig``) apply; the observation rate ``p`` has its
 domain there too, for the config, ``estimators`` and ``synth``.  A predicate
 states what must hold, so NaN fails each one.  Rules of one function, regime
 or mode stay inline: the delta ranges, which differ per family; gap > 0 where
@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoundReport",
@@ -165,6 +167,8 @@ def check_domain(**values) -> None:
 
 def descending_spectrum(eigenvalues, k: int) -> np.ndarray:
     """``eigenvalues`` as a float64 vector, checked finite and nonincreasing, cut at 1 <= k < n."""
+    import numpy as np
+
     sig = np.asarray(eigenvalues, dtype=np.float64)
     if sig.ndim != 1:
         raise ValueError("eigenvalues must be one-dimensional")

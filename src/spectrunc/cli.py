@@ -22,8 +22,6 @@ import argparse
 import inspect
 import sys
 
-import numpy as np
-
 from . import __version__, io
 from .bounds import (
     additive_error_bound,
@@ -38,20 +36,18 @@ from .bounds import (
     relative_error_bound,
     sample_covariance_rates,
 )
-from .estimators import complete as _complete
-from .estimators import covariance_reduced, denoise as _denoise
-from .harness import run_experiment
-from .linalg import spectral_norm_sym, top_eigenpairs
-from .proofcheck import check_alignment
-from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
 
 
 def _numerical_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 2; ``ArpackError`` is among them once
-    ``scipy.sparse.linalg`` is loaded, as it must be for ARPACK to raise."""
-    spla = sys.modules.get("scipy.sparse.linalg")
-    arpack = (spla.ArpackError,) if spla is not None else ()
-    return (np.linalg.LinAlgError, ArithmeticError, *arpack)
+    """The exceptions that exit 2: ``ArithmeticError``, and numpy's
+    ``LinAlgError`` and ARPACK's ``ArpackError`` once their modules are
+    loaded, as they must be for either to be raised."""
+    found = [ArithmeticError]
+    for module, name in (("numpy.linalg", "LinAlgError"), ("scipy.sparse.linalg", "ArpackError")):
+        loaded = sys.modules.get(module)
+        if loaded is not None:
+            found.append(getattr(loaded, name))
+    return tuple(found)
 
 
 def _fail(message: str) -> int:
@@ -88,6 +84,8 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
+
     spectrum = make_spectrum(
         args.kind,
         args.n,
@@ -105,9 +103,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    from .estimators import complete
+
     with open(args.obs, "r", encoding="utf-8") as fh:
         obs = io.read_observations(fh.read())
-    _emit(io.matrix_bytes(_complete(obs, args.k)), args.out)
+    _emit(io.matrix_bytes(complete(obs, args.k)), args.out)
     print(
         f"completed n={obs.n} from {obs.count} observations at p={obs.p} "
         f"(rank {args.k})",
@@ -117,13 +117,17 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    from .estimators import denoise
+
     with open(args.matrix, "r", encoding="utf-8") as fh:
         Y = io.read_matrix(fh.read())
-    _emit(io.matrix_bytes(_denoise(Y, args.k)), args.out)
+    _emit(io.matrix_bytes(denoise(Y, args.k)), args.out)
     return 0
 
 
 def _cmd_cov(args) -> int:
+    from .estimators import covariance_reduced
+
     with open(args.samples, "r", encoding="utf-8") as fh:
         samples = io.read_samples(fh.read())
     est = covariance_reduced(samples, args.k, center=args.center)
@@ -179,6 +183,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .linalg import spectral_norm_sym, top_eigenpairs
+    from .proofcheck import check_alignment
+
     with open(args.matrix, "r", encoding="utf-8") as fh:
         A = io.read_matrix(fh.read())
     with open(args.perturbed, "r", encoding="utf-8") as fh:
@@ -207,6 +214,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     config = io.read_config(args.config)
+    from .harness import run_experiment  # numpy loads once the config is accepted
+
     report = run_experiment(config)
     data = (
         io.report_json_bytes(report)

@@ -59,13 +59,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    DEFAULT_C1,
-    DEFAULT_C_A,
-    DEFAULT_C_B,
-    DEFAULT_C_COV,
-    DEFAULT_C_DN,
-    DEFAULT_C_MC,
-    check_domain,
     completion_sampling_threshold,
     covariance_admissible,
     denoising_error_bound,
@@ -78,6 +71,7 @@ from .bounds import (
     sample_covariance_rates,
     spectral_envelope,
 )
+from .config import EXPERIMENT_PARAMS, ExperimentConfig
 from .estimators import complete, denoise, sample_covariance
 from .linalg import (
     eig_sym,
@@ -92,7 +86,6 @@ from .synth import (
     bernoulli_observe,
     goe_noise,
     haar_orthogonal,
-    make_spectrum,
     mvn_samples,
     psd_from_spectrum,
     rng_stream,
@@ -114,88 +107,6 @@ BOUND_TOL = 1e-8
 
 #: err^2 below this many rounding scales of the trace identity is measured densely
 TRACE_IDENTITY_MARGIN = 1e8
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description.
-
-    Scientific parameters are mandatory for the experiments that list them
-    in ``EXPERIMENTS``; only the bound constants carry defaults.  ``k_oracle`` (covariance
-    only, in place of ``k``) selects the truncation rank per trial by
-    minimizing the true error.
-    """
-
-    experiment: str
-    n: int
-    trials: int
-    seed: int
-    spectrum_kind: str
-    basis: str
-    spectrum_beta: float | None = None
-    spectrum_c: float | None = None
-    spectrum_values: tuple[float, ...] | None = None
-    k: int | None = None
-    k_oracle: bool = False
-    eps: float | None = None
-    nu: float | None = None
-    p: float | None = None
-    t: float | None = None
-    n_samples: int | None = None
-    delta_grid: tuple[float, ...] | None = None
-    C_mc: float = DEFAULT_C_MC
-    c_dn: float = DEFAULT_C_DN
-    C_a: float = DEFAULT_C_A
-    C_b: float = DEFAULT_C_B
-    c_cov: float = DEFAULT_C_COV
-    C1: float = DEFAULT_C1
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
-            )
-        shared = ("n", "eps", "nu", "t", "n_samples", "C_mc", "c_dn", "C_a", "C_b", "c_cov", "C1")
-        check_domain(**{name: getattr(self, name) for name in shared})
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.basis not in ("haar", "identity"):
-            raise ValueError(f"basis must be 'haar' or 'identity', got {self.basis!r}")
-        # the kind, its parameter, no other kind's parameter, and sigma_1 > 0
-        if self.spectrum()[0] <= 0:
-            name = "spectrum_c" if self.spectrum_kind == "exponential" else "spectrum_values"
-            raise ValueError(f"{name} gives a leading eigenvalue of 0; it must be positive")
-        ex = self.experiment
-        if self.k_oracle and ex != "covariance":
-            raise ValueError("k = oracle is only valid for covariance")
-        if self.k_oracle and self.k is not None:
-            raise ValueError("k = oracle chooses k per trial; do not also set k")
-        for name in EXPERIMENTS[ex][0]:
-            if getattr(self, name) is None and not (name == "k" and self.k_oracle):
-                raise ValueError(f"experiment {ex!r} requires {name}")
-        if self.k is not None and not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"k must lie in [1, {self.n - 1}], got {self.k}")
-        check_domain(p=self.p)
-        if ex == "decay_rate":
-            if self.spectrum_kind == "explicit":
-                raise ValueError("decay_rate requires a powerlaw or exponential spectrum")
-            if not self.delta_grid:
-                raise ValueError("decay_rate requires a nonempty delta_grid")
-            if any(d <= 0 for d in self.delta_grid):
-                raise ValueError("delta_grid entries must be positive")
-            if self.k is not None:
-                raise ValueError("decay_rate derives k from the cutoff rule; do not set k")
-
-    def spectrum(self) -> np.ndarray:
-        return make_spectrum(
-            self.spectrum_kind,
-            self.n,
-            beta=self.spectrum_beta,
-            c=self.spectrum_c,
-            values=self.spectrum_values,
-        )
 
 
 @dataclass(frozen=True)
@@ -473,17 +384,19 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-#: experiment -> (the parameters it requires beyond the common ones, its
-#: per-trial step); a config may set a parameter only for the experiments
-#: that list it.  decay_rate has no step: it sweeps a delta grid per trial.
+#: experiment -> (the parameters it requires, from ``EXPERIMENT_PARAMS``; its
+#: per-trial step).  decay_rate has no step: it sweeps a delta grid per trial.
 EXPERIMENTS = {
-    "relative": (("k", "eps"), _perturbation_step),
-    "gap": (("k", "eps"), _perturbation_step),
-    "alignment": (("k", "eps"), _perturbation_step),
-    "denoising": (("k", "nu"), _denoising_step),
-    "completion": (("k", "eps", "p", "t"), _completion_step),
-    "covariance": (("k", "eps", "n_samples"), _covariance_step),
-    "decay_rate": (("delta_grid",), None),
+    ex: (EXPERIMENT_PARAMS[ex], step)
+    for ex, step in {
+        "relative": _perturbation_step,
+        "gap": _perturbation_step,
+        "alignment": _perturbation_step,
+        "denoising": _denoising_step,
+        "completion": _completion_step,
+        "covariance": _covariance_step,
+        "decay_rate": None,
+    }.items()
 }
 
 

@@ -9,6 +9,8 @@ observations  ``obs n p count`` header, then ``count`` lines ``i j value``
               with 1-based upper-triangular indices (i <= j).
 samples       ``samples N n`` header, then N rows of n entries.
 config        ``key = value`` lines; unknown or duplicate keys are errors.
+              Read by :mod:`spectrunc.config`, whose names this module
+              re-exports.
 
 Decimal conversion is the cost of the file formats, so a ``sym n`` file
 converts only its n(n+1)/2 distinct values: the writer formats each upper
@@ -29,15 +31,24 @@ import array
 import dataclasses
 import json
 import math
-import types
-import typing
-from typing import Any
+import sys
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+from .config import (  # re-exported: the config format is one of the file formats
+    ExperimentConfig,
+    FormatError,
+    _data_lines,
+    parse_config,
+    parse_value,
+    read_config,
+)
 
-from .estimators import ObservationSet, SampleSet
-from .harness import EXPERIMENTS, ExperimentConfig, ExperimentReport, TrialRecord
-from .proofcheck import AlignmentReport
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .estimators import ObservationSet, SampleSet
+    from .harness import ExperimentReport
+    from .proofcheck import AlignmentReport
 
 __all__ = [
     "FormatError",
@@ -59,26 +70,8 @@ __all__ = [
 ]
 
 
-class FormatError(ValueError):
-    """Malformed input file; carries a 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """(line_number, stripped line) for every non-blank, non-comment line."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            out.append((i, s))
-    return out
 
 
 def _parse_float(tok: str, line: int, what: str) -> float:
@@ -106,6 +99,8 @@ def _read_rows(lines: list[tuple[int, str]], width: int, what: str) -> np.ndarra
     to name its first bad token.  Lines are checked in order, so the first bad
     line is the one reported.
     """
+    import numpy as np
+
     out = np.empty((len(lines), width))
     for r, (ln, s) in enumerate(lines):
         tok = s.split()
@@ -145,6 +140,8 @@ def _read_sym_rows(lines: list[tuple[int, str]], n: int) -> np.ndarray | None:
     for equal text.  Returns None on any malformed row or non-finite value,
     for :func:`_read_rows` to name the first bad line.
     """
+    import numpy as np
+
     A = np.empty((n, n))
     pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper tokens
     for i, (_, s) in enumerate(lines):
@@ -167,6 +164,8 @@ def _read_sym_rows(lines: list[tuple[int, str]], n: int) -> np.ndarray | None:
 
 
 def read_matrix(text: str) -> np.ndarray:
+    import numpy as np
+
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty matrix file")
@@ -205,6 +204,8 @@ def matrix_bytes(A: np.ndarray) -> bytes:
     diagonal reuses its mirror's text where the two are bitwise equal (so
     0.0 and -0.0 stay distinct) and is formatted itself otherwise.
     """
+    import numpy as np
+
     A = np.ascontiguousarray(A, dtype=np.float64)
     n = A.shape[0]
     bits = A.view(np.uint64)
@@ -233,6 +234,8 @@ def _convert_observations(lines: list[tuple[int, str]]):
     or ``float`` rejects, and OverflowError on an index beyond int64.  The
     numbers go straight into C arrays, so no Python number outlives its line.
     """
+    import numpy as np
+
     rows, cols, vals = array.array("q"), array.array("q"), array.array("d")
     for _, s in lines:
         i, j, v = s.split()
@@ -247,6 +250,10 @@ def _convert_observations(lines: list[tuple[int, str]]):
 
 
 def read_observations(text: str) -> ObservationSet:
+    import numpy as np
+
+    from .estimators import ObservationSet
+
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty observation file")
@@ -308,6 +315,8 @@ def observations_bytes(obs: ObservationSet) -> bytes:
 
 
 def read_samples(text: str) -> SampleSet:
+    from .estimators import SampleSet
+
     lines = _data_lines(text)
     if not lines:
         raise FormatError("empty sample file")
@@ -325,99 +334,6 @@ def read_samples(text: str) -> SampleSet:
 
 def samples_bytes(samples: SampleSet) -> bytes:
     return _float_rows_bytes(f"samples {samples.N} {samples.n}", samples.X)
-
-
-# ------------------------------------------------------------------ config
-
-
-def parse_value(text: str, annotation: Any) -> Any:
-    """Convert one config or ``--set`` value by its parameter's type annotation.
-
-    ``X | None`` converts as ``X``; a tuple of floats accepts comma- or
-    space-separated values.  Floats, alone or in a tuple, must be finite.
-    """
-    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
-        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
-    if typing.get_origin(annotation) is tuple:
-        value = floats = tuple(float(v) for v in text.replace(",", " ").split())
-    else:
-        value = annotation(text)
-        floats = (value,) if annotation is float else ()
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` experiment configuration text.
-
-    The keys are the :class:`ExperimentConfig` fields (``spectrum`` for
-    ``spectrum_kind``, ``k = oracle`` for ``k_oracle``); an experiment takes
-    only its own parameters from ``EXPERIMENTS``.  Fields without a default
-    are mandatory.  Unknown and duplicate keys are rejected by name.
-    """
-    raw: dict[str, str] = {}
-    for ln, s in _data_lines(text):
-        joined = " ".join(s.split())
-        if "=" not in joined:
-            raise FormatError("expected 'key = value'", ln)
-        key, _, value = joined.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise FormatError("expected 'key = value'", ln)
-        if key in raw:
-            raise FormatError(f"duplicate key {key!r}", ln)
-        raw[key] = value
-
-    if "experiment" not in raw:
-        raise FormatError("missing mandatory key 'experiment'")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise FormatError(
-            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENTS)}"
-        )
-    # other experiments' parameters are not keys here; k_oracle is spelled k = oracle
-    params = {ex: names for ex, (names, _) in EXPERIMENTS.items()}
-    skipped = {"k_oracle"} | (set().union(*params.values()) - set(params[experiment]))
-    fields = {
-        "spectrum" if f.name == "spectrum_kind" else f.name: f
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.name not in skipped
-    }
-    unknown = sorted(set(raw) - set(fields))
-    if unknown:
-        raise FormatError(
-            f"unknown key(s) for experiment {experiment!r}: {', '.join(unknown)}"
-        )
-    missing = sorted(
-        key for key, f in fields.items() if f.default is dataclasses.MISSING and key not in raw
-    )
-    if missing:
-        raise FormatError(f"missing mandatory key(s): {', '.join(missing)}")
-
-    kwargs: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key == "k" and value == "oracle":
-            kwargs["k_oracle"] = True
-            continue
-        name = fields[key].name
-        try:
-            kwargs[name] = parse_value(value, _CONFIG_TYPES[name])
-        except ValueError as e:
-            raise FormatError(f"invalid value for {key!r}: {e}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
-
-
-def read_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 # ----------------------------------------------------------------- reports
@@ -466,31 +382,48 @@ CSV_COLUMNS = (
     "all_checks_passed",
 )
 
-_RECORD_FIELDS = {f.name for f in dataclasses.fields(TrialRecord)}
+
+
+def _scalar(v: Any) -> Any:
+    """A numpy bool, integer or float scalar as its Python value; others unchanged.
+
+    numpy is looked up, not imported: a numpy scalar exists only once it is loaded.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        return v
+    if isinstance(v, np.bool_):
+        return bool(v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    return v
 
 
 def _csv_cell(v: Any) -> str:
+    v = _scalar(v)
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return _fmt(v)
     return str(v)
 
 
-def _record_cell(record: TrialRecord, column: str) -> str:
-    if column in _RECORD_FIELDS:
-        return _csv_cell(getattr(record, column))
-    return _csv_cell(record.aux.get(column))
-
-
 def report_csv_bytes(report: ExperimentReport) -> bytes:
+    from .harness import TrialRecord
+
+    own = {f.name for f in dataclasses.fields(TrialRecord)}  # the rest come from aux
     rows = [",".join(CSV_COLUMNS)]
     rows += [
-        ",".join(_record_cell(r, col) for col in CSV_COLUMNS) for r in report.trials
+        ",".join(
+            _csv_cell(getattr(r, col) if col in own else r.aux.get(col)) for col in CSV_COLUMNS
+        )
+        for r in report.trials
     ]
     return ("\n".join(rows) + "\n").encode()
 
@@ -500,13 +433,7 @@ def _jsonable(obj: Any) -> Any:
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+    return _scalar(obj)
 
 
 def report_json_bytes(report: ExperimentReport) -> bytes:

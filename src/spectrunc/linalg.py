@@ -94,22 +94,14 @@ is bit-identical at ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  numpy's copy is
 never touched, and the dense ``evr`` and ``evd`` routes keep scipy's thread
 count: one thread makes them 1.6x slower at n=2000.
 
-Where scipy is loaded
----------------------
-Importing this module does not import scipy: :func:`top_eigenpairs` imports
-``scipy.linalg`` once its arguments are valid and :func:`_lanczos` imports
-``scipy.sparse.linalg`` and ``scipy.linalg.blas``, while :func:`eig_sym`
-and the dense route of :func:`spectral_norm_sym` use numpy alone.  A
-process that never solves (``spectrunc bounds``, ``--version``, a rejected
-config) skips that import, about 0.2 s on a 2-core host; the first solve
-pays it instead.  ``eigh`` and ``eigsh`` are looked up on the scipy modules
-at each call, so a wrapper patched onto a module is seen.
+scipy is imported at the first solve that needs it (the package docstring
+says what each command loads), and ``eigh`` and ``eigsh`` are looked up on
+its modules at each call, so a wrapper patched onto a module is seen.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -251,6 +243,8 @@ def _scipy_openblas():
     looked up through scipy's LAPACK extension, so numpy's copy (whose
     symbols carry a ``64_`` suffix) is never reached.
     """
+    import ctypes
+
     import scipy.linalg
 
     try:

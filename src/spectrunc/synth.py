@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import check_domain
+from .config import spectrum_head
 from .estimators import ObservationSet, SampleSet
 from .linalg import require_symmetric, spectral_norm_sym
 
@@ -54,36 +55,15 @@ def make_spectrum(
     kind ``"explicit"``   : ``values`` verbatim (validated nonincreasing,
     finite, nonnegative, length n).
 
-    A parameter that ``kind`` does not read must be None.
+    A parameter that ``kind`` does not read must be None.  The checks are
+    :func:`config.spectrum_head`'s, which the run config applies without
+    building the spectrum.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    reads = {"powerlaw": "beta", "exponential": "c", "explicit": "values"}.get(kind)
-    if reads is None:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    given = {"beta": beta, "c": c, "values": values}
-    unused = [name for name, v in given.items() if v is not None and name != reads]
-    if unused:
-        raise ValueError(f"{kind} spectrum does not use {', '.join(unused)}")
+    spectrum_head(kind, n, beta=beta, c=c, values=values)
+    if kind == "explicit":
+        return np.array(values, dtype=np.float64)
     j = np.arange(1, n + 1, dtype=np.float64)
-    if kind == "powerlaw":
-        if beta is None or not 0.0 < beta < np.inf:
-            raise ValueError(f"powerlaw spectrum requires finite beta > 0, got {beta}")
-        return j ** (-beta)
-    if kind == "exponential":
-        if c is None or not 0.0 < c < np.inf:
-            raise ValueError(f"exponential spectrum requires finite c > 0, got {c}")
-        return np.exp(-c * j)
-    if values is None:
-        raise ValueError("explicit spectrum requires values")
-    sig = np.asarray(values, dtype=np.float64)
-    if sig.shape != (n,):
-        raise ValueError(f"expected {n} values, got shape {sig.shape}")
-    if np.any(np.diff(sig) > 0):
-        raise ValueError("explicit spectrum must be nonincreasing")
-    if not np.all(np.isfinite(sig) & (sig >= 0)):
-        raise ValueError("explicit spectrum must be finite and nonnegative")
-    return sig.copy()
+    return j ** (-beta) if kind == "powerlaw" else np.exp(-c * j)
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

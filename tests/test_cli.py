@@ -295,7 +295,7 @@ def test_numerical_failures_map_to_two(monkeypatch, workdir, capsys):
     def boom(_):
         raise np.linalg.LinAlgError("eigendecomposition failed to converge")
 
-    monkeypatch.setattr("spectrunc.cli.run_experiment", boom)
+    monkeypatch.setattr("spectrunc.harness.run_experiment", boom)
     assert run_cli("run", "--config", str(cfg)) == 2
     assert "numerical error" in capsys.readouterr().err
 
@@ -333,7 +333,7 @@ def test_runtime_errors_not_from_arpack_propagate(monkeypatch, workdir):
     def boom(_):
         raise RuntimeError("not a numerical failure")
 
-    monkeypatch.setattr("spectrunc.cli.run_experiment", boom)
+    monkeypatch.setattr("spectrunc.harness.run_experiment", boom)
     with pytest.raises(RuntimeError, match="^not a numerical failure$"):
         run_cli("run", "--config", str(cfg))
 
@@ -375,48 +375,113 @@ def test_module_entrypoint():
     assert proc.stdout.startswith("spectrunc ")
 
 
-# runs each argv through cli.main in turn and reports, after each, its exit
-# code and whether scipy has been imported
+# imports spectrunc, then reads each config through spectrunc.io alone, then runs
+# each argv through cli.main in turn; after each step it reports the step, its
+# exit code (the config's experiment for a read) and whether numpy and scipy
+# have been imported
 _STARTUP_CHILD = """
 import contextlib, io, json, sys
-from spectrunc.cli import main
 
-seen = []
-for argv in json.loads(sys.argv[1]):
+def loaded():
+    return ["numpy" in sys.modules, "scipy" in sys.modules]
+
+import spectrunc
+seen = [["import spectrunc", None, *loaded()]]
+import spectrunc.io
+configs, argvs = json.loads(sys.argv[1])
+for path in configs:
+    seen.append(["read_config", spectrunc.io.read_config(path).experiment, *loaded()])
+from spectrunc.cli import main
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    seen.append([argv[0], code, "scipy" in sys.modules])
+    seen.append([argv[0], code, *loaded()])
 print(json.dumps(seen))
 """
 
+#: experiment -> the keys a valid config sets on top of n, trials, seed and basis
+_VALID_CONFIGS = {
+    "relative": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\neps = 0.2\n",
+    "gap": "spectrum = exponential\nspectrum_c = 0.3\nk = 2\neps = 0.1\n",
+    "alignment": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\neps = 0.2\n",
+    "denoising": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\nnu = 0.01\n",
+    "completion": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\neps = 0.2\n"
+                  "p = 0.6\nt = 0.1\n",
+    "covariance": "spectrum = explicit\nspectrum_values = 4, 3, 2, 1, 1, 1, 0.5, 0\n"
+                  "k = oracle\neps = 0.25\nn_samples = 50\n",
+    "decay_rate": "spectrum = exponential\nspectrum_c = 0.5\ndelta_grid = 0.1, 0.01\n",
+}
+
+#: bound kind -> valid ``--set`` inputs
+_BOUND_INPUTS = {
+    "relative": "k=3 eps=0.2 tail_F=0.5 tail_2=0.25 perturbation_2=0.01",
+    "gap": "k=2 eps=0.1 gap=0.3 tail_F=0.6",
+    "additive": "k=4 delta=0.05 tail_F=0.4 head_F=2",
+    "denoising": "nu=0.01 sigma_k1=0.25 k=3 tail_F=0.5",
+    "sampling": "regime=gap mu0=2 norm_F=1.5 n=64 t=0.1 gap=0.1 eps=0.2 k=3",
+    "covariance": "mode=relative r_e=3 eps=0.2 k=2 n_samples=10000 gamma_k=2",
+    "covariance_rates": "norm_2=2 r_e=3 n_samples=500 n=50",
+    "powerlaw_cutoff": "delta=0.01 beta=1 n=1000 C1=2",
+    "powerlaw_rate": "delta=0.01 beta=1.5 n=1000",
+    "exponential_cutoff": "delta=1e-8 c=0.1 n=500",
+    "exponential_rate": "delta=1e-8 c=0.1 n=500",
+}
+
 
 def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
-    # this process has scipy loaded (conftest reads its BLAS), so a fresh
-    # interpreter runs the commands
+    # commands that never touch an array leave numpy unloaded as well.  This
+    # process has both loaded (conftest reads their BLAS), so a fresh
+    # interpreter runs the steps.
+    assert set(_VALID_CONFIGS) == set(spectrunc.EXPERIMENTS)
+    assert set(_BOUND_INPUTS) == set(_BOUNDS)
+    configs = []
+    for ex, keys in _VALID_CONFIGS.items():
+        configs.append(str(workdir / f"{ex}.cfg"))
+        Path(configs[-1]).write_text(
+            f"experiment = {ex}\nn = 8\ntrials = 1\nseed = 0\nbasis = haar\n{keys}"
+        )
     bad_cfg = workdir / "bad.cfg"
     bad_cfg.write_text(CONFIG + "widget = 1\n")
     A = workdir / "A.mat"
     argvs = [
         ["--version"],
         ["--help"],
-        ["bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.1",
-         "--set", "tail_F=1", "--set", "tail_2=1"],
-        ["synth", "--kind", "powerlaw", "--n", "200", "--beta", "1",
-         "--basis", "identity", "--out", str(A)],
+        *(["bounds", "--kind", kind, *(a for kv in inputs.split() for a in ("--set", kv))]
+          for kind, inputs in _BOUND_INPUTS.items()),
+        ["bounds", "--kind", "nope"],
         ["run", "--config", str(bad_cfg)],
-        # the first solve imports scipy
+        # the first array imports numpy, and the first solve scipy
+        ["synth", "--kind", "powerlaw", "--n", "200", "--beta", "1",
+         "--basis", "haar", "--out", str(A)],
         ["denoise", "--matrix", str(A), "--k", "3", "--out", str(workdir / "D.mat")],
     ]
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", _STARTUP_CHILD, json.dumps([configs, argvs])],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        ["--version", 0, False],
-        ["--help", 0, False],
-        ["bounds", 0, False],
-        ["synth", 0, False],
-        ["run", 1, False],
-        ["denoise", 0, True],
+        ["import spectrunc", None, False, False],
+        *(["read_config", ex, False, False] for ex in _VALID_CONFIGS),
+        ["--version", 0, False, False],
+        ["--help", 0, False, False],
+        *(["bounds", 0, False, False] for _ in _BOUND_INPUTS),
+        ["bounds", 1, False, False],
+        ["run", 1, False, False],
+        ["synth", 0, True, False],
+        ["denoise", 0, True, True],
     ]
+
+
+def test_public_surface_is_unchanged():
+    for name in spectrunc.__all__:
+        ns = {}
+        exec(f"from spectrunc import {name}", ns)
+        assert ns[name] is getattr(spectrunc, name)
+        assert name in dir(spectrunc)
+    # each name is its defining module's object
+    assert spectrunc.ExperimentConfig is spectrunc.harness.ExperimentConfig
+    assert spectrunc.EXPERIMENTS is spectrunc.harness.EXPERIMENTS
+    assert spectrunc.top_eigenpairs is linalg.top_eigenpairs
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        spectrunc.nope

@@ -59,62 +59,97 @@ def test_config_accepts_each_experiment():
     base_cfg(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1, 0.03))
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(experiment="nope"),
-        dict(n=1),
-        dict(trials=0),
-        dict(seed=-1),
-        dict(basis="fourier"),
-        dict(spectrum_kind="cauchy"),
-        dict(spectrum_beta=None),
-        dict(spectrum_kind="exponential", spectrum_beta=None),
-        dict(spectrum_kind="explicit", spectrum_beta=None),
-        dict(k=None),
-        dict(k=24),
-        dict(k=0),
-        dict(eps=None),
-        dict(eps=0.3),
-        dict(eps=0.0),
-        dict(experiment="denoising", eps=None, nu=None),
-        dict(experiment="denoising", eps=None, nu=-0.1),
-        dict(experiment="completion", p=None, t=0.1),
-        dict(experiment="completion", p=0.0, t=0.1),
-        dict(experiment="completion", p=0.5, t=None),
-        dict(experiment="completion", p=0.5, t=1.0),
-        dict(experiment="covariance", n_samples=None),
-        dict(experiment="covariance", n_samples=1),
-        dict(experiment="covariance", k=None),
-        dict(experiment="decay_rate", k=None, eps=None, delta_grid=()),
-        dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1, -0.1)),
-        dict(experiment="decay_rate", eps=None, delta_grid=(0.1,)),  # k must stay unset
-        dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1,),
-             spectrum_kind="explicit", spectrum_beta=None,
-             spectrum_values=tuple(1.0 / j for j in range(1, 25))),
-        dict(k_oracle=True),  # oracle rank is covariance-only
-        dict(k=None, k_oracle=True),
-        dict(experiment="covariance", n_samples=50, k_oracle=True),  # k set as well
-        dict(spectrum_c=0.5),  # a parameter the powerlaw kind does not read
-        dict(spectrum_kind="exponential", spectrum_c=0.3),  # spectrum_beta left set
-        dict(spectrum_kind="explicit", spectrum_beta=None,
-             spectrum_values=(1.0, 0.5, 0.25)),  # not n values
-        # a zero leading eigenvalue: all zero, or exp(-750) underflowing
-        dict(experiment="covariance", n=4, k=1, n_samples=50, spectrum_kind="explicit",
-             spectrum_beta=None, spectrum_values=(0.0, 0.0, 0.0, 0.0)),
-        dict(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=750.0),
-        # bound constants outside their domains
-        dict(C_mc=0.0),
-        dict(c_dn=-1.0),
-        dict(C_a=-5.0),
-        dict(C_b=-1.0),
-        dict(c_cov=-1.0),
-        dict(C1=0.0),
-    ],
-)
-def test_config_rejects(kw):
-    with pytest.raises(ValueError):
+#: (config fields, the exact message they are rejected with)
+_REJECTS = [
+    (dict(experiment="nope"),
+     "unknown experiment 'nope'; expected one of ('relative', 'gap', 'alignment', "
+     "'denoising', 'completion', 'covariance', 'decay_rate')"),
+    (dict(n=1), "n must be >= 2, got 1"),
+    (dict(trials=0), "trials must be >= 1, got 0"),
+    (dict(seed=-1), "seed must be nonnegative, got -1"),
+    (dict(basis="fourier"), "basis must be 'haar' or 'identity', got 'fourier'"),
+    (dict(spectrum_kind="cauchy"), "unknown spectrum kind 'cauchy'"),
+    (dict(spectrum_beta=None), "powerlaw spectrum requires finite beta > 0, got None"),
+    (dict(spectrum_kind="exponential", spectrum_beta=None),
+     "exponential spectrum requires finite c > 0, got None"),
+    (dict(spectrum_kind="explicit", spectrum_beta=None), "explicit spectrum requires values"),
+    (dict(k=None), "experiment 'relative' requires k"),
+    (dict(k=24), "k must lie in [1, 23], got 24"),
+    (dict(k=0), "k must lie in [1, 23], got 0"),
+    (dict(eps=None), "experiment 'relative' requires eps"),
+    (dict(eps=0.3), "eps must lie in (0, 0.25], got 0.3"),
+    (dict(eps=0.0), "eps must lie in (0, 0.25], got 0.0"),
+    (dict(experiment="denoising", eps=None, nu=None), "experiment 'denoising' requires nu"),
+    (dict(experiment="denoising", eps=None, nu=-0.1), "nu must be nonnegative, got -0.1"),
+    (dict(experiment="completion", p=None, t=0.1), "experiment 'completion' requires p"),
+    (dict(experiment="completion", p=0.0, t=0.1), "p must lie in (0, 1], got 0.0"),
+    (dict(experiment="completion", p=0.5, t=None), "experiment 'completion' requires t"),
+    (dict(experiment="completion", p=0.5, t=1.0), "t must lie in (0, 1), got 1.0"),
+    (dict(experiment="covariance", n_samples=None),
+     "experiment 'covariance' requires n_samples"),
+    (dict(experiment="covariance", n_samples=1), "n_samples must be >= 2, got 1"),
+    (dict(experiment="covariance", k=None), "experiment 'covariance' requires k"),
+    (dict(experiment="decay_rate", k=None, eps=None, delta_grid=()),
+     "decay_rate requires a nonempty delta_grid"),
+    (dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1, -0.1)),
+     "delta_grid entries must be positive"),
+    (dict(experiment="decay_rate", eps=None, delta_grid=(0.1,)),  # k must stay unset
+     "decay_rate derives k from the cutoff rule; do not set k"),
+    (dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1,),
+          spectrum_kind="explicit", spectrum_beta=None,
+          spectrum_values=tuple(1.0 / j for j in range(1, 25))),
+     "decay_rate requires a powerlaw or exponential spectrum"),
+    (dict(k_oracle=True),  # oracle rank is covariance-only
+     "k = oracle is only valid for covariance"),
+    (dict(k=None, k_oracle=True), "k = oracle is only valid for covariance"),
+    (dict(experiment="covariance", n_samples=50, k_oracle=True),  # k set as well
+     "k = oracle chooses k per trial; do not also set k"),
+    (dict(spectrum_c=0.5),  # a parameter the powerlaw kind does not read
+     "powerlaw spectrum does not use c"),
+    (dict(spectrum_kind="exponential", spectrum_c=0.3),  # spectrum_beta left set
+     "exponential spectrum does not use beta"),
+    (dict(spectrum_kind="explicit", spectrum_beta=None,
+          spectrum_values=(1.0, 0.5, 0.25)),  # not n values
+     "expected 24 values, got shape (3,)"),
+    # a zero leading eigenvalue: all zero, or exp(-750) underflowing
+    (dict(experiment="covariance", n=4, k=1, n_samples=50, spectrum_kind="explicit",
+          spectrum_beta=None, spectrum_values=(0.0, 0.0, 0.0, 0.0)),
+     "spectrum_values gives a leading eigenvalue of 0; it must be positive"),
+    (dict(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=750.0),
+     "spectrum_c gives a leading eigenvalue of 0; it must be positive"),
+    # bound constants outside their domains
+    (dict(C_mc=0.0), "C_mc must be positive, got 0.0"),
+    (dict(c_dn=-1.0), "c_dn must be positive, got -1.0"),
+    (dict(C_a=-5.0), "C_a must be nonnegative, got -5.0"),
+    (dict(C_b=-1.0), "C_b must be nonnegative, got -1.0"),
+    (dict(c_cov=-1.0), "c_cov must be positive, got -1.0"),
+    (dict(C1=0.0), "C1 must be positive, got 0.0"),
+    # explicit values out of order, negative or infinite
+    (dict(spectrum_kind="explicit", spectrum_beta=None,
+          spectrum_values=(1.0, 2.0) + (0.5,) * 22),
+     "explicit spectrum must be nonincreasing"),
+    (dict(spectrum_kind="explicit", spectrum_beta=None,
+          spectrum_values=(1.0,) * 23 + (-0.5,)),
+     "explicit spectrum must be finite and nonnegative"),
+    (dict(spectrum_kind="explicit", spectrum_beta=None,
+          spectrum_values=(float("inf"),) * 24),
+     "explicit spectrum must be finite and nonnegative"),
+    # exp(-745.1332) is the least subnormal, 5e-324; exp(-745.1333) rounds to 0
+    (dict(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=745.1333),
+     "spectrum_c gives a leading eigenvalue of 0; it must be positive"),
+]
+
+
+@pytest.mark.parametrize("kw, message", _REJECTS, ids=[f"kw{i}" for i in range(len(_REJECTS))])
+def test_config_rejects(kw, message):
+    with pytest.raises(ValueError) as info:
         base_cfg(**kw)
+    assert str(info.value) == message
+
+
+def test_config_accepts_the_least_subnormal_leading_eigenvalue():
+    cfg = base_cfg(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=745.1332)
+    assert cfg.spectrum()[0] == 5e-324
 
 
 @pytest.mark.parametrize("p", [0.0, 1.5, float("nan")])
