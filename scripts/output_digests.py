@@ -11,7 +11,10 @@ runs in-process:
 * ``spectrunc run`` in JSON and CSV for every experiment, including
   covariance with ``k = oracle`` (once where the oracle keeps every rank),
   an identity-basis exponential ``decay_rate``, alignment and denoising at
-  n = 200, and a variant of each config that overrides every bound constant;
+  n = 200, an identity-basis power-law ``decay_rate`` at n = 500 whose
+  delta grid reaches every ``top_eigenpairs`` route (k = 9, 32, 99, 332:
+  ARPACK, ARPACK, ``evr``, ``evd``), and a variant of each config that
+  overrides every bound constant;
 * ``spectrunc bounds`` in JSON and CSV for all 11 kinds, with every
   sampling regime and both covariance modes;
 * the file commands at n = 40 and n = 200: ``synth`` (Haar and identity
@@ -30,7 +33,8 @@ The n = 200 configs and file inputs sit at ``linalg.ARPACK_MIN_N``, so they
 reach the Lanczos routes: ARPACK top-k in the alignment step and in
 ``denoise``, and ``spectral_norm_sym`` for the perturbation scale, the
 noise norm, the spectral error and ``check_alignment``'s proximity check.
-Every other ``run`` config has n <= 120 and takes the dense routes.
+Every other ``run`` config but the n = 500 ``decay_rate`` has n <= 120 and
+takes the dense routes.
 
 It prints ``<sha256>  <output>`` per output.  Report bytes are reproducible
 only for a fixed numpy version, BLAS build and BLAS thread count, so compare
@@ -83,6 +87,10 @@ CONFIGS = {
     "decay_rate_identity_exponential": {"experiment": "decay_rate", "n": 120,
                                         "spectrum": "exponential", "spectrum_c": 0.5,
                                         "basis": "identity", "delta_grid": "1e-8 1e-9 1e-10"},
+    # k = 9, 32, 99, 332: ARPACK, ARPACK, evr, then evd on the last delta
+    "decay_rate_identity_routes": {"experiment": "decay_rate", "n": 500, **POWERLAW,
+                                   "basis": "identity",
+                                   "delta_grid": "0.1, 0.03, 0.01, 0.003"},
 }
 
 BOUNDS = {

@@ -41,6 +41,14 @@ never assembled.  The error comes from the top-k eigenpairs of A_hat alone
 through a trace identity, or densely when the identity would cancel (see
 :func:`_truncation_error_F`).
 
+Storage: a Haar trial writes ``(U^T G) U`` into G's own storage, drops U
+and symmetrizes G in place.  Each delta but the last builds A_hat in a fresh
+array, released when the next delta's replaces it; the last builds it in G's
+storage, since G is not read again.  G goes before the next trial draws its
+direction.  Releasing each A_hat right after its solve instead raises the
+peak RSS, as glibc's malloc then keeps later n x n blocks on its heap
+(BENCH_16).
+
 Determinism: trial ``i`` of a run uses the Philox stream ``(seed, i)``
 (for ``decay_rate``, one stream per perturbation-direction trial, shared
 across the delta grid).  Reports are reproducible bit-for-bit only for a
@@ -352,16 +360,19 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
         U = haar_orthogonal(n, rng) if config.basis == "haar" else None
         G = scaled_perturbation(n, 1.0, rng)
         if U is not None:
-            G = U.T @ G @ U
-            G = (G + G.T) / 2.0
-        for delta in config.delta_grid:
+            np.matmul(U.T @ G, U, out=G)
+            del U
+            np.add(G, G.T, out=G)  # numpy buffers the overlapping G.T
+            np.divide(G, 2.0, out=G)
+        last = len(config.delta_grid) - 1
+        for i, delta in enumerate(config.delta_grid):
             if config.spectrum_kind == "powerlaw":
                 k = powerlaw_rank_cutoff(delta, config.spectrum_beta, n, C1=config.C1)
                 rate = powerlaw_error_rate(delta, config.spectrum_beta, n)
             else:
                 k = exponential_rank_cutoff(delta, config.spectrum_c, n)
                 rate = exponential_error_rate(delta, config.spectrum_c, n)
-            A_hat = delta * G
+            A_hat = np.multiply(G, delta, out=G if i == last else None)
             A_hat[diag_idx, diag_idx] += sig
             err_F = _truncation_error_F(A_hat, k, sig)
             stats = spectrum_stats(sig, k)
@@ -381,6 +392,7 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
                 )
             )
             trial_id += 1
+        del G, A_hat
     return records
 
 

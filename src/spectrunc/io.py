@@ -465,13 +465,18 @@ def alignment_csv_bytes(report: AlignmentReport) -> bytes:
 
 
 def _bound_doc(result: Any) -> dict[str, Any]:
+    """The result's fields; a non-finite one (an overflow) raises ValueError naming it."""
     doc = dataclasses.asdict(result) if dataclasses.is_dataclass(result) else {"value": result}
-    return _jsonable(doc)
+    doc = _jsonable(doc)
+    for name, v in doc.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"bound result field {name!r} is not finite: {v}")
+    return doc
 
 
 def bound_json_bytes(result: Any) -> bytes:
     """Any :mod:`spectrunc.bounds` result, a report dataclass or a scalar, as JSON."""
-    return (json.dumps(_bound_doc(result), indent=2) + "\n").encode()
+    return (json.dumps(_bound_doc(result), indent=2, allow_nan=False) + "\n").encode()
 
 
 def bound_csv_bytes(result: Any) -> bytes:

@@ -408,6 +408,24 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     return float(np.max(np.abs(vals)))
 
 
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
+
+def _normal(v) -> bool:
+    """Whether ``v`` is a positive normal float (not 0, subnormal, inf or nan)."""
+    return _TINY <= v <= _HUGE
+
+
+def _root_sum_sq(x: np.ndarray) -> float:
+    """sqrt(sum(x**2)), rescaled by max|x| when the plain sum leaves the normal range."""
+    with np.errstate(over="ignore"):
+        s = np.sum(x**2)
+    if _normal(s) or not np.any(x):
+        return float(np.sqrt(s))
+    top = np.max(np.abs(x))
+    return float(top * np.sqrt(np.sum((x / top) ** 2)))
+
+
 def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
     """Summaries of a descending spectrum split after position ``k``.
 
@@ -427,6 +445,9 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         the discarded and kept parts; gap = sigma_k - sigma_{k+1};
         gamma_k = sigma_k / sigma_{k+1} (+inf when the tail vanishes);
         stable rank = ||.||_F^2 / sigma_1^2; effective rank = trace / sigma_1.
+        The masses and the stable rank are computed from the spectrum
+        scaled by its largest value when the plain sums of squares would
+        overflow or fall below the normal float range.
     """
     sig = descending_spectrum(eigenvalues, k)
     if sig[0] <= 0:
@@ -438,14 +459,20 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         gamma = float(sig[k - 1] / tail_2)
     else:
         gamma = float("inf")
+    with np.errstate(over="ignore"):
+        mass, top2 = np.sum(sig**2), sig[0] ** 2
+    if _normal(mass) and _normal(top2):
+        stable_rank = float(mass / top2)
+    else:  # sigma_1^2 or the mass over- or underflows near the ends of the float range
+        stable_rank = float(np.sum((sig / sig[0]) ** 2))
     return SpectrumStats(
         k=k,
         tail_2=tail_2,
-        tail_F=float(np.sqrt(np.sum(tail**2))),
-        head_F=float(np.sqrt(np.sum(head**2))),
+        tail_F=_root_sum_sq(tail),
+        head_F=_root_sum_sq(head),
         gap=float(sig[k - 1] - tail[0]),
         gamma_k=gamma,
-        stable_rank=float(np.sum(sig**2) / sig[0] ** 2),
+        stable_rank=stable_rank,
         effective_rank=float(np.sum(sig) / sig[0]),
     )
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,28 @@ def test_bounds_input_errors(capsys):
                        "--set", f"tail_F={bad}", "--set", "tail_2=1") == 1
         captured = capsys.readouterr()
         assert "invalid value for 'tail_F'" in captured.err and captured.out == ""
+
+
+def test_bounds_rejects_an_overflowing_result(capsys):
+    base = ["bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.25"]
+    for fmt in ("json", "csv"):
+        assert run_cli(*base, "--set", "tail_F=1e308", "--set", "tail_2=1e308",
+                       "--format", fmt) == 1
+        captured = capsys.readouterr()
+        assert "bound result field 'value' is not finite" in captured.err
+        assert captured.out == ""
+    assert run_cli(*base, "--set", "tail_F=1e300", "--set", "tail_2=1e300") == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 1e300
+
+
+def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
+    a = workdir / "tiny.sym"
+    a.write_text("sym 2\n1e-320 0\n0 1e-321\n")
+    argv = ["verify", "--matrix", str(a), "--perturbed", str(a), "--k", "1", "--eps", "0.2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 0
+    assert json.loads(capsys.readouterr().out)["all_passed"]
 
 
 @pytest.mark.parametrize("kind, inputs, unused", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,3 +443,26 @@ def test_haar_decay_error_matches_original_basis(n):
             ref = float(np.linalg.norm(truncate(w[:k], V[:, :k]) - A, "fro"))
             assert r.measured_error_F == pytest.approx(ref, rel=1e-9)
     assert routes == ({"evr", "evd"} if n == 150 else {"arpack"})
+
+
+@pytest.mark.parametrize("n, basis, delta_grid, limit", [
+    # k = 9, 32, 99, 332: ARPACK, ARPACK, evr, then evd, whose A_hat and
+    # divide-and-conquer workspace (2n^2 doubles) set the peak
+    (600, "identity", (0.1, 0.03, 0.01, 0.003), 3.5),
+    # the second trial's Haar QR sets the peak
+    (100, "haar", (0.1, 0.03), 6.0),
+])
+def test_decay_sweep_holds_no_spare_square_matrix(n, basis, delta_grid, limit):
+    cfg = decay_cfg(n, 0, basis, spectrum_kind="powerlaw", spectrum_beta=1.0,
+                    delta_grid=delta_grid)
+    rep = run_experiment(cfg)  # warm-up: first-use allocations are not the sweep's
+    if basis == "identity":
+        ks = [r.aux["k_used"] for r in rep.trials[:4]]
+        assert [_top_k_route(n, k) for k in ks] == ["arpack", "arpack", "evr", "evd"]
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * 8 * n * n

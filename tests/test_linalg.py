@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,21 @@ def test_spectrum_stats_zero_tail_gives_infinite_ratio():
     s = spectrum_stats(np.array([2.0, 1.0, 0.0]), 2)
     assert s.gamma_k == np.inf
     assert s.tail_F == 0.0
+
+
+def test_spectrum_stats_at_float_extremes():
+    # the plain sums of squares overflow (1e200) or underflow (1e-320)
+    for sig in ([1e200, 1e199], [1e-320, 1e-321]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = spectrum_stats(np.array(sig), 1)
+        assert s.head_F == sig[0] and s.tail_F == sig[1]
+        assert s.stable_rank == pytest.approx(1.01, rel=1e-2)
+    # ordinary spectra keep the plain quotient's bits
+    sig = 1.0 / np.arange(1, 8)
+    s = spectrum_stats(sig, 3)
+    assert s.stable_rank == float(np.sum(sig**2) / sig[0] ** 2)
+    assert s.tail_F == float(np.sqrt(np.sum(sig[3:] ** 2)))
 
 
 def test_principal_angle_rotation():
