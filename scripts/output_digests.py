@@ -19,15 +19,18 @@ runs in-process:
   sampling regime and both covariance modes;
 * the file commands at n = 40 and n = 200: ``synth`` (Haar and identity
   basis), ``denoise``, ``complete``, ``cov --center``, and ``verify`` in
-  JSON and CSV.  The script writes their input files itself (a Haar
-  power-law matrix, that matrix plus a small symmetric perturbation, its
-  observations at p = 0.6 and 2n samples) from its own generator and its
-  own ``%.17g`` writer, so both trees read the same bytes;
+  JSON and CSV, and ``denoise`` once more writing to stdout.  The script
+  writes their input files itself (a Haar power-law matrix, that matrix
+  plus a small symmetric perturbation, its observations at p = 0.6 and 2n
+  samples) from its own generator and its own ``%.17g`` writer, so both
+  trees read the same bytes;
 * rejected inputs: ``run`` of configs with an unknown key, a parameter the
   spectrum kind does not read, an increasing explicit spectrum and a zero
-  sigma_1, and ``bounds`` with a malformed ``--set`` and an unknown
-  ``--kind``.  Their digest covers the exit code and stderr, so a moved
-  check cannot change an error message unnoticed.
+  sigma_1, ``bounds`` with a malformed ``--set`` and an unknown ``--kind``,
+  and malformed files: a non-finite matrix entry, a short matrix row, an
+  asymmetric pair, a bad observation index and a wrong sample count.
+  Their digest covers the exit code and stderr, so a moved check cannot
+  change an error message unnoticed.
 
 The n = 200 configs and file inputs sit at ``linalg.ARPACK_MIN_N``, so they
 reach the Lanczos routes: ARPACK top-k in the alignment step and in
@@ -133,6 +136,20 @@ REJECTED = {
     "unknown --kind": ["bounds", "--kind", "nope", "--set", "k=1"],
 }
 
+#: rejected files: name -> the command, whose last flag takes the file, and its text
+REJECTED_FILES = {
+    "non-finite matrix entry": (["denoise", "--k", "1", "--matrix"],
+                                "sym 3\n1 0 0\n0 1 0\n# last row\n0 0 -inf\n"),
+    "short matrix row": (["denoise", "--k", "1", "--matrix"],
+                         "sym 3\r\n1 0 0\r\n0 1\r\n0 0 1\r\n"),
+    "asymmetric pair": (["denoise", "--k", "1", "--matrix"],
+                        "sym 3\n1 0.5 0.25\n0.5 1 2\n0.2500001 2.0 1\n"),
+    "bad observation index": (["complete", "--k", "1", "--obs"],
+                              "obs 3 0.5 3\n1 1 5.0\n1 3 1.0\n3 2 4.0\n"),
+    "wrong sample count": (["cov", "--k", "1", "--samples"],
+                           "samples 4 2\n1 0\n0 1\n\n1 1\n"),
+}
+
 
 def _cli(main, argv: list[str], out: Path) -> bytes:
     err = _io.StringIO()
@@ -168,12 +185,17 @@ def rejection_digests(work: Path):
     """(input name, sha256 of the exit code and stderr) for every rejected input."""
     from spectrunc.cli import main
 
-    for name, spec in REJECTED.items():
+    rejected = {**REJECTED, **REJECTED_FILES}
+    for name, spec in rejected.items():
         argv = spec
         if isinstance(spec, dict):
             argv = ["run", "--config", str(work / "rejected.cfg")]
             text = "".join(f"{key} = {value}\n" for key, value in {**COMMON, **spec}.items())
             (work / "rejected.cfg").write_text(text)
+        elif isinstance(spec, tuple):
+            argv, text = spec
+            (work / "rejected.txt").write_bytes(text.encode())
+            argv = [*argv, str(work / "rejected.txt")]
         err = _io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(_io.StringIO()):
             code = main(argv)
@@ -245,6 +267,12 @@ def file_digests(work: Path):
         for name, argv in commands.items():
             data = _cli(main, argv, work / "out")
             yield f"{name} n={n}", hashlib.sha256(data).hexdigest()
+        out, err = _io.StringIO(), _io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(commands["denoise"])
+        if code != 0:
+            raise SystemExit(f"spectrunc denoise to stdout exited {code}: {err.getvalue()}")
+        yield f"denoise stdout n={n}", hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def main(argv: list[str]) -> int:

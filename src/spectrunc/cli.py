@@ -71,6 +71,15 @@ def _emit(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode())
 
 
+def _emit_matrix(A, out: str | None) -> None:
+    """Write ``A`` as a ``sym n`` file to ``out`` or stdout, one row at a time."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            io.write_matrix(A, fh)
+    else:
+        io.write_matrix(A, sys.stdout)
+
+
 def _parse_kv(pairs: list[str]) -> dict[str, str]:
     vals: dict[str, str] = {}
     for item in pairs:
@@ -98,16 +107,15 @@ def _cmd_synth(args) -> int:
         A = psd_from_spectrum(spectrum, haar_orthogonal(args.n, rng))
     else:
         A = psd_from_spectrum(spectrum, None)
-    _emit(io.matrix_bytes(A), args.out)
+    _emit_matrix(A, args.out)
     return 0
 
 
 def _cmd_complete(args) -> int:
     from .estimators import complete
 
-    with open(args.obs, "r", encoding="utf-8") as fh:
-        obs = io.read_observations(fh.read())
-    _emit(io.matrix_bytes(complete(obs, args.k)), args.out)
+    obs = io.read_observations_file(args.obs)
+    _emit_matrix(complete(obs, args.k), args.out)
     print(
         f"completed n={obs.n} from {obs.count} observations at p={obs.p} "
         f"(rank {args.k})",
@@ -119,19 +127,16 @@ def _cmd_complete(args) -> int:
 def _cmd_denoise(args) -> int:
     from .estimators import denoise
 
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        Y = io.read_matrix(fh.read())
-    _emit(io.matrix_bytes(denoise(Y, args.k)), args.out)
+    # the input is released once the estimate exists, before it is written
+    _emit_matrix(denoise(io.read_matrix_file(args.matrix), args.k), args.out)
     return 0
 
 
 def _cmd_cov(args) -> int:
     from .estimators import covariance_reduced
 
-    with open(args.samples, "r", encoding="utf-8") as fh:
-        samples = io.read_samples(fh.read())
-    est = covariance_reduced(samples, args.k, center=args.center)
-    _emit(io.matrix_bytes(est), args.out)
+    samples = io.read_samples_file(args.samples)
+    _emit_matrix(covariance_reduced(samples, args.k, center=args.center), args.out)
     return 0
 
 
@@ -186,10 +191,8 @@ def _cmd_verify(args) -> int:
     from .linalg import spectral_norm_sym, top_eigenpairs
     from .proofcheck import check_alignment
 
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        A = io.read_matrix(fh.read())
-    with open(args.perturbed, "r", encoding="utf-8") as fh:
-        A_hat = io.read_matrix(fh.read())
+    A = io.read_matrix_file(args.matrix)
+    A_hat = io.read_matrix_file(args.perturbed)
     n = A.shape[0]
     if A_hat.shape != A.shape:
         raise ValueError(f"--matrix is {A.shape}, --perturbed is {A_hat.shape}")

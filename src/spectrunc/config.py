@@ -63,14 +63,44 @@ class FormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """(line_number, stripped line) for every non-blank, non-comment line."""
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            out.append((i, s))
-    return out
+#: the characters ``str.splitlines`` ends a line at
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: characters read from a file at a time
+_BLOCK = 1 << 16
+
+
+def _line_blocks(source: str | typing.TextIO) -> typing.Iterator[list[str]]:
+    """The lines of ``source``, a text or an open text file, a block at a time.
+
+    A file is read ``_BLOCK`` characters at a time, and a line cut by the
+    end of a block is carried into the next, so the lines are the ones
+    ``str.splitlines`` gives for the whole text: a form feed, ``\\u2028`` or
+    another separator it knows ends a line in a file too.  The file must
+    translate newlines, as ``open`` does by default, so that no ``\\r\\n``
+    is cut between two blocks.
+    """
+    if isinstance(source, str):
+        yield source.splitlines()
+        return
+    tail = ""
+    for block in iter(lambda: source.read(_BLOCK), ""):
+        lines = (tail + block).splitlines()
+        tail = "" if block[-1] in _LINE_ENDS else lines.pop()
+        yield lines
+    if tail:
+        yield [tail]
+
+
+def _data_lines(source: str | typing.TextIO) -> typing.Iterator[tuple[int, str]]:
+    """(line_number, stripped line) for every non-blank, non-comment line of ``source``."""
+    ln = 0
+    for lines in _line_blocks(source):
+        for raw in lines:
+            ln += 1
+            s = raw.strip()
+            if s and not s.startswith("#"):
+                yield ln, s
 
 
 def spectrum_head(
@@ -240,8 +270,18 @@ def parse_config(text: str) -> ExperimentConfig:
     only its own parameters from ``EXPERIMENT_PARAMS``.  Fields without a
     default are mandatory.  Unknown and duplicate keys are rejected by name.
     """
+    return _parse_config(text)
+
+
+def read_config(path) -> ExperimentConfig:
+    """Read a config file line by line, as :func:`parse_config` reads text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_config(fh)
+
+
+def _parse_config(source: str | typing.TextIO) -> ExperimentConfig:
     raw: dict[str, str] = {}
-    for ln, s in _data_lines(text):
+    for ln, s in _data_lines(source):
         joined = " ".join(s.split())
         if "=" not in joined:
             raise FormatError("expected 'key = value'", ln)
@@ -294,8 +334,3 @@ def parse_config(text: str) -> ExperimentConfig:
         return ExperimentConfig(**kwargs)
     except ValueError as e:
         raise FormatError(str(e)) from None
-
-
-def read_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

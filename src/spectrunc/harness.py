@@ -82,6 +82,7 @@ from .bounds import (
 from .config import EXPERIMENT_PARAMS, ExperimentConfig
 from .estimators import complete, denoise, sample_covariance
 from .linalg import (
+    effective_rank,
     eig_sym,
     spectral_norm_sym,
     spectrum_stats,
@@ -320,7 +321,7 @@ def _covariance_step(config: ExperimentConfig, sig, A, rng):
     else:
         k = config.k
         lam, V = top_eigenpairs(SC, k)
-    r_e = float(np.sum(sig) / sig[0])
+    r_e = effective_rank(sig)
     rates = sample_covariance_rates(float(sig[0]), r_e, config.n_samples, config.n)
     gamma = spectrum_stats(sig, k).gamma_k if k < config.n else math.inf
     if math.isfinite(gamma):

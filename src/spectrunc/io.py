@@ -18,6 +18,13 @@ entry once and reuses its text for a bitwise-equal mirror, and the reader
 parses a lower token only where its text differs from the upper token it
 mirrors.  Output bytes and parsed bits are those of converting every entry.
 
+Files stream: the ``*_file`` readers parse a block of lines at a time and
+:func:`write_matrix` writes a row at a time, through the parsers and row
+formatter that the text functions use.  Besides the array they hold one
+block or row of text, and for a ``sym n`` file at most n^2/4 pending upper
+tokens, the text each column's mirror is compared with or reuses.
+Faults are reported in the order of a reader that holds the whole file.
+
 Reports serialize to JSON (full nested structure, config and tool stamp
 included) or CSV (one row per trial, fixed column set across all
 experiments).  Serialization contains nothing volatile -- two runs with
@@ -32,7 +39,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
 from .config import (  # re-exported: the config format is one of the file formats
     ExperimentConfig,
@@ -53,10 +60,14 @@ if TYPE_CHECKING:
 __all__ = [
     "FormatError",
     "read_matrix",
+    "read_matrix_file",
     "matrix_bytes",
+    "write_matrix",
     "read_observations",
+    "read_observations_file",
     "observations_bytes",
     "read_samples",
+    "read_samples_file",
     "samples_bytes",
     "parse_value",
     "parse_config",
@@ -91,30 +102,52 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise FormatError(f"invalid {what} {tok!r}", line) from None
 
 
-def _read_rows(lines: list[tuple[int, str]], width: int, what: str) -> np.ndarray:
-    """Parse data lines into a ``(len(lines), width)`` float array, one line at a time.
+def _header(lines: Iterator[tuple[int, str]], name: str, form: str) -> tuple[int, list[str]]:
+    """Line number and tokens of the first data line, which must read as ``form``."""
+    first = next(lines, None)
+    if first is None:
+        raise FormatError(f"empty {name} file")
+    hline, htok, words = first[0], first[1].split(), form.split()
+    if len(htok) != len(words) or htok[0] != words[0]:
+        raise FormatError(f"expected header '{form}'", hline)
+    return hline, htok
 
-    A line converts whole, each token through ``float``; only a line that fails
-    (a token ``float`` rejects, or a non-finite value) is walked token by token,
-    to name its first bad token.  Lines are checked in order, so the first bad
-    line is the one reported.
+
+def _finish(lines, taken: int, count: int, what: str, hline: int, error=None) -> None:
+    """Count the data lines left after the ``taken`` ones parsed, then raise ``error``.
+
+    A wrong number of data lines is reported on the header, ahead of any
+    bad line, and a bad line ahead of any fault found after the last line:
+    the order of checks of a reader that holds the whole file.
+    """
+    found = taken + sum(1 for _ in lines)
+    if found != count:
+        raise FormatError(f"expected {count} {what}, found {found}", hline)
+    if error is not None:
+        raise error
+
+
+def _empty(shape: tuple[int, int], lines, hline: int, what: str) -> np.ndarray:
+    """``np.empty(shape)`` for the data a header declares.
+
+    A shape too large to allocate gets its data lines counted first, so a
+    file shorter than its header is still reported as one.
     """
     import numpy as np
 
-    out = np.empty((len(lines), width))
-    for r, (ln, s) in enumerate(lines):
-        tok = s.split()
-        if len(tok) != width:
-            raise FormatError(f"expected {width} entries in row, found {len(tok)}", ln)
-        try:
-            out[r] = list(map(float, tok))
-            ok = np.isfinite(out[r]).all()
-        except ValueError:
-            ok = False
-        if not ok:
-            for t in tok:  # raises at the first bad token
-                _parse_float(t, ln, what)
-    return out
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):
+        _finish(lines, 0, shape[0], what, hline)
+        raise
+
+
+def _row_error(tok: list[str], width: int, line: int, what: str) -> None:
+    """Raise the fault of a rejected row: its entry count, or its first bad token."""
+    if len(tok) != width:
+        raise FormatError(f"expected {width} entries in row, found {len(tok)}", line)
+    for t in tok:
+        _parse_float(t, line, what)
 
 
 def _table_bytes(header: str, fmt: str, rows) -> bytes:
@@ -130,79 +163,98 @@ def _float_rows_bytes(header: str, X: np.ndarray) -> bytes:
 
 # ---------------------------------------------------------------- matrices
 
+#: an entry this large doubles to inf, so (A + A^T) / 2 would overflow
+_HALF_RANGE = 2.0**1023
 
-def _read_sym_rows(lines: list[tuple[int, str]], n: int) -> np.ndarray | None:
-    """Parse ``n`` rows of ``n`` entries, converting each distinct token once.
+
+def _parse_matrix(source: str | TextIO) -> np.ndarray:
+    """``sym n`` text or file as a symmetric float64 array, one row at a time.
 
     Each row's upper part (j >= i) goes through ``float``; a lower token is
     converted only where its text differs from the upper token it mirrors,
     and otherwise takes that token's value, which is what ``float`` gives
-    for equal text.  Returns None on any malformed row or non-finite value,
-    for :func:`_read_rows` to name the first bad line.
+    for equal text.  So only such differently spelled pairs can be
+    asymmetric, and only they are checked and averaged, after the last row;
+    every other entry is its own average.  A matrix with an entry whose
+    double overflows is averaged whole as A/2 + A^T/2 instead.
     """
     import numpy as np
 
-    A = np.empty((n, n))
-    pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper tokens
-    for i, (_, s) in enumerate(lines):
-        tok = s.split()
-        if len(tok) != n:
-            return None
-        try:
-            A[i, i:] = list(map(float, tok[i:]))
-            A[i, :i] = A[:i, i]
-            lower, mirror = tok[:i], pending[i]
-            if lower != mirror:
-                for j in [j for j, (a, b) in enumerate(zip(lower, mirror)) if a != b]:
-                    A[i, j] = float(lower[j])
-        except ValueError:
-            return None
-        pending[i] = None
-        for col, t in zip(pending[i + 1 :], tok[i + 1 :]):
-            col.append(t)
-    return A if np.isfinite(A).all() else None
-
-
-def read_matrix(text: str) -> np.ndarray:
-    import numpy as np
-
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty matrix file")
-    hline, htok = lines[0][0], lines[0][1].split()
-    if len(htok) != 2 or htok[0] != "sym":
-        raise FormatError("expected header 'sym n'", hline)
+    lines = _data_lines(source)
+    hline, htok = _header(lines, "matrix", "sym n")
     n = _parse_int(htok[1], hline, "dimension")
     if n < 1:
         raise FormatError(f"dimension must be >= 1, got {n}", hline)
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} data rows, found {len(lines) - 1}", hline)
-    A = _read_sym_rows(lines[1:], n)
-    if A is None:  # the row walk converts every token and names the first bad line
-        A = _read_rows(lines[1:], n, "matrix entry")
-    with np.errstate(over="ignore", invalid="ignore"):
-        asym = np.abs(A - A.T)
-        if asym.size and asym.max() > 1e-12:
-            r, c = np.unravel_index(np.argmax(asym), asym.shape)
+    A = _empty((n, n), lines, hline, "data rows")
+    pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper tokens
+    row_lines: list[int] = []
+    spelled = array.array("q")  # i * n + j of each lower entry converted itself
+    i, error = -1, None
+    try:
+        for i, (ln, s) in zip(range(n), lines):
+            tok = s.split()
+            ok = len(tok) == n
+            try:
+                if ok:
+                    A[i, i:] = list(map(float, tok[i:]))
+                    A[i, :i] = A[:i, i]
+                    lower, mirror = tok[:i], pending[i]
+                    if lower != mirror:
+                        for j in [j for j, (a, b) in enumerate(zip(lower, mirror)) if a != b]:
+                            A[i, j] = float(lower[j])
+                            spelled.append(i * n + j)
+                    ok = np.isfinite(A[i]).all()
+            except ValueError:
+                ok = False
+            if not ok:
+                _row_error(tok, n, ln, "matrix entry")
+            row_lines.append(ln)
+            pending[i] = None
+            for col, t in zip(pending[i + 1 :], tok[i + 1 :]):
+                col.append(t)
+    except FormatError as e:
+        error = e
+    _finish(lines, i + 1, n, "data rows", hline, error)
+    r, c = np.divmod(np.frombuffer(spelled, dtype=np.int64), n)  # lower (r, c), upper (c, r)
+    if r.size:
+        with np.errstate(over="ignore"):
+            asym = np.abs(A[r, c] - A[c, r])
+        worst = asym.max()
+        if worst > 1e-12:
+            # the first such entry in row order, which is an upper one
+            at = np.flatnonzero(asym == worst)
+            k = at[np.argmin(c[at] * n + r[at])]
             raise FormatError(
-                f"matrix not symmetric at ({r + 1}, {c + 1}): "
-                f"|A_ij - A_ji| = {asym[r, c]:.3e}",
-                lines[1 + int(r)][0],
+                f"matrix not symmetric at ({c[k] + 1}, {r[k] + 1}): "
+                f"|A_ij - A_ji| = {worst:.3e}",
+                row_lines[c[k]],
             )
-        S = (A + A.T) / 2.0
-    if not np.all(np.isfinite(S)):
-        # entries above half the float range overflow in A + A.T; halving
-        # first is exact there (such values are far from subnormal)
-        S = A / 2.0 + A.T / 2.0
-    return S
+    if A.max() >= _HALF_RANGE or A.min() <= -_HALF_RANGE:
+        # halve first, everywhere: exact for the huge entries, while odd
+        # subnormal entries round, as the whole-matrix average rounds them
+        return A / 2.0 + A.T / 2.0
+    A[r, c] = A[c, r] = (A[r, c] + A[c, r]) / 2.0
+    return A
 
 
-def matrix_bytes(A: np.ndarray) -> bytes:
-    """``sym n`` text of a square matrix, every entry as ``format(v, ".17g")``.
+def read_matrix(text: str) -> np.ndarray:
+    """Parse ``sym n`` text; the same parser reads files in :func:`read_matrix_file`."""
+    return _parse_matrix(text)
 
-    Each row's upper part (j >= i) is formatted once; an entry below the
-    diagonal reuses its mirror's text where the two are bitwise equal (so
-    0.0 and -0.0 stay distinct) and is formatted itself otherwise.
+
+def read_matrix_file(path) -> np.ndarray:
+    """Read a ``sym n`` file line by line into a symmetric float64 array."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_matrix(fh)
+
+
+def _matrix_lines(A: np.ndarray) -> Iterator[str]:
+    """``sym n`` text of a square matrix, one newline-terminated line at a time.
+
+    Every entry is written as ``format(v, ".17g")``.  Each row's upper part
+    (j >= i) is formatted once; an entry below the diagonal reuses its
+    mirror's text where the two are bitwise equal (so 0.0 and -0.0 stay
+    distinct) and is formatted itself otherwise.
     """
     import numpy as np
 
@@ -211,96 +263,107 @@ def matrix_bytes(A: np.ndarray) -> bytes:
     bits = A.view(np.uint64)
     fmt = " ".join(["%.17g"] * n)
     pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper texts
-    rows = [f"sym {n}".encode()]
+    yield f"sym {n}\n"
     for i in range(n):
         upper = (fmt[6 * i :] % tuple(A[i, i:].tolist())).split(" ")
         lower, pending[i] = pending[i], None
         for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
             lower[j] = _fmt(A[i, j])
-        rows.append(" ".join(lower + upper).encode())
+        yield " ".join(lower + upper) + "\n"
         for col, t in zip(pending[i + 1 :], upper[1:]):
             col.append(t)
-    rows.append(b"")  # the final newline
-    return b"\n".join(rows)
+
+
+def matrix_bytes(A: np.ndarray) -> bytes:
+    """``sym n`` text of a square matrix, as :func:`write_matrix` writes it."""
+    return "".join(_matrix_lines(A)).encode()
+
+
+def write_matrix(A: np.ndarray, fh: TextIO) -> None:
+    """Write ``sym n`` text of a square matrix to ``fh``, one row at a time."""
+    fh.writelines(_matrix_lines(A))
 
 
 # ------------------------------------------------------------ observations
 
 
-def _convert_observations(lines: list[tuple[int, str]]):
-    """``i j value`` lines as int64, int64 and float arrays, unchecked.
+def _observation_error(s: str, line: int, n: int) -> None:
+    """Raise the fault of a rejected ``i j value`` line, checked token by token."""
+    tok = s.split()
+    if len(tok) != 3:
+        raise FormatError("expected 'i j value'", line)
+    i = _parse_int(tok[0], line, "row index")
+    j = _parse_int(tok[1], line, "column index")
+    if not 1 <= i <= j <= n:
+        raise FormatError(f"indices must satisfy 1 <= i <= j <= {n}, got ({i}, {j})", line)
+    _parse_float(tok[2], line, "observed value")
 
-    Raises ValueError on a line without three tokens or a token that ``int``
-    or ``float`` rejects, and OverflowError on an index beyond int64.  The
-    numbers go straight into C arrays, so no Python number outlives its line.
+
+def _parse_observations(source: str | TextIO) -> ObservationSet:
+    """``obs n p count`` text or file as an :class:`ObservationSet`, one line at a time.
+
+    Indices and values go straight into C arrays, with each line's line
+    number for naming a repeated position, so no Python number outlives
+    its line.  Only a line that fails the checks is walked token by token,
+    to name its fault.
     """
-    import numpy as np
-
-    rows, cols, vals = array.array("q"), array.array("q"), array.array("d")
-    for _, s in lines:
-        i, j, v = s.split()
-        rows.append(int(i))
-        cols.append(int(j))
-        vals.append(float(v))
-    return (
-        np.frombuffer(rows, dtype=np.int64),
-        np.frombuffer(cols, dtype=np.int64),
-        np.frombuffer(vals, dtype=np.float64),
-    )
-
-
-def read_observations(text: str) -> ObservationSet:
     import numpy as np
 
     from .estimators import ObservationSet
 
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty observation file")
-    hline, htok = lines[0][0], lines[0][1].split()
-    if len(htok) != 4 or htok[0] != "obs":
-        raise FormatError("expected header 'obs n p count'", hline)
+    lines = _data_lines(source)
+    hline, htok = _header(lines, "observation", "obs n p count")
     n = _parse_int(htok[1], hline, "dimension")
     p = _parse_float(htok[2], hline, "observation probability")
     count = _parse_int(htok[3], hline, "observation count")
-    if len(lines) - 1 != count:
-        raise FormatError(f"expected {count} observation lines, found {len(lines) - 1}", hline)
+    rows, cols, vals, at = array.array("q"), array.array("q"), array.array("d"), array.array("q")
+    error = None
     try:
-        rows, cols, vals = _convert_observations(lines[1:])
-        ok = ((1 <= rows) & (rows <= cols) & (cols <= n)).all() and np.isfinite(vals).all()
-    except (ValueError, OverflowError):
-        ok = False
-    if ok:
-        rows -= 1
-        cols -= 1
-    else:  # convert again line by line, raising at the first bad line
-        rows = np.empty(count, dtype=np.int64)
-        cols = np.empty(count, dtype=np.int64)
-        vals = np.empty(count)
-        for idx, (ln, s) in enumerate(lines[1:]):
-            tok = s.split()
-            if len(tok) != 3:
-                raise FormatError("expected 'i j value'", ln)
-            i = _parse_int(tok[0], ln, "row index")
-            j = _parse_int(tok[1], ln, "column index")
-            if not 1 <= i <= j <= n:
-                raise FormatError(
-                    f"indices must satisfy 1 <= i <= j <= {n}, got ({i}, {j})", ln
-                )
-            rows[idx] = i - 1
-            cols[idx] = j - 1
-            vals[idx] = _parse_float(tok[2], ln, "observed value")
+        for ln, s in lines:  # lines past ``count`` are parsed too; the count check wins
+            try:
+                i, j, v = s.split()
+                i = int(i)
+                j = int(j)
+                v = float(v)
+                ok = 0 < i <= j <= n and v - v == 0  # v - v is nan for inf and nan
+            except ValueError:
+                ok = False
+            if not ok:
+                _observation_error(s, ln, n)
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(v)
+            at.append(ln)
+    except FormatError as e:
+        error = e
+    # a bad line was taken from ``lines`` without reaching ``at``
+    _finish(lines, len(at) + (error is not None), count, "observation lines", hline, error)
+    rows = np.frombuffer(rows, dtype=np.int64)
+    cols = np.frombuffer(cols, dtype=np.int64)
     try:
-        return ObservationSet(n=n, p=p, rows=rows, cols=cols, values=vals)
+        return ObservationSet(
+            n=n, p=p, rows=rows, cols=cols, values=np.frombuffer(vals, dtype=np.float64)
+        )
     except ValueError as e:
         if "duplicate" in str(e):  # only a failing read pays for locating the repeat
             first: dict[tuple[int, int], int] = {}
-            for (ln, _), i, j in zip(lines[1:], rows.tolist(), cols.tolist()):
+            for ln, i, j in zip(at, rows.tolist(), cols.tolist()):
                 if (i, j) in first:
                     msg = f"duplicate observation position ({i + 1}, {j + 1}), first on line"
                     raise FormatError(f"{msg} {first[i, j]}", ln) from None
                 first[i, j] = ln
         raise FormatError(str(e), hline) from None
+
+
+def read_observations(text: str) -> ObservationSet:
+    """Parse ``obs n p count`` text, as :func:`read_observations_file` reads a file."""
+    return _parse_observations(text)
+
+
+def read_observations_file(path) -> ObservationSet:
+    """Read an ``obs n p count`` file line by line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_observations(fh)
 
 
 def observations_bytes(obs: ObservationSet) -> bytes:
@@ -314,22 +377,52 @@ def observations_bytes(obs: ObservationSet) -> bytes:
 # ----------------------------------------------------------------- samples
 
 
-def read_samples(text: str) -> SampleSet:
+def _parse_samples(source: str | TextIO) -> SampleSet:
+    """``samples N n`` text or file as a :class:`SampleSet`, one row at a time.
+
+    A row converts whole, each token through ``float``; only a row that
+    fails (a token ``float`` rejects, or a non-finite value) is walked token
+    by token, to name its first bad token.
+    """
+    import numpy as np
+
     from .estimators import SampleSet
 
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty sample file")
-    hline, htok = lines[0][0], lines[0][1].split()
-    if len(htok) != 3 or htok[0] != "samples":
-        raise FormatError("expected header 'samples N n'", hline)
+    lines = _data_lines(source)
+    hline, htok = _header(lines, "sample", "samples N n")
     N = _parse_int(htok[1], hline, "sample count")
     n = _parse_int(htok[2], hline, "dimension")
     if N < 1 or n < 1:
         raise FormatError("sample count and dimension must be >= 1", hline)
-    if len(lines) - 1 != N:
-        raise FormatError(f"expected {N} sample rows, found {len(lines) - 1}", hline)
-    return SampleSet(N=N, n=n, X=_read_rows(lines[1:], n, "sample entry"))
+    X = _empty((N, n), lines, hline, "sample rows")
+    r, error = -1, None
+    try:
+        for r, (ln, s) in zip(range(N), lines):
+            tok = s.split()
+            ok = len(tok) == n
+            try:
+                if ok:
+                    X[r] = list(map(float, tok))
+                    ok = np.isfinite(X[r]).all()
+            except ValueError:
+                ok = False
+            if not ok:
+                _row_error(tok, n, ln, "sample entry")
+    except FormatError as e:
+        error = e
+    _finish(lines, r + 1, N, "sample rows", hline, error)
+    return SampleSet(N=N, n=n, X=X)
+
+
+def read_samples(text: str) -> SampleSet:
+    """Parse ``samples N n`` text, as :func:`read_samples_file` reads a file."""
+    return _parse_samples(text)
+
+
+def read_samples_file(path) -> SampleSet:
+    """Read a ``samples N n`` file line by line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_samples(fh)
 
 
 def samples_bytes(samples: SampleSet) -> bytes:

@@ -117,6 +117,7 @@ __all__ = [
     "truncate",
     "spectral_norm_sym",
     "spectrum_stats",
+    "effective_rank",
     "principal_angle_sin",
     "spikeness",
     "require_symmetric",
@@ -426,6 +427,19 @@ def _root_sum_sq(x: np.ndarray) -> float:
     return float(top * np.sqrt(np.sum((x / top) ** 2)))
 
 
+def effective_rank(sig: np.ndarray) -> float:
+    """trace / sigma_1 of a descending spectrum with sigma_1 > 0.
+
+    The sum is taken over the spectrum scaled by sigma_1 only when the plain
+    sum overflows or falls below the normal float range.
+    """
+    with np.errstate(over="ignore"):
+        total = np.sum(sig)
+    if np.isfinite(total) and not 0 < abs(total) < _TINY:
+        return float(total / sig[0])
+    return float(np.sum(sig / sig[0]))
+
+
 def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
     """Summaries of a descending spectrum split after position ``k``.
 
@@ -445,8 +459,8 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         the discarded and kept parts; gap = sigma_k - sigma_{k+1};
         gamma_k = sigma_k / sigma_{k+1} (+inf when the tail vanishes);
         stable rank = ||.||_F^2 / sigma_1^2; effective rank = trace / sigma_1.
-        The masses and the stable rank are computed from the spectrum
-        scaled by its largest value when the plain sums of squares would
+        The masses, the stable rank and the effective rank are computed from
+        the spectrum scaled by its largest value when the plain sums would
         overflow or fall below the normal float range.
     """
     sig = descending_spectrum(eigenvalues, k)
@@ -473,7 +487,7 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         gap=float(sig[k - 1] - tail[0]),
         gamma_k=gamma,
         stable_rank=stable_rank,
-        effective_rank=float(np.sum(sig) / sig[0]),
+        effective_rank=effective_rank(sig),
     )
 
 

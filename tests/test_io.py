@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import spectrunc.config
 from spectrunc import EXPERIMENTS, ExperimentConfig, TrialRecord, run_experiment
 from spectrunc.estimators import ObservationSet, SampleSet
 from spectrunc.io import (
@@ -16,8 +17,11 @@ from spectrunc.io import (
     observations_bytes,
     parse_config,
     read_matrix,
+    read_matrix_file,
     read_observations,
+    read_observations_file,
     read_samples,
+    read_samples_file,
     report_csv_bytes,
     report_json_bytes,
     samples_bytes,
@@ -263,6 +267,80 @@ def test_comment_lines_between_rows_keep_line_numbers():
     back = read_observations(obs)
     np.testing.assert_array_equal(back.values, [2.5, -1.0])
     assert err_line(read_observations, obs.replace("1 2 -1", "2 1 -1")) == 5
+
+
+def test_a_header_too_large_to_allocate_is_still_a_short_file():
+    # the row count is checked before the declared array could be allocated
+    with pytest.raises(FormatError, match="expected 100000000 data rows, found 1"):
+        read_matrix("sym 100000000\n1 2\n")
+    assert err_line(read_samples, "samples 10000000000 10000000000\n1 2\n") == 1
+
+
+# ------------------------------------------------------------------ streaming
+
+#: every line separator ``str.splitlines`` knows, and a file's usual ones
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+
+_VALID_FILES = {
+    read_matrix: (read_matrix_file,
+                  "# m\nsym 3\n1 0.5 -2\n\n5e-1 3 1e-3\n# row 3\n-2.0 0.001 2"),
+    read_observations: (read_observations_file, "obs 3 0.5 3\n1 1 2.5\n# c\n1 3 -1\n3 3 4"),
+    read_samples: (read_samples_file, "samples 3 2\n1 2\n\n3 4\n  5 6  \n"),
+}
+
+
+def _as_bytes(parsed) -> list:
+    """A reader's result, with every array as its bytes."""
+    fields = [parsed] if isinstance(parsed, np.ndarray) else dataclasses.astuple(parsed)
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in fields]
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+@pytest.mark.parametrize("sep", _SEPARATORS)
+def test_file_readers_match_text_readers(tmp_path, monkeypatch, sep, block):
+    # a small block cuts lines, and \r\n pairs, between reads
+    monkeypatch.setattr(spectrunc.config, "_BLOCK", block)
+    path = tmp_path / "in.txt"
+    for read_text, (read_file, text) in _VALID_FILES.items():
+        text = text.replace("\n", sep)
+        path.write_bytes(text.encode())
+        assert _as_bytes(read_file(path)) == _as_bytes(read_text(text))
+        # the same text with a bad last line fails on the same line
+        bad = text + sep + "x"
+        path.write_bytes(bad.encode())
+        with pytest.raises(FormatError) as from_file:
+            read_file(path)
+        assert str(from_file.value) == str(pytest.raises(FormatError, read_text, bad).value)
+
+
+_EXTREME_VALUES = [1.0, -0.0, 0.0, 5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308,
+                   1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _whole_matrix_read(text: str) -> np.ndarray:
+    """Every token through ``float``, then the symmetric average of the whole matrix."""
+    A = np.array([[float(t) for t in row.split()] for row in text.splitlines()[1:]])
+    with np.errstate(over="ignore"):
+        assert np.abs(A - A.T).max() <= 1e-12
+        S = (A + A.T) / 2.0
+    return S if np.isfinite(S).all() else A / 2.0 + A.T / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_read_matrix_averages_as_the_whole_matrix_does(data):
+    # odd subnormals change under A/2 + A^T/2, which an entry above half the
+    # float range forces on the whole matrix
+    n = data.draw(hst.integers(1, 5))
+    A = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            A[i, j] = A[j, i] = data.draw(hst.sampled_from(_EXTREME_VALUES))
+    rows = [" ".join(data.draw(hst.sampled_from(_SPELLINGS))(float(v)) for v in row)
+            for row in A]
+    text = "\n".join([f"sym {n}", *rows]) + "\n"
+    with np.errstate(over="ignore"):
+        assert read_matrix(text).tobytes() == _whole_matrix_read(text).tobytes()
 
 
 # ----------------------------------------------------------------- config

@@ -24,7 +24,7 @@ from spectrunc import (
     top_eigenpairs,
     truncate,
 )
-from spectrunc.linalg import _top_k_route, require_symmetric
+from spectrunc.linalg import _top_k_route, effective_rank, require_symmetric
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -75,6 +75,19 @@ def test_spectrum_stats_at_float_extremes():
     s = spectrum_stats(sig, 3)
     assert s.stable_rank == float(np.sum(sig**2) / sig[0] ** 2)
     assert s.tail_F == float(np.sqrt(np.sum(sig[3:] ** 2)))
+
+
+def test_effective_rank_at_float_extremes():
+    # the plain trace overflows near the float limit, or is subnormal
+    for sig, expected in (([1.7e308, 1.7e308], 2.0), ([1e-320, 1e-321], 1.1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = spectrum_stats(np.array(sig), 1)
+        assert s.effective_rank == pytest.approx(expected, rel=1e-2)
+        assert effective_rank(np.array(sig)) == s.effective_rank
+    # ordinary spectra keep the plain quotient's bits
+    sig = 1.0 / np.arange(1, 8)
+    assert spectrum_stats(sig, 3).effective_rank == float(np.sum(sig) / sig[0])
 
 
 def test_principal_angle_rotation():
