@@ -24,6 +24,9 @@ runs in-process:
   plus a small symmetric perturbation, its observations at p = 0.6 and 2n
   samples) from its own generator and its own ``%.17g`` writer, so both
   trees read the same bytes;
+* ``run`` of the relative config and ``denoise`` of the n = 40 perturbed
+  matrix once more, from files whose lines end with ``\\r\\n``, and with form
+  feed and ``\\u2028`` in turn;
 * rejected inputs: ``run`` of configs with an unknown key, a parameter the
   spectrum kind does not read, an increasing explicit spectrum and a zero
   sigma_1, ``bounds`` with a malformed ``--set`` and an unknown ``--kind``,
@@ -275,6 +278,37 @@ def file_digests(work: Path):
         yield f"denoise stdout n={n}", hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+#: line ends other than ``\n``: name -> the separators the lines end with, in turn
+LINE_ENDS = {"crlf": ["\r\n"], "ff u2028": ["\x0c", "\u2028"]}
+
+
+def line_end_digests(work: Path):
+    """(output name, sha256) of ``run`` and ``denoise`` on files whose lines end otherwise."""
+    from spectrunc.cli import main
+
+    n = 40
+    k = FILE_ORDERS[n]
+    config = {**COMMON, **CONFIGS["relative"]}
+    inputs = {
+        "run relative": (
+            ["run", "--config"],
+            "".join(f"{key} = {value}\n" for key, value in config.items()),
+        ),
+        f"denoise n={n}": (
+            ["denoise", "--k", str(k), "--matrix"],
+            _write_file_inputs(work, n, k)["Ahat.sym"].read_text(),
+        ),
+    }
+    path = work / "line_ends.txt"
+    for name, seps in LINE_ENDS.items():
+        for command, (argv, text) in inputs.items():
+            lines = text.splitlines()
+            ended = "".join(line + seps[i % len(seps)] for i, line in enumerate(lines))
+            path.write_bytes(ended.encode())
+            data = _cli(main, [*argv, str(path)], work / "out")
+            yield f"{command} {name}", hashlib.sha256(data).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
@@ -289,7 +323,11 @@ def main(argv: list[str]) -> int:
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, digest in [*digests(work), *file_digests(work), *rejection_digests(work)]:
+        outputs = [
+            *digests(work), *file_digests(work), *line_end_digests(work),
+            *rejection_digests(work),
+        ]
+        for name, digest in outputs:
             print(f"{digest}  {name}")
     return 0
 

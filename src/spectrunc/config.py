@@ -1,23 +1,21 @@
-"""The run config: what ``spectrunc run`` reads, checked without numpy.
+"""The run schema: what a ``spectrunc run`` config may say, checked without numpy.
 
-:class:`ExperimentConfig` is a validated experiment description,
-``EXPERIMENT_PARAMS`` lists the parameters each experiment takes, and
-:func:`parse_config` / :func:`read_config` read the ``key = value`` text
-format.  Nothing here builds an array: :func:`spectrum_head` checks a stock
+:class:`ExperimentConfig` is a validated experiment description and
+``EXPERIMENT_PARAMS`` lists the parameters each experiment takes; the
+``key = value`` text format that spells them is read by
+:func:`spectrunc.io.parse_config` and :func:`spectrunc.io.read_config`.
+Nothing here builds an array: :func:`spectrum_head` checks a stock
 spectrum's parameters and returns its leading eigenvalue from scalars, and
 :func:`synth.make_spectrum` runs the same check before it builds the
 spectrum.  So a config is accepted or rejected, with the same message, before
-numpy is loaded.  ``harness`` and ``io`` re-export these names.
+numpy is loaded.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import types
 import typing
 from dataclasses import dataclass
-from typing import Any
 
 from .bounds import (
     DEFAULT_C1,
@@ -32,15 +30,7 @@ from .bounds import (
 if typing.TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "EXPERIMENT_PARAMS",
-    "ExperimentConfig",
-    "FormatError",
-    "spectrum_head",
-    "parse_value",
-    "parse_config",
-    "read_config",
-]
+__all__ = ["EXPERIMENT_PARAMS", "ExperimentConfig", "spectrum_head"]
 
 #: experiment -> the parameters it requires beyond the common ones; a config
 #: may set a parameter only for the experiments that list it
@@ -53,54 +43,6 @@ EXPERIMENT_PARAMS = {
     "covariance": ("k", "eps", "n_samples"),
     "decay_rate": ("delta_grid",),
 }
-
-
-class FormatError(ValueError):
-    """Malformed input file; carries a 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-#: the characters ``str.splitlines`` ends a line at
-_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-#: characters read from a file at a time
-_BLOCK = 1 << 16
-
-
-def _line_blocks(source: str | typing.TextIO) -> typing.Iterator[list[str]]:
-    """The lines of ``source``, a text or an open text file, a block at a time.
-
-    A file is read ``_BLOCK`` characters at a time, and a line cut by the
-    end of a block is carried into the next, so the lines are the ones
-    ``str.splitlines`` gives for the whole text: a form feed, ``\\u2028`` or
-    another separator it knows ends a line in a file too.  The file must
-    translate newlines, as ``open`` does by default, so that no ``\\r\\n``
-    is cut between two blocks.
-    """
-    if isinstance(source, str):
-        yield source.splitlines()
-        return
-    tail = ""
-    for block in iter(lambda: source.read(_BLOCK), ""):
-        lines = (tail + block).splitlines()
-        tail = "" if block[-1] in _LINE_ENDS else lines.pop()
-        yield lines
-    if tail:
-        yield [tail]
-
-
-def _data_lines(source: str | typing.TextIO) -> typing.Iterator[tuple[int, str]]:
-    """(line_number, stripped line) for every non-blank, non-comment line of ``source``."""
-    ln = 0
-    for lines in _line_blocks(source):
-        for raw in lines:
-            ln += 1
-            s = raw.strip()
-            if s and not s.startswith("#"):
-                yield ln, s
 
 
 def spectrum_head(
@@ -239,98 +181,3 @@ class ExperimentConfig:
             c=self.spectrum_c,
             values=self.spectrum_values,
         )
-
-
-def parse_value(text: str, annotation: Any) -> Any:
-    """Convert one config or ``--set`` value by its parameter's type annotation.
-
-    ``X | None`` converts as ``X``; a tuple of floats accepts comma- or
-    space-separated values.  Floats, alone or in a tuple, must be finite.
-    """
-    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
-        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
-    if typing.get_origin(annotation) is tuple:
-        value = floats = tuple(float(v) for v in text.replace(",", " ").split())
-    else:
-        value = annotation(text)
-        floats = (value,) if annotation is float else ()
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` experiment configuration text.
-
-    The keys are the :class:`ExperimentConfig` fields (``spectrum`` for
-    ``spectrum_kind``, ``k = oracle`` for ``k_oracle``); an experiment takes
-    only its own parameters from ``EXPERIMENT_PARAMS``.  Fields without a
-    default are mandatory.  Unknown and duplicate keys are rejected by name.
-    """
-    return _parse_config(text)
-
-
-def read_config(path) -> ExperimentConfig:
-    """Read a config file line by line, as :func:`parse_config` reads text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_config(fh)
-
-
-def _parse_config(source: str | typing.TextIO) -> ExperimentConfig:
-    raw: dict[str, str] = {}
-    for ln, s in _data_lines(source):
-        joined = " ".join(s.split())
-        if "=" not in joined:
-            raise FormatError("expected 'key = value'", ln)
-        key, _, value = joined.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise FormatError("expected 'key = value'", ln)
-        if key in raw:
-            raise FormatError(f"duplicate key {key!r}", ln)
-        raw[key] = value
-
-    if "experiment" not in raw:
-        raise FormatError("missing mandatory key 'experiment'")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENT_PARAMS:
-        raise FormatError(
-            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENT_PARAMS)}"
-        )
-    # other experiments' parameters are not keys here; k_oracle is spelled k = oracle
-    others = set().union(*EXPERIMENT_PARAMS.values()) - set(EXPERIMENT_PARAMS[experiment])
-    skipped = {"k_oracle"} | others
-    fields = {
-        "spectrum" if f.name == "spectrum_kind" else f.name: f
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.name not in skipped
-    }
-    unknown = sorted(set(raw) - set(fields))
-    if unknown:
-        raise FormatError(
-            f"unknown key(s) for experiment {experiment!r}: {', '.join(unknown)}"
-        )
-    missing = sorted(
-        key for key, f in fields.items() if f.default is dataclasses.MISSING and key not in raw
-    )
-    if missing:
-        raise FormatError(f"missing mandatory key(s): {', '.join(missing)}")
-
-    kwargs: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key == "k" and value == "oracle":
-            kwargs["k_oracle"] = True
-            continue
-        name = fields[key].name
-        try:
-            kwargs[name] = parse_value(value, _CONFIG_TYPES[name])
-        except ValueError as e:
-            raise FormatError(f"invalid value for {key!r}: {e}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as e:
-        raise FormatError(str(e)) from None

@@ -22,7 +22,7 @@ draws the instance (spectrum ``sig``, matrix ``A``) from the trial's stream,
 measures the estimate's errors against ``A`` and the tail of ``sig`` past the
 kept rank (zero when every rank is kept), and builds the judged
 :class:`TrialRecord`.  Each experiment supplies only its step, which
-``EXPERIMENTS`` stores next to its parameters::
+``EXPERIMENTS`` maps it to::
 
     step(config, sig, A, rng) -> (estimate, k, judge)
     judge(err_F, tail_F) -> (bound_value, precondition_holds, precondition_margin, aux)
@@ -79,7 +79,7 @@ from .bounds import (
     sample_covariance_rates,
     spectral_envelope,
 )
-from .config import EXPERIMENT_PARAMS, ExperimentConfig
+from .config import ExperimentConfig
 from .estimators import complete, denoise, sample_covariance
 from .linalg import (
     effective_rank,
@@ -397,25 +397,22 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-#: experiment -> (the parameters it requires, from ``EXPERIMENT_PARAMS``; its
-#: per-trial step).  decay_rate has no step: it sweeps a delta grid per trial.
+#: experiment -> its per-trial step; ``config.EXPERIMENT_PARAMS`` lists its parameters.
+#: decay_rate has no step: it sweeps a delta grid per trial.
 EXPERIMENTS = {
-    ex: (EXPERIMENT_PARAMS[ex], step)
-    for ex, step in {
-        "relative": _perturbation_step,
-        "gap": _perturbation_step,
-        "alignment": _perturbation_step,
-        "denoising": _denoising_step,
-        "completion": _completion_step,
-        "covariance": _covariance_step,
-        "decay_rate": None,
-    }.items()
+    "relative": _perturbation_step,
+    "gap": _perturbation_step,
+    "alignment": _perturbation_step,
+    "denoising": _denoising_step,
+    "completion": _completion_step,
+    "covariance": _covariance_step,
+    "decay_rate": None,
 }
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     """Run one trial of a per-trial experiment (not decay_rate) through its step."""
-    _, step = EXPERIMENTS[config.experiment]
+    step = EXPERIMENTS[config.experiment]
     if step is None:
         raise ValueError(f"experiment {config.experiment!r} is not organized per trial")
     rng = rng_stream(config.seed, trial_id)

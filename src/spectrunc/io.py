@@ -1,16 +1,16 @@
-"""File formats, config parsing and deterministic report serialization.
+"""Every text format: input files, the run config, and deterministic reports.
 
 Text formats (whitespace-separated, ``#`` starts a comment line, numbers
 written with 17 significant digits so values round-trip losslessly):
 
 matrix        ``sym n`` header, then n rows of n entries; validated
-              symmetric to absolute tolerance 1e-12 on read.
+              symmetric to ``linalg.SYMMETRY_TOL`` (absolute, 1e-12) on read.
 observations  ``obs n p count`` header, then ``count`` lines ``i j value``
               with 1-based upper-triangular indices (i <= j).
 samples       ``samples N n`` header, then N rows of n entries.
-config        ``key = value`` lines; unknown or duplicate keys are errors.
-              Read by :mod:`spectrunc.config`, whose names this module
-              re-exports.
+config        ``key = value`` lines, one per run-config field; unknown or
+              duplicate keys are errors.  The schema, :class:`ExperimentConfig`
+              and ``EXPERIMENT_PARAMS``, lives in :mod:`spectrunc.config`.
 
 Decimal conversion is the cost of the file formats, so a ``sym n`` file
 converts only its n(n+1)/2 distinct values: the writer formats each upper
@@ -18,11 +18,12 @@ entry once and reuses its text for a bitwise-equal mirror, and the reader
 parses a lower token only where its text differs from the upper token it
 mirrors.  Output bytes and parsed bits are those of converting every entry.
 
-Files stream: the ``*_file`` readers parse a block of lines at a time and
-:func:`write_matrix` writes a row at a time, through the parsers and row
-formatter that the text functions use.  Besides the array they hold one
-block or row of text, and for a ``sym n`` file at most n^2/4 pending upper
-tokens, the text each column's mirror is compared with or reuses.
+Files stream: the ``*_file`` readers parse about 64 Ki characters of whole
+lines at a time and :func:`write_matrix` writes a row at a time, through
+the parsers and row formatter that the text functions use.  Besides the
+array they hold one block or row of text, and for a ``sym n`` file at most
+n^2/4 pending upper tokens, the text each column's mirror is compared with
+or reuses.
 Faults are reported in the order of a reader that holds the whole file.
 
 Reports serialize to JSON (full nested structure, config and tool stamp
@@ -39,16 +40,11 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
-from .config import (  # re-exported: the config format is one of the file formats
-    ExperimentConfig,
-    FormatError,
-    _data_lines,
-    parse_config,
-    parse_value,
-    read_config,
-)
+from .config import EXPERIMENT_PARAMS, ExperimentConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,6 +75,40 @@ __all__ = [
     "bound_json_bytes",
     "bound_csv_bytes",
 ]
+
+
+class FormatError(ValueError):
+    """Malformed input file; carries a 1-based line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+#: characters of whole lines read from a file at a time (one line at least)
+_BLOCK = 1 << 16
+
+
+def _data_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
+    """(line_number, stripped line) for every non-blank, non-comment line of ``source``.
+
+    ``source`` is a text or an open text file.  A file is read as
+    ``readlines(_BLOCK)``, which never cuts a line, and each block is split
+    with ``str.splitlines``, so the lines are numbered as in the whole text:
+    ``\\r\\n``, a form feed, ``\\u2028`` or another separator
+    ``str.splitlines`` knows ends a line in a file too.
+    """
+    if isinstance(source, str):
+        blocks: typing.Iterable[str] = [source]
+    else:
+        blocks = ("".join(lines) for lines in iter(lambda: source.readlines(_BLOCK), []))
+    ln = 0
+    for block in blocks:
+        for raw in block.splitlines():
+            ln += 1
+            s = raw.strip()
+            if s and not s.startswith("#"):
+                yield ln, s
 
 
 def _fmt(x: float) -> str:
@@ -180,6 +210,8 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
     """
     import numpy as np
 
+    from .linalg import SYMMETRY_TOL
+
     lines = _data_lines(source)
     hline, htok = _header(lines, "matrix", "sym n")
     n = _parse_int(htok[1], hline, "dimension")
@@ -220,7 +252,7 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
         with np.errstate(over="ignore"):
             asym = np.abs(A[r, c] - A[c, r])
         worst = asym.max()
-        if worst > 1e-12:
+        if worst > SYMMETRY_TOL:
             # the first such entry in row order, which is an upper one
             at = np.flatnonzero(asym == worst)
             k = at[np.argmin(c[at] * n + r[at])]
@@ -429,6 +461,104 @@ def samples_bytes(samples: SampleSet) -> bytes:
     return _float_rows_bytes(f"samples {samples.N} {samples.n}", samples.X)
 
 
+# ------------------------------------------------------------------ config
+
+
+def parse_value(text: str, annotation: Any) -> Any:
+    """Convert one config or ``--set`` value by its parameter's type annotation.
+
+    ``X | None`` converts as ``X``; a tuple of floats accepts comma- or
+    space-separated values.  Floats, alone or in a tuple, must be finite.
+    """
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if typing.get_origin(annotation) is tuple:
+        value = floats = tuple(float(v) for v in text.replace(",", " ").split())
+    else:
+        value = annotation(text)
+        floats = (value,) if annotation is float else ()
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse ``key = value`` experiment configuration text.
+
+    The keys are the :class:`ExperimentConfig` fields (``spectrum`` for
+    ``spectrum_kind``, ``k = oracle`` for ``k_oracle``); an experiment takes
+    only its own parameters from ``EXPERIMENT_PARAMS``.  Fields without a
+    default are mandatory.  Unknown and duplicate keys are rejected by name.
+    """
+    return _parse_config(text)
+
+
+def read_config(path) -> ExperimentConfig:
+    """Read a config file line by line, as :func:`parse_config` reads text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_config(fh)
+
+
+def _parse_config(source: str | TextIO) -> ExperimentConfig:
+    raw: dict[str, str] = {}
+    for ln, s in _data_lines(source):
+        joined = " ".join(s.split())
+        if "=" not in joined:
+            raise FormatError("expected 'key = value'", ln)
+        key, _, value = joined.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise FormatError("expected 'key = value'", ln)
+        if key in raw:
+            raise FormatError(f"duplicate key {key!r}", ln)
+        raw[key] = value
+
+    if "experiment" not in raw:
+        raise FormatError("missing mandatory key 'experiment'")
+    experiment = raw["experiment"]
+    if experiment not in EXPERIMENT_PARAMS:
+        raise FormatError(
+            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENT_PARAMS)}"
+        )
+    # other experiments' parameters are not keys here; k_oracle is spelled k = oracle
+    others = set().union(*EXPERIMENT_PARAMS.values()) - set(EXPERIMENT_PARAMS[experiment])
+    skipped = {"k_oracle"} | others
+    fields = {
+        "spectrum" if f.name == "spectrum_kind" else f.name: f
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in skipped
+    }
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise FormatError(
+            f"unknown key(s) for experiment {experiment!r}: {', '.join(unknown)}"
+        )
+    missing = sorted(
+        key for key, f in fields.items() if f.default is dataclasses.MISSING and key not in raw
+    )
+    if missing:
+        raise FormatError(f"missing mandatory key(s): {', '.join(missing)}")
+
+    kwargs: dict[str, Any] = {}
+    for key, value in raw.items():
+        if key == "k" and value == "oracle":
+            kwargs["k_oracle"] = True
+            continue
+        name = fields[key].name
+        try:
+            kwargs[name] = parse_value(value, _CONFIG_TYPES[name])
+        except ValueError as e:
+            raise FormatError(f"invalid value for {key!r}: {e}") from None
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+
+
 # ----------------------------------------------------------------- reports
 
 #: fixed CSV schema: one row per trial, identical columns for every experiment
@@ -507,18 +637,10 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def report_csv_bytes(report: ExperimentReport) -> bytes:
-    from .harness import TrialRecord
-
-    own = {f.name for f in dataclasses.fields(TrialRecord)}  # the rest come from aux
-    rows = [",".join(CSV_COLUMNS)]
-    rows += [
-        ",".join(
-            _csv_cell(getattr(r, col) if col in own else r.aux.get(col)) for col in CSV_COLUMNS
-        )
-        for r in report.trials
-    ]
-    return ("\n".join(rows) + "\n").encode()
+def _csv_bytes(columns, rows) -> bytes:
+    """A header line of ``columns``, then one line of :func:`_csv_cell` cells per row."""
+    lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _jsonable(obj: Any) -> Any:
@@ -529,32 +651,49 @@ def _jsonable(obj: Any) -> Any:
     return _scalar(obj)
 
 
+def _json_bytes(doc: Any, allow_nan: bool = True) -> bytes:
+    """``doc``, numpy scalars as Python values, as indented JSON with a final newline."""
+    return (json.dumps(_jsonable(doc), indent=2, allow_nan=allow_nan) + "\n").encode()
+
+
+def report_csv_bytes(report: ExperimentReport) -> bytes:
+    from .harness import TrialRecord
+
+    own = {f.name for f in dataclasses.fields(TrialRecord)}  # the rest come from aux
+    return _csv_bytes(
+        CSV_COLUMNS,
+        (
+            [getattr(r, col) if col in own else r.aux.get(col) for col in CSV_COLUMNS]
+            for r in report.trials
+        ),
+    )
+
+
 def report_json_bytes(report: ExperimentReport) -> bytes:
     """Full nested report as canonical JSON bytes (runtime excluded)."""
-    doc = {
-        "tool": report.tool,
-        "experiment": report.experiment,
-        "config": dataclasses.asdict(report.config),
-        "pass_rate": report.pass_rate,
-        "aggregates": _jsonable(report.aggregates),
-        "trials": [_jsonable(dataclasses.asdict(r)) for r in report.trials],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode()
+    return _json_bytes(
+        {
+            "tool": report.tool,
+            "experiment": report.experiment,
+            "config": dataclasses.asdict(report.config),
+            "pass_rate": report.pass_rate,
+            "aggregates": report.aggregates,
+            "trials": [dataclasses.asdict(r) for r in report.trials],
+        }
+    )
 
 
 def alignment_json_bytes(report: AlignmentReport) -> bytes:
     doc = dataclasses.asdict(report)
     doc["all_passed"] = report.all_passed
-    return (json.dumps(_jsonable(doc), indent=2) + "\n").encode()
+    return _json_bytes(doc)
 
 
 def alignment_csv_bytes(report: AlignmentReport) -> bytes:
-    rows = ["name,lhs,rhs,slack,passed"]
-    rows += [
-        f"{c.name},{_fmt(c.lhs)},{_fmt(c.rhs)},{_fmt(c.slack)},{_csv_cell(c.passed)}"
-        for c in report.checks
-    ]
-    return ("\n".join(rows) + "\n").encode()
+    return _csv_bytes(
+        ("name", "lhs", "rhs", "slack", "passed"),
+        ((c.name, c.lhs, c.rhs, c.slack, c.passed) for c in report.checks),
+    )
 
 
 def _bound_doc(result: Any) -> dict[str, Any]:
@@ -569,10 +708,10 @@ def _bound_doc(result: Any) -> dict[str, Any]:
 
 def bound_json_bytes(result: Any) -> bytes:
     """Any :mod:`spectrunc.bounds` result, a report dataclass or a scalar, as JSON."""
-    return (json.dumps(_bound_doc(result), indent=2, allow_nan=False) + "\n").encode()
+    return _json_bytes(_bound_doc(result), allow_nan=False)
 
 
 def bound_csv_bytes(result: Any) -> bytes:
     """Any bounds result as a header and one row; dict fields (``inputs``) are dropped."""
     doc = {k: v for k, v in _bound_doc(result).items() if not isinstance(v, dict)}
-    return (",".join(doc) + "\n" + ",".join(map(_csv_cell, doc.values())) + "\n").encode()
+    return _csv_bytes(doc, [doc.values()])

@@ -457,7 +457,8 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
     SpectrumStats
         tail_2 = sigma_{k+1}; tail_F and head_F are the Frobenius masses of
         the discarded and kept parts; gap = sigma_k - sigma_{k+1};
-        gamma_k = sigma_k / sigma_{k+1} (+inf when the tail vanishes);
+        gamma_k = sigma_k / sigma_{k+1} (+inf when the tail vanishes or the
+        ratio overflows);
         stable rank = ||.||_F^2 / sigma_1^2; effective rank = trace / sigma_1.
         The masses, the stable rank and the effective rank are computed from
         the spectrum scaled by its largest value when the plain sums would
@@ -469,10 +470,8 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
     head = sig[:k]
     tail = sig[k:]
     tail_2 = float(tail[0])
-    if tail_2 > 0:
-        gamma = float(sig[k - 1] / tail_2)
-    else:
-        gamma = float("inf")
+    # a Python quotient overflows to inf without a warning
+    gamma = float(sig[k - 1]) / tail_2 if tail_2 > 0 else math.inf
     with np.errstate(over="ignore"):
         mass, top2 = np.sum(sig**2), sig[0] ** 2
     if _normal(mass) and _normal(top2):

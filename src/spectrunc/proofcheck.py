@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import EnvelopeIndices, spectral_envelope
+from .bounds import EnvelopeIndices, _precondition, spectral_envelope
 from .linalg import (
     _fix_signs,
     eig_sym,
@@ -179,7 +179,7 @@ def check_alignment(
     sigma, U = eig_sym(A_sym)
     stats = spectrum_stats(sigma, k)
     delta_allowed = eps**2 * stats.tail_2
-    applicable = delta <= delta_allowed * (1.0 + 1e-9) + 1e-300
+    applicable, _ = _precondition(delta_allowed, delta)
     W, env = aligned_subspace(sigma, U, basis_hat, k, eps)
     report = AlignmentReport(
         k=k,

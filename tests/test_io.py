@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-import spectrunc.config
+import spectrunc.io
 from spectrunc import EXPERIMENTS, ExperimentConfig, TrialRecord, run_experiment
 from spectrunc.estimators import ObservationSet, SampleSet
 from spectrunc.io import (
@@ -16,6 +16,7 @@ from spectrunc.io import (
     matrix_bytes,
     observations_bytes,
     parse_config,
+    read_config,
     read_matrix,
     read_matrix_file,
     read_observations,
@@ -286,6 +287,8 @@ _VALID_FILES = {
                   "# m\nsym 3\n1 0.5 -2\n\n5e-1 3 1e-3\n# row 3\n-2.0 0.001 2"),
     read_observations: (read_observations_file, "obs 3 0.5 3\n1 1 2.5\n# c\n1 3 -1\n3 3 4"),
     read_samples: (read_samples_file, "samples 3 2\n1 2\n\n3 4\n  5 6  \n"),
+    parse_config: (read_config, "experiment = relative\nn = 3\n# c\ntrials = 2\nseed = 0\n"
+                   "\nspectrum = powerlaw\nspectrum_beta = 1\nbasis = haar\nk = 1\neps = 0.1"),
 }
 
 
@@ -298,8 +301,8 @@ def _as_bytes(parsed) -> list:
 @pytest.mark.parametrize("block", [1, 5, 1 << 16])
 @pytest.mark.parametrize("sep", _SEPARATORS)
 def test_file_readers_match_text_readers(tmp_path, monkeypatch, sep, block):
-    # a small block cuts lines, and \r\n pairs, between reads
-    monkeypatch.setattr(spectrunc.config, "_BLOCK", block)
+    # a small block reads one line, or a few, at a time
+    monkeypatch.setattr(spectrunc.io, "_BLOCK", block)
     path = tmp_path / "in.txt"
     for read_text, (read_file, text) in _VALID_FILES.items():
         text = text.replace("\n", sep)
@@ -311,6 +314,12 @@ def test_file_readers_match_text_readers(tmp_path, monkeypatch, sep, block):
         with pytest.raises(FormatError) as from_file:
             read_file(path)
         assert str(from_file.value) == str(pytest.raises(FormatError, read_text, bad).value)
+
+
+def test_every_public_name_is_defined_in_io():
+    # perfbench's tracer times a function as io work only in the module that defines it
+    io = spectrunc.io
+    assert [name for name in io.__all__ if getattr(io, name).__module__ != io.__name__] == []
 
 
 _EXTREME_VALUES = [1.0, -0.0, 0.0, 5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308,

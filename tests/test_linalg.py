@@ -77,6 +77,15 @@ def test_spectrum_stats_at_float_extremes():
     assert s.tail_F == float(np.sqrt(np.sum(sig[3:] ** 2)))
 
 
+def test_gamma_k_overflows_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectrum_stats(np.array([1e300, 1e-10]), 1).gamma_k == np.inf
+    # a finite ratio keeps the bits of numpy's quotient
+    sig = 1.0 / np.arange(1, 8) ** 1.5
+    assert spectrum_stats(sig, 3).gamma_k == float(sig[2] / sig[3])
+
+
 def test_effective_rank_at_float_extremes():
     # the plain trace overflows near the float limit, or is subnormal
     for sig, expected in (([1.7e308, 1.7e308], 2.0), ([1e-320, 1e-321], 1.1)):
