@@ -28,10 +28,12 @@ runs in-process:
   matrix once more, from files whose lines end with ``\\r\\n``, and with form
   feed and ``\\u2028`` in turn;
 * rejected inputs: ``run`` of configs with an unknown key, a parameter the
-  spectrum kind does not read, an increasing explicit spectrum and a zero
-  sigma_1, ``bounds`` with a malformed ``--set`` and an unknown ``--kind``,
-  and malformed files: a non-finite matrix entry, a short matrix row, an
-  asymmetric pair, a bad observation index and a wrong sample count.
+  spectrum kind does not read, another experiment's parameter, a missing
+  ``k`` and ``n_samples``, an increasing explicit spectrum and a zero
+  sigma_1, ``bounds`` with a malformed ``--set``, an unknown ``--kind`` and
+  an input the sampling regime does not use, and malformed files: a
+  non-finite matrix entry, a short matrix row, an asymmetric pair, a bad
+  observation index and a wrong sample count.
   Their digest covers the exit code and stderr, so a moved check cannot
   change an error message unnoticed.
 
@@ -131,12 +133,21 @@ BOUNDS = {
 REJECTED = {
     "unknown key": {**CONFIGS["relative"], "widget": 1},
     "wrong kind parameter": {**CONFIGS["relative"], "spectrum_c": 0.5},
+    "another experiment's parameter": {**CONFIGS["relative"], "nu": 0.01},
+    "covariance without k or n_samples": {
+        key: v for key, v in CONFIGS["covariance"].items() if key not in ("k", "n_samples")
+    },
     "increasing explicit spectrum": {"experiment": "relative", "n": 4, "spectrum": "explicit",
                                      "spectrum_values": "1, 2, 0.5, 0.25", "k": 1,
                                      "eps": 0.2},
     "zero sigma_1": {**CONFIGS["gap"], "spectrum_c": 750},
     "bad --set": ["bounds", "--kind", "relative", "--set", "k"],
     "unknown --kind": ["bounds", "--kind", "nope", "--set", "k=1"],
+    "sampling input the regime does not use": [
+        "bounds", "--kind", "sampling", "--set", "regime=sqrt_k", "--set", "mu0=2",
+        "--set", "norm_F=1.5", "--set", "n=64", "--set", "t=0.1", "--set", "sigma_k1=0.2",
+        "--set", "k=1",
+    ],
 }
 
 #: rejected files: name -> the command, whose last flag takes the file, and its text

@@ -20,9 +20,12 @@ domain there too, for the config, ``estimators`` and ``synth``.  A predicate
 states what must hold, so NaN fails each one.  Rules of one function, regime
 or mode stay inline: the delta ranges, which differ per family; gap > 0 where
 the gap regime or mode divides by it; ``gamma_k``; the n >= 1 of
-``sample_covariance_rates``; k < n in ``spectral_envelope``; and the missing-
-and unused-input checks, which run first so that an input a regime ignores is
-named as unused.
+``sample_covariance_rates``; and k < n in ``spectral_envelope``.
+
+A choice of mode (a sampling regime or covariance mode here, an experiment
+or spectrum kind in ``config``) takes exactly the inputs its table lists;
+:func:`check_inputs` checks that ahead of the domains, so an input a regime
+ignores is named as unused.
 """
 
 from __future__ import annotations
@@ -71,6 +74,12 @@ SAMPLING_REGIMES = {
     "sqrt_k": ("sigma_k1",),
     "relative": ("sigma_k1", "eps", "k"),
     "gap": ("gap", "eps", "k"),
+}
+
+#: covariance mode -> the inputs its expression uses
+COVARIANCE_MODES = {
+    "relative": ("gamma_k",),
+    "gap": ("norm_2", "gap"),
 }
 
 
@@ -163,6 +172,22 @@ def check_domain(**values) -> None:
         holds, requirement = _DOMAIN[name]
         if v is not None and not holds(v):
             raise ValueError(f"{name} must {requirement}, got {v}")
+
+
+def check_inputs(what: str, choice: str, takes: dict, **given) -> None:
+    """Raise ValueError for an unknown ``choice``, then its unused inputs, then its unset ones.
+
+    ``takes`` maps each choice to the inputs it uses; in ``given`` None is unset.
+    """
+    if choice not in takes:
+        raise ValueError(f"unknown {what} {choice!r}; expected one of {tuple(takes)}")
+    uses = takes[choice]
+    unused = [name for name, v in given.items() if v is not None and name not in uses]
+    if unused:
+        raise ValueError(f"{what} {choice!r} does not use {', '.join(unused)}")
+    missing = [name for name in uses if given.get(name) is None]
+    if missing:
+        raise ValueError(f"{what} {choice!r} requires {', '.join(missing)}")
 
 
 def descending_spectrum(eigenvalues, k: int) -> np.ndarray:
@@ -408,19 +433,7 @@ def completion_sampling_threshold(
     ``sigma_k1`` (resp. ``gap``) reject a zero value, since their guarantee
     is inapplicable for exactly rank-k (resp. gapless) matrices.
     """
-    if regime not in SAMPLING_REGIMES:
-        raise ValueError(f"regime must be one of {tuple(SAMPLING_REGIMES)}, got {regime!r}")
-    given = {"sigma_k1": sigma_k1, "gap": gap, "eps": eps, "k": k}
-    missing = [repr(name) for name in SAMPLING_REGIMES[regime] if given[name] is None]
-    if missing:
-        raise ValueError(f"regime {regime!r} requires {', '.join(missing)}")
-    unused = [
-        repr(name)
-        for name, v in given.items()
-        if v is not None and name not in SAMPLING_REGIMES[regime]
-    ]
-    if unused:
-        raise ValueError(f"regime {regime!r} does not use {', '.join(unused)}")
+    check_inputs("regime", regime, SAMPLING_REGIMES, sigma_k1=sigma_k1, gap=gap, eps=eps, k=k)
     # gap is left to the gap regime's own, stricter rule
     check_domain(mu0=mu0, norm_F=norm_F, n=n, t=t, C_mc=C_mc, sigma_k1=sigma_k1, eps=eps, k=k)
     log_term = math.log(n / t)
@@ -491,19 +504,13 @@ def covariance_admissible(
     ``r_e`` is the effective rank trace/||A||_2 and ``gamma_k`` the ratio
     sigma_k/sigma_{k+1}.  When admissible, the truncated estimator tracks
     the best rank-k approximation up to the tail multiplier
-    ``1 + eps`` (reported as ``multiplier``).  relative mode rejects
-    ``gamma_k = inf``: a spectrum with sigma_{k+1} = 0 has no relative
-    scale to measure against.  Each mode rejects the inputs it does not
-    use: ``norm_2`` and ``gap`` in relative mode, ``gamma_k`` in gap mode.
+    ``1 + eps`` (reported as ``multiplier``).  Each mode takes only the
+    inputs its expression uses, and ``gamma_k = inf`` (the default) is unset,
+    so relative mode rejects it: a spectrum with sigma_{k+1} = 0 has no
+    relative scale to measure against.
     """
-    if mode not in ("relative", "gap"):
-        raise ValueError(f"mode must be 'relative' or 'gap', got {mode!r}")
-    if mode == "relative":
-        unused = [repr(name) for name, v in (("norm_2", norm_2), ("gap", gap)) if v is not None]
-    else:
-        unused = ["'gamma_k'"] if gamma_k != math.inf else []
-    if unused:
-        raise ValueError(f"{mode} mode does not use {', '.join(unused)}")
+    unset = None if gamma_k == math.inf else gamma_k
+    check_inputs("mode", mode, COVARIANCE_MODES, gamma_k=unset, norm_2=norm_2, gap=gap)
     check_domain(eps=eps, k=k, r_e=r_e, n_samples=n_samples, norm_2=norm_2, c_cov=c_cov)
     N = n_samples
     if mode == "relative":
@@ -511,8 +518,6 @@ def covariance_admissible(
             raise ValueError(f"relative mode needs finite gamma_k >= 1, got {gamma_k}")
         expr = r_e * max(eps**-4, float(k) ** 2) * gamma_k**2 * math.log(N) / N
     else:
-        if norm_2 is None or gap is None:
-            raise ValueError("gap mode requires norm_2 and gap")
         if not gap > 0:
             raise ValueError("gap must be positive in gap mode")
         expr = r_e * k * norm_2**2 * math.log(N) / (N * eps**2 * gap**2)

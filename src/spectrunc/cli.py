@@ -36,6 +36,7 @@ from .bounds import (
     relative_error_bound,
     sample_covariance_rates,
 )
+from .config import SPECTRUM_KINDS
 
 
 def _numerical_errors() -> tuple[type[Exception], ...]:
@@ -95,13 +96,13 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
 def _cmd_synth(args) -> int:
     from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
 
-    spectrum = make_spectrum(
-        args.kind,
-        args.n,
-        beta=args.beta,
-        c=args.c,
-        values=[float(v) for v in args.values.split(",")] if args.values else None,
-    )
+    values = None
+    if args.values:  # read as the config key spectrum_values is
+        try:
+            values = io.parse_value(args.values, tuple[float, ...])
+        except ValueError as e:
+            raise ValueError(f"invalid value for '--values': {e}") from None
+    spectrum = make_spectrum(args.kind, args.n, beta=args.beta, c=args.c, values=values)
     if args.basis == "haar":
         rng = rng_stream(args.seed, args.stream)
         A = psd_from_spectrum(spectrum, haar_orthogonal(args.n, rng))
@@ -240,11 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic symmetric matrix")
-    p.add_argument("--kind", required=True, choices=["powerlaw", "exponential", "explicit"])
+    p.add_argument("--kind", required=True, choices=list(SPECTRUM_KINDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float)
     p.add_argument("--c", type=float)
-    p.add_argument("--values", help="comma-separated explicit spectrum")
+    p.add_argument("--values", help="comma- or space-separated explicit spectrum")
     p.add_argument("--basis", choices=["haar", "identity"], required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)

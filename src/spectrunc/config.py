@@ -1,8 +1,9 @@
 """The run schema: what a ``spectrunc run`` config may say, checked without numpy.
 
-:class:`ExperimentConfig` is a validated experiment description and
-``EXPERIMENT_PARAMS`` lists the parameters each experiment takes; the
-``key = value`` text format that spells them is read by
+:class:`ExperimentConfig` is a validated experiment description; it takes
+just the parameters ``EXPERIMENT_PARAMS`` and ``SPECTRUM_KINDS`` list for its
+experiment and spectrum kind (:func:`bounds.check_inputs`).  The
+``key = value`` text format that spells it is read by
 :func:`spectrunc.io.parse_config` and :func:`spectrunc.io.read_config`.
 Nothing here builds an array: :func:`spectrum_head` checks a stock
 spectrum's parameters and returns its leading eigenvalue from scalars, and
@@ -25,12 +26,13 @@ from .bounds import (
     DEFAULT_C_DN,
     DEFAULT_C_MC,
     check_domain,
+    check_inputs,
 )
 
 if typing.TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["EXPERIMENT_PARAMS", "ExperimentConfig", "spectrum_head"]
+__all__ = ["EXPERIMENT_PARAMS", "SPECTRUM_KINDS", "ExperimentConfig", "spectrum_head"]
 
 #: experiment -> the parameters it requires beyond the common ones; a config
 #: may set a parameter only for the experiments that list it
@@ -44,6 +46,9 @@ EXPERIMENT_PARAMS = {
     "decay_rate": ("delta_grid",),
 }
 
+#: spectrum kind -> the parameter it reads
+SPECTRUM_KINDS = {"powerlaw": ("beta",), "exponential": ("c",), "explicit": ("values",)}
+
 
 def spectrum_head(
     kind: str,
@@ -54,31 +59,23 @@ def spectrum_head(
 ) -> float:
     """Check a stock spectrum's parameters and return sigma_1, building no array.
 
-    The rules are :func:`synth.make_spectrum`'s: a known kind, no parameter
-    the kind does not read, finite ``beta`` > 0 or ``c`` > 0, and explicit
-    ``values`` of length n, nonincreasing, finite and nonnegative.  sigma_1
-    is 1 for a power law, ``exp(-c)`` for exponential decay (0 once it
-    underflows) and ``values[0]`` for an explicit spectrum.
+    The rules are :func:`synth.make_spectrum`'s: a known kind with exactly
+    its parameter of ``SPECTRUM_KINDS`` set, finite ``beta`` > 0 or ``c`` > 0,
+    and explicit ``values`` of length n, nonincreasing, finite and
+    nonnegative.  sigma_1 is 1 for a power law, ``exp(-c)`` for exponential
+    decay (0 once it underflows) and ``values[0]`` for an explicit spectrum.
     """
+    check_inputs("spectrum kind", kind, SPECTRUM_KINDS, beta=beta, c=c, values=values)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    reads = {"powerlaw": "beta", "exponential": "c", "explicit": "values"}.get(kind)
-    if reads is None:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    given = {"beta": beta, "c": c, "values": values}
-    unused = [name for name, v in given.items() if v is not None and name != reads]
-    if unused:
-        raise ValueError(f"{kind} spectrum does not use {', '.join(unused)}")
     if kind == "powerlaw":
-        if beta is None or not 0.0 < beta < math.inf:
+        if not 0.0 < beta < math.inf:
             raise ValueError(f"powerlaw spectrum requires finite beta > 0, got {beta}")
         return 1.0
     if kind == "exponential":
-        if c is None or not 0.0 < c < math.inf:
+        if not 0.0 < c < math.inf:
             raise ValueError(f"exponential spectrum requires finite c > 0, got {c}")
         return math.exp(-c)
-    if values is None:
-        raise ValueError("explicit spectrum requires values")
     # an array's shape is its own; a sequence's is its length
     sig = [float(v) for v in values] if getattr(values, "ndim", 1) == 1 else []
     shape = getattr(values, "shape", (len(sig),))
@@ -96,9 +93,9 @@ class ExperimentConfig:
     """Validated experiment description.
 
     Scientific parameters are mandatory for the experiments that list them
-    in ``EXPERIMENT_PARAMS``; only the bound constants carry defaults.
-    ``k_oracle`` (covariance only, in place of ``k``) selects the truncation
-    rank per trial by minimizing the true error.
+    in ``EXPERIMENT_PARAMS`` and rejected for the others; only the bound
+    constants carry defaults.  ``k_oracle`` (covariance only, in place of
+    ``k``) selects the truncation rank per trial by minimizing the true error.
     """
 
     experiment: str
@@ -126,11 +123,11 @@ class ExperimentConfig:
     C1: float = DEFAULT_C1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_PARAMS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; "
-                f"expected one of {tuple(EXPERIMENT_PARAMS)}"
-            )
+        params = [name for names in EXPERIMENT_PARAMS.values() for name in names]
+        given = {name: getattr(self, name) for name in params}
+        if self.k_oracle:  # k = oracle sets k, per trial
+            given["k"] = "oracle"
+        check_inputs("experiment", self.experiment, EXPERIMENT_PARAMS, **given)
         shared = ("n", "eps", "nu", "t", "n_samples", "C_mc", "c_dn", "C_a", "C_b", "c_cov", "C1")
         check_domain(**{name: getattr(self, name) for name in shared})
         if self.trials < 1:
@@ -150,26 +147,20 @@ class ExperimentConfig:
         if head <= 0:
             name = "spectrum_c" if self.spectrum_kind == "exponential" else "spectrum_values"
             raise ValueError(f"{name} gives a leading eigenvalue of 0; it must be positive")
-        ex = self.experiment
-        if self.k_oracle and ex != "covariance":
+        if self.k_oracle and self.experiment != "covariance":
             raise ValueError("k = oracle is only valid for covariance")
         if self.k_oracle and self.k is not None:
             raise ValueError("k = oracle chooses k per trial; do not also set k")
-        for name in EXPERIMENT_PARAMS[ex]:
-            if getattr(self, name) is None and not (name == "k" and self.k_oracle):
-                raise ValueError(f"experiment {ex!r} requires {name}")
         if self.k is not None and not 1 <= self.k <= self.n - 1:
             raise ValueError(f"k must lie in [1, {self.n - 1}], got {self.k}")
         check_domain(p=self.p)
-        if ex == "decay_rate":
+        if self.experiment == "decay_rate":
             if self.spectrum_kind == "explicit":
                 raise ValueError("decay_rate requires a powerlaw or exponential spectrum")
             if not self.delta_grid:
                 raise ValueError("decay_rate requires a nonempty delta_grid")
             if any(d <= 0 for d in self.delta_grid):
                 raise ValueError("delta_grid entries must be positive")
-            if self.k is not None:
-                raise ValueError("decay_rate derives k from the cutoff rule; do not set k")
 
     def spectrum(self) -> np.ndarray:
         from .synth import make_spectrum

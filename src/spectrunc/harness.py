@@ -153,7 +153,6 @@ class ExperimentReport:
     serialized reports, which must be identical across reruns.
     """
 
-    experiment: str
     config: ExperimentConfig
     tool: dict[str, str]
     trials: list[TrialRecord]
@@ -508,7 +507,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         records = [run_trial(config, i) for i in range(config.trials)]
     aggregates, pass_rate = _aggregate(config, records)
     return ExperimentReport(
-        experiment=config.experiment,
         config=config,
         tool=_tool_stamp(),
         trials=records,

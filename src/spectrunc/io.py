@@ -8,9 +8,10 @@ matrix        ``sym n`` header, then n rows of n entries; validated
 observations  ``obs n p count`` header, then ``count`` lines ``i j value``
               with 1-based upper-triangular indices (i <= j).
 samples       ``samples N n`` header, then N rows of n entries.
-config        ``key = value`` lines, one per run-config field; unknown or
-              duplicate keys are errors.  The schema, :class:`ExperimentConfig`
-              and ``EXPERIMENT_PARAMS``, lives in :mod:`spectrunc.config`.
+config        ``key = value`` lines, one per run-config field; unknown,
+              duplicate and missing mandatory keys are errors here.  Which
+              keys an experiment takes, and each value's domain, are
+              :class:`ExperimentConfig`'s rules (:mod:`spectrunc.config`).
 
 Decimal conversion is the cost of the file formats, so a ``sym n`` file
 converts only its n(n+1)/2 distinct values: the writer formats each upper
@@ -44,7 +45,7 @@ import types
 import typing
 from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
-from .config import EXPERIMENT_PARAMS, ExperimentConfig
+from .config import ExperimentConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -483,15 +484,21 @@ def parse_value(text: str, annotation: Any) -> Any:
 
 
 _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+#: config key -> its field; ``k_oracle`` is no key but is spelled ``k = oracle``
+_CONFIG_FIELDS = {
+    "spectrum" if f.name == "spectrum_kind" else f.name: f
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name != "k_oracle"
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` experiment configuration text.
 
     The keys are the :class:`ExperimentConfig` fields (``spectrum`` for
-    ``spectrum_kind``, ``k = oracle`` for ``k_oracle``); an experiment takes
-    only its own parameters from ``EXPERIMENT_PARAMS``.  Fields without a
-    default are mandatory.  Unknown and duplicate keys are rejected by name.
+    ``spectrum_kind``, ``k = oracle`` for ``k_oracle``).  Fields without a
+    default are mandatory.  Unknown and duplicate keys are rejected by name;
+    another experiment's parameter is rejected by :class:`ExperimentConfig`.
     """
     return _parse_config(text)
 
@@ -517,28 +524,11 @@ def _parse_config(source: str | TextIO) -> ExperimentConfig:
             raise FormatError(f"duplicate key {key!r}", ln)
         raw[key] = value
 
-    if "experiment" not in raw:
-        raise FormatError("missing mandatory key 'experiment'")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENT_PARAMS:
-        raise FormatError(
-            f"unknown experiment {experiment!r}; expected one of {sorted(EXPERIMENT_PARAMS)}"
-        )
-    # other experiments' parameters are not keys here; k_oracle is spelled k = oracle
-    others = set().union(*EXPERIMENT_PARAMS.values()) - set(EXPERIMENT_PARAMS[experiment])
-    skipped = {"k_oracle"} | others
-    fields = {
-        "spectrum" if f.name == "spectrum_kind" else f.name: f
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.name not in skipped
-    }
-    unknown = sorted(set(raw) - set(fields))
+    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
     if unknown:
-        raise FormatError(
-            f"unknown key(s) for experiment {experiment!r}: {', '.join(unknown)}"
-        )
+        raise FormatError(f"unknown key(s): {', '.join(unknown)}")
     missing = sorted(
-        key for key, f in fields.items() if f.default is dataclasses.MISSING and key not in raw
+        k for k, f in _CONFIG_FIELDS.items() if f.default is dataclasses.MISSING and k not in raw
     )
     if missing:
         raise FormatError(f"missing mandatory key(s): {', '.join(missing)}")
@@ -548,7 +538,7 @@ def _parse_config(source: str | TextIO) -> ExperimentConfig:
         if key == "k" and value == "oracle":
             kwargs["k_oracle"] = True
             continue
-        name = fields[key].name
+        name = _CONFIG_FIELDS[key].name
         try:
             kwargs[name] = parse_value(value, _CONFIG_TYPES[name])
         except ValueError as e:
@@ -674,7 +664,7 @@ def report_json_bytes(report: ExperimentReport) -> bytes:
     return _json_bytes(
         {
             "tool": report.tool,
-            "experiment": report.experiment,
+            "experiment": report.config.experiment,
             "config": dataclasses.asdict(report.config),
             "pass_rate": report.pass_rate,
             "aggregates": report.aggregates,

@@ -136,10 +136,10 @@ ARPACK_MIN_N = 200
 EVR_MAX_FRACTION = 0.2
 
 
-def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def require_symmetric(A: np.ndarray) -> np.ndarray:
     """Validate that ``A`` is square, finite and symmetric; return it as float64.
 
-    Symmetry is checked entrywise with absolute tolerance ``tol``.  An
+    Symmetry is checked entrywise with absolute tolerance ``SYMMETRY_TOL``.  An
     exactly symmetric float64 array is returned as it is, so a caller that
     overwrites the result must copy it first; any other input is averaged
     with its transpose, so later algebra never sees the sub-tolerance
@@ -155,9 +155,9 @@ def require_symmetric(A: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if np.array_equal(A, A.T):
         return A
     asym = np.max(np.abs(A - A.T))
-    if asym > tol:
+    if asym > SYMMETRY_TOL:
         raise ValueError(
-            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {tol:.1e}"
+            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {SYMMETRY_TOL:.1e}"
         )
     return A / 2.0 + A.T / 2.0
 

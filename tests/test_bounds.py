@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spectrunc import (
+    ExperimentConfig,
     additive_error_bound,
     completion_sampling_threshold,
     covariance_admissible,
@@ -22,6 +23,7 @@ from spectrunc import (
     spectral_envelope,
     spectrum_stats,
 )
+from spectrunc.config import spectrum_head
 
 
 # ------------------------------------------------------------ relative bound
@@ -237,9 +239,9 @@ def test_sampling_threshold_domain():
         completion_sampling_threshold(sigma_k1=1.0, regime="sqrt_k",
                                       mu0=1.0, norm_F=1.0, n=10, t=1.0)
     # an input the regime needs and did not get is named
-    with pytest.raises(ValueError, match="'gap'"):
+    with pytest.raises(ValueError, match="^regime 'gap' requires gap$"):
         completion_sampling_threshold(regime="gap", **kw)
-    with pytest.raises(ValueError, match="'eps'"):
+    with pytest.raises(ValueError, match="^regime 'relative' requires eps$"):
         completion_sampling_threshold(mu0=1.0, norm_F=1.0, n=10, t=0.5, k=1,
                                       sigma_k1=1.0, regime="relative")
 
@@ -247,15 +249,15 @@ def test_sampling_threshold_domain():
 def test_sampling_threshold_rejects_unused_inputs():
     kw = dict(mu0=1.0, norm_F=1.0, n=10, t=0.5)
     # sqrt_k reads only sigma_k1: an out-of-domain eps must not pass silently
-    with pytest.raises(ValueError, match="'eps'"):
+    with pytest.raises(ValueError, match="^regime 'sqrt_k' does not use eps$"):
         completion_sampling_threshold(sigma_k1=1.0, eps=0.9, regime="sqrt_k", **kw)
-    with pytest.raises(ValueError, match="'gap', 'eps', 'k'"):
+    with pytest.raises(ValueError, match="^regime 'sqrt_k' does not use gap, eps, k$"):
         completion_sampling_threshold(sigma_k1=1.0, gap=1.0, eps=0.1, k=1,
                                       regime="sqrt_k", **kw)
-    with pytest.raises(ValueError, match="'gap'"):
+    with pytest.raises(ValueError, match="^regime 'relative' does not use gap$"):
         completion_sampling_threshold(sigma_k1=1.0, gap=1.0, eps=0.1, k=1,
                                       regime="relative", **kw)
-    with pytest.raises(ValueError, match="'sigma_k1'"):
+    with pytest.raises(ValueError, match="^regime 'gap' does not use sigma_k1$"):
         completion_sampling_threshold(sigma_k1=1.0, gap=1.0, eps=0.1, k=1,
                                       regime="gap", **kw)
 
@@ -310,11 +312,11 @@ def test_covariance_admissible_gap_mode():
 
 def test_covariance_admissible_rejects_unused_inputs():
     kw = dict(r_e=3.0, eps=0.2, k=2, n_samples=10**4)
-    with pytest.raises(ValueError, match="'norm_2'"):
+    with pytest.raises(ValueError, match="^mode 'relative' does not use norm_2$"):
         covariance_admissible(mode="relative", gamma_k=2.0, norm_2=-5.0, **kw)
-    with pytest.raises(ValueError, match="'norm_2', 'gap'"):
+    with pytest.raises(ValueError, match="^mode 'relative' does not use norm_2, gap$"):
         covariance_admissible(mode="relative", gamma_k=2.0, norm_2=2.0, gap=0.5, **kw)
-    with pytest.raises(ValueError, match="'gamma_k'"):
+    with pytest.raises(ValueError, match="^mode 'gap' does not use gamma_k$"):
         covariance_admissible(mode="gap", gamma_k=2.0, norm_2=2.0, gap=0.5, **kw)
     # the default gamma_k is not an input the caller gave
     assert covariance_admissible(mode="gap", gamma_k=np.inf, norm_2=2.0, gap=0.5, **kw).expr > 0
@@ -354,6 +356,10 @@ VALID = {
     covariance_admissible: dict(r_e=3.0, eps=0.2, k=2, n_samples=10**4,
                                 mode="relative", gamma_k=2.0),
     sample_covariance_rates: dict(norm_2=2.0, r_e=10.0, n_samples=100, n=10),
+    ExperimentConfig: dict(experiment="relative", n=24, trials=1, seed=0,
+                           spectrum_kind="powerlaw", spectrum_beta=1.0, basis="haar",
+                           k=3, eps=0.2),
+    spectrum_head: dict(kind="powerlaw", n=4, beta=1.0),
 }
 REL = dict(regime="relative", eps=0.1, k=1)
 GAP = dict(regime="gap", sigma_k1=None, gap=1.0, eps=0.1, k=1)
@@ -405,10 +411,10 @@ RAISE_SITES = [
     _site(exponential_error_rate, "delta must lie in (0, e^-16), got 0.0", delta=0.0),
     _site(exponential_error_rate, "n must be >= 2, got 0", n=0),
     _site(completion_sampling_threshold,
-          "regime must be one of ('sqrt_k', 'relative', 'gap'), got 'nope'", regime="nope"),
-    _site(completion_sampling_threshold, "regime 'relative' requires 'k'",
+          "unknown regime 'nope'; expected one of ('sqrt_k', 'relative', 'gap')", regime="nope"),
+    _site(completion_sampling_threshold, "regime 'relative' requires k",
           regime="relative", eps=0.1),
-    _site(completion_sampling_threshold, "regime 'sqrt_k' does not use 'k'", k=1),
+    _site(completion_sampling_threshold, "regime 'sqrt_k' does not use k", k=1),
     _site(completion_sampling_threshold, "mu0 must be positive, got 0.0", mu0=0.0),
     _site(completion_sampling_threshold, "norm_F must be positive, got 0.0", norm_F=0.0),
     _site(completion_sampling_threshold, "n must be >= 2, got 1", n=1),
@@ -432,22 +438,39 @@ RAISE_SITES = [
     _site(denoising_error_bound, "C_a must be nonnegative, got -5.0", C_a=-5.0),
     _site(denoising_error_bound, "C_b must be nonnegative, got -1.0", C_b=-1.0),
     _site(denoising_error_bound, "c_dn must be positive, got -1.0", c_dn=-1.0),
-    _site(covariance_admissible, "mode must be 'relative' or 'gap', got 'nope'", mode="nope"),
-    _site(covariance_admissible, "relative mode does not use 'norm_2'", norm_2=2.0),
-    _site(covariance_admissible, "gap mode does not use 'gamma_k'", **{**GAP_MODE, "gamma_k": 2.0}),
+    _site(covariance_admissible, "unknown mode 'nope'; expected one of ('relative', 'gap')",
+          mode="nope"),
+    _site(covariance_admissible, "mode 'relative' does not use norm_2", norm_2=2.0),
+    _site(covariance_admissible, "mode 'gap' does not use gamma_k", **{**GAP_MODE, "gamma_k": 2.0}),
     _site(covariance_admissible, "eps must lie in (0, 0.25], got 0.3", eps=0.3),
     _site(covariance_admissible, "k must be >= 1, got 0", k=0),
     _site(covariance_admissible, "r_e must be >= 1, got 0.5", r_e=0.5),
     _site(covariance_admissible, "n_samples must be >= 2, got 1", n_samples=1),
     _site(covariance_admissible, "c_cov must be positive, got -1.0", c_cov=-1.0),
     _site(covariance_admissible, "relative mode needs finite gamma_k >= 1, got 0.5", gamma_k=0.5),
-    _site(covariance_admissible, "gap mode requires norm_2 and gap", **{**GAP_MODE, "gap": None}),
+    _site(covariance_admissible, "mode 'gap' requires gap", **{**GAP_MODE, "gap": None}),
     _site(covariance_admissible, "norm_2 must be positive, got 0.0", **{**GAP_MODE, "norm_2": 0.0}),
     _site(covariance_admissible, "gap must be positive in gap mode", **{**GAP_MODE, "gap": 0.0}),
     _site(sample_covariance_rates, "norm_2 must be positive, got 0.0", norm_2=0.0),
     _site(sample_covariance_rates, "r_e must be >= 1, got 0.5", r_e=0.5),
     _site(sample_covariance_rates, "n_samples must be >= 2, got 1", n_samples=1),
     _site(sample_covariance_rates, "n must be >= 1, got 0", n=0),
+    # check_inputs: the experiment and spectrum kind in config, like the regime and mode above
+    _site(ExperimentConfig, "unknown experiment 'nope'; expected one of ('relative', 'gap', "
+          "'alignment', 'denoising', 'completion', 'covariance', 'decay_rate')",
+          experiment="nope"),
+    _site(ExperimentConfig, "experiment 'relative' does not use nu, p, delta_grid",
+          nu=0.5, p=0.3, delta_grid=(0.1,)),
+    _site(ExperimentConfig, "experiment 'relative' requires k, eps", k=None, eps=None),
+    _site(spectrum_head, "unknown spectrum kind 'cauchy'; expected one of "
+          "('powerlaw', 'exponential', 'explicit')", kind="cauchy"),
+    _site(spectrum_head, "spectrum kind 'powerlaw' does not use c, values",
+          c=0.5, values=(1.0, 0.5, 0.25, 0.125)),
+    _site(spectrum_head, "spectrum kind 'powerlaw' requires beta", beta=None),
+    _site(completion_sampling_threshold, "regime 'relative' requires eps, k", regime="relative"),
+    _site(covariance_admissible, "mode 'gap' requires norm_2, gap", mode="gap", gamma_k=np.inf),
+    # an unused input is named ahead of a missing one
+    _site(covariance_admissible, "mode 'gap' does not use gamma_k", mode="gap"),
 ]
 
 
@@ -456,6 +479,7 @@ def test_raise_site_messages(func, fault, message):
     with pytest.raises(ValueError) as info:
         func(**{**VALID[func], **fault})
     assert str(info.value) == message
+
 
 
 def test_nan_inputs_are_rejected_by_name():

@@ -52,6 +52,21 @@ def test_synth_writes_valid_matrix(workdir, capsys):
     np.testing.assert_array_equal(read_matrix(text), np.diag([2.0, 1.0]))
 
 
+def test_synth_values_read_as_the_config_list(workdir, capsys):
+    base = ["synth", "--kind", "explicit", "--n", "3", "--basis", "identity"]
+    written = []
+    for i, values in enumerate(("1,0.5,0.25", "1 0.5 0.25", "1, 0.5  0.25")):
+        out = workdir / f"v{i}.sym"
+        assert run_cli(*base, "--values", values, "--out", str(out)) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+    for bad in ("1,inf,0.25", "1 0.5 nan"):
+        assert run_cli(*base, "--values", bad) == 1
+        captured = capsys.readouterr()
+        assert f"error: invalid value for '--values': {bad!r} is not finite" in captured.err
+        assert captured.out == ""
+
+
 def test_complete_frozen_example(workdir, capsys):
     obs = workdir / "o.obs"
     obs.write_text("obs 2 0.5 1\n1 1 1.0\n")
@@ -115,9 +130,9 @@ def test_bounds_sampling_requires_eps_and_k(regime, extra, capsys):
     base = ["bounds", "--kind", "sampling", "--set", f"regime={regime}", "--set", extra,
             "--set", "mu0=1", "--set", "norm_F=2", "--set", "n=64", "--set", "t=0.5"]
     assert run_cli(*base, "--set", "k=2") == 1
-    assert "'eps'" in capsys.readouterr().err
+    assert f"regime '{regime}' requires eps" in capsys.readouterr().err
     assert run_cli(*base, "--set", "eps=0.2") == 1
-    assert "'k'" in capsys.readouterr().err
+    assert f"regime '{regime}' requires k" in capsys.readouterr().err
     assert run_cli(*base, "--set", "eps=0.2", "--set", "k=2") == 0
     assert json.loads(capsys.readouterr().out)["regime"] == regime
 
@@ -191,20 +206,23 @@ def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["all_passed"]
 
 
-@pytest.mark.parametrize("kind, inputs, unused", [
-    ("sampling", ["regime=sqrt_k", "mu0=1", "norm_F=2", "sigma_k1=1", "n=64", "t=0.5",
-                  "eps=0.9"], "'eps'"),
-    ("covariance", ["mode=relative", "r_e=3", "eps=0.2", "k=2", "n_samples=10000",
-                    "gamma_k=2", "norm_2=-5"], "'norm_2'"),
-    ("covariance", ["mode=gap", "r_e=3", "eps=0.2", "k=2", "n_samples=10000",
-                    "norm_2=2", "gap=0.5", "gamma_k=2"], "'gamma_k'"),
+@pytest.mark.parametrize("kind, inputs, message", [
+    pytest.param("sampling", ["regime=sqrt_k", "mu0=1", "norm_F=2", "sigma_k1=1", "n=64",
+                              "t=0.5", "eps=0.9"],
+                 "regime 'sqrt_k' does not use eps", id="sampling-eps"),
+    pytest.param("covariance", ["mode=relative", "r_e=3", "eps=0.2", "k=2", "n_samples=10000",
+                                "gamma_k=2", "norm_2=-5"],
+                 "mode 'relative' does not use norm_2", id="covariance-norm_2"),
+    pytest.param("covariance", ["mode=gap", "r_e=3", "eps=0.2", "k=2", "n_samples=10000",
+                                "norm_2=2", "gap=0.5", "gamma_k=2"],
+                 "mode 'gap' does not use gamma_k", id="covariance-gamma_k"),
 ])
-def test_bounds_rejects_inputs_the_regime_does_not_use(kind, inputs, unused, capsys):
+def test_bounds_rejects_inputs_the_regime_does_not_use(kind, inputs, message, capsys):
     args = [a for kv in inputs for a in ("--set", kv)]
     assert run_cli("bounds", "--kind", kind, *args[:-2]) == 0
     capsys.readouterr()
     assert run_cli("bounds", "--kind", kind, *args) == 1
-    assert unused in capsys.readouterr().err
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_verify_chain(workdir, capsys):
@@ -312,7 +330,7 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     # a spectrum parameter its kind does not read
     assert run_cli("synth", "--kind", "powerlaw", "--n", "4", "--beta", "1", "--c", "0.5",
                    "--basis", "identity") == 1
-    assert "powerlaw spectrum does not use c" in capsys.readouterr().err
+    assert "spectrum kind 'powerlaw' does not use c" in capsys.readouterr().err
     # argparse-level misuse also maps to 1
     assert run_cli("denoise", "--nope") == 1
     capsys.readouterr()

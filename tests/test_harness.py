@@ -69,11 +69,13 @@ _REJECTS = [
     (dict(trials=0), "trials must be >= 1, got 0"),
     (dict(seed=-1), "seed must be nonnegative, got -1"),
     (dict(basis="fourier"), "basis must be 'haar' or 'identity', got 'fourier'"),
-    (dict(spectrum_kind="cauchy"), "unknown spectrum kind 'cauchy'"),
-    (dict(spectrum_beta=None), "powerlaw spectrum requires finite beta > 0, got None"),
+    (dict(spectrum_kind="cauchy"),
+     "unknown spectrum kind 'cauchy'; expected one of ('powerlaw', 'exponential', 'explicit')"),
+    (dict(spectrum_beta=None), "spectrum kind 'powerlaw' requires beta"),
     (dict(spectrum_kind="exponential", spectrum_beta=None),
-     "exponential spectrum requires finite c > 0, got None"),
-    (dict(spectrum_kind="explicit", spectrum_beta=None), "explicit spectrum requires values"),
+     "spectrum kind 'exponential' requires c"),
+    (dict(spectrum_kind="explicit", spectrum_beta=None),
+     "spectrum kind 'explicit' requires values"),
     (dict(k=None), "experiment 'relative' requires k"),
     (dict(k=24), "k must lie in [1, 23], got 24"),
     (dict(k=0), "k must lie in [1, 23], got 0"),
@@ -89,13 +91,13 @@ _REJECTS = [
     (dict(experiment="covariance", n_samples=None),
      "experiment 'covariance' requires n_samples"),
     (dict(experiment="covariance", n_samples=1), "n_samples must be >= 2, got 1"),
-    (dict(experiment="covariance", k=None), "experiment 'covariance' requires k"),
+    (dict(experiment="covariance", k=None), "experiment 'covariance' requires k, n_samples"),
     (dict(experiment="decay_rate", k=None, eps=None, delta_grid=()),
      "decay_rate requires a nonempty delta_grid"),
     (dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1, -0.1)),
      "delta_grid entries must be positive"),
     (dict(experiment="decay_rate", eps=None, delta_grid=(0.1,)),  # k must stay unset
-     "decay_rate derives k from the cutoff rule; do not set k"),
+     "experiment 'decay_rate' does not use k"),
     (dict(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1,),
           spectrum_kind="explicit", spectrum_beta=None,
           spectrum_values=tuple(1.0 / j for j in range(1, 25))),
@@ -106,9 +108,9 @@ _REJECTS = [
     (dict(experiment="covariance", n_samples=50, k_oracle=True),  # k set as well
      "k = oracle chooses k per trial; do not also set k"),
     (dict(spectrum_c=0.5),  # a parameter the powerlaw kind does not read
-     "powerlaw spectrum does not use c"),
+     "spectrum kind 'powerlaw' does not use c"),
     (dict(spectrum_kind="exponential", spectrum_c=0.3),  # spectrum_beta left set
-     "exponential spectrum does not use beta"),
+     "spectrum kind 'exponential' does not use beta"),
     (dict(spectrum_kind="explicit", spectrum_beta=None,
           spectrum_values=(1.0, 0.5, 0.25)),  # not n values
      "expected 24 values, got shape (3,)"),
@@ -138,6 +140,10 @@ _REJECTS = [
     # exp(-745.1332) is the least subnormal, 5e-324; exp(-745.1333) rounds to 0
     (dict(spectrum_kind="exponential", spectrum_beta=None, spectrum_c=745.1333),
      "spectrum_c gives a leading eigenvalue of 0; it must be positive"),
+    # another experiment's parameter, as a config file rejects it (decay_rate's k above)
+    (dict(nu=0.05), "experiment 'relative' does not use nu"),
+    (dict(experiment="denoising", eps=None, nu=0.05, p=0.5),
+     "experiment 'denoising' does not use p"),
 ]
 
 

@@ -419,10 +419,12 @@ def config_error(text):
 
 def test_parse_config_error_reporting():
     assert "experiment" in config_error("n = 3\n")
-    assert "unknown experiment" in config_error("experiment = frobnicate\n")
-    # unknown keys are reported by name
-    msg = config_error(GOOD_CONFIG + "nu = 0.1\nwidget = 3\n")
-    assert "nu" in msg and "widget" in msg
+    assert "unknown experiment 'frobnicate'" in config_error(
+        GOOD_CONFIG.replace("experiment = relative", "experiment = frobnicate")
+    )
+    # unknown keys are reported by name, and so is another experiment's parameter
+    assert config_error(GOOD_CONFIG + "widget = 3\n") == "unknown key(s): widget"
+    assert config_error(GOOD_CONFIG + "nu = 0.1\n") == "experiment 'relative' does not use nu"
     # missing mandatory keys are listed
     msg = config_error("experiment = relative\nk = 3\neps = 0.1\n")
     for key in ("n", "trials", "seed", "spectrum", "basis"):

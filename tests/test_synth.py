@@ -61,7 +61,7 @@ def test_make_spectrum_validation():
         with pytest.raises(ValueError, match="finite"):
             make_spectrum("explicit", 3, values=values)
     # a parameter the kind does not read is named
-    with pytest.raises(ValueError, match="powerlaw spectrum does not use c, values"):
+    with pytest.raises(ValueError, match="^spectrum kind 'powerlaw' does not use c, values$"):
         make_spectrum("powerlaw", 3, beta=1.0, c=0.5, values=[1.0, 0.5, 0.2])
 
 
