@@ -17,6 +17,10 @@ runs in-process:
   overrides every bound constant;
 * ``spectrunc bounds`` in JSON and CSV for all 11 kinds, with every
   sampling regime and both covariance modes;
+* through the Python API, not the CLI: the relative report (JSON and CSV)
+  of an ``ExperimentConfig`` whose numbers are numpy scalars, and the
+  ``relative_measured`` bound (JSON and CSV) called with numpy scalars, so
+  the writers also meet values that are not Python numbers;
 * the file commands at n = 40 and n = 200: ``synth`` (Haar and identity
   basis), ``denoise``, ``complete``, ``cov --center``, and ``verify`` in
   JSON and CSV, and ``denoise`` once more writing to stdout.  The script
@@ -289,6 +293,36 @@ def file_digests(work: Path):
         yield f"denoise stdout n={n}", hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def _numpy_scalars(values: dict) -> dict:
+    """``values`` with each int as ``np.int64`` and each float as ``np.float64``."""
+    import numpy as np
+
+    return {
+        key: np.int64(v) if isinstance(v, int) else np.float64(v) if isinstance(v, float) else v
+        for key, v in values.items()
+    }
+
+
+def numpy_scalar_digests():
+    """(output name, sha256) of a report and a bound whose inputs are numpy scalars."""
+    from spectrunc import ExperimentConfig, relative_error_bound, run_experiment
+    from spectrunc.io import bound_csv_bytes, bound_json_bytes, report_csv_bytes, report_json_bytes
+
+    config = {**COMMON, **CONFIGS["relative"]}
+    config["spectrum_kind"] = config.pop("spectrum")
+    report = run_experiment(ExperimentConfig(**_numpy_scalars(config)))
+    inputs = dict(BOUNDS["relative_measured"])
+    del inputs["kind"]
+    bound = relative_error_bound(**_numpy_scalars(inputs))
+    for name, data in {
+        "run relative json": report_json_bytes(report),
+        "run relative csv": report_csv_bytes(report),
+        "bounds relative_measured json": bound_json_bytes(bound),
+        "bounds relative_measured csv": bound_csv_bytes(bound),
+    }.items():
+        yield f"numpy scalars {name}", hashlib.sha256(data).hexdigest()
+
+
 #: line ends other than ``\n``: name -> the separators the lines end with, in turn
 LINE_ENDS = {"crlf": ["\r\n"], "ff u2028": ["\x0c", "\u2028"]}
 
@@ -335,8 +369,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         outputs = [
-            *digests(work), *file_digests(work), *line_end_digests(work),
-            *rejection_digests(work),
+            *digests(work), *numpy_scalar_digests(), *file_digests(work),
+            *line_end_digests(work), *rejection_digests(work),
         ]
         for name, digest in outputs:
             print(f"{digest}  {name}")

@@ -490,7 +490,7 @@ def covariance_admissible(
     k: int,
     n_samples: int,
     mode: str,
-    gamma_k: float = math.inf,
+    gamma_k: float | None = None,
     norm_2: float | None = None,
     gap: float | None = None,
     *,
@@ -505,12 +505,10 @@ def covariance_admissible(
     sigma_k/sigma_{k+1}.  When admissible, the truncated estimator tracks
     the best rank-k approximation up to the tail multiplier
     ``1 + eps`` (reported as ``multiplier``).  Each mode takes only the
-    inputs its expression uses, and ``gamma_k = inf`` (the default) is unset,
-    so relative mode rejects it: a spectrum with sigma_{k+1} = 0 has no
-    relative scale to measure against.
+    inputs its expression uses.  Relative mode rejects ``gamma_k = inf``: a
+    spectrum with sigma_{k+1} = 0 has no relative scale to measure against.
     """
-    unset = None if gamma_k == math.inf else gamma_k
-    check_inputs("mode", mode, COVARIANCE_MODES, gamma_k=unset, norm_2=norm_2, gap=gap)
+    check_inputs("mode", mode, COVARIANCE_MODES, gamma_k=gamma_k, norm_2=norm_2, gap=gap)
     check_domain(eps=eps, k=k, r_e=r_e, n_samples=n_samples, norm_2=norm_2, c_cov=c_cov)
     N = n_samples
     if mode == "relative":

@@ -328,8 +328,8 @@ def _covariance_step(config: ExperimentConfig, sig, A, rng):
             r_e, config.eps, k, config.n_samples, "relative", gamma, c_cov=config.c_cov
         )
         admissible, margin, expr = adm.admissible, adm.margin, adm.expr
-    else:
-        admissible, margin, expr = False, None, math.inf
+    else:  # gamma_k undefined: every rank kept, or sigma_{k+1} = 0
+        admissible, margin, expr = False, None, None
 
     def judge(err_F: float, tail_F: float):
         return (1.0 + config.eps) * tail_F, admissible, margin, {

@@ -32,6 +32,10 @@ included) or CSV (one row per trial, fixed column set across all
 experiments).  Serialization contains nothing volatile -- two runs with
 identical inputs produce byte-identical output; in particular measured
 wall-clock time is reported on stderr by the CLI but never serialized.
+The writers take each document as it is: a numpy scalar, as Python-API
+inputs may leave in a record or a bound result, is written as its Python
+value, and a CSV cell is ``true``/``false`` for a bool, empty for None and
+``%.17g`` for a float.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import array
 import dataclasses
 import json
 import math
-import sys
 import types
 import typing
 from typing import TYPE_CHECKING, Any, Iterator, TextIO
@@ -596,32 +599,17 @@ CSV_COLUMNS = (
 )
 
 
-
-def _scalar(v: Any) -> Any:
-    """A numpy bool, integer or float scalar as its Python value; others unchanged.
-
-    numpy is looked up, not imported: a numpy scalar exists only once it is loaded.
-    """
-    np = sys.modules.get("numpy")
-    if np is None:
-        return v
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
+def _py(v: Any) -> Any:
+    """A numpy scalar as its Python value (``v.item()``); any other value unchanged."""
+    return v.item() if type(v).__module__ == "numpy" else v
 
 
 def _csv_cell(v: Any) -> str:
-    v = _scalar(v)
+    v = _py(v)
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(int(v))
     if isinstance(v, float):
         return _fmt(v)
     return str(v)
@@ -633,30 +621,14 @@ def _csv_bytes(columns, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return _scalar(obj)
-
-
 def _json_bytes(doc: Any, allow_nan: bool = True) -> bytes:
-    """``doc``, numpy scalars as Python values, as indented JSON with a final newline."""
-    return (json.dumps(_jsonable(doc), indent=2, allow_nan=allow_nan) + "\n").encode()
+    """``doc`` as indented JSON with a final newline; json asks :func:`_py` for numpy scalars."""
+    return (json.dumps(doc, indent=2, allow_nan=allow_nan, default=_py) + "\n").encode()
 
 
 def report_csv_bytes(report: ExperimentReport) -> bytes:
-    from .harness import TrialRecord
-
-    own = {f.name for f in dataclasses.fields(TrialRecord)}  # the rest come from aux
-    return _csv_bytes(
-        CSV_COLUMNS,
-        (
-            [getattr(r, col) if col in own else r.aux.get(col) for col in CSV_COLUMNS]
-            for r in report.trials
-        ),
-    )
+    rows = ({**r.aux, **vars(r)} for r in report.trials)  # a record field wins over aux
+    return _csv_bytes(CSV_COLUMNS, ([row.get(col) for col in CSV_COLUMNS] for row in rows))
 
 
 def report_json_bytes(report: ExperimentReport) -> bytes:
@@ -668,7 +640,7 @@ def report_json_bytes(report: ExperimentReport) -> bytes:
             "config": dataclasses.asdict(report.config),
             "pass_rate": report.pass_rate,
             "aggregates": report.aggregates,
-            "trials": [dataclasses.asdict(r) for r in report.trials],
+            "trials": [vars(r) for r in report.trials],
         }
     )
 
@@ -689,8 +661,8 @@ def alignment_csv_bytes(report: AlignmentReport) -> bytes:
 def _bound_doc(result: Any) -> dict[str, Any]:
     """The result's fields; a non-finite one (an overflow) raises ValueError naming it."""
     doc = dataclasses.asdict(result) if dataclasses.is_dataclass(result) else {"value": result}
-    doc = _jsonable(doc)
     for name, v in doc.items():
+        v = _py(v)
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"bound result field {name!r} is not finite: {v}")
     return doc

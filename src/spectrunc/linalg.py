@@ -13,29 +13,21 @@ through this module, so the conventions here are load-bearing:
 
 Top-k route policy
 ------------------
-:func:`top_eigenpairs` picks its solver from ``(n, k)`` alone.  The
-cut-offs come from timings on a 2-core host at n=2000 (the same order held
-at n=4000):
+:func:`top_eigenpairs` picks its solver from ``(n, k)`` alone.  Each
+cut-off is a measured crossover; README "Measured decisions" lists where
+each measurement lives.
 
 * ``k <= ARPACK_MAX_K`` and ``n >= ARPACK_MIN_N`` (and
-  ``k <= n * EVR_MAX_FRACTION``): implicitly restarted Lanczos (ARPACK)
-  from a fixed start vector.  Its cost grows with k through the basis size
-  and restarts: 0.16 / 0.30 / 0.86 s for k = 9 / 32 / 99, against about
-  0.55 s for ``evr``.
-* ``n < ARPACK_MIN_N``: the dense routes below, whatever k is.  ARPACK's
-  fixed cost per call loses at small orders: at n=60 it takes 0.5-2.9 ms
-  for k = 2..10 against 0.2-0.6 ms for ``evr``.  Measured with the pin
-  below, the two are even at n=150 and ARPACK wins from n=200 (at k=5,
-  2.3 against 2.9 ms), except where the kept eigenvalues sit inside a
-  noise bulk (exponential decay c=0.5 plus noise, k=10), where ``evr``
-  wins up to n=400.
+  ``k <= n * EVR_MAX_FRACTION``): implicitly restarted Lanczos (ARPACK),
+  whose cost grows with k through its basis size and restarts.
+* ``n < ARPACK_MIN_N``: the dense routes below, whatever k is, because
+  ARPACK's fixed cost per call loses at small orders (BENCH_7
+  ``arpack_min_n``).
 * ``ARPACK_MAX_K < k <= n * EVR_MAX_FRACTION``: LAPACK's ``evr`` (MRRR)
-  subset solver, the fastest in between.
-* ``k > n * EVR_MAX_FRACTION``: full divide-and-conquer ``evd``, in place.
-  Its cost barely depends on k, while ``evr`` slows as the kept block
-  reaches into the clustered tail: 1.00 s against 1.16 s for ``evd`` at
-  k=332, but 3.05 s against 1.09 s at k=999, so the crossover sits near
-  k/n = 1/5.
+  subset solver.
+* ``k > n * EVR_MAX_FRACTION``: full divide-and-conquer ``evd``, in place,
+  because its cost barely depends on k while ``evr`` slows as the kept
+  block reaches into the clustered tail.
 
 Every route is deterministic for a fixed BLAS build and thread count, so
 repeated calls agree bitwise.  The decay sweep reads only these k pairs of
@@ -48,55 +40,34 @@ Spectral norm
 :func:`spectral_norm_sym` switches at the same order: below
 ``ARPACK_MIN_N`` it takes ``max |eigvalsh|``, from there on Lanczos for the
 largest magnitude (``which="LM"``) in scipy's default Krylov basis of
-``max(2k + 1, 20) = 20`` vectors.  Most norms a trial takes are of
-truncation errors and low-rank differences (``A_hat_k - A``,
-``A_hat_k - A_ref``), whose top magnitude is well separated: Lanczos
-converges on them after 31 operator applications (21 on a rank-10
-difference), where a 100-vector basis spends 101 before its first
-convergence test.  A GOE draw's top magnitude sits at the edge of a
-semicircle and takes 111-401 applications for n = 200..4000.  Per call,
-2 BLAS threads, each order in a fresh process (ms)::
+``max(2k + 1, 20) = 20`` vectors, because the norms a trial takes are mostly
+of truncation errors, whose well separated top magnitude it finds in a few
+dozen products (BENCH_8 and BENCH_13 ``norm_routes``).
 
-            truncation error            GOE draw
-       n   default  ncv=100  dense    default  ncv=100  dense
-     200       1.5      5.0    2.7        4.5      5.0    2.7
-     400       1.9      6.9   10.8        7.8     11.6   11.8
-     600       4.4     15.9   25.4       21.3     25.0   26.3
-    2000                                  292      319    672
-    4000                                 2407     1605
+Lanczos
+-------
+Both ARPACK callers share :func:`_lanczos`:
 
-Dense wins on a GOE draw only at n = 200..250; the benchmark's workloads
-take GOE norms at n = 500, 600 and 2000.  At n = 4000 this draw took 401
-applications in the default basis and 251 in the larger one; an earlier
-draw, with the products in numpy, had the two even (1823 against 1836 ms).
+* the start vector is ``1/sqrt(n)``, so repeated calls agree bitwise;
+* ``tol=0`` runs to machine precision, so the answer does not depend on
+  when ARPACK stops;
+* the operator applies scipy's BLAS ``dsymv`` to the upper triangle of
+  ``A``, which moves half the bytes of a general product (BENCH_13
+  ``per_product_us``);
+* when ``A`` maps the start vector exactly to zero (a zero matrix, or any
+  matrix whose rows sum to zero, such as a graph Laplacian) ARPACK cannot
+  start, and the caller takes its dense route instead;
+* scipy's OpenBLAS, in which the whole loop runs, is set to one thread for
+  the call, because at 2 threads its idle worker keeps spinning and slows
+  numpy's copy next to it (BENCH_7 ``scipy_blas_pin``, BENCH_13 ``pin``).
+  Pinned, Lanczos output is bit-identical at ``OPENBLAS_NUM_THREADS=1``
+  and ``=2``.  numpy's copy is never touched, and the dense ``evr`` and
+  ``evd`` routes keep scipy's thread count.
 
-Lanczos products, on one scipy BLAS thread
-------------------------------------------
-Both ARPACK callers share :func:`_lanczos`: the start vector ``1/sqrt(n)``,
-``tol=0``, the default basis, and an operator that applies scipy's BLAS
-``dsymv`` to the upper triangle of ``A``.  ``dsymv`` moves half the bytes
-of numpy's general product.  Per product through the operator, 2 BLAS
-threads, a fresh process per order, the better of two runs: numpy's took
-7.2 / 37.5 / 158 / 1035 / 5809 us at n = 200 / 400 / 600 / 2000 / 4000,
-and ``dsymv`` on one thread 5.7 / 23.7 / 62.9 / 1030 / 5425 us.  When
-``A`` maps the start vector exactly to zero (a zero matrix, or any matrix
-whose rows sum to zero, such as a graph Laplacian) ARPACK cannot start;
-one operator application (0.06 ms at n=600) shows this, and the caller
-takes its dense route instead.
-
-numpy and scipy each load their own OpenBLAS copy, and the whole Lanczos
-loop runs in scipy's, which :func:`_lanczos` sets to one thread for the
-call.  At 2 threads scipy's idle worker thread keeps spinning on one of
-the 2 cores after each call, and numpy runs at half speed next to it: at
-n=600 a top-5 solve took 76 ms unpinned against 42-51 ms pinned, and the
-numpy QR at n=500 after it 80 ms against 26-28 ms.  Pinned, Lanczos output
-is bit-identical at ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  numpy's copy is
-never touched, and the dense ``evr`` and ``evd`` routes keep scipy's thread
-count: one thread makes them 1.6x slower at n=2000.
-
-scipy is imported at the first solve that needs it (the package docstring
-says what each command loads), and ``eigh`` and ``eigsh`` are looked up on
-its modules at each call, so a wrapper patched onto a module is seen.
+scipy is imported at the first solve that needs it, so a command that never
+solves does not pay for loading it (the package docstring says what each
+command loads).  ``eigh`` and ``eigsh`` are looked up on its modules at each
+call, so a wrapper patched onto a module is seen.
 """
 
 from __future__ import annotations
@@ -337,7 +308,7 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Notes
     -----
-    The route policy and its measured cut-offs are in the module docstring.
+    The route policy is in the module docstring.
     ARPACK runs to machine precision (``tol=0``) from the fixed start vector
     ``1/sqrt(n)``, with scipy's BLAS on one thread, and raises
     ``ArpackNoConvergence`` if it does not converge; a matrix that maps the
@@ -394,8 +365,7 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     (``which="LM"``, scipy's default basis) run to machine precision from a
     fixed start vector, with scipy's BLAS on one thread, so repeated calls
     agree bitwise.  A matrix that annihilates the start vector takes the
-    dense solver at any order.  The cut-off and its timings are in the
-    module docstring.
+    dense solver at any order.  The module docstring gives the cut-off.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]

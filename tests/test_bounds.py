@@ -319,7 +319,7 @@ def test_covariance_admissible_rejects_unused_inputs():
     with pytest.raises(ValueError, match="^mode 'gap' does not use gamma_k$"):
         covariance_admissible(mode="gap", gamma_k=2.0, norm_2=2.0, gap=0.5, **kw)
     # the default gamma_k is not an input the caller gave
-    assert covariance_admissible(mode="gap", gamma_k=np.inf, norm_2=2.0, gap=0.5, **kw).expr > 0
+    assert covariance_admissible(mode="gap", gamma_k=None, norm_2=2.0, gap=0.5, **kw).expr > 0
 
 
 def test_sample_covariance_rates_frozen():
@@ -363,7 +363,7 @@ VALID = {
 }
 REL = dict(regime="relative", eps=0.1, k=1)
 GAP = dict(regime="gap", sigma_k1=None, gap=1.0, eps=0.1, k=1)
-GAP_MODE = dict(mode="gap", gamma_k=np.inf, norm_2=2.0, gap=0.5)
+GAP_MODE = dict(mode="gap", gamma_k=None, norm_2=2.0, gap=0.5)
 
 
 def _site(func, message, **fault):
@@ -448,6 +448,11 @@ RAISE_SITES = [
     _site(covariance_admissible, "n_samples must be >= 2, got 1", n_samples=1),
     _site(covariance_admissible, "c_cov must be positive, got -1.0", c_cov=-1.0),
     _site(covariance_admissible, "relative mode needs finite gamma_k >= 1, got 0.5", gamma_k=0.5),
+    # an overflowed sigma_k / sigma_{k+1} is an input the caller gave, not an unset one
+    _site(covariance_admissible, "relative mode needs finite gamma_k >= 1, got inf",
+          gamma_k=np.inf),
+    _site(covariance_admissible, "mode 'gap' does not use gamma_k",
+          mode="gap", norm_2=2.0, gap=0.5, gamma_k=np.inf),
     _site(covariance_admissible, "mode 'gap' requires gap", **{**GAP_MODE, "gap": None}),
     _site(covariance_admissible, "norm_2 must be positive, got 0.0", **{**GAP_MODE, "norm_2": 0.0}),
     _site(covariance_admissible, "gap must be positive in gap mode", **{**GAP_MODE, "gap": 0.0}),
@@ -468,7 +473,7 @@ RAISE_SITES = [
           c=0.5, values=(1.0, 0.5, 0.25, 0.125)),
     _site(spectrum_head, "spectrum kind 'powerlaw' requires beta", beta=None),
     _site(completion_sampling_threshold, "regime 'relative' requires eps, k", regime="relative"),
-    _site(covariance_admissible, "mode 'gap' requires norm_2, gap", mode="gap", gamma_k=np.inf),
+    _site(covariance_admissible, "mode 'gap' requires norm_2, gap", mode="gap", gamma_k=None),
     # an unused input is named ahead of a missing one
     _site(covariance_admissible, "mode 'gap' does not use gamma_k", mode="gap"),
 ]

@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import spectrunc.io
-from spectrunc import EXPERIMENTS, ExperimentConfig, TrialRecord, run_experiment
+from spectrunc import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    TrialRecord,
+    relative_error_bound,
+    run_experiment,
+)
 from spectrunc.estimators import ObservationSet, SampleSet
 from spectrunc.io import (
     CSV_COLUMNS,
     FormatError,
+    bound_csv_bytes,
+    bound_json_bytes,
     matrix_bytes,
     observations_bytes,
     parse_config,
@@ -514,6 +522,47 @@ def test_report_csv_booleans_and_blanks():
     assert row["bound_satisfied"] == ""  # decay trials carry no per-trial bound
     assert row["measured_error_2"] == ""
     assert row["k_used"] == "9"
+
+
+def _as_numpy(plain: dict) -> dict:
+    """Each float of ``plain`` as ``np.float64``, each int as ``np.int64``."""
+    return {key: (np.float64 if isinstance(v, float) else np.int64)(v) for key, v in plain.items()}
+
+
+def test_numpy_scalar_config_writes_the_plain_report():
+    plain = dict(n=16, trials=3, seed=5, k=2, eps=0.2, spectrum_beta=1.0)
+    rep = small_report(**_as_numpy(plain))
+    assert any(isinstance(v, np.float64) for v in vars(rep.trials[0]).values())
+    assert report_json_bytes(rep) == report_json_bytes(small_report(**plain))
+    assert report_csv_bytes(rep) == report_csv_bytes(small_report(**plain))
+
+
+def test_numpy_scalar_bound_writes_the_plain_bound():
+    plain = dict(k=3, eps=0.2, tail_F=0.5, tail_2=0.25, perturbation_2=0.02)
+    rep = relative_error_bound(**_as_numpy(plain))
+    assert bound_json_bytes(rep) == bound_json_bytes(relative_error_bound(**plain))
+    assert bound_csv_bytes(rep) == bound_csv_bytes(relative_error_bound(**plain))
+    # converted before the finiteness check, so the field is named
+    with pytest.raises(ValueError, match="^bound result field 'value' is not finite: inf$"):
+        bound_json_bytes(np.float32("inf"))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def test_covariance_oracle_keeping_every_rank_writes_null_admissibility():
+    # a flat spectrum, well sampled: the oracle keeps all n ranks, so gamma_k is undefined
+    rep = small_report(
+        "covariance", n=4, trials=3, seed=11, spectrum_kind="explicit", spectrum_beta=None,
+        spectrum_values=(1.0, 1.0, 1.0, 1.0), k=None, k_oracle=True, eps=0.25, n_samples=2000,
+    )
+    doc = json.loads(report_json_bytes(rep), parse_constant=_reject_constant)
+    assert [t["aux"]["k_used"] for t in doc["trials"]] == [4, 4, 4]
+    assert [t["aux"]["admissibility_expr"] for t in doc["trials"]] == [None, None, None]
+    lines = report_csv_bytes(rep).decode().splitlines()
+    column = CSV_COLUMNS.index("admissibility_expr")
+    assert [line.split(",")[column] for line in lines[1:]] == ["", "", ""]
 
 
 #: what each experiment needs on top of small_report's parameters
