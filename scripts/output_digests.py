@@ -34,8 +34,9 @@ runs in-process:
 * rejected inputs: ``run`` of configs with an unknown key, a parameter the
   spectrum kind does not read, another experiment's parameter, a missing
   ``k`` and ``n_samples``, an increasing explicit spectrum and a zero
-  sigma_1, ``bounds`` with a malformed ``--set``, an unknown ``--kind`` and
-  an input the sampling regime does not use, and malformed files: a
+  sigma_1, ``bounds`` with a malformed ``--set``, an unknown ``--kind``, no
+  ``--set`` at all, an unknown key, a keyword-only bound constant and an
+  input the sampling regime does not use, and malformed files: a
   non-finite matrix entry, a short matrix row, an asymmetric pair, a bad
   observation index and a wrong sample count.
   Their digest covers the exit code and stderr, so a moved check cannot
@@ -147,6 +148,14 @@ REJECTED = {
     "zero sigma_1": {**CONFIGS["gap"], "spectrum_c": 750},
     "bad --set": ["bounds", "--kind", "relative", "--set", "k"],
     "unknown --kind": ["bounds", "--kind", "nope", "--set", "k=1"],
+    "bounds without --set": ["bounds", "--kind", "relative"],
+    "bounds unknown key": ["bounds", "--kind", "powerlaw_rate", "--set", "delta=0.1",
+                           "--set", "beta=1", "--set", "n=100", "--set", "zeta=3"],
+    "bounds keyword-only constant": [
+        "bounds", "--kind", "sampling", "--set", "regime=sqrt_k", "--set", "mu0=2",
+        "--set", "norm_F=1.5", "--set", "n=64", "--set", "t=0.1", "--set", "sigma_k1=0.2",
+        "--set", "C_mc=2",
+    ],
     "sampling input the regime does not use": [
         "bounds", "--kind", "sampling", "--set", "regime=sqrt_k", "--set", "mu0=2",
         "--set", "norm_F=1.5", "--set", "n=64", "--set", "t=0.1", "--set", "sigma_k1=0.2",

@@ -353,7 +353,11 @@ def powerlaw_rank_cutoff(delta: float, beta: float, n: int, C1: float = DEFAULT_
     resulting rank of at least 1.
     """
     _powerlaw_domain(delta, beta, n, C1)
-    k = math.floor(min(C1 * delta ** (-1.0 / beta), float(n)) - 1.0)
+    try:
+        scale = C1 * delta ** (-1.0 / beta)
+    except OverflowError:  # a scale past the float range is past n too
+        scale = math.inf
+    k = math.floor(min(scale, float(n)) - 1.0)
     if k < 1:
         raise ValueError(
             f"cutoff rule yields k = {k} < 1 for delta={delta}, beta={beta}, n={n}"
@@ -371,10 +375,16 @@ def powerlaw_error_rate(delta: float, beta: float, n: int) -> float:
     return max(delta, 1.0 / n) ** ((2.0 * beta - 1.0) / (2.0 * beta))
 
 
-def _exponential_domain(delta: float, c: float, n: int) -> None:
+def _exponential_log(delta: float, c: float, n: int) -> float:
+    """Check the exponential family's inputs and return log(1/delta).
+
+    A subnormal delta whose reciprocal overflows gets -log(delta) instead.
+    """
     check_domain(c=c, n=n)
     if not 0.0 < delta < math.exp(-16.0):
         raise ValueError(f"delta must lie in (0, e^-16), got {delta}")
+    inv = 1.0 / delta
+    return math.log(inv) if inv < math.inf else -math.log(delta)
 
 
 def exponential_rank_cutoff(delta: float, c: float, n: int) -> int:
@@ -383,8 +393,7 @@ def exponential_rank_cutoff(delta: float, c: float, n: int) -> int:
     Returns ``floor(min((log(1/delta) - log(log(1/delta))) / c, n) - 1)``.
     Requires c > 0, delta in (0, e**-16) and a resulting rank >= 1.
     """
-    _exponential_domain(delta, c, n)
-    L = math.log(1.0 / delta)
+    L = _exponential_log(delta, c, n)
     k = math.floor(min((L - math.log(L)) / c, float(n)) - 1.0)
     if k < 1:
         raise ValueError(f"cutoff rule yields k = {k} < 1 for delta={delta}, c={c}, n={n}")
@@ -398,8 +407,7 @@ def exponential_error_rate(delta: float, c: float, n: int) -> float:
     in delta up to a log factor, floored by the fully-resolved regime where
     every available rank is kept.
     """
-    _exponential_domain(delta, c, n)
-    L = math.log(1.0 / delta)
+    L = _exponential_log(delta, c, n)
     return max(delta * L**1.5, math.sqrt(n) * math.exp(-c * n))
 
 
@@ -545,3 +553,19 @@ def sample_covariance_rates(norm_2: float, r_e: float, n_samples: int, n: int) -
     ratio = r_e * math.log(N * n) / N
     spec = norm_2 * max(math.sqrt(ratio), ratio)
     return RatePair(frobenius=frob, spectral=spec)
+
+
+#: ``spectrunc bounds --kind`` -> the function it evaluates
+KINDS = {
+    "relative": relative_error_bound,
+    "gap": gap_error_bound,
+    "additive": additive_error_bound,
+    "denoising": denoising_error_bound,
+    "sampling": completion_sampling_threshold,
+    "covariance": covariance_admissible,
+    "covariance_rates": sample_covariance_rates,
+    "powerlaw_cutoff": powerlaw_rank_cutoff,
+    "powerlaw_rate": powerlaw_error_rate,
+    "exponential_cutoff": exponential_rank_cutoff,
+    "exponential_rate": exponential_error_rate,
+}

@@ -23,19 +23,7 @@ import inspect
 import sys
 
 from . import __version__, io
-from .bounds import (
-    additive_error_bound,
-    completion_sampling_threshold,
-    covariance_admissible,
-    denoising_error_bound,
-    exponential_error_rate,
-    exponential_rank_cutoff,
-    gap_error_bound,
-    powerlaw_error_rate,
-    powerlaw_rank_cutoff,
-    relative_error_bound,
-    sample_covariance_rates,
-)
+from .bounds import KINDS
 from .config import SPECTRUM_KINDS
 
 
@@ -94,7 +82,7 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
 
 
 def _cmd_synth(args) -> int:
-    from .synth import haar_orthogonal, make_spectrum, psd_from_spectrum, rng_stream
+    from .synth import instance, make_spectrum, rng_stream
 
     values = None
     if args.values:  # read as the config key spectrum_values is
@@ -103,12 +91,7 @@ def _cmd_synth(args) -> int:
         except ValueError as e:
             raise ValueError(f"invalid value for '--values': {e}") from None
     spectrum = make_spectrum(args.kind, args.n, beta=args.beta, c=args.c, values=values)
-    if args.basis == "haar":
-        rng = rng_stream(args.seed, args.stream)
-        A = psd_from_spectrum(spectrum, haar_orthogonal(args.n, rng))
-    else:
-        A = psd_from_spectrum(spectrum, None)
-    _emit_matrix(A, args.out)
+    _emit_matrix(instance(spectrum, args.basis, rng_stream(args.seed, args.stream)), args.out)
     return 0
 
 
@@ -141,45 +124,17 @@ def _cmd_cov(args) -> int:
     return 0
 
 
-#: ``bounds --kind`` -> the function it evaluates
-_BOUNDS = {
-    "relative": relative_error_bound,
-    "gap": gap_error_bound,
-    "additive": additive_error_bound,
-    "denoising": denoising_error_bound,
-    "sampling": completion_sampling_threshold,
-    "covariance": covariance_admissible,
-    "covariance_rates": sample_covariance_rates,
-    "powerlaw_cutoff": powerlaw_rank_cutoff,
-    "powerlaw_rate": powerlaw_error_rate,
-    "exponential_cutoff": exponential_rank_cutoff,
-    "exponential_rate": exponential_error_rate,
-}
-
-
 def _eval_bound(kind: str, vals: dict[str, str]):
     """Call the bound of ``kind`` with its ``--set`` inputs.
 
-    Every positional-or-keyword parameter is a key, required when it has
-    no default and converted by its annotation.  Keyword-only parameters
-    are the bound constants, which only ``run`` configs set.
+    The keys are the function's positional-or-keyword parameters, bound by
+    :func:`io.parse_kwargs`.  Keyword-only parameters are the bound
+    constants, which only ``run`` configs set.
     """
-    func = _BOUNDS[kind]
-    kwargs = {}
-    for name, param in inspect.signature(func, eval_str=True).parameters.items():
-        if param.kind is not param.POSITIONAL_OR_KEYWORD:
-            continue
-        if name not in vals:
-            if param.default is param.empty:
-                raise ValueError(f"bound kind is missing required input {name!r}")
-            continue
-        try:
-            kwargs[name] = io.parse_value(vals.pop(name), param.annotation)
-        except ValueError as e:
-            raise ValueError(f"invalid value for {name!r}: {e}") from None
-    if vals:
-        raise ValueError(f"unused input(s): {', '.join(sorted(vals))}")
-    return func(**kwargs)
+    func = KINDS[kind]
+    params = inspect.signature(func, eval_str=True).parameters.values()
+    keys = {p.name: p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
+    return func(**io.parse_kwargs(keys, vals))
 
 
 def _cmd_bounds(args) -> int:
@@ -272,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cov)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form bound")
-    p.add_argument("--kind", required=True, choices=_BOUNDS)
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")

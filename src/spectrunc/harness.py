@@ -95,8 +95,8 @@ from .synth import (
     bernoulli_observe,
     goe_noise,
     haar_orthogonal,
+    instance,
     mvn_samples,
-    psd_from_spectrum,
     rng_stream,
     scaled_perturbation,
 )
@@ -193,11 +193,7 @@ def rate_regression(xs, ys) -> tuple[float, float]:
 def _instance(config: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum and assembled matrix for one trial (basis drawn first)."""
     sig = config.spectrum()
-    if config.basis == "haar":
-        A = psd_from_spectrum(sig, haar_orthogonal(config.n, rng))
-    else:
-        A = psd_from_spectrum(sig, None)
-    return sig, A
+    return sig, instance(sig, config.basis, rng)
 
 
 def _truncation_error_F(A_hat: np.ndarray, k: int, sig: np.ndarray) -> float:
@@ -242,7 +238,7 @@ def _perturbation_step(config: ExperimentConfig, sig, A, rng):
     aux: dict[str, Any] = {
         "delta": target,
         "mu0": spikeness(A),
-        "gamma_k": stats.gamma_k,
+        "gamma_k": stats.gamma_k if math.isfinite(stats.gamma_k) else None,
         "stable_rank": stats.stable_rank,
         "effective_rank": stats.effective_rank,
         "m1": env.m1,
@@ -353,8 +349,17 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
     sig = config.spectrum()
     n = config.n
     diag_idx = np.arange(n)
+    ladder = []  # (delta, k, rate, stats): the cutoff rule depends on delta alone
+    for delta in config.delta_grid:
+        if config.spectrum_kind == "powerlaw":
+            k = powerlaw_rank_cutoff(delta, config.spectrum_beta, n, C1=config.C1)
+            rate = powerlaw_error_rate(delta, config.spectrum_beta, n)
+        else:
+            k = exponential_rank_cutoff(delta, config.spectrum_c, n)
+            rate = exponential_error_rate(delta, config.spectrum_c, n)
+        ladder.append((delta, k, rate, spectrum_stats(sig, k)))
+    last = len(ladder) - 1
     records: list[TrialRecord] = []
-    trial_id = 0
     for t in range(config.trials):
         rng = rng_stream(config.seed, t)
         U = haar_orthogonal(n, rng) if config.basis == "haar" else None
@@ -364,34 +369,23 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
             del U
             np.add(G, G.T, out=G)  # numpy buffers the overlapping G.T
             np.divide(G, 2.0, out=G)
-        last = len(config.delta_grid) - 1
-        for i, delta in enumerate(config.delta_grid):
-            if config.spectrum_kind == "powerlaw":
-                k = powerlaw_rank_cutoff(delta, config.spectrum_beta, n, C1=config.C1)
-                rate = powerlaw_error_rate(delta, config.spectrum_beta, n)
-            else:
-                k = exponential_rank_cutoff(delta, config.spectrum_c, n)
-                rate = exponential_error_rate(delta, config.spectrum_c, n)
+        for i, (delta, k, rate, stats) in enumerate(ladder):
             A_hat = np.multiply(G, delta, out=G if i == last else None)
             A_hat[diag_idx, diag_idx] += sig
             err_F = _truncation_error_F(A_hat, k, sig)
-            stats = spectrum_stats(sig, k)
             records.append(
                 TrialRecord(
-                    trial_id=trial_id,
+                    trial_id=len(records),
                     precondition_holds=stats.tail_2 >= delta / 16.0,
                     measured_error_F=err_F,
-                    measured_error_2=None,
                     tail_F=stats.tail_F,
                     tail_2=stats.tail_2,
                     ratio_F=err_F / stats.tail_F if stats.tail_F > 0 else None,
                     bound_value=rate,
-                    bound_satisfied=None,
                     precondition_margin=stats.tail_2 - delta / 16.0,
                     aux={"delta": delta, "k_used": k, "direction_trial": t, "rate": rate},
                 )
             )
-            trial_id += 1
         del G, A_hat
     return records
 

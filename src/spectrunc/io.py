@@ -35,13 +35,15 @@ wall-clock time is reported on stderr by the CLI but never serialized.
 The writers take each document as it is: a numpy scalar, as Python-API
 inputs may leave in a record or a bound result, is written as its Python
 value, and a CSV cell is ``true``/``false`` for a bool, empty for None and
-``%.17g`` for a float.
+``%.17g`` for a float.  JSON holds no ``Infinity`` or ``NaN``: a non-finite
+float raises ValueError, and any other value json cannot write TypeError.
 """
 
 from __future__ import annotations
 
 import array
 import dataclasses
+import inspect
 import json
 import math
 import types
@@ -70,6 +72,7 @@ __all__ = [
     "read_samples_file",
     "samples_bytes",
     "parse_value",
+    "parse_kwargs",
     "parse_config",
     "read_config",
     "report_json_bytes",
@@ -486,12 +489,34 @@ def parse_value(text: str, annotation: Any) -> Any:
     return value
 
 
-_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
-#: config key -> its field; ``k_oracle`` is no key but is spelled ``k = oracle``
-_CONFIG_FIELDS = {
-    "spectrum" if f.name == "spectrum_kind" else f.name: f
-    for f in dataclasses.fields(ExperimentConfig)
-    if f.name != "k_oracle"
+def parse_kwargs(params: dict[str, inspect.Parameter], raw: dict[str, str]) -> dict[str, Any]:
+    """Bind ``key -> text`` inputs to the parameters ``params`` names by key.
+
+    Raises ValueError naming every unknown key, then every missing key of a
+    parameter without a default, each list sorted, then the first value
+    :func:`parse_value` rejects.  Returns the keyword arguments, keyed by
+    each parameter's ``.name``.
+    """
+    unknown = sorted(set(raw) - set(params))
+    if unknown:
+        raise ValueError(f"unknown key(s): {', '.join(unknown)}")
+    missing = sorted(key for key, p in params.items() if p.default is p.empty and key not in raw)
+    if missing:
+        raise ValueError(f"missing mandatory key(s): {', '.join(missing)}")
+    kwargs = {}
+    for key, text in raw.items():
+        try:
+            kwargs[params[key].name] = parse_value(text, params[key].annotation)
+        except ValueError as e:
+            raise ValueError(f"invalid value for {key!r}: {e}") from None
+    return kwargs
+
+
+#: config key -> its :class:`ExperimentConfig` parameter; ``k_oracle`` is spelled ``k = oracle``
+_CONFIG_PARAMS = {
+    "spectrum" if name == "spectrum_kind" else name: p
+    for name, p in inspect.signature(ExperimentConfig, eval_str=True).parameters.items()
+    if name != "k_oracle"
 }
 
 
@@ -527,27 +552,11 @@ def _parse_config(source: str | TextIO) -> ExperimentConfig:
             raise FormatError(f"duplicate key {key!r}", ln)
         raw[key] = value
 
-    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
-    if unknown:
-        raise FormatError(f"unknown key(s): {', '.join(unknown)}")
-    missing = sorted(
-        k for k, f in _CONFIG_FIELDS.items() if f.default is dataclasses.MISSING and k not in raw
-    )
-    if missing:
-        raise FormatError(f"missing mandatory key(s): {', '.join(missing)}")
-
-    kwargs: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key == "k" and value == "oracle":
-            kwargs["k_oracle"] = True
-            continue
-        name = _CONFIG_FIELDS[key].name
-        try:
-            kwargs[name] = parse_value(value, _CONFIG_TYPES[name])
-        except ValueError as e:
-            raise FormatError(f"invalid value for {key!r}: {e}") from None
+    oracle = raw.get("k") == "oracle"
+    if oracle:
+        del raw["k"]
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**parse_kwargs(_CONFIG_PARAMS, raw), k_oracle=oracle)
     except ValueError as e:
         raise FormatError(str(e)) from None
 
@@ -621,9 +630,16 @@ def _csv_bytes(columns, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _json_bytes(doc: Any, allow_nan: bool = True) -> bytes:
-    """``doc`` as indented JSON with a final newline; json asks :func:`_py` for numpy scalars."""
-    return (json.dumps(doc, indent=2, allow_nan=allow_nan, default=_py) + "\n").encode()
+def _json_scalar(v: Any) -> Any:
+    """json's hook for what it cannot write: a numpy scalar's Python value, or TypeError."""
+    if type(v).__module__ == "numpy":
+        return v.item()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_bytes(doc: Any) -> bytes:
+    """``doc`` as indented JSON with a final newline; a non-finite float raises ValueError."""
+    return (json.dumps(doc, indent=2, allow_nan=False, default=_json_scalar) + "\n").encode()
 
 
 def report_csv_bytes(report: ExperimentReport) -> bytes:
@@ -670,7 +686,7 @@ def _bound_doc(result: Any) -> dict[str, Any]:
 
 def bound_json_bytes(result: Any) -> bytes:
     """Any :mod:`spectrunc.bounds` result, a report dataclass or a scalar, as JSON."""
-    return _json_bytes(_bound_doc(result), allow_nan=False)
+    return _json_bytes(_bound_doc(result))
 
 
 def bound_csv_bytes(result: Any) -> bytes:

@@ -23,6 +23,7 @@ __all__ = [
     "make_spectrum",
     "haar_orthogonal",
     "psd_from_spectrum",
+    "instance",
     "bernoulli_observe",
     "goe_noise",
     "scaled_perturbation",
@@ -91,6 +92,16 @@ def psd_from_spectrum(spectrum: np.ndarray, basis: np.ndarray | None = None) -> 
         raise ValueError(f"basis shape {U.shape} does not match spectrum length {n}")
     A = (U * sig) @ U.T
     return (A + A.T) / 2.0
+
+
+def instance(spectrum: np.ndarray, basis: str, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric matrix with eigenvalues ``spectrum`` in ``basis``.
+
+    ``"haar"`` draws the basis from ``rng`` (:func:`haar_orthogonal`);
+    ``"identity"`` gives the diagonal matrix and draws nothing.
+    """
+    U = haar_orthogonal(len(spectrum), rng) if basis == "haar" else None
+    return psd_from_spectrum(spectrum, U)
 
 
 def bernoulli_observe(A: np.ndarray, p: float, rng: np.random.Generator) -> ObservationSet:

@@ -4,6 +4,8 @@ Every frozen constant below was computed independently (high-precision arithmeti
 or a direct numerical check) before being pinned here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,16 @@ def test_exponential_rate_frozen():
     # small n switches to the floor term sqrt(n) * exp(-c n)
     r4 = exponential_error_rate(d, c=1.0, n=4)
     assert r4 == pytest.approx(2.0 * np.exp(-4.0), rel=1e-12)
+
+
+def test_cutoff_rules_answer_at_the_ends_of_the_delta_range():
+    # delta ** (-1/beta) overflows the float range: the cutoff is n - 1
+    assert powerlaw_rank_cutoff(3.547163594897121e-296, 0.7476636292951113, 100) == 99
+    # 1/delta overflows for a subnormal delta: log(1/delta) is taken as -log(delta)
+    assert exponential_rank_cutoff(1e-310, c=1.0, n=100) == 99
+    assert exponential_error_rate(1e-310, c=1.0, n=100) == pytest.approx(
+        10.0 * math.exp(-100.0), rel=1e-12
+    )
 
 
 def test_exponential_domain():

@@ -16,7 +16,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectrunc
 from spectrunc import covariance_reduced, linalg
-from spectrunc.cli import _BOUNDS, main
+from spectrunc.bounds import KINDS
+from spectrunc.cli import main
 from spectrunc.estimators import SampleSet
 from spectrunc.io import (
     FormatError,
@@ -50,6 +51,24 @@ def test_synth_writes_valid_matrix(workdir, capsys):
                    "--basis", "identity") == 0
     text = capsys.readouterr().out
     np.testing.assert_array_equal(read_matrix(text), np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("basis", ["haar", "identity"])
+def test_synth_writes_the_matrix_of_run_trial(basis, workdir, monkeypatch):
+    # synth --seed s --stream i builds the A that trial i of a run with seed s builds
+    config = spectrunc.ExperimentConfig(
+        experiment="relative", n=12, trials=3, seed=7, spectrum_kind="powerlaw",
+        spectrum_beta=1.0, basis=basis, k=2, eps=0.2,
+    )
+    seen = []
+    step = spectrunc.EXPERIMENTS["relative"]
+    monkeypatch.setitem(spectrunc.EXPERIMENTS, "relative",
+                        lambda cfg, sig, A, rng: seen.append(A.copy()) or step(cfg, sig, A, rng))
+    spectrunc.run_trial(config, 2)
+    out = workdir / "A.sym"
+    assert run_cli("synth", "--kind", "powerlaw", "--beta", "1", "--n", "12", "--basis", basis,
+                   "--seed", "7", "--stream", "2", "--out", str(out)) == 0
+    assert out.read_bytes() == matrix_bytes(seen[0])
 
 
 def test_synth_values_read_as_the_config_list(workdir, capsys):
@@ -137,12 +156,13 @@ def test_bounds_sampling_requires_eps_and_k(regime, extra, capsys):
     assert json.loads(capsys.readouterr().out)["regime"] == regime
 
 
-@pytest.mark.parametrize("kind", list(_BOUNDS))
+@pytest.mark.parametrize("kind", list(KINDS))
 def test_bounds_names_first_required_input(kind, capsys):
-    params = inspect.signature(_BOUNDS[kind]).parameters.values()
-    first = next(p.name for p in params if p.default is p.empty)
+    # the message names every required input, sorted, so the first one too
+    params = inspect.signature(KINDS[kind]).parameters.values()
+    required = sorted(p.name for p in params if p.default is p.empty)
     assert run_cli("bounds", "--kind", kind) == 1
-    assert f"{first!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: missing mandatory key(s): {', '.join(required)}\n"
 
 
 @pytest.mark.parametrize("kind, scale", [("relative", "tail_2=1"), ("gap", "gap=1")])
@@ -162,8 +182,8 @@ def test_bounds_rejects_a_measured_perturbation_out_of_domain(kind, scale, capsy
 def test_bounds_input_errors(capsys):
     # missing required input
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1") == 1
-    assert "'eps'" in capsys.readouterr().err
-    # unused input is rejected by name
+    assert "missing mandatory key(s): eps, tail_2, tail_F" in capsys.readouterr().err
+    # an unknown key is rejected by name
     assert run_cli("bounds", "--kind", "powerlaw_rate", "--set", "delta=0.1",
                    "--set", "beta=1", "--set", "n=100", "--set", "zeta=3") == 1
     assert "zeta" in capsys.readouterr().err
@@ -483,7 +503,7 @@ def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
     # process has both loaded (conftest reads their BLAS), so a fresh
     # interpreter runs the steps.
     assert set(_VALID_CONFIGS) == set(spectrunc.EXPERIMENTS)
-    assert set(_BOUND_INPUTS) == set(_BOUNDS)
+    assert set(_BOUND_INPUTS) == set(KINDS)
     configs = []
     for ex, keys in _VALID_CONFIGS.items():
         configs.append(str(workdir / f"{ex}.cfg"))

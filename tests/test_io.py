@@ -1,7 +1,9 @@
 """File formats and serialization: lossless round trips, line-numbered errors."""
 
 import dataclasses
+import inspect
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -468,6 +470,24 @@ def test_parse_config_error_reporting():
     assert "spectrum_c gives a leading eigenvalue of 0" in config_error(underflow)
 
 
+def test_parse_kwargs_checks_keys_then_values():
+    def f(a: int, b: float, c: tuple[float, ...] | None = None):
+        pass
+
+    params = {p.name: p for p in inspect.signature(f).parameters.values()}
+    params["alias"] = params.pop("a")
+    parse = spectrunc.io.parse_kwargs
+    assert parse(params, {"c": "1, 2", "alias": "3", "b": "0.5"}) == {
+        "c": (1.0, 2.0), "a": 3, "b": 0.5,
+    }
+    with pytest.raises(ValueError, match="^unknown key[(]s[)]: a, z$"):
+        parse(params, {"z": "1", "a": "1"})  # ahead of the missing ones
+    with pytest.raises(ValueError, match="^missing mandatory key[(]s[)]: alias, b$"):
+        parse(params, {"c": "inf"})  # ahead of the bad value
+    with pytest.raises(ValueError, match="^invalid value for 'b': 'nan' is not finite$"):
+        parse(params, {"b": "nan", "alias": "x"})  # the first bad value in input order
+
+
 # ----------------------------------------------------------------- reports
 
 
@@ -547,8 +567,24 @@ def test_numpy_scalar_bound_writes_the_plain_bound():
         bound_json_bytes(np.float32("inf"))
 
 
+def test_json_writers_name_a_type_json_cannot_write():
+    bound = relative_error_bound(k=1, eps=Fraction(1, 4), tail_F=1.0, tail_2=1.0)
+    with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+        bound_json_bytes(bound)
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
+
+
+def test_zero_tail_perturbation_run_writes_null_gamma_k():
+    # sigma_{k+1} = 0, so gamma_k = sigma_k / sigma_{k+1} is undefined in every trial
+    rep = small_report(
+        n=30, spectrum_kind="explicit", spectrum_beta=None,
+        spectrum_values=(1.0, 1.0) + (0.0,) * 28, k=2,
+    )
+    doc = json.loads(report_json_bytes(rep), parse_constant=_reject_constant)
+    assert [t["aux"]["gamma_k"] for t in doc["trials"]] == [None, None, None]
 
 
 def test_covariance_oracle_keeping_every_rank_writes_null_admissibility():
