@@ -31,6 +31,12 @@ runs in-process:
 * ``run`` of the relative config and ``denoise`` of the n = 40 perturbed
   matrix once more, from files whose lines end with ``\\r\\n``, and with form
   feed and ``\\u2028`` in turn;
+* ``sym`` files across the chunks in which the reader and writer keep each
+  column's mirror text (32 rows each): ``denoise`` and ``verify`` (JSON)
+  of an n = 75 perturbed matrix whose rows 40, 70 and 74 spell lower
+  entries otherwise than their mirrors (``%.20e`` for ``%.17g``, ``-0``
+  against ``0``, and a value 1e-13 off, inside the symmetry tolerance),
+  and ``synth`` at n = 75;
 * rejected inputs: ``run`` of configs with an unknown key, a parameter the
   spectrum kind does not read, another experiment's parameter, a missing
   ``k`` and ``n_samples``, an increasing explicit spectrum and a zero
@@ -363,6 +369,36 @@ def line_end_digests(work: Path):
             yield f"{command} {name}", hashlib.sha256(data).hexdigest()
 
 
+#: order of the chunk-crossing files: past two 32-row chunks, and no multiple of 32
+CHUNKED_N = 75
+
+
+def chunk_digests(work: Path):
+    """(output name, sha256) of the file commands on ``sym`` files across mirror-text chunks."""
+    from spectrunc.cli import main
+
+    n, k = CHUNKED_N, FILE_ORDERS[40]
+    paths = {name: str(p) for name, p in _write_file_inputs(work, n, k).items()}
+    for name in ("A.sym", "Ahat.sym"):  # both, so that verify's perturbation stays small
+        rows = [line.split() for line in Path(paths[name]).read_text().splitlines()]
+        # rows[1 + i][j] is entry (i, j); each lower entry below differs from its mirror's text
+        rows[1 + 2][70], rows[1 + 70][2] = "0", "-0"
+        if name == "Ahat.sym":
+            rows[1 + 40][33] = format(float(rows[1 + 33][40]), ".20e")  # the same value
+            rows[1 + 74][45] = "%.17g" % (float(rows[1 + 45][74]) + 1e-13)  # inside the tolerance
+        Path(paths[name]).write_text("".join(" ".join(row) + "\n" for row in rows))
+    commands = {
+        "denoise": ["denoise", "--matrix", paths["Ahat.sym"], "--k", str(k)],
+        "verify json": ["verify", "--matrix", paths["A.sym"], "--perturbed", paths["Ahat.sym"],
+                        "--k", str(k), "--eps", str(FILES_EPS)],
+        "synth haar": ["synth", "--kind", "powerlaw", "--beta", "1", "--n", str(n),
+                       "--basis", "haar", "--seed", str(FILES_SEED)],
+    }
+    for name, argv in commands.items():
+        data = _cli(main, argv, work / "out")
+        yield f"chunks {name} n={n}", hashlib.sha256(data).hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
@@ -379,7 +415,7 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         outputs = [
             *digests(work), *numpy_scalar_digests(), *file_digests(work),
-            *line_end_digests(work), *rejection_digests(work),
+            *line_end_digests(work), *chunk_digests(work), *rejection_digests(work),
         ]
         for name, digest in outputs:
             print(f"{digest}  {name}")

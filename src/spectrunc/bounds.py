@@ -166,6 +166,18 @@ _DOMAIN = {
 }
 
 
+def _pow(x: float, y: float) -> float:
+    """``x ** y``, or inf where it overflows: float ``**`` raises OverflowError there.
+
+    A result past the float range is then reported as a non-finite field,
+    as an overflowing product is.
+    """
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def check_domain(**values) -> None:
     """Raise ValueError for the first value outside its ``_DOMAIN`` entry; None is skipped."""
     for name, v in values.items():
@@ -445,15 +457,15 @@ def completion_sampling_threshold(
     # gap is left to the gap regime's own, stricter rule
     check_domain(mu0=mu0, norm_F=norm_F, n=n, t=t, C_mc=C_mc, sigma_k1=sigma_k1, eps=eps, k=k)
     log_term = math.log(n / t)
-    base = mu0**2 * norm_F**2 * log_term / n
+    base = _pow(mu0, 2) * _pow(norm_F, 2) * log_term / n
     if regime == "sqrt_k":
-        expr = base / sigma_k1**2
+        expr = base / _pow(sigma_k1, 2)
     elif regime == "relative":
-        expr = base * max(eps**-4, float(k) ** 2) / sigma_k1**2
+        expr = base * max(_pow(eps, -4), _pow(float(k), 2)) / _pow(sigma_k1, 2)
     else:  # gap
         if not gap > 0:
             raise ValueError("gap must be positive in the gap regime")
-        expr = base * k / (eps**2 * gap**2)
+        expr = base * k / (eps**2 * _pow(gap, 2))
     p_raw = C_mc * expr
     return SamplingThreshold(
         regime=regime, p_raw=p_raw, p=min(1.0, p_raw), vacuous=p_raw > 1.0
@@ -522,11 +534,11 @@ def covariance_admissible(
     if mode == "relative":
         if not math.isfinite(gamma_k) or gamma_k < 1:
             raise ValueError(f"relative mode needs finite gamma_k >= 1, got {gamma_k}")
-        expr = r_e * max(eps**-4, float(k) ** 2) * gamma_k**2 * math.log(N) / N
+        expr = r_e * max(_pow(eps, -4), _pow(float(k), 2)) * _pow(gamma_k, 2) * math.log(N) / N
     else:
         if not gap > 0:
             raise ValueError("gap must be positive in gap mode")
-        expr = r_e * k * norm_2**2 * math.log(N) / (N * eps**2 * gap**2)
+        expr = r_e * k * _pow(norm_2, 2) * math.log(N) / (N * eps**2 * _pow(gap, 2))
     return AdmissibilityReport(
         mode=mode,
         expr=expr,

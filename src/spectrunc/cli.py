@@ -99,12 +99,11 @@ def _cmd_complete(args) -> int:
     from .estimators import complete
 
     obs = io.read_observations_file(args.obs)
-    _emit_matrix(complete(obs, args.k), args.out)
-    print(
-        f"completed n={obs.n} from {obs.count} observations at p={obs.p} "
-        f"(rank {args.k})",
-        file=sys.stderr,
-    )
+    note = f"completed n={obs.n} from {obs.count} observations at p={obs.p} (rank {args.k})"
+    estimate = complete(obs, args.k)
+    del obs  # the input is released before the estimate is written
+    _emit_matrix(estimate, args.out)
+    print(note, file=sys.stderr)
     return 0
 
 
@@ -119,8 +118,9 @@ def _cmd_denoise(args) -> int:
 def _cmd_cov(args) -> int:
     from .estimators import covariance_reduced
 
-    samples = io.read_samples_file(args.samples)
-    _emit_matrix(covariance_reduced(samples, args.k, center=args.center), args.out)
+    # the input is released once the estimate exists, before it is written
+    estimate = covariance_reduced(io.read_samples_file(args.samples), args.k, center=args.center)
+    _emit_matrix(estimate, args.out)
     return 0
 
 
@@ -155,7 +155,9 @@ def _cmd_verify(args) -> int:
     if not 1 <= args.k <= n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}], got {args.k}")
     delta = spectral_norm_sym(A_hat - A)
-    report = check_alignment(A, *top_eigenpairs(A_hat, args.k), args.k, args.eps, delta)
+    pairs = top_eigenpairs(A_hat, args.k)
+    del A_hat  # only its top-k pairs are checked
+    report = check_alignment(A, *pairs, args.k, args.eps, delta)
     data = (
         io.alignment_json_bytes(report)
         if args.format == "json"

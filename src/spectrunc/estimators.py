@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_domain
-from .linalg import require_symmetric, top_eigenpairs, truncate
+from .linalg import require_symmetric, symmetrize, top_eigenpairs, truncate
 
 __all__ = [
     "ObservationSet",
@@ -95,13 +95,19 @@ def zero_fill_rescale(obs: ObservationSet) -> np.ndarray:
 
 
 def _rank_k(M: np.ndarray, k: int) -> np.ndarray:
-    """Top-k truncation of the symmetric ``M``, ``0 <= k <= n``; overwrites ``M``."""
+    """Top-k truncation of the symmetric ``M``, ``0 <= k <= n``; overwrites ``M``.
+
+    ``M`` is released before the truncation is formed, so a caller that
+    passes its only reference holds one n-by-n array at a time.
+    """
     n = M.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     if k == 0:
         return np.zeros((n, n))
-    return truncate(*top_eigenpairs(M, k))
+    pairs = top_eigenpairs(M, k)
+    del M
+    return truncate(*pairs)
 
 
 def complete(obs: ObservationSet, k: int) -> np.ndarray:
@@ -126,10 +132,10 @@ def sample_covariance(samples: SampleSet, center: bool = False) -> np.ndarray:
         if samples.N < 2:
             raise ValueError("centering requires at least 2 samples")
         X = X - X.mean(axis=0)
-        S = X.T @ X / (samples.N - 1)
-    else:
-        S = X.T @ X / samples.N
-    return (S + S.T) / 2.0
+    S = X.T @ X
+    del X  # the centered copy goes before S is scaled and symmetrized
+    S /= samples.N - 1 if center else samples.N
+    return symmetrize(S)
 
 
 def covariance_reduced(samples: SampleSet, k: int, center: bool = False) -> np.ndarray:

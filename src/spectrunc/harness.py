@@ -82,11 +82,13 @@ from .bounds import (
 from .config import ExperimentConfig
 from .estimators import complete, denoise, sample_covariance
 from .linalg import (
+    _root_sum_sq,
     effective_rank,
     eig_sym,
     spectral_norm_sym,
     spectrum_stats,
     spikeness,
+    symmetrize,
     top_eigenpairs,
     truncate,
 )
@@ -367,8 +369,7 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
         if U is not None:
             np.matmul(U.T @ G, U, out=G)
             del U
-            np.add(G, G.T, out=G)  # numpy buffers the overlapping G.T
-            np.divide(G, 2.0, out=G)
+            symmetrize(G)
         for i, (delta, k, rate, stats) in enumerate(ladder):
             A_hat = np.multiply(G, delta, out=G if i == last else None)
             A_hat[diag_idx, diag_idx] += sig
@@ -412,8 +413,12 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     sig, A = _instance(config, rng)
     est, k, judge = step(config, sig, A, rng)
     D = est - A
-    err_F = float(np.linalg.norm(D, "fro"))
-    tail_F = float(np.sqrt(np.sum(sig[k:] ** 2)))
+    with np.errstate(over="ignore"):
+        err_F = float(np.linalg.norm(D, "fro"))
+    if not math.isfinite(err_F):  # the sum of squares overflows near the top of the range
+        top = float(np.max(np.abs(D)))
+        err_F = top * float(np.linalg.norm(D / top, "fro"))
+    tail_F = _root_sum_sq(sig[k:])
     bound_value, holds, margin, aux = judge(err_F, tail_F)
     return TrialRecord(
         trial_id=trial_id,

@@ -19,12 +19,14 @@ entry once and reuses its text for a bitwise-equal mirror, and the reader
 parses a lower token only where its text differs from the upper token it
 mirrors.  Output bytes and parsed bits are those of converting every entry.
 
-Files stream: the ``*_file`` readers parse about 64 Ki characters of whole
+Files stream: the ``*_file`` readers parse about 16 Ki characters of whole
 lines at a time and :func:`write_matrix` writes a row at a time, through
 the parsers and row formatter that the text functions use.  Besides the
-array they hold one block or row of text, and for a ``sym n`` file at most
-n^2/4 pending upper tokens, the text each column's mirror is compared with
-or reuses.
+array they hold one block or row of text, and for a ``sym n`` file the
+pending mirror text: each column's upper tokens so far, which its lower
+part is compared with or reuses (:class:`_Mirror`).  At most n^2/4
+tokens are pending: 0.65 to 0.8 times the array for 17-digit entries of
+20 to 23 characters.
 Faults are reported in the order of a reader that holds the whole file.
 
 Reports serialize to JSON (full nested structure, config and tool stamp
@@ -93,29 +95,37 @@ class FormatError(ValueError):
 
 
 #: characters of whole lines read from a file at a time (one line at least)
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
+
+
+def _file_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of an open text file, as ``str.splitlines`` splits its whole text.
+
+    The file is read as ``readlines(_BLOCK)``, which never cuts a line, and
+    each of its lines is split with ``str.splitlines``, so ``\\r\\n``, a
+    form feed, ``\\u2028`` or another separator it knows ends a line in a
+    file too.  One block's list of lines is held at a time.
+    """
+    while True:
+        lines = fh.readlines(_BLOCK)
+        if not lines:
+            return
+        for line in lines:
+            yield from line.splitlines()
+        del lines  # before the next block is read
 
 
 def _data_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
     """(line_number, stripped line) for every non-blank, non-comment line of ``source``.
 
-    ``source`` is a text or an open text file.  A file is read as
-    ``readlines(_BLOCK)``, which never cuts a line, and each block is split
-    with ``str.splitlines``, so the lines are numbered as in the whole text:
-    ``\\r\\n``, a form feed, ``\\u2028`` or another separator
-    ``str.splitlines`` knows ends a line in a file too.
+    ``source`` is a text or an open text file (:func:`_file_lines`); the
+    lines are numbered as in the whole text.
     """
-    if isinstance(source, str):
-        blocks: typing.Iterable[str] = [source]
-    else:
-        blocks = ("".join(lines) for lines in iter(lambda: source.readlines(_BLOCK), []))
-    ln = 0
-    for block in blocks:
-        for raw in block.splitlines():
-            ln += 1
-            s = raw.strip()
-            if s and not s.startswith("#"):
-                yield ln, s
+    raws = source.splitlines() if isinstance(source, str) else _file_lines(source)
+    for ln, raw in enumerate(raws, 1):
+        s = raw.strip()
+        if s and not s.startswith("#"):
+            yield ln, s
 
 
 def _fmt(x: float) -> str:
@@ -203,6 +213,53 @@ def _float_rows_bytes(header: str, X: np.ndarray) -> bytes:
 #: an entry this large doubles to inf, so (A + A^T) / 2 would overflow
 _HALF_RANGE = 2.0**1023
 
+#: rows of ``sym n`` text whose tokens in one column one :class:`_Mirror` string
+#: joins; a multiple of ``_MIRROR_BATCH``, so that each string starts a batch
+_MIRROR_ROWS = 32
+
+#: rows whose tokens :class:`_Mirror` holds as they are before adding them to the strings
+_MIRROR_BATCH = 8
+
+
+class _Mirror:
+    """Each column's upper tokens of the rows so far, which its lower part mirrors.
+
+    Column j's text is a list of strings that each join, with single
+    spaces, its tokens of ``_MIRROR_ROWS`` rows, followed by its tokens of
+    the rows not yet added.  Rows are added ``_MIRROR_BATCH`` at a time,
+    and every column past a batch takes a token of each of its rows, so
+    all columns share the batch and chunk boundaries.  A batch extends only
+    the newest string of each column: a token is copied at most
+    ``_MIRROR_ROWS / _MIRROR_BATCH`` times, where re-joining a whole column
+    would copy O(n^3) characters.
+    """
+
+    def __init__(self, n: int):
+        self._columns: list[list[str] | None] = [[] for _ in range(n)]
+        self._rows: list[tuple[int, list[str]]] = []  # (i, row i's tokens) not yet added
+
+    def take(self, i: int) -> list[str]:
+        """Column i's strings and tokens, for rows 0..i-1; the column is released."""
+        pieces, self._columns[i] = self._columns[i], None
+        pieces.extend([tokens[i - r - 1] for r, tokens in self._rows])
+        return pieces
+
+    def push(self, i: int, tokens: list[str]) -> None:
+        """Add row i's tokens of columns i+1, i+2, ... to those columns."""
+        self._rows.append((i, tokens))
+        if len(self._rows) < _MIRROR_BATCH:
+            return
+        # the batch's tokens of each column past it, as one tuple per column
+        batch = zip(*[tokens[i - r :] for r, tokens in self._rows])
+        columns = self._columns[i + 1 :]
+        if self._rows[0][0] % _MIRROR_ROWS == 0:
+            for col, ts in zip(columns, batch):
+                col.append(" ".join(ts))
+        else:
+            for col, ts in zip(columns, batch):
+                col[-1] = f"{col[-1]} {' '.join(ts)}"
+        self._rows = []
+
 
 def _parse_matrix(source: str | TextIO) -> np.ndarray:
     """``sym n`` text or file as a symmetric float64 array, one row at a time.
@@ -225,7 +282,7 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
     if n < 1:
         raise FormatError(f"dimension must be >= 1, got {n}", hline)
     A = _empty((n, n), lines, hline, "data rows")
-    pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper tokens
+    mirror = _Mirror(n)
     row_lines: list[int] = []
     spelled = array.array("q")  # i * n + j of each lower entry converted itself
     i, error = -1, None
@@ -237,10 +294,11 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
                 if ok:
                     A[i, i:] = list(map(float, tok[i:]))
                     A[i, :i] = A[:i, i]
-                    lower, mirror = tok[:i], pending[i]
-                    if lower != mirror:
-                        for j in [j for j, (a, b) in enumerate(zip(lower, mirror)) if a != b]:
-                            A[i, j] = float(lower[j])
+                    upper = " ".join(mirror.take(i))
+                    if " ".join(tok[:i]) != upper:
+                        upper = upper.split(" ")
+                        for j in [j for j, (a, b) in enumerate(zip(tok, upper)) if a != b]:
+                            A[i, j] = float(tok[j])
                             spelled.append(i * n + j)
                     ok = np.isfinite(A[i]).all()
             except ValueError:
@@ -248,9 +306,7 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
             if not ok:
                 _row_error(tok, n, ln, "matrix entry")
             row_lines.append(ln)
-            pending[i] = None
-            for col, t in zip(pending[i + 1 :], tok[i + 1 :]):
-                col.append(t)
+            mirror.push(i, tok[i + 1 :])
     except FormatError as e:
         error = e
     _finish(lines, i + 1, n, "data rows", hline, error)
@@ -301,16 +357,18 @@ def _matrix_lines(A: np.ndarray) -> Iterator[str]:
     n = A.shape[0]
     bits = A.view(np.uint64)
     fmt = " ".join(["%.17g"] * n)
-    pending: list[list[str] | None] = [[] for _ in range(n)]  # column j's upper texts
+    mirror = _Mirror(n)
     yield f"sym {n}\n"
     for i in range(n):
         upper = (fmt[6 * i :] % tuple(A[i, i:].tolist())).split(" ")
-        lower, pending[i] = pending[i], None
-        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
-            lower[j] = _fmt(A[i, j])
+        lower = mirror.take(i)
+        differ = np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist()
+        if differ:
+            lower = " ".join(lower).split(" ")
+            for j in differ:
+                lower[j] = _fmt(A[i, j])
         yield " ".join(lower + upper) + "\n"
-        for col, t in zip(pending[i + 1 :], upper[1:]):
-            col.append(t)
+        mirror.push(i, upper[1:])
 
 
 def matrix_bytes(A: np.ndarray) -> bytes:

@@ -26,6 +26,7 @@ from .linalg import (
     require_symmetric,
     spectral_norm_sym,
     spectrum_stats,
+    symmetrize,
     truncate,
 )
 
@@ -122,10 +123,9 @@ def reference_matrix(
     onto the aligned subspace; its rank is at most m1 + (columns of W).
     """
     G = W.T @ U
-    core = (G * sigma) @ G.T
-    head = truncate(sigma[:m1], U[:, :m1])
-    T = head + W @ ((core + core.T) / 2.0) @ W.T
-    return (T + T.T) / 2.0
+    T = truncate(sigma[:m1], U[:, :m1])
+    T += W @ symmetrize((G * sigma) @ G.T) @ W.T
+    return symmetrize(T)
 
 
 def range_basis(M: np.ndarray, scale: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import check_domain
 from .config import spectrum_head
 from .estimators import ObservationSet, SampleSet
-from .linalg import require_symmetric, spectral_norm_sym
+from .linalg import require_symmetric, spectral_norm_sym, symmetrize
 
 __all__ = [
     "rng_stream",
@@ -90,8 +90,7 @@ def psd_from_spectrum(spectrum: np.ndarray, basis: np.ndarray | None = None) -> 
     U = np.asarray(basis, dtype=np.float64)
     if U.shape != (n, n):
         raise ValueError(f"basis shape {U.shape} does not match spectrum length {n}")
-    A = (U * sig) @ U.T
-    return (A + A.T) / 2.0
+    return symmetrize((U * sig) @ U.T)
 
 
 def instance(spectrum: np.ndarray, basis: str, rng: np.random.Generator) -> np.ndarray:

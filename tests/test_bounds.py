@@ -311,6 +311,23 @@ def test_covariance_admissible_rejects_infinite_ratio():
         )
 
 
+def test_overflowing_powers_give_inf_not_overflow_error():
+    # float ** raises OverflowError where a product would give inf
+    for eps, gamma_k in ((0.2, 1e200), (1e-90, 2.0)):
+        rep = covariance_admissible(
+            r_e=3.0, eps=eps, k=2, gamma_k=gamma_k, n_samples=100, mode="relative",
+        )
+        assert rep.expr == math.inf and not rep.admissible and rep.margin == -math.inf
+    rep = covariance_admissible(
+        r_e=3.0, eps=0.2, k=2, n_samples=100, mode="gap", norm_2=1e200, gap=0.5,
+    )
+    assert rep.expr == math.inf
+    common = {"norm_F": 1.0, "n": 10, "t": 0.1, "sigma_k1": 1.0, "k": 2}
+    for mu0, eps in ((1e200, 0.2), (1.0, 1e-90)):
+        rep = completion_sampling_threshold(mu0=mu0, eps=eps, regime="relative", **common)
+        assert rep.p_raw == math.inf and rep.p == 1.0 and rep.vacuous
+
+
 def test_covariance_admissible_gap_mode():
     rep = covariance_admissible(
         r_e=3.0, eps=0.2, k=2, n_samples=10**4, mode="gap", norm_2=2.0, gap=0.5,

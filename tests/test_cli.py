@@ -216,6 +216,30 @@ def test_bounds_rejects_an_overflowing_result(capsys):
     assert json.loads(capsys.readouterr().out)["value"] > 1e300
 
 
+_OVERFLOWING_POWERS = {
+    # gamma_k**2, then the eps**-4 term, of the covariance relative mode
+    "expr": [["--kind", "covariance", "--set", "mode=relative", "--set", "r_e=3",
+              "--set", "k=2", "--set", "n_samples=100", "--set", f"eps={eps}",
+              "--set", f"gamma_k={gamma_k}"] for eps, gamma_k in (("0.2", "1e200"),
+                                                                  ("1e-90", "2"))],
+    # mu0**2, then eps**-4, of the sampling relative regime
+    "p_raw": [["--kind", "sampling", "--set", "regime=relative", "--set", f"mu0={mu0}",
+               "--set", "norm_F=1", "--set", "n=10", "--set", "t=0.1", "--set", "sigma_k1=1",
+               "--set", f"eps={eps}", "--set", "k=2"] for mu0, eps in (("1e200", "0.2"),
+                                                                        ("1", "1e-90"))],
+}
+
+
+@pytest.mark.parametrize("field", _OVERFLOWING_POWERS)
+def test_bounds_names_a_field_whose_power_overflows(field, capsys):
+    # float ** raised OverflowError, which exited 2 as a numerical error
+    for argv in _OVERFLOWING_POWERS[field]:
+        assert run_cli("bounds", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bound result field {field!r} is not finite: inf\n"
+        assert captured.out == ""
+
+
 def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
     a = workdir / "tiny.sym"
     a.write_text("sym 2\n1e-320 0\n0 1e-321\n")

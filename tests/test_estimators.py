@@ -1,5 +1,7 @@
 """Estimators: frozen small cases, unbiasedness, and composition identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ def test_estimators_rank_range():
     for k in (-1, 4):
         with pytest.raises(ValueError, match=r"k must lie in \[0, 3\]"):
             denoise(Y, k)
+
+
+def test_denoise_holds_one_working_matrix_at_a_time():
+    # the working copy lived on through the truncation, beside its product
+    # and the plain (B + B.T) / 2: 4 n^2 doubles at its peak
+    n, k = 300, 5
+    M = rng_stream(15, 0).standard_normal((n, n))
+    Y = (M + M.T) / 2.0
+    denoise(Y, k)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        denoise(Y, k)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * Y.nbytes
 
 
 def test_sample_covariance_hand_case():

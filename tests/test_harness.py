@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from spectrunc.harness import (
     _instance,
     _truncation_error_F,
 )
-from spectrunc.io import matrix_bytes
+from spectrunc.io import matrix_bytes, report_json_bytes
 from spectrunc.linalg import _top_k_route
 from spectrunc.synth import (
     haar_orthogonal,
@@ -222,6 +224,24 @@ def test_perturbation_trial_invariants():
         assert rep.aggregates["pass_rate_denominator"] == 2
         assert rep.tool["name"] == "spectrunc"
         assert rep.runtime_seconds > 0
+
+
+def test_relative_trial_near_the_top_of_the_float_range_is_finite():
+    # ||D||_F and the tail's sum of squares overflowed at sigma_1 = 1e160:
+    # the record held inf and nan, and its report could not be written
+    n = 30
+    sig = tuple(1e160 * (n - i) / n for i in range(n))
+    cfg = base_cfg(n=n, trials=1, seed=0, spectrum_kind="explicit", spectrum_beta=None,
+                   spectrum_values=sig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_experiment(cfg)
+    (rec,) = rep.trials
+    tail = 1e160 * math.sqrt(sum(((n - i) / n) ** 2 for i in range(3, n)))
+    assert rec.tail_F == pytest.approx(tail, rel=1e-14)
+    assert math.isfinite(rec.measured_error_F) and math.isfinite(rec.measured_error_2)
+    assert 1.0 < rec.ratio_F < 1.001
+    assert json.loads(report_json_bytes(rep))["trials"][0]["ratio_F"] == rec.ratio_F
 
 
 def test_alignment_trial_carries_chain_results():

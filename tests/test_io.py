@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 import json
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,7 @@ from spectrunc.io import (
     report_csv_bytes,
     report_json_bytes,
     samples_bytes,
+    write_matrix,
 )
 from spectrunc.synth import rng_stream
 
@@ -360,6 +363,89 @@ def test_read_matrix_averages_as_the_whole_matrix_does(data):
     text = "\n".join([f"sym {n}", *rows]) + "\n"
     with np.errstate(over="ignore"):
         assert read_matrix(text).tobytes() == _whole_matrix_read(text).tobytes()
+
+
+# ----------------------------------------------------- mirror text in chunks
+# ``sym n`` files keep each column's pending mirror text in chunks of rows;
+# n = 75 spans several chunks and is no multiple of a chunk's row count
+
+
+def test_matrix_bytes_breaks_mirror_pairs_past_the_first_chunk(tmp_path):
+    n = 75
+    A = np.random.default_rng(29).standard_normal((n, n))
+    A = np.triu(A) + np.triu(A, 1).T
+    A[70, 40] = np.nextafter(A[40, 70], 0.0)  # one ulp from its mirror
+    A[45, 66], A[66, 45] = 0.0, -0.0
+    A[74, 2] = -A[2, 74]
+    for M in (A, A.T):
+        expected = ("\n".join([f"sym {n}", *map(_reference_row, M)]) + "\n").encode()
+        assert matrix_bytes(M) == expected
+        path = tmp_path / "M.sym"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_matrix(M, fh)
+        assert path.read_bytes() == expected
+
+
+def test_read_matrix_checks_mirror_pairs_past_the_first_chunk(tmp_path):
+    n = 75
+    A = np.round(np.random.default_rng(23).standard_normal((n, n)), 3)
+    A = np.triu(A) + np.triu(A, 1).T
+    A[40, 70] = A[70, 40] = 2.0
+    rows = matrix_bytes(A).decode().splitlines()
+    row = rows[1 + 70].split()
+    assert row[40] == "2"
+    row[40] = "2.0"  # spelled otherwise than its mirror
+    row[45] = format(A[45, 70] + 0.5e-12, ".17g")  # asymmetric inside the tolerance
+    rows[1 + 70] = " ".join(row)
+    text = "\n".join(rows) + "\n"
+    back = read_matrix(text)
+    assert back.tobytes() == _reference_read(text).tobytes()
+    assert back[70, 40] == back[40, 70] == 2.0
+    path = tmp_path / "A.sym"
+    path.write_text(text)
+    assert read_matrix_file(path).tobytes() == back.tobytes()
+    # outside the tolerance: named at the upper entry, on its row's line
+    row[45] = format(A[45, 70] + 1e-3, ".17g")
+    rows[1 + 70] = " ".join(row)
+    with pytest.raises(FormatError) as ei:
+        read_matrix("\n".join(rows) + "\n")
+    assert str(ei.value) == "line 47: matrix not symmetric at (46, 71): |A_ij - A_ji| = 1.000e-03"
+
+
+def _traced_peak(fn) -> int:
+    """Bytes traced at the peak of ``fn()``, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _goe_300() -> np.ndarray:
+    """A symmetric standard-normal matrix of order 300: 17-digit entries of about 20 characters."""
+    M = np.random.default_rng(7).standard_normal((300, 300))
+    return (M + M.T) / 2.0
+
+
+# one str per pending mirror token held 2.5 (writer) and 2.9 (reader) times
+# the array beyond it here; text joined in chunks holds about 0.65 of it
+
+
+def test_write_matrix_holds_at_most_the_array():
+    A = _goe_300()
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        assert _traced_peak(lambda: write_matrix(A, sink)) <= A.nbytes
+
+
+def test_read_matrix_file_holds_at_most_the_array_beyond_it(tmp_path):
+    A = _goe_300()
+    path = tmp_path / "A.sym"
+    path.write_bytes(matrix_bytes(A))
+    read_matrix_file(path)  # loads what the reader imports on first use
+    # the peak includes the array the reader returns
+    assert _traced_peak(lambda: read_matrix_file(path)) <= 2 * A.nbytes
 
 
 # ----------------------------------------------------------------- config

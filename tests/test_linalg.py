@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -188,6 +189,36 @@ def test_truncate_rank_bounds():
         truncate(w[:1], U)  # more basis columns than eigenvalues
     with pytest.raises(ValueError, match="n-by-k basis"):
         truncate(w[:, None], U)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_symmetrize_gives_the_bits_of_the_plain_average(n):
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    B[-1, 0], B[0, -1] = 0.0, -0.0
+    B[n // 2, 0] = B[0, n // 2] = 1.5e308  # the pair's sum overflows either way
+    with np.errstate(over="ignore"):
+        expected = (B + B.T) / 2.0
+        assert linalg.symmetrize(B) is B
+    assert B.tobytes() == expected.tobytes()
+
+
+def test_truncate_allocates_its_output_and_block_temporaries():
+    # the plain (B + B.T) / 2 held two more n-by-n arrays
+    n, k = 600, 10
+    V = np.linalg.qr(np.random.default_rng(3).standard_normal((n, k)))[0]
+    w = np.linspace(2.0, 1.0, k)
+    truncate(w, V)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        truncate(w, V)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # a block pair's sum, the one before it and numpy's iteration buffers
+    block = linalg._SYM_BLOCK**2 * 8
+    assert peak <= n * n * 8 + V.nbytes + 3 * block
 
 
 def test_spectrum_stats_domain():
