@@ -14,13 +14,16 @@ default conventions, so alternative constant choices remain reproducible.
 They are keyword-only, except the power-law cutoff prefactor ``C1``.
 
 Each parameter name these functions share, the six constants included, has
-its domain in ``_DOMAIN``, which :func:`check_domain` and the run config
-(``config.ExperimentConfig``) apply; the observation rate ``p`` has its
-domain there too, for the config, ``estimators`` and ``synth``.  A predicate
-states what must hold, so NaN fails each one.  Rules of one function, regime
-or mode stay inline: the delta ranges, which differ per family; gap > 0 where
-the gap regime or mode divides by it; ``gamma_k``; the n >= 1 of
-``sample_covariance_rates``; and k < n in ``spectral_envelope``.
+its domain in ``_DOMAIN``, which :func:`check_domain`, the run config
+(``config.ExperimentConfig``) and ``synth`` apply; the observation rate
+``p`` and the run config's ``trials`` and ``seed`` have their domains there
+too.  A predicate states what must hold, so NaN fails each one.
+:func:`check_rank` states a truncation rank's range 1 <= k <= n - 1, for
+:func:`descending_spectrum`, the run config and ``spectrunc verify``.  Rules
+of one function, regime or mode stay inline: the delta ranges, which differ
+per family; gap > 0 where the gap regime or mode divides by it; ``gamma_k``;
+the n >= 1 of ``sample_covariance_rates``; and k < n in
+``spectral_envelope``.
 
 A choice of mode (a sampling regime or covariance mode here, an experiment
 or spectrum kind in ``config``) takes exactly the inputs its table lists;
@@ -30,6 +33,7 @@ ignores is named as unused.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -157,6 +161,8 @@ _DOMAIN = {
     "beta": (lambda v: v > 0.5, "exceed 1/2"),
     "r_e": (lambda v: v >= 1, "be >= 1"),
     "n_samples": (lambda v: v >= 2, "be >= 2"),
+    "trials": (lambda v: v >= 1, "be >= 1"),
+    "seed": _NONNEGATIVE,
     **dict.fromkeys(
         ("c", "mu0", "norm_F", "norm_2", "sigma_k1", "C_mc", "C1", "c_dn", "c_cov"), _POSITIVE
     ),
@@ -166,14 +172,23 @@ _DOMAIN = {
 }
 
 
-def _pow(x: float, y: float) -> float:
-    """``x ** y``, or inf where it overflows: float ``**`` raises OverflowError there.
+def _exact(expr, *args: float) -> float:
+    """``expr(*args)`` in floats where that is finite, else its exact value rounded once.
 
-    A result past the float range is then reported as a non-finite field,
-    as an overflowing product is.
+    Float ``**`` raises OverflowError past the float range and gives 0 where
+    it underflows, which a quotient then divides by.  There ``expr`` runs
+    again over ``Fraction`` copies of ``args`` (None stays None), so the
+    result is inf only where the true value lies past the float range.
+    ``expr`` takes its float inputs as ``args`` and may close over ints.
     """
+    with contextlib.suppress(OverflowError, ZeroDivisionError):
+        value = expr(*args)
+        if math.isfinite(value):
+            return value
+    from fractions import Fraction  # loaded only here: it loads decimal
+
     try:
-        return x**y
+        return float(expr(*(a if a is None else Fraction(a) for a in args)))
     except OverflowError:
         return math.inf
 
@@ -202,6 +217,12 @@ def check_inputs(what: str, choice: str, takes: dict, **given) -> None:
         raise ValueError(f"{what} {choice!r} requires {', '.join(missing)}")
 
 
+def check_rank(k: int, n: int) -> None:
+    """Raise ValueError unless the truncation rank k of an order-n matrix lies in [1, n - 1]."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+
+
 def descending_spectrum(eigenvalues, k: int) -> np.ndarray:
     """``eigenvalues`` as a float64 vector, checked finite and nonincreasing, cut at 1 <= k < n."""
     import numpy as np
@@ -209,9 +230,7 @@ def descending_spectrum(eigenvalues, k: int) -> np.ndarray:
     sig = np.asarray(eigenvalues, dtype=np.float64)
     if sig.ndim != 1:
         raise ValueError("eigenvalues must be one-dimensional")
-    n = sig.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    check_rank(k, sig.shape[0])
     if not np.all(np.isfinite(sig)):
         raise ValueError("eigenvalues must be finite")
     if np.any(np.diff(sig) > 0):
@@ -456,16 +475,18 @@ def completion_sampling_threshold(
     check_inputs("regime", regime, SAMPLING_REGIMES, sigma_k1=sigma_k1, gap=gap, eps=eps, k=k)
     # gap is left to the gap regime's own, stricter rule
     check_domain(mu0=mu0, norm_F=norm_F, n=n, t=t, C_mc=C_mc, sigma_k1=sigma_k1, eps=eps, k=k)
-    log_term = math.log(n / t)
-    base = _pow(mu0, 2) * _pow(norm_F, 2) * log_term / n
-    if regime == "sqrt_k":
-        expr = base / _pow(sigma_k1, 2)
-    elif regime == "relative":
-        expr = base * max(_pow(eps, -4), _pow(float(k), 2)) / _pow(sigma_k1, 2)
-    else:  # gap
-        if not gap > 0:
-            raise ValueError("gap must be positive in the gap regime")
-        expr = base * k / (eps**2 * _pow(gap, 2))
+    if regime == "gap" and not gap > 0:
+        raise ValueError("gap must be positive in the gap regime")
+
+    def form(mu0, norm_F, log_term, sigma_k1, eps, gap):
+        base = mu0**2 * norm_F**2 * log_term / n
+        if regime == "sqrt_k":
+            return base / sigma_k1**2
+        if regime == "relative":
+            return base * max(eps**-4, k**2) / sigma_k1**2
+        return base * k / (eps**2 * gap**2)
+
+    expr = _exact(form, mu0, norm_F, math.log(n / t), sigma_k1, eps, gap)
     p_raw = C_mc * expr
     return SamplingThreshold(
         regime=regime, p_raw=p_raw, p=min(1.0, p_raw), vacuous=p_raw > 1.0
@@ -531,14 +552,17 @@ def covariance_admissible(
     check_inputs("mode", mode, COVARIANCE_MODES, gamma_k=gamma_k, norm_2=norm_2, gap=gap)
     check_domain(eps=eps, k=k, r_e=r_e, n_samples=n_samples, norm_2=norm_2, c_cov=c_cov)
     N = n_samples
-    if mode == "relative":
-        if not math.isfinite(gamma_k) or gamma_k < 1:
-            raise ValueError(f"relative mode needs finite gamma_k >= 1, got {gamma_k}")
-        expr = r_e * max(_pow(eps, -4), _pow(float(k), 2)) * _pow(gamma_k, 2) * math.log(N) / N
-    else:
-        if not gap > 0:
-            raise ValueError("gap must be positive in gap mode")
-        expr = r_e * k * _pow(norm_2, 2) * math.log(N) / (N * eps**2 * _pow(gap, 2))
+    if mode == "relative" and not (math.isfinite(gamma_k) and gamma_k >= 1):
+        raise ValueError(f"relative mode needs finite gamma_k >= 1, got {gamma_k}")
+    if mode == "gap" and not gap > 0:
+        raise ValueError("gap must be positive in gap mode")
+
+    def form(r_e, eps, gamma_k, norm_2, gap, log_N):
+        if mode == "relative":
+            return r_e * max(eps**-4, k**2) * gamma_k**2 * log_N / N
+        return r_e * k * norm_2**2 * log_N / (N * eps**2 * gap**2)
+
+    expr = _exact(form, r_e, eps, gamma_k, norm_2, gap, math.log(N))
     return AdmissibilityReport(
         mode=mode,
         expr=expr,

@@ -23,8 +23,8 @@ import inspect
 import sys
 
 from . import __version__, io
-from .bounds import KINDS
-from .config import SPECTRUM_KINDS
+from .bounds import KINDS, check_rank
+from .config import BASES, SPECTRUM_KINDS
 
 
 def _numerical_errors() -> tuple[type[Exception], ...]:
@@ -149,11 +149,9 @@ def _cmd_verify(args) -> int:
 
     A = io.read_matrix_file(args.matrix)
     A_hat = io.read_matrix_file(args.perturbed)
-    n = A.shape[0]
     if A_hat.shape != A.shape:
         raise ValueError(f"--matrix is {A.shape}, --perturbed is {A_hat.shape}")
-    if not 1 <= args.k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {args.k}")
+    check_rank(args.k, A.shape[0])
     delta = spectral_norm_sym(A_hat - A)
     pairs = top_eigenpairs(A_hat, args.k)
     del A_hat  # only its top-k pairs are checked
@@ -203,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--c", type=float)
     p.add_argument("--values", help="comma- or space-separated explicit spectrum")
-    p.add_argument("--basis", choices=["haar", "identity"], required=True)
+    p.add_argument("--basis", choices=BASES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--out")

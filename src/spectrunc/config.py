@@ -27,12 +27,13 @@ from .bounds import (
     DEFAULT_C_MC,
     check_domain,
     check_inputs,
+    check_rank,
 )
 
 if typing.TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["EXPERIMENT_PARAMS", "SPECTRUM_KINDS", "ExperimentConfig", "spectrum_head"]
+__all__ = ["EXPERIMENT_PARAMS", "SPECTRUM_KINDS", "BASES", "ExperimentConfig", "spectrum_head"]
 
 #: experiment -> the parameters it requires beyond the common ones; a config
 #: may set a parameter only for the experiments that list it
@@ -48,6 +49,15 @@ EXPERIMENT_PARAMS = {
 
 #: spectrum kind -> the parameter it reads
 SPECTRUM_KINDS = {"powerlaw": ("beta",), "exponential": ("c",), "explicit": ("values",)}
+
+#: the bases a synthetic instance is built in: a Haar-random orthogonal one, or the identity
+BASES = ("haar", "identity")
+
+
+def check_basis(basis: str) -> None:
+    """Raise ValueError unless ``basis`` is one of ``BASES``."""
+    if basis not in BASES:
+        raise ValueError(f"basis must be {' or '.join(map(repr, BASES))}, got {basis!r}")
 
 
 def spectrum_head(
@@ -129,13 +139,8 @@ class ExperimentConfig:
             given["k"] = "oracle"
         check_inputs("experiment", self.experiment, EXPERIMENT_PARAMS, **given)
         shared = ("n", "eps", "nu", "t", "n_samples", "C_mc", "c_dn", "C_a", "C_b", "c_cov", "C1")
-        check_domain(**{name: getattr(self, name) for name in shared})
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.basis not in ("haar", "identity"):
-            raise ValueError(f"basis must be 'haar' or 'identity', got {self.basis!r}")
+        check_domain(**{name: getattr(self, name) for name in (*shared, "trials", "seed")})
+        check_basis(self.basis)
         # the kind, its parameter, no other kind's parameter, and sigma_1 > 0
         head = spectrum_head(
             self.spectrum_kind,
@@ -151,8 +156,8 @@ class ExperimentConfig:
             raise ValueError("k = oracle is only valid for covariance")
         if self.k_oracle and self.k is not None:
             raise ValueError("k = oracle chooses k per trial; do not also set k")
-        if self.k is not None and not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"k must lie in [1, {self.n - 1}], got {self.k}")
+        if self.k is not None:
+            check_rank(self.k, self.n)
         check_domain(p=self.p)
         if self.experiment == "decay_rate":
             if self.spectrum_kind == "explicit":

@@ -115,17 +115,64 @@ def _file_lines(fh: TextIO) -> Iterator[str]:
         del lines  # before the next block is read
 
 
-def _data_lines(source: str | TextIO) -> Iterator[tuple[int, str]]:
-    """(line_number, stripped line) for every non-blank, non-comment line of ``source``.
+class _DataLines:
+    """``(line number, stripped line)`` for every non-blank, non-comment line of a source.
 
     ``source`` is a text or an open text file (:func:`_file_lines`); the
-    lines are numbered as in the whole text.
+    lines are numbered as in the whole text.  Iterating gives the one
+    generator that reads them, which also counts them, so a parser's loop
+    runs on it directly.  As a context, after :meth:`declare`, it guards the
+    parse of the data lines a header declares.
     """
-    raws = source.splitlines() if isinstance(source, str) else _file_lines(source)
-    for ln, raw in enumerate(raws, 1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            yield ln, s
+
+    __slots__ = ("_taken", "_lines", "_hline", "_count", "_what")
+
+    def __init__(self, source: str | TextIO):
+        self._taken = 0
+        self._lines = self._read(source)
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        return self._lines
+
+    def _read(self, source: str | TextIO) -> Iterator[tuple[int, str]]:
+        raws = source.splitlines() if isinstance(source, str) else _file_lines(source)
+        for ln, raw in enumerate(raws, 1):
+            s = raw.strip()
+            if s and s[0] != "#":
+                self._taken += 1
+                yield ln, s
+
+    def header(self, name: str, form: str) -> tuple[int, list[str]]:
+        """Line number and tokens of the first data line, which must read as ``form``."""
+        first = next(self._lines, None)
+        if first is None:
+            raise FormatError(f"empty {name} file")
+        self._hline, s = first
+        htok, words = s.split(), form.split()
+        if len(htok) != len(words) or htok[0] != words[0]:
+            raise FormatError(f"expected header '{form}'", self._hline)
+        return self._hline, htok
+
+    def declare(self, count: int, what: str) -> _DataLines:
+        """The guard of a parse of the ``count`` data lines (``what``) the header declares."""
+        self._count, self._what = count, what
+        return self
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, etype, error, tb) -> None:
+        """Count the data lines the parse left; a total other than the declared one wins.
+
+        It is reported on the header in place of whatever the parse raised:
+        a bad line, or an array too large to allocate.  And a bad line, raised
+        in the parse's loop, comes ahead of any fault found after the last
+        line: the order of checks of a reader that holds the whole file.
+        """
+        if etype is None or issubclass(etype, Exception):
+            found = self._taken - 1 + sum(1 for _ in self._lines)  # all but the header
+            if found != self._count:
+                raise FormatError(f"expected {self._count} {self._what}, found {found}", self._hline)
 
 
 def _fmt(x: float) -> str:
@@ -149,46 +196,6 @@ def _parse_int(tok: str, line: int, what: str) -> int:
         raise FormatError(f"invalid {what} {tok!r}", line) from None
 
 
-def _header(lines: Iterator[tuple[int, str]], name: str, form: str) -> tuple[int, list[str]]:
-    """Line number and tokens of the first data line, which must read as ``form``."""
-    first = next(lines, None)
-    if first is None:
-        raise FormatError(f"empty {name} file")
-    hline, htok, words = first[0], first[1].split(), form.split()
-    if len(htok) != len(words) or htok[0] != words[0]:
-        raise FormatError(f"expected header '{form}'", hline)
-    return hline, htok
-
-
-def _finish(lines, taken: int, count: int, what: str, hline: int, error=None) -> None:
-    """Count the data lines left after the ``taken`` ones parsed, then raise ``error``.
-
-    A wrong number of data lines is reported on the header, ahead of any
-    bad line, and a bad line ahead of any fault found after the last line:
-    the order of checks of a reader that holds the whole file.
-    """
-    found = taken + sum(1 for _ in lines)
-    if found != count:
-        raise FormatError(f"expected {count} {what}, found {found}", hline)
-    if error is not None:
-        raise error
-
-
-def _empty(shape: tuple[int, int], lines, hline: int, what: str) -> np.ndarray:
-    """``np.empty(shape)`` for the data a header declares.
-
-    A shape too large to allocate gets its data lines counted first, so a
-    file shorter than its header is still reported as one.
-    """
-    import numpy as np
-
-    try:
-        return np.empty(shape)
-    except (MemoryError, ValueError):
-        _finish(lines, 0, shape[0], what, hline)
-        raise
-
-
 def _row_error(tok: list[str], width: int, line: int, what: str) -> None:
     """Raise the fault of a rejected row: its entry count, or its first bad token."""
     if len(tok) != width:
@@ -209,9 +216,6 @@ def _float_rows_bytes(header: str, X: np.ndarray) -> bytes:
 
 
 # ---------------------------------------------------------------- matrices
-
-#: an entry this large doubles to inf, so (A + A^T) / 2 would overflow
-_HALF_RANGE = 2.0**1023
 
 #: rows of ``sym n`` text whose tokens in one column one :class:`_Mirror` string
 #: joins; a multiple of ``_MIRROR_BATCH``, so that each string starts a batch
@@ -268,25 +272,25 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
     converted only where its text differs from the upper token it mirrors,
     and otherwise takes that token's value, which is what ``float`` gives
     for equal text.  So only such differently spelled pairs can be
-    asymmetric, and only they are checked and averaged, after the last row;
-    every other entry is its own average.  A matrix with an entry whose
-    double overflows is averaged whole as A/2 + A^T/2 instead.
+    asymmetric, and only they are checked and averaged, after the last row:
+    as ``(a + b) / 2``, or ``a/2 + b/2`` where that sum overflows.  Every
+    other entry keeps the bits it was parsed with, so a file
+    :func:`write_matrix` wrote reads back bit for bit.
     """
     import numpy as np
 
     from .linalg import SYMMETRY_TOL
 
-    lines = _data_lines(source)
-    hline, htok = _header(lines, "matrix", "sym n")
+    lines = _DataLines(source)
+    hline, htok = lines.header("matrix", "sym n")
     n = _parse_int(htok[1], hline, "dimension")
     if n < 1:
         raise FormatError(f"dimension must be >= 1, got {n}", hline)
-    A = _empty((n, n), lines, hline, "data rows")
-    mirror = _Mirror(n)
     row_lines: list[int] = []
     spelled = array.array("q")  # i * n + j of each lower entry converted itself
-    i, error = -1, None
-    try:
+    with lines.declare(n, "data rows"):
+        A = np.empty((n, n))
+        mirror = _Mirror(n)  # after A: a header too large to allocate builds no columns
         for i, (ln, s) in zip(range(n), lines):
             tok = s.split()
             ok = len(tok) == n
@@ -307,28 +311,21 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
                 _row_error(tok, n, ln, "matrix entry")
             row_lines.append(ln)
             mirror.push(i, tok[i + 1 :])
-    except FormatError as e:
-        error = e
-    _finish(lines, i + 1, n, "data rows", hline, error)
     r, c = np.divmod(np.frombuffer(spelled, dtype=np.int64), n)  # lower (r, c), upper (c, r)
-    if r.size:
-        with np.errstate(over="ignore"):
-            asym = np.abs(A[r, c] - A[c, r])
-        worst = asym.max()
-        if worst > SYMMETRY_TOL:
-            # the first such entry in row order, which is an upper one
-            at = np.flatnonzero(asym == worst)
-            k = at[np.argmin(c[at] * n + r[at])]
-            raise FormatError(
-                f"matrix not symmetric at ({c[k] + 1}, {r[k] + 1}): "
-                f"|A_ij - A_ji| = {worst:.3e}",
-                row_lines[c[k]],
-            )
-    if A.max() >= _HALF_RANGE or A.min() <= -_HALF_RANGE:
-        # halve first, everywhere: exact for the huge entries, while odd
-        # subnormal entries round, as the whole-matrix average rounds them
-        return A / 2.0 + A.T / 2.0
-    A[r, c] = A[c, r] = (A[r, c] + A[c, r]) / 2.0
+    lower, upper = A[r, c], A[c, r]
+    with np.errstate(over="ignore"):
+        asym = np.abs(lower - upper)
+        total = lower + upper
+    worst = asym.max(initial=0.0)
+    if worst > SYMMETRY_TOL:
+        # the first such entry in row order, which is an upper one
+        at = np.flatnonzero(asym == worst)
+        k = at[np.argmin(c[at] * n + r[at])]
+        raise FormatError(
+            f"matrix not symmetric at ({c[k] + 1}, {r[k] + 1}): |A_ij - A_ji| = {worst:.3e}",
+            row_lines[c[k]],
+        )
+    A[r, c] = A[c, r] = np.where(np.isfinite(total), total / 2.0, lower / 2.0 + upper / 2.0)
     return A
 
 
@@ -408,14 +405,13 @@ def _parse_observations(source: str | TextIO) -> ObservationSet:
 
     from .estimators import ObservationSet
 
-    lines = _data_lines(source)
-    hline, htok = _header(lines, "observation", "obs n p count")
+    lines = _DataLines(source)
+    hline, htok = lines.header("observation", "obs n p count")
     n = _parse_int(htok[1], hline, "dimension")
     p = _parse_float(htok[2], hline, "observation probability")
     count = _parse_int(htok[3], hline, "observation count")
     rows, cols, vals, at = array.array("q"), array.array("q"), array.array("d"), array.array("q")
-    error = None
-    try:
+    with lines.declare(count, "observation lines"):
         for ln, s in lines:  # lines past ``count`` are parsed too; the count check wins
             try:
                 i, j, v = s.split()
@@ -431,10 +427,6 @@ def _parse_observations(source: str | TextIO) -> ObservationSet:
             cols.append(j - 1)
             vals.append(v)
             at.append(ln)
-    except FormatError as e:
-        error = e
-    # a bad line was taken from ``lines`` without reaching ``at``
-    _finish(lines, len(at) + (error is not None), count, "observation lines", hline, error)
     rows = np.frombuffer(rows, dtype=np.int64)
     cols = np.frombuffer(cols, dtype=np.int64)
     try:
@@ -485,15 +477,14 @@ def _parse_samples(source: str | TextIO) -> SampleSet:
 
     from .estimators import SampleSet
 
-    lines = _data_lines(source)
-    hline, htok = _header(lines, "sample", "samples N n")
+    lines = _DataLines(source)
+    hline, htok = lines.header("sample", "samples N n")
     N = _parse_int(htok[1], hline, "sample count")
     n = _parse_int(htok[2], hline, "dimension")
     if N < 1 or n < 1:
         raise FormatError("sample count and dimension must be >= 1", hline)
-    X = _empty((N, n), lines, hline, "sample rows")
-    r, error = -1, None
-    try:
+    with lines.declare(N, "sample rows"):
+        X = np.empty((N, n))
         for r, (ln, s) in zip(range(N), lines):
             tok = s.split()
             ok = len(tok) == n
@@ -505,9 +496,6 @@ def _parse_samples(source: str | TextIO) -> SampleSet:
                 ok = False
             if not ok:
                 _row_error(tok, n, ln, "sample entry")
-    except FormatError as e:
-        error = e
-    _finish(lines, r + 1, N, "sample rows", hline, error)
     return SampleSet(N=N, n=n, X=X)
 
 
@@ -597,7 +585,7 @@ def read_config(path) -> ExperimentConfig:
 
 def _parse_config(source: str | TextIO) -> ExperimentConfig:
     raw: dict[str, str] = {}
-    for ln, s in _data_lines(source):
+    for ln, s in _DataLines(source):
         joined = " ".join(s.split())
         if "=" not in joined:
             raise FormatError("expected 'key = value'", ln)

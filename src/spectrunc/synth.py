@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import check_domain
-from .config import spectrum_head
+from .config import check_basis, spectrum_head
 from .estimators import ObservationSet, SampleSet
 from .linalg import require_symmetric, spectral_norm_sym, symmetrize
 
@@ -97,8 +97,10 @@ def instance(spectrum: np.ndarray, basis: str, rng: np.random.Generator) -> np.n
     """Symmetric matrix with eigenvalues ``spectrum`` in ``basis``.
 
     ``"haar"`` draws the basis from ``rng`` (:func:`haar_orthogonal`);
-    ``"identity"`` gives the diagonal matrix and draws nothing.
+    ``"identity"`` gives the diagonal matrix and draws nothing; any other
+    basis is rejected (``config.BASES``).
     """
+    check_basis(basis)
     U = haar_orthogonal(len(spectrum), rng) if basis == "haar" else None
     return psd_from_spectrum(spectrum, U)
 
@@ -127,8 +129,7 @@ def goe_noise(n: int, nu: float, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    check_domain(nu=nu)
     if nu == 0.0:
         return np.zeros((n, n))
     M = rng.normal(scale=nu / np.sqrt(n), size=(n, n))
@@ -145,7 +146,7 @@ def scaled_perturbation(n: int, target_norm_2: float, rng: np.random.Generator) 
     how experiments realize perturbations that sit exactly on a bound's
     allowance.
     """
-    if target_norm_2 < 0:
+    if not target_norm_2 >= 0:  # NaN too
         raise ValueError(f"target_norm_2 must be nonnegative, got {target_norm_2}")
     G = goe_noise(n, 1.0, rng)
     if target_norm_2 == 0.0:

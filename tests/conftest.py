@@ -4,12 +4,16 @@ numpy and scipy each bundle their own OpenBLAS copy.  Their build and live
 thread count are read through ctypes, as ``spectrunc.linalg`` reads scipy's:
 numpy's copy exports its functions with a ``64_`` suffix, scipy's without.
 Report bytes and the wall-time budgets of the acceptance tests (criterion 6
-allows 180 s) both depend on these.
+allows 180 s) both depend on these; :func:`stamp` adds the versions, and
+keys ``tests/output_digests.txt``.
 """
 
 import ctypes
+import platform
 
+import numpy
 import numpy.linalg._umath_linalg as _numpy_lapack
+import scipy
 import scipy.linalg as _sla
 
 
@@ -30,4 +34,14 @@ def pytest_report_header(config):
     return [
         f"numpy BLAS: {_openblas(_numpy_lapack.__file__, '64_')}",
         f"scipy BLAS: {_openblas(_sla._flapack.__file__, '')}",
+    ]
+
+
+def stamp() -> list[str]:
+    """What report bytes depend on: the Python, numpy and scipy versions and both BLAS."""
+    return [
+        f"python {platform.python_version()}",
+        f"numpy {numpy.__version__}",
+        f"scipy {scipy.__version__}",
+        *pytest_report_header(None),
     ]

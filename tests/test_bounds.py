@@ -328,6 +328,20 @@ def test_overflowing_powers_give_inf_not_overflow_error():
         assert rep.p_raw == math.inf and rep.p == 1.0 and rep.vacuous
 
 
+def test_powers_leaving_the_float_range_midway_give_the_exact_value():
+    # mu0**2 underflows to 0 and norm_F**2 overflows, where their product is about 1
+    rep = completion_sampling_threshold(mu0=1e-200, norm_F=1e200, n=10, t=0.1,
+                                        regime="sqrt_k", sigma_k1=1.0)
+    assert rep.p_raw == pytest.approx(8.0 * math.log(100.0) / 10.0, rel=1e-14)
+    # 0 * inf and a divisor of 0: the true value is past the float range
+    rep = completion_sampling_threshold(mu0=1e-200, norm_F=1e200, n=10, t=0.1,
+                                        regime="sqrt_k", sigma_k1=1e-300)
+    assert rep.p_raw == math.inf
+    rep = covariance_admissible(r_e=3.0, eps=1e-200, k=2, n_samples=100, mode="gap",
+                                norm_2=1.0, gap=0.5)
+    assert rep.expr == math.inf and not rep.admissible
+
+
 def test_covariance_admissible_gap_mode():
     rep = covariance_admissible(
         r_e=3.0, eps=0.2, k=2, n_samples=10**4, mode="gap", norm_2=2.0, gap=0.5,

@@ -240,6 +240,30 @@ def test_bounds_names_a_field_whose_power_overflows(field, capsys):
         assert captured.out == ""
 
 
+_SAMPLING = ["--kind", "sampling", "--set", "mu0=2", "--set", "norm_F=1", "--set", "n=10",
+             "--set", "t=0.1"]
+_EPS_K = ["--set", "eps=0.2", "--set", "k=2"]
+
+#: field -> argvs whose sigma_k1**2 or gap**2 underflows to 0 in a divisor
+_UNDERFLOWING_POWERS = {
+    "p_raw": [[*_SAMPLING, "--set", "regime=sqrt_k", "--set", "sigma_k1=1e-200"],
+              [*_SAMPLING, "--set", "regime=relative", "--set", "sigma_k1=1e-200", *_EPS_K],
+              [*_SAMPLING, "--set", "regime=gap", "--set", "gap=1e-200", *_EPS_K]],
+    "expr": [["--kind", "covariance", "--set", "mode=gap", "--set", "r_e=3", *_EPS_K,
+              "--set", "n_samples=100", "--set", "norm_2=1", "--set", "gap=1e-200"]],
+}
+
+
+@pytest.mark.parametrize("field", _UNDERFLOWING_POWERS)
+def test_bounds_names_a_field_whose_power_underflows(field, capsys):
+    # the divisor was 0.0, which exited 2 as a numerical error
+    for argv in _UNDERFLOWING_POWERS[field]:
+        assert run_cli("bounds", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bound result field {field!r} is not finite: inf\n"
+        assert captured.out == ""
+
+
 def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
     a = workdir / "tiny.sym"
     a.write_text("sym 2\n1e-320 0\n0 1e-321\n")

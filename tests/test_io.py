@@ -305,6 +305,15 @@ _VALID_FILES = {
 }
 
 
+#: a file shorter than its header that also has a bad line, and one with a line
+#: past its declared count: each is reported on the header, as a wrong count
+_MISCOUNTED = {
+    read_matrix: ["sym 3\n1 x 0\n0 1 0\n", "sym 2\n1 0\n0 1\n0 0\n"],
+    read_observations: ["obs 3 0.5 3\n1 1 x\n1 2 1\n", "obs 3 0.5 1\n1 1 2.5\n1 2 1\n"],
+    read_samples: ["samples 3 2\n1 x\n3 4\n", "samples 1 2\n1 2\n3 4\n"],
+}
+
+
 def _as_bytes(parsed) -> list:
     """A reader's result, with every array as its bytes."""
     fields = [parsed] if isinstance(parsed, np.ndarray) else dataclasses.astuple(parsed)
@@ -321,12 +330,15 @@ def test_file_readers_match_text_readers(tmp_path, monkeypatch, sep, block):
         text = text.replace("\n", sep)
         path.write_bytes(text.encode())
         assert _as_bytes(read_file(path)) == _as_bytes(read_text(text))
-        # the same text with a bad last line fails on the same line
-        bad = text + sep + "x"
-        path.write_bytes(bad.encode())
-        with pytest.raises(FormatError) as from_file:
-            read_file(path)
-        assert str(from_file.value) == str(pytest.raises(FormatError, read_text, bad).value)
+        # the same text with a bad last line, and a miscounted file, fail as their text does
+        miscounted = [t.replace("\n", sep) for t in _MISCOUNTED.get(read_text, [])]
+        for bad in [text + sep + "x", *miscounted]:
+            path.write_bytes(bad.encode())
+            with pytest.raises(FormatError) as from_file:
+                read_file(path)
+            assert str(from_file.value) == str(pytest.raises(FormatError, read_text, bad).value)
+        for bad in miscounted:
+            assert pytest.raises(FormatError, read_text, bad).value.line == 1
 
 
 def test_every_public_name_is_defined_in_io():
@@ -339,30 +351,30 @@ _EXTREME_VALUES = [1.0, -0.0, 0.0, 5e-324, -5e-324, 1.5e-323, 2.2250738585072014
                    1e308, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def _whole_matrix_read(text: str) -> np.ndarray:
-    """Every token through ``float``, then the symmetric average of the whole matrix."""
-    A = np.array([[float(t) for t in row.split()] for row in text.splitlines()[1:]])
-    with np.errstate(over="ignore"):
-        assert np.abs(A - A.T).max() <= 1e-12
-        S = (A + A.T) / 2.0
-    return S if np.isfinite(S).all() else A / 2.0 + A.T / 2.0
-
-
 @settings(max_examples=200, deadline=None)
 @given(hst.data())
-def test_read_matrix_averages_as_the_whole_matrix_does(data):
-    # odd subnormals change under A/2 + A^T/2, which an entry above half the
-    # float range forces on the whole matrix
+def test_read_matrix_round_trips_at_the_extremes(data):
+    # subnormal and huge entries together, as written and spelled otherwise: a
+    # differently spelled pair reads as its one value, halved first where its
+    # sum overflows
     n = data.draw(hst.integers(1, 5))
     A = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
             A[i, j] = A[j, i] = data.draw(hst.sampled_from(_EXTREME_VALUES))
+    assert read_matrix(matrix_bytes(A).decode()).tobytes() == A.tobytes()
     rows = [" ".join(data.draw(hst.sampled_from(_SPELLINGS))(float(v)) for v in row)
             for row in A]
-    text = "\n".join([f"sym {n}", *rows]) + "\n"
-    with np.errstate(over="ignore"):
-        assert read_matrix(text).tobytes() == _whole_matrix_read(text).tobytes()
+    assert read_matrix("\n".join([f"sym {n}", *rows]) + "\n").tobytes() == A.tobytes()
+
+
+def test_read_matrix_keeps_a_subnormal_beside_a_huge_entry():
+    A = np.array([[2.0**1023, 5e-324], [5e-324, 1.0]])
+    assert read_matrix(matrix_bytes(A).decode()).tobytes() == A.tobytes()
+    assert read_matrix(f"sym 1\n{2.0**1023!r}\n")[0, 0] == 2.0**1023
+    big = "1.7976931348623157e308"
+    back = read_matrix(f"sym 2\n1 {big}\n{float(big):.30e} 1\n")  # the pair's sum overflows
+    assert back[0, 1] == back[1, 0] == float(big)
 
 
 # ----------------------------------------------------- mirror text in chunks

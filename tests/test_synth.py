@@ -14,6 +14,7 @@ from spectrunc import (
     scaled_perturbation,
     spectral_norm_sym,
 )
+from spectrunc.synth import instance
 
 
 def test_rng_stream_reproducible_and_independent():
@@ -84,6 +85,20 @@ def test_psd_from_spectrum_preserves_spectrum():
     np.testing.assert_allclose(w, sig, atol=1e-12 * sig[0])
     with pytest.raises(ValueError):
         psd_from_spectrum(sig, Q[:, :5])
+
+
+def test_instance_rejects_a_basis_it_does_not_know():
+    # "Haar" is not "haar": it gave the diagonal matrix
+    with pytest.raises(ValueError, match=r"^basis must be 'haar' or 'identity', got 'Haar'$"):
+        instance(np.ones(3), "Haar", rng_stream(0, 0))
+
+
+def test_nan_noise_levels_are_rejected_by_name():
+    # NaN passed a "< 0" test and gave an all-NaN matrix
+    with pytest.raises(ValueError, match="^nu must be nonnegative, got nan$"):
+        goe_noise(5, float("nan"), rng_stream(0, 0))
+    with pytest.raises(ValueError, match="^target_norm_2 must be nonnegative, got nan$"):
+        scaled_perturbation(5, float("nan"), rng_stream(0, 0))
 
 
 def test_goe_noise_entry_statistics():
