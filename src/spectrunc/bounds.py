@@ -16,8 +16,10 @@ They are keyword-only, except the power-law cutoff prefactor ``C1``.
 Each parameter name these functions share, the six constants included, has
 its domain in ``_DOMAIN``, which :func:`check_domain`, the run config
 (``config.ExperimentConfig``) and ``synth`` apply; the observation rate
-``p`` and the run config's ``trials`` and ``seed`` have their domains there
-too.  A predicate states what must hold, so NaN fails each one.
+``p``, the run config's ``trials`` and ``seed`` and ``synth``'s
+``target_norm_2`` have their domains there too.  A predicate states what
+must hold, so NaN fails each one, and :func:`check_domain` names a value
+that passes it but is +inf as not finite.
 :func:`check_rank` states a truncation rank's range 1 <= k <= n - 1, for
 :func:`descending_spectrum`, the run config and ``spectrunc verify``.  Rules
 of one function, regime or mode stay inline: the delta ranges, which differ
@@ -163,6 +165,7 @@ _DOMAIN = {
     "n_samples": (lambda v: v >= 2, "be >= 2"),
     "trials": (lambda v: v >= 1, "be >= 1"),
     "seed": _NONNEGATIVE,
+    "target_norm_2": _NONNEGATIVE,
     **dict.fromkeys(
         ("c", "mu0", "norm_F", "norm_2", "sigma_k1", "C_mc", "C1", "c_dn", "c_cov"), _POSITIVE
     ),
@@ -194,11 +197,17 @@ def _exact(expr, *args: float) -> float:
 
 
 def check_domain(**values) -> None:
-    """Raise ValueError for the first value outside its ``_DOMAIN`` entry; None is skipped."""
+    """Raise ValueError for the first value outside its ``_DOMAIN`` entry or infinite.
+
+    None is skipped.  The predicate comes first, so NaN and -inf fail it with
+    its message, and only +inf is named as not finite.
+    """
     for name, v in values.items():
         holds, requirement = _DOMAIN[name]
         if v is not None and not holds(v):
             raise ValueError(f"{name} must {requirement}, got {v}")
+        if v == math.inf:
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 def check_inputs(what: str, choice: str, takes: dict, **given) -> None:

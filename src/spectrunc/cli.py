@@ -61,7 +61,16 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _emit_matrix(A, out: str | None) -> None:
-    """Write ``A`` as a ``sym n`` file to ``out`` or stdout, one row at a time."""
+    """Write ``A`` as a ``sym n`` file to ``out`` or stdout, one row at a time.
+
+    A non-finite entry (an estimate past the float range) raises ValueError
+    naming the first one, before ``out`` is opened.
+    """
+    import numpy as np
+
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN reaches both; no mask
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"output entry ({i + 1}, {j + 1}) is not finite: {A[i, j]}")
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             io.write_matrix(A, fh)

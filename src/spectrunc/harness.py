@@ -82,6 +82,7 @@ from .bounds import (
 from .config import ExperimentConfig
 from .estimators import complete, denoise, sample_covariance
 from .linalg import (
+    _frobenius,
     _root_sum_sq,
     effective_rank,
     eig_sym,
@@ -220,7 +221,7 @@ def _truncation_error_F(A_hat: np.ndarray, k: int, sig: np.ndarray) -> float:
         return math.sqrt(err2)
     R = np.matmul(V * lam, V.T, out=A_hat)
     R[np.diag_indices_from(R)] -= sig
-    return float(np.linalg.norm(R, "fro"))
+    return _frobenius(R)
 
 
 def _perturbation_step(config: ExperimentConfig, sig, A, rng):
@@ -282,7 +283,7 @@ def _completion_step(config: ExperimentConfig, sig, A, rng):
     obs = bernoulli_observe(A, config.p, rng)
     thr = completion_sampling_threshold(
         mu0,
-        float(np.linalg.norm(A, "fro")),
+        _frobenius(A),
         config.n,
         config.t,
         "relative",
@@ -307,7 +308,7 @@ def _completion_step(config: ExperimentConfig, sig, A, rng):
 def _covariance_step(config: ExperimentConfig, sig, A, rng):
     """Truncated sample covariance, judged against (1 + eps) * tail_F."""
     SC = sample_covariance(mvn_samples(A, config.n_samples, rng))
-    err_full = float(np.linalg.norm(SC - A, "fro"))
+    err_full = _frobenius(SC - A)
     if config.k_oracle:
         # true error at every rank via the trace expansion, then argmin
         lam, V = eig_sym(SC)
@@ -413,11 +414,7 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     sig, A = _instance(config, rng)
     est, k, judge = step(config, sig, A, rng)
     D = est - A
-    with np.errstate(over="ignore"):
-        err_F = float(np.linalg.norm(D, "fro"))
-    if not math.isfinite(err_F):  # the sum of squares overflows near the top of the range
-        top = float(np.max(np.abs(D)))
-        err_F = top * float(np.linalg.norm(D / top, "fro"))
+    err_F = _frobenius(D)
     tail_F = _root_sum_sq(sig[k:])
     bound_value, holds, margin, aux = judge(err_F, tail_F)
     return TrialRecord(

@@ -4,7 +4,8 @@ Text formats (whitespace-separated, ``#`` starts a comment line, numbers
 written with 17 significant digits so values round-trip losslessly):
 
 matrix        ``sym n`` header, then n rows of n entries; validated
-              symmetric to ``linalg.SYMMETRY_TOL`` (absolute, 1e-12) on read.
+              symmetric to ``linalg.SYMMETRY_TOL`` (absolute, 1e-12) on read,
+              and a differently spelled pair averaged by ``linalg.symmetrize``.
 observations  ``obs n p count`` header, then ``count`` lines ``i j value``
               with 1-based upper-triangular indices (i <= j).
 samples       ``samples N n`` header, then N rows of n entries.
@@ -204,15 +205,9 @@ def _row_error(tok: list[str], width: int, line: int, what: str) -> None:
         _parse_float(t, line, what)
 
 
-def _table_bytes(header: str, fmt: str, rows) -> bytes:
-    """``header``, then one line ``fmt % row`` per row tuple; newline-terminated."""
-    return ("\n".join([header, *(fmt % row for row in rows)]) + "\n").encode()
-
-
-def _float_rows_bytes(header: str, X: np.ndarray) -> bytes:
-    """``header``, then each row of ``X`` with every entry as ``format(v, ".17g")``."""
-    fmt = " ".join(["%.17g"] * X.shape[1])  # "%.17g" % v == format(v, ".17g")
-    return _table_bytes(header, fmt, (tuple(row.tolist()) for row in X))
+def _lines_bytes(header: str, lines) -> bytes:
+    """``header``, then each of ``lines``, each ended by a newline, as UTF-8."""
+    return ("\n".join([header, *lines]) + "\n").encode()
 
 
 # ---------------------------------------------------------------- matrices
@@ -272,14 +267,14 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
     converted only where its text differs from the upper token it mirrors,
     and otherwise takes that token's value, which is what ``float`` gives
     for equal text.  So only such differently spelled pairs can be
-    asymmetric, and only they are checked and averaged, after the last row:
-    as ``(a + b) / 2``, or ``a/2 + b/2`` where that sum overflows.  Every
-    other entry keeps the bits it was parsed with, so a file
-    :func:`write_matrix` wrote reads back bit for bit.
+    asymmetric, and only they are checked, after the last row.  Where there
+    are any, ``linalg.symmetrize`` averages the matrix, which leaves every
+    exactly mirrored pair with its bits; otherwise nothing is averaged, so
+    a file :func:`write_matrix` wrote reads back bit for bit.
     """
     import numpy as np
 
-    from .linalg import SYMMETRY_TOL
+    from .linalg import SYMMETRY_TOL, symmetrize
 
     lines = _DataLines(source)
     hline, htok = lines.header("matrix", "sym n")
@@ -312,10 +307,8 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
             row_lines.append(ln)
             mirror.push(i, tok[i + 1 :])
     r, c = np.divmod(np.frombuffer(spelled, dtype=np.int64), n)  # lower (r, c), upper (c, r)
-    lower, upper = A[r, c], A[c, r]
     with np.errstate(over="ignore"):
-        asym = np.abs(lower - upper)
-        total = lower + upper
+        asym = np.abs(A[r, c] - A[c, r])
     worst = asym.max(initial=0.0)
     if worst > SYMMETRY_TOL:
         # the first such entry in row order, which is an upper one
@@ -325,8 +318,7 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
             f"matrix not symmetric at ({c[k] + 1}, {r[k] + 1}): |A_ij - A_ji| = {worst:.3e}",
             row_lines[c[k]],
         )
-    A[r, c] = A[c, r] = np.where(np.isfinite(total), total / 2.0, lower / 2.0 + upper / 2.0)
-    return A
+    return symmetrize(A) if spelled else A
 
 
 def read_matrix(text: str) -> np.ndarray:
@@ -456,10 +448,9 @@ def read_observations_file(path) -> ObservationSet:
 
 
 def observations_bytes(obs: ObservationSet) -> bytes:
-    return _table_bytes(
-        f"obs {obs.n} {_fmt(obs.p)} {obs.count}",
-        "%d %d %.17g",
-        zip((obs.rows + 1).tolist(), (obs.cols + 1).tolist(), obs.values.tolist()),
+    entries = zip((obs.rows + 1).tolist(), (obs.cols + 1).tolist(), obs.values.tolist())
+    return _lines_bytes(
+        f"obs {obs.n} {_fmt(obs.p)} {obs.count}", ("%d %d %.17g" % e for e in entries)
     )
 
 
@@ -511,7 +502,9 @@ def read_samples_file(path) -> SampleSet:
 
 
 def samples_bytes(samples: SampleSet) -> bytes:
-    return _float_rows_bytes(f"samples {samples.N} {samples.n}", samples.X)
+    fmt = " ".join(["%.17g"] * samples.X.shape[1])  # "%.17g" % v == format(v, ".17g")
+    rows = (fmt % tuple(row.tolist()) for row in samples.X)
+    return _lines_bytes(f"samples {samples.N} {samples.n}", rows)
 
 
 # ------------------------------------------------------------------ config
@@ -670,10 +663,9 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
-def _csv_bytes(columns, rows) -> bytes:
-    """A header line of ``columns``, then one line of :func:`_csv_cell` cells per row."""
-    lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
-    return ("\n".join(lines) + "\n").encode()
+def _csv_line(cells) -> str:
+    """``cells`` as :func:`_csv_cell` writes them, separated by commas."""
+    return ",".join(map(_csv_cell, cells))
 
 
 def _json_scalar(v: Any) -> Any:
@@ -690,7 +682,8 @@ def _json_bytes(doc: Any) -> bytes:
 
 def report_csv_bytes(report: ExperimentReport) -> bytes:
     rows = ({**r.aux, **vars(r)} for r in report.trials)  # a record field wins over aux
-    return _csv_bytes(CSV_COLUMNS, ([row.get(col) for col in CSV_COLUMNS] for row in rows))
+    lines = (_csv_line([row.get(col) for col in CSV_COLUMNS]) for row in rows)
+    return _lines_bytes(_csv_line(CSV_COLUMNS), lines)
 
 
 def report_json_bytes(report: ExperimentReport) -> bytes:
@@ -714,9 +707,9 @@ def alignment_json_bytes(report: AlignmentReport) -> bytes:
 
 
 def alignment_csv_bytes(report: AlignmentReport) -> bytes:
-    return _csv_bytes(
-        ("name", "lhs", "rhs", "slack", "passed"),
-        ((c.name, c.lhs, c.rhs, c.slack, c.passed) for c in report.checks),
+    return _lines_bytes(
+        "name,lhs,rhs,slack,passed",
+        (_csv_line([c.name, c.lhs, c.rhs, c.slack, c.passed]) for c in report.checks),
     )
 
 
@@ -738,4 +731,4 @@ def bound_json_bytes(result: Any) -> bytes:
 def bound_csv_bytes(result: Any) -> bytes:
     """Any bounds result as a header and one row; dict fields (``inputs``) are dropped."""
     doc = {k: v for k, v in _bound_doc(result).items() if not isinstance(v, dict)}
-    return _csv_bytes(doc, [doc.values()])
+    return _lines_bytes(_csv_line(doc), [_csv_line(doc.values())])

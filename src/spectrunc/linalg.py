@@ -117,10 +117,8 @@ def require_symmetric(A: np.ndarray) -> np.ndarray:
     Symmetry is checked entrywise with absolute tolerance ``SYMMETRY_TOL``.  An
     exactly symmetric float64 array is returned as it is, so a caller that
     overwrites the result must copy it first; any other input is averaged
-    with its transpose, so later algebra never sees the sub-tolerance
-    asymmetry.  The average is taken as ``A / 2 + A.T / 2``, which cannot
-    overflow and gives the bits of ``(A + A.T) / 2`` for entries in the
-    normal range.
+    with its transpose by :func:`symmetrize` (on a copy), so later algebra
+    never sees the sub-tolerance asymmetry.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -134,27 +132,35 @@ def require_symmetric(A: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {SYMMETRY_TOL:.1e}"
         )
-    return A / 2.0 + A.T / 2.0
+    return symmetrize(A.copy())
 
 
 def symmetrize(B: np.ndarray) -> np.ndarray:
-    """Overwrite the square float64 ``B`` with ``(B + B.T) / 2`` and return it.
+    """Overwrite the square float64 ``B`` with the average of each pair and return it.
 
-    Each entry gets the bits of the plain form: ``(b_ij + b_ji) / 2``,
-    which is ``(b_ji + b_ij) / 2``, so a block and its mirror share one
-    sum.  Works through pairs of ``_SYM_BLOCK``-square blocks, so it holds
-    one block where the plain form holds two n-by-n temporaries, and from
-    about n = 1000 up it is also the faster form (BENCH_23).
+    This is the one rule for averaging a symmetric pair, which ``io``'s
+    ``sym n`` reader and :func:`require_symmetric` apply too: each entry is
+    ``(b_ij + b_ji) / 2``, or ``b_ij/2 + b_ji/2`` where that sum overflows,
+    so a pair of finite entries averages to a finite value.  The sum is
+    symmetric in its terms, so a block and its mirror share one.  Works
+    through pairs of ``_SYM_BLOCK``-square blocks, so it holds one block
+    where the plain form holds two n-by-n temporaries, and from about
+    n = 1000 up it is also the faster form (BENCH_23).  One sum over each
+    block finds an overflow; a block without one allocates nothing more.
     """
     n = B.shape[0]
-    for i in range(0, n, _SYM_BLOCK):
-        rows = slice(i, i + _SYM_BLOCK)
-        for j in range(i, n, _SYM_BLOCK):
-            cols = slice(j, j + _SYM_BLOCK)
-            t = B[rows, cols] + B[cols, rows].T
-            t /= 2.0
-            B[rows, cols] = t
-            B[cols, rows] = t.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, _SYM_BLOCK):
+            rows = slice(i, i + _SYM_BLOCK)
+            for j in range(i, n, _SYM_BLOCK):
+                cols = slice(j, j + _SYM_BLOCK)
+                a, b = B[rows, cols], B[cols, rows].T
+                t = a + b
+                t /= 2.0
+                if not np.isfinite(t.sum()):  # some pair's sum may have overflowed
+                    t = np.where(np.isfinite(t), t, a / 2.0 + b / 2.0)
+                B[rows, cols] = t
+                B[cols, rows] = t.T
     return B
 
 
@@ -419,6 +425,21 @@ def _root_sum_sq(x: np.ndarray) -> float:
         return float(np.sqrt(s))
     top = np.max(np.abs(x))
     return float(top * np.sqrt(np.sum((x / top) ** 2)))
+
+
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F: the plain norm where it is finite, else max|M| * ||M / max|M|||_F.
+
+    The one Frobenius norm of an error or a matrix that the harness and
+    proofcheck report, so a matrix near the top of the float range gives a
+    finite norm wherever the true one is finite.
+    """
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(M, "fro"))
+    if math.isfinite(fro):
+        return fro
+    top = float(np.max(np.abs(M)))
+    return top * float(np.linalg.norm(M / top, "fro"))
 
 
 def effective_rank(sig: np.ndarray) -> float:

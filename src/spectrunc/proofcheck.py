@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import EnvelopeIndices, _precondition, spectral_envelope
 from .linalg import (
     _fix_signs,
+    _frobenius,
     eig_sym,
     principal_angle_sin,
     require_symmetric,
@@ -196,7 +197,7 @@ def check_alignment(
     A_ref = reference_matrix(sigma, U, W, env.m1)
     Q = np.hstack([U[:, : env.m1], W])  # A_ref's range lies in span Q
     C = Q.T @ A_ref @ Q
-    U_ref = Q @ range_basis((C + C.T) / 2.0, scale=abs(sigma[0]))
+    U_ref = Q @ range_basis(symmetrize(C), scale=abs(sigma[0]))
 
     checks: list[AlignmentCheck] = []
 
@@ -218,10 +219,10 @@ def check_alignment(
         principal_angle_sin(U_ref, basis_hat),
         2.0 * eps,
     )
-    bias_F = float(np.linalg.norm(A_sym - A_ref, "fro"))
+    bias_F = _frobenius(A_sym - A_ref)
     add("reference_bias", bias_F, (1.0 + 32.0 * eps) * stats.tail_F)
     prox_2 = spectral_norm_sym(Ahat_k - A_ref)
     add("truncation_proximity", prox_2, 102.0 * eps**2 * stats.tail_2)
-    err_F = float(np.linalg.norm(Ahat_k - A_sym, "fro"))
+    err_F = _frobenius(Ahat_k - A_sym)
     add("error_split", err_F, bias_F + math.sqrt(2.0 * k) * prox_2)
     return replace(report, checks=checks)

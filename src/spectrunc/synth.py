@@ -146,8 +146,7 @@ def scaled_perturbation(n: int, target_norm_2: float, rng: np.random.Generator) 
     how experiments realize perturbations that sit exactly on a bound's
     allowance.
     """
-    if not target_norm_2 >= 0:  # NaN too
-        raise ValueError(f"target_norm_2 must be nonnegative, got {target_norm_2}")
+    check_domain(target_norm_2=target_norm_2)
     G = goe_noise(n, 1.0, rng)
     if target_norm_2 == 0.0:
         return np.zeros((n, n))

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,45 @@ def test_denoise_roundtrip(workdir):
     assert run_cli("denoise", "--matrix", str(src), "--k", "1", "--out", str(out)) == 0
     np.testing.assert_array_equal(read_matrix(out.read_text()),
                                   np.diag([3.0, 0.0, 0.0]))
+
+
+def test_denoise_rejects_a_non_finite_estimate_before_writing(workdir, capsys):
+    # the top eigenvalue is 9e308: the estimate was written as rows of inf
+    src = workdir / "Y.sym"
+    src.write_bytes(matrix_bytes(np.full((6, 6), 1.5e308)))
+    out = workdir / "D.sym"
+    assert run_cli("denoise", "--matrix", str(src), "--k", "2", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: output entry (1, 1) is not finite: inf\n"
+    assert not out.exists()
+
+
+def test_synth_near_the_top_of_the_float_range_writes_finite_entries(workdir):
+    # two diagonal entries near 1.7e308 were doubled in the symmetrization: the file held inf
+    out = workdir / "A.sym"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("synth", "--kind", "explicit", "--n", "3", "--values",
+                       "1.7e308,1e308,1", "--basis", "haar", "--out", str(out)) == 0
+    assert np.isfinite(read_matrix(out.read_text())).all()
+
+
+def test_completion_run_near_the_top_of_the_float_range_is_finite(workdir):
+    # ||A||_F overflowed at sigma_1 = 1e300: the sampling threshold read -inf
+    # and the report could not be written
+    n = 30
+    values = ", ".join(repr(1e300 * (n - i) / n) for i in range(n))
+    config = workdir / "c.cfg"
+    config.write_text(
+        f"experiment = completion\nn = {n}\ntrials = 1\nseed = 0\nbasis = haar\n"
+        f"spectrum = explicit\nspectrum_values = {values}\nk = 3\neps = 0.2\np = 0.6\nt = 0.1\n"
+    )
+    out = workdir / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+    (trial,) = json.loads(out.read_text())["trials"]
+    assert math.isfinite(trial["aux"]["threshold_raw"])
+    assert math.isfinite(trial["precondition_margin"])
 
 
 def test_cov_matches_library(workdir):

@@ -40,6 +40,7 @@ from spectrunc.io import (
     samples_bytes,
     write_matrix,
 )
+from spectrunc.linalg import require_symmetric
 from spectrunc.synth import rng_stream
 
 
@@ -375,6 +376,15 @@ def test_read_matrix_keeps_a_subnormal_beside_a_huge_entry():
     big = "1.7976931348623157e308"
     back = read_matrix(f"sym 2\n1 {big}\n{float(big):.30e} 1\n")  # the pair's sum overflows
     assert back[0, 1] == back[1, 0] == float(big)
+
+
+def test_read_matrix_averages_a_pair_as_require_symmetric_does():
+    # (5e-324 + 1e-323) / 2 rounds to 1e-323; require_symmetric's
+    # 5e-324/2 + 1e-323/2 gave 5e-324
+    back = read_matrix("sym 2\n1 5e-324\n1e-323 1\n")
+    A = np.array([[1.0, 5e-324], [1e-323, 1.0]])
+    assert back.tobytes() == require_symmetric(A).tobytes()
+    assert back[0, 1] == back[1, 0] == 1e-323
 
 
 # ----------------------------------------------------- mirror text in chunks

@@ -101,6 +101,14 @@ def test_nan_noise_levels_are_rejected_by_name():
         scaled_perturbation(5, float("nan"), rng_stream(0, 0))
 
 
+def test_infinite_noise_levels_are_rejected_by_name():
+    # inf passed the nonnegative checks and gave [[inf, -inf], [-inf, inf]]
+    with pytest.raises(ValueError, match="^nu must be finite, got inf$"):
+        goe_noise(2, float("inf"), rng_stream(0, 0))
+    with pytest.raises(ValueError, match="^target_norm_2 must be finite, got inf$"):
+        scaled_perturbation(2, float("inf"), rng_stream(0, 0))
+
+
 def test_goe_noise_entry_statistics():
     n, nu = 400, 0.7
     E = goe_noise(n, nu, rng_stream(3, 0))
