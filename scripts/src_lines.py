@@ -3,6 +3,7 @@
 Usage::
 
     python scripts/src_lines.py [SRC]
+    python scripts/src_lines.py OLD_SRC NEW_SRC
 
 ``SRC`` is the directory that holds the ``spectrunc`` package (``src`` in a
 checkout, the default).  Each line of ``SRC/spectrunc/*.py`` falls in one
@@ -17,6 +18,11 @@ class, taken in this order:
 One tab-separated row is printed per module, in name order, then a
 ``total`` row; the columns are ``docstring``, ``blank_or_comment``,
 ``code`` and ``lines``, and the first three add up to the last.
+
+Given two trees, each column is printed three times, as ``<column>_before``
+(OLD_SRC), ``<column>_after`` (NEW_SRC) and ``<column>_change`` (after minus
+before, signed), for every module of either tree; a module missing from a
+tree counts 0 there.
 """
 
 from __future__ import annotations
@@ -46,15 +52,38 @@ def count(text: str) -> tuple[int, int, int, int]:
     return len(doc), blank, len(rest) - blank, len(lines)
 
 
+def counts(src: Path) -> dict[str, tuple[int, ...]]:
+    """Module name -> :func:`count` of each module of ``src/spectrunc``, in name order."""
+    return {
+        path.stem: count(path.read_text(encoding="utf-8"))
+        for path in sorted((src / "spectrunc").glob("*.py"))
+    }
+
+
+def _with_total(rows: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
+    return {**rows, "total": tuple(map(sum, zip(*rows.values())))}
+
+
 def main(argv: list[str]) -> int:
-    src = Path(argv[1] if len(argv) > 1 else "src")
-    print("module", *COLUMNS, sep="\t")
-    total = [0] * len(COLUMNS)
-    for path in sorted((src / "spectrunc").glob("*.py")):
-        row = count(path.read_text(encoding="utf-8"))
-        total = [a + b for a, b in zip(total, row)]
-        print(path.stem, *row, sep="\t")
-    print("total", *total, sep="\t")
+    trees = [Path(a) for a in argv[1:]] or [Path("src")]
+    if len(trees) == 1:
+        print("module", *COLUMNS, sep="\t")
+        for name, row in _with_total(counts(trees[0])).items():
+            print(name, *row, sep="\t")
+        return 0
+    if len(trees) != 2:
+        print("usage: src_lines.py [SRC] | OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old, new = map(counts, trees)
+    zero = (0,) * len(COLUMNS)
+    names = sorted({*old, *new})
+    before = _with_total({name: old.get(name, zero) for name in names})
+    after = _with_total({name: new.get(name, zero) for name in names})
+    sides = ("before", "after", "change")
+    print("module", *(f"{c}_{side}" for c in COLUMNS for side in sides), sep="\t")
+    for name in before:
+        cells = [(b, a, f"{a - b:+d}") for b, a in zip(before[name], after[name])]
+        print(name, *(cell for triple in cells for cell in triple), sep="\t")
     return 0
 
 

@@ -52,9 +52,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_fail(message))
 
 
-def _emit(data: bytes, out: str | None) -> None:
-    if out:
-        with open(out, "wb") as fh:
+def _emit(doc, args) -> None:
+    """Write ``doc`` to ``--out`` or stdout by ``io.<report>_<format>_bytes``.
+
+    ``report`` is the command's report kind.  The writer is looked up on
+    ``io`` at each call, so a wrapper patched onto the module is seen.
+    """
+    data = getattr(io, f"{args.report}_{args.format}_bytes")(doc)
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data.decode())
@@ -66,11 +72,9 @@ def _emit_matrix(A, out: str | None) -> None:
     A non-finite entry (an estimate past the float range) raises ValueError
     naming the first one, before ``out`` is opened.
     """
-    import numpy as np
+    from .linalg import check_finite
 
-    if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN reaches both; no mask
-        i, j = np.argwhere(~np.isfinite(A))[0]
-        raise ValueError(f"output entry ({i + 1}, {j + 1}) is not finite: {A[i, j]}")
+    check_finite(A, "output")
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             io.write_matrix(A, fh)
@@ -147,8 +151,7 @@ def _eval_bound(kind: str, vals: dict[str, str]):
 
 
 def _cmd_bounds(args) -> int:
-    result = _eval_bound(args.kind, _parse_kv(args.set or []))
-    _emit((io.bound_json_bytes if args.format == "json" else io.bound_csv_bytes)(result), args.out)
+    _emit(_eval_bound(args.kind, _parse_kv(args.set or [])), args)
     return 0
 
 
@@ -165,12 +168,7 @@ def _cmd_verify(args) -> int:
     pairs = top_eigenpairs(A_hat, args.k)
     del A_hat  # only its top-k pairs are checked
     report = check_alignment(A, *pairs, args.k, args.eps, delta)
-    data = (
-        io.alignment_json_bytes(report)
-        if args.format == "json"
-        else io.alignment_csv_bytes(report)
-    )
-    _emit(data, args.out)
+    _emit(report, args)
     if not report.applicable:
         print(
             f"note: perturbation {report.delta_measured:.6g} exceeds allowance "
@@ -185,12 +183,7 @@ def _cmd_run(args) -> int:
     from .harness import run_experiment  # numpy loads once the config is accepted
 
     report = run_experiment(config)
-    data = (
-        io.report_json_bytes(report)
-        if args.format == "json"
-        else io.report_csv_bytes(report)
-    )
-    _emit(data, args.out)
+    _emit(report, args)
     print(
         f"{config.experiment}: {len(report.trials)} trial(s) in "
         f"{report.runtime_seconds:.2f}s",
@@ -213,50 +206,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=BASES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("complete", help="rank-k completion from observations")
     p.add_argument("--obs", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("denoise", help="rank-k truncation of a noisy matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("cov", help="rank-k truncated sample covariance")
     p.add_argument("--samples", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--center", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_cov)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form bound")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, report="bound")
 
     p = sub.add_parser("verify", help="measure the alignment inequality chain")
     p.add_argument("--matrix", required=True)
     p.add_argument("--perturbed", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, report="alignment")
 
     p = sub.add_parser("run", help="run a configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run, report="report")
 
+    # last, after each command's own options, as --help lists them
+    for p in sub.choices.values():
+        if p.get_default("report"):
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--out")
     return top
 
 

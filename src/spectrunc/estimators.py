@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_domain
-from .linalg import require_symmetric, symmetrize, top_eigenpairs, truncate
+from .linalg import check_finite, require_symmetric, symmetrize, top_eigenpairs, truncate
 
 __all__ = [
     "ObservationSet",
@@ -88,23 +88,27 @@ def zero_fill_rescale(obs: ObservationSet) -> np.ndarray:
     an unbiased estimate of the corresponding entry of the unknown matrix.
     """
     M = np.zeros((obs.n, obs.n))
-    M[obs.rows, obs.cols] = obs.values / obs.p
-    off = obs.rows != obs.cols
-    M[obs.cols[off], obs.rows[off]] = obs.values[off] / obs.p
+    with np.errstate(over="ignore"):  # an entry past the float range is inf, for _rank_k to name
+        M[obs.rows, obs.cols] = obs.values / obs.p
+        off = obs.rows != obs.cols
+        M[obs.cols[off], obs.rows[off]] = obs.values[off] / obs.p
     return M
 
 
 def _rank_k(M: np.ndarray, k: int) -> np.ndarray:
     """Top-k truncation of the symmetric ``M``, ``0 <= k <= n``; overwrites ``M``.
 
-    ``M`` is released before the truncation is formed, so a caller that
-    passes its only reference holds one n-by-n array at a time.
+    A non-finite entry of ``M`` (a surrogate past the float range) raises
+    ValueError naming the first one, before the solve.  ``M`` is released
+    before the truncation is formed, so a caller that passes its only
+    reference holds one n-by-n array at a time.
     """
     n = M.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
     if k == 0:
         return np.zeros((n, n))
+    check_finite(M, "surrogate")
     pairs = top_eigenpairs(M, k)
     del M
     return truncate(*pairs)
@@ -128,11 +132,13 @@ def sample_covariance(samples: SampleSet, center: bool = False) -> np.ndarray:
     normalization applies.
     """
     X = samples.X
-    if center:
-        if samples.N < 2:
-            raise ValueError("centering requires at least 2 samples")
-        X = X - X.mean(axis=0)
-    S = X.T @ X
+    if center and samples.N < 2:
+        raise ValueError("centering requires at least 2 samples")
+    # an entry past the float range is inf or nan, for _rank_k to name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center:
+            X = X - X.mean(axis=0)
+        S = X.T @ X
     del X  # the centered copy goes before S is scaled and symmetrized
     S /= samples.N - 1 if center else samples.N
     return symmetrize(S)

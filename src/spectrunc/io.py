@@ -4,8 +4,9 @@ Text formats (whitespace-separated, ``#`` starts a comment line, numbers
 written with 17 significant digits so values round-trip losslessly):
 
 matrix        ``sym n`` header, then n rows of n entries; validated
-              symmetric to ``linalg.SYMMETRY_TOL`` (absolute, 1e-12) on read,
-              and a differently spelled pair averaged by ``linalg.symmetrize``.
+              symmetric on read by ``linalg.asymmetric_pair``, the check
+              ``linalg.require_symmetric`` makes, and a differently spelled
+              pair averaged by ``linalg.symmetrize``.
 observations  ``obs n p count`` header, then ``count`` lines ``i j value``
               with 1-based upper-triangular indices (i <= j).
 samples       ``samples N n`` header, then N rows of n entries.
@@ -20,14 +21,13 @@ entry once and reuses its text for a bitwise-equal mirror, and the reader
 parses a lower token only where its text differs from the upper token it
 mirrors.  Output bytes and parsed bits are those of converting every entry.
 
-Files stream: the ``*_file`` readers parse about 16 Ki characters of whole
-lines at a time and :func:`write_matrix` writes a row at a time, through
-the parsers and row formatter that the text functions use.  Besides the
-array they hold one block or row of text, and for a ``sym n`` file the
-pending mirror text: each column's upper tokens so far, which its lower
-part is compared with or reuses (:class:`_Mirror`).  At most n^2/4
-tokens are pending: 0.65 to 0.8 times the array for 17-digit entries of
-20 to 23 characters.
+Files stream: the ``*_file`` readers parse a line at a time and
+:func:`write_matrix` writes a row at a time, through the parsers and row
+formatter that the text functions use.  Besides the array they hold one
+line or row of text, and for a ``sym n`` file the pending mirror text:
+each column's upper tokens so far, which its lower part is compared with
+or reuses (:class:`_Mirror`).  At most n^2/4 tokens are pending: 0.65 to
+0.8 times the array for 17-digit entries of 20 to 23 characters.
 Faults are reported in the order of a reader that holds the whole file.
 
 Reports serialize to JSON (full nested structure, config and tool stamp
@@ -95,32 +95,13 @@ class FormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-#: characters of whole lines read from a file at a time (one line at least)
-_BLOCK = 1 << 14
-
-
-def _file_lines(fh: TextIO) -> Iterator[str]:
-    """The lines of an open text file, as ``str.splitlines`` splits its whole text.
-
-    The file is read as ``readlines(_BLOCK)``, which never cuts a line, and
-    each of its lines is split with ``str.splitlines``, so ``\\r\\n``, a
-    form feed, ``\\u2028`` or another separator it knows ends a line in a
-    file too.  One block's list of lines is held at a time.
-    """
-    while True:
-        lines = fh.readlines(_BLOCK)
-        if not lines:
-            return
-        for line in lines:
-            yield from line.splitlines()
-        del lines  # before the next block is read
-
-
 class _DataLines:
     """``(line number, stripped line)`` for every non-blank, non-comment line of a source.
 
-    ``source`` is a text or an open text file (:func:`_file_lines`); the
-    lines are numbered as in the whole text.  Iterating gives the one
+    ``source`` is a text or an open text file, read a line at a time.  Each
+    line is split by ``str.splitlines``, so ``\\r\\n``, a form feed,
+    ``\\u2028`` or another separator it knows ends a line in a file too, and
+    the lines are numbered as in the whole text.  Iterating gives the one
     generator that reads them, which also counts them, so a parser's loop
     runs on it directly.  As a context, after :meth:`declare`, it guards the
     parse of the data lines a header declares.
@@ -136,7 +117,8 @@ class _DataLines:
         return self._lines
 
     def _read(self, source: str | TextIO) -> Iterator[tuple[int, str]]:
-        raws = source.splitlines() if isinstance(source, str) else _file_lines(source)
+        lines = [source] if isinstance(source, str) else source  # a file iterates by line
+        raws = (part for line in lines for part in line.splitlines())
         for ln, raw in enumerate(raws, 1):
             s = raw.strip()
             if s and s[0] != "#":
@@ -266,15 +248,16 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
     Each row's upper part (j >= i) goes through ``float``; a lower token is
     converted only where its text differs from the upper token it mirrors,
     and otherwise takes that token's value, which is what ``float`` gives
-    for equal text.  So only such differently spelled pairs can be
-    asymmetric, and only they are checked, after the last row.  Where there
-    are any, ``linalg.symmetrize`` averages the matrix, which leaves every
-    exactly mirrored pair with its bits; otherwise nothing is averaged, so
-    a file :func:`write_matrix` wrote reads back bit for bit.
+    for equal text.  So only a differently spelled pair can be asymmetric.
+    Where there is one, the matrix is checked after the last row by
+    ``linalg.asymmetric_pair`` and averaged by ``linalg.symmetrize``, which
+    leaves every exactly mirrored pair with its bits; otherwise nothing is
+    checked or averaged, so a file :func:`write_matrix` wrote reads back
+    bit for bit.
     """
     import numpy as np
 
-    from .linalg import SYMMETRY_TOL, symmetrize
+    from .linalg import asymmetric_pair, symmetrize
 
     lines = _DataLines(source)
     hline, htok = lines.header("matrix", "sym n")
@@ -282,7 +265,7 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
     if n < 1:
         raise FormatError(f"dimension must be >= 1, got {n}", hline)
     row_lines: list[int] = []
-    spelled = array.array("q")  # i * n + j of each lower entry converted itself
+    spelled = False  # whether a lower entry was converted itself
     with lines.declare(n, "data rows"):
         A = np.empty((n, n))
         mirror = _Mirror(n)  # after A: a header too large to allocate builds no columns
@@ -295,10 +278,10 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
                     A[i, :i] = A[:i, i]
                     upper = " ".join(mirror.take(i))
                     if " ".join(tok[:i]) != upper:
+                        spelled = True
                         upper = upper.split(" ")
                         for j in [j for j, (a, b) in enumerate(zip(tok, upper)) if a != b]:
                             A[i, j] = float(tok[j])
-                            spelled.append(i * n + j)
                     ok = np.isfinite(A[i]).all()
             except ValueError:
                 ok = False
@@ -306,19 +289,15 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
                 _row_error(tok, n, ln, "matrix entry")
             row_lines.append(ln)
             mirror.push(i, tok[i + 1 :])
-    r, c = np.divmod(np.frombuffer(spelled, dtype=np.int64), n)  # lower (r, c), upper (c, r)
-    with np.errstate(over="ignore"):
-        asym = np.abs(A[r, c] - A[c, r])
-    worst = asym.max(initial=0.0)
-    if worst > SYMMETRY_TOL:
-        # the first such entry in row order, which is an upper one
-        at = np.flatnonzero(asym == worst)
-        k = at[np.argmin(c[at] * n + r[at])]
+    if not spelled:
+        return A
+    pair = asymmetric_pair(A)
+    if pair is not None:
+        i, j, d = pair
         raise FormatError(
-            f"matrix not symmetric at ({c[k] + 1}, {r[k] + 1}): |A_ij - A_ji| = {worst:.3e}",
-            row_lines[c[k]],
+            f"matrix not symmetric at ({i + 1}, {j + 1}): |A_ij - A_ji| = {d:.3e}", row_lines[i]
         )
-    return symmetrize(A) if spelled else A
+    return symmetrize(A)
 
 
 def read_matrix(text: str) -> np.ndarray:

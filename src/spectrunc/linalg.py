@@ -92,6 +92,8 @@ __all__ = [
     "principal_angle_sin",
     "spikeness",
     "require_symmetric",
+    "check_finite",
+    "asymmetric_pair",
     "symmetrize",
 ]
 
@@ -107,18 +109,19 @@ ARPACK_MIN_N = 200
 #: top_eigenpairs switches to the full ``evd`` solver above this k/n
 EVR_MAX_FRACTION = 0.2
 
-#: rows and columns of the blocks :func:`symmetrize` averages at a time
+#: rows and columns of the blocks :func:`symmetrize` averages at a time, and
+#: rows of the strips :func:`asymmetric_pair` compares at a time
 _SYM_BLOCK = 256
 
 
 def require_symmetric(A: np.ndarray) -> np.ndarray:
     """Validate that ``A`` is square, finite and symmetric; return it as float64.
 
-    Symmetry is checked entrywise with absolute tolerance ``SYMMETRY_TOL``.  An
-    exactly symmetric float64 array is returned as it is, so a caller that
-    overwrites the result must copy it first; any other input is averaged
-    with its transpose by :func:`symmetrize` (on a copy), so later algebra
-    never sees the sub-tolerance asymmetry.
+    Symmetry is checked by :func:`asymmetric_pair`, which names the pair a
+    rejection reports.  An exactly symmetric float64 array is returned as it
+    is, so a caller that overwrites the result must copy it first; any other
+    input is averaged with its transpose by :func:`symmetrize` (on a copy),
+    so later algebra never sees the sub-tolerance asymmetry.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -127,12 +130,45 @@ def require_symmetric(A: np.ndarray) -> np.ndarray:
         raise ValueError("matrix contains non-finite entries")
     if np.array_equal(A, A.T):
         return A
-    asym = np.max(np.abs(A - A.T))
-    if asym > SYMMETRY_TOL:
-        raise ValueError(
-            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} exceeds {SYMMETRY_TOL:.1e}"
-        )
+    pair = asymmetric_pair(A)
+    if pair is not None:
+        i, j, d = pair
+        raise ValueError(f"matrix not symmetric at ({i + 1}, {j + 1}): |A_ij - A_ji| = {d:.3e}")
     return symmetrize(A.copy())
+
+
+def check_finite(A: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entry of the matrix ``A``, if any.
+
+    The message reads ``{what} entry (i, j) is not finite: v``, 1-based.
+    """
+    if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN reaches both; no mask
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"{what} entry ({i + 1}, {j + 1}) is not finite: {A[i, j]}")
+
+
+def asymmetric_pair(A: np.ndarray) -> tuple[int, int, float] | None:
+    """The pair whose asymmetry rejects the square float64 ``A``, or None.
+
+    This is the one symmetry check, which :func:`require_symmetric` and
+    ``io``'s ``sym n`` reader both word: the largest |a_ij - a_ji|, an
+    overflow counting as inf, is compared with ``SYMMETRY_TOL`` (absolute).
+    Past it, the 0-based ``(i, j, |a_ij - a_ji|)`` of the first such pair
+    in row order is returned, which is an upper entry (i < j).  Works
+    through strips of ``_SYM_BLOCK`` rows, so it holds one strip's
+    differences at a time.
+    """
+    worst = (0.0, 0, 0)
+    with np.errstate(over="ignore"):
+        for i in range(0, A.shape[0], _SYM_BLOCK):
+            d = A[i : i + _SYM_BLOCK] - A[:, i : i + _SYM_BLOCK].T
+            np.abs(d, out=d)
+            # the first largest in row order: a lower entry's mirror comes before it
+            r, c = np.unravel_index(np.argmax(d), d.shape)
+            if d[r, c] > worst[0]:
+                worst = (float(d[r, c]), i + int(r), int(c))
+    d, i, j = worst
+    return (i, j, d) if d > SYMMETRY_TOL else None
 
 
 def symmetrize(B: np.ndarray) -> np.ndarray:
@@ -376,7 +412,8 @@ def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
     ``eigenvalues`` (k,) and ``basis`` (n, k) are the kept pairs, as
     :func:`top_eigenpairs` returns them or as leading slices of what
     :func:`eig_sym` returns; k = 0 gives the zero matrix.  The result
-    is exactly symmetric.
+    is exactly symmetric.  An eigenvalue past the float range gives
+    non-finite entries, and no warning, for the caller to reject.
     """
     k = eigenvalues.shape[0]
     if eigenvalues.ndim != 1 or basis.ndim != 2 or basis.shape[1] != k:
@@ -384,7 +421,8 @@ def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
             f"need k eigenvalues and an n-by-k basis, got shapes "
             f"{eigenvalues.shape} and {basis.shape}"
         )
-    return symmetrize((basis * eigenvalues) @ basis.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+        return symmetrize((basis * eigenvalues) @ basis.T)
 
 
 def spectral_norm_sym(A: np.ndarray) -> float:
@@ -423,8 +461,8 @@ def _root_sum_sq(x: np.ndarray) -> float:
         s = np.sum(x**2)
     if _normal(s) or not np.any(x):
         return float(np.sqrt(s))
-    top = np.max(np.abs(x))
-    return float(top * np.sqrt(np.sum((x / top) ** 2)))
+    top = float(np.max(np.abs(x)))
+    return top * float(np.sqrt(np.sum((x / top) ** 2)))  # a float product: inf, no warning
 
 
 def _frobenius(M: np.ndarray) -> float:

@@ -304,6 +304,47 @@ def test_bounds_names_a_field_whose_power_underflows(field, capsys):
         assert captured.out == ""
 
 
+def _overflowing_inputs(workdir) -> dict[str, list[str]]:
+    """Command -> argv of an input whose arithmetic leaves the float range."""
+    a = np.eye(6)
+    a[:2, :2] = 1.5e308  # top eigenvalue 3e308: truncate formed inf * 0
+    (workdir / "a.sym").write_bytes(matrix_bytes(a))
+    b = np.diag([1.7e308, 1e308, 1.0, 1.0, 0.5, 0.1])  # head_F is 1.97e308
+    (workdir / "b.sym").write_bytes(matrix_bytes(b))
+    X = np.random.default_rng(0).standard_normal((24, 8)) * 1e154  # X^T X overflows
+    (workdir / "s.txt").write_bytes(samples_bytes(SampleSet(N=24, n=8, X=X)))
+    (workdir / "o.txt").write_text("obs 3 0.5 2\n1 1 1.5e308\n2 3 1\n")  # value / p overflows
+    X = np.full((24, 2), 1.5e308)  # each column's sum overflows, so its mean is inf
+    (workdir / "c.txt").write_bytes(samples_bytes(SampleSet(N=24, n=2, X=X)))
+    b = str(workdir / "b.sym")
+    return {
+        "denoise": ["denoise", "--matrix", str(workdir / "a.sym"), "--k", "2"],
+        "verify": ["verify", "--matrix", b, "--perturbed", b, "--k", "2", "--eps", "0.1"],
+        "cov": ["cov", "--samples", str(workdir / "s.txt"), "--k", "2"],
+        "complete": ["complete", "--obs", str(workdir / "o.txt"), "--k", "1"],
+        "cov --center": ["cov", "--samples", str(workdir / "c.txt"), "--k", "1", "--center"],
+    }
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("denoise", 1, "error: output entry (1, 1) is not finite: inf\n"),
+    ("verify", 0, ""),
+    # LAPACK failed on the covariance's inf entries: exit 2
+    ("cov", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
+    ("complete", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
+    ("cov --center", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
+], ids=["denoise", "verify", "cov", "complete", "cov-center"])
+def test_overflowing_inputs_end_alike_with_warnings_as_errors(workdir, capsys, command, code, err):
+    argv = _overflowing_inputs(workdir)[command]
+    assert run_cli(*argv) == code
+    plain = capsys.readouterr()
+    assert plain.err == err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == code
+    assert capsys.readouterr() == plain
+
+
 def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
     a = workdir / "tiny.sym"
     a.write_text("sym 2\n1e-320 0\n0 1e-321\n")
@@ -514,6 +555,26 @@ def test_help_and_version_exit_zero(capsys):
     assert "spectrunc" in capsys.readouterr().out
     assert run_cli("--help") == 0
     capsys.readouterr()
+
+
+#: each command's options as its --help lists them; a report command's --format before --out
+_HELP_OPTIONS = {
+    "synth": "--kind --n --beta --c --values --basis --seed --stream --out",
+    "complete": "--obs --k --out",
+    "denoise": "--matrix --k --out",
+    "cov": "--samples --k --center --out",
+    "bounds": "--kind --set --format --out",
+    "verify": "--matrix --perturbed --k --eps --format --out",
+    "run": "--config --format --out",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP_OPTIONS))
+def test_help_lists_format_then_out_last(command, capsys):
+    assert run_cli(command, "--help") == 0
+    options = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  -")]
+    assert options == ["-h,", *_HELP_OPTIONS[command].split()]
 
 
 def _child_env():

@@ -321,18 +321,21 @@ def _as_bytes(parsed) -> list:
     return [v.tobytes() if isinstance(v, np.ndarray) else v for v in fields]
 
 
-@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+@pytest.mark.parametrize("pad", [1, 5, 1 << 16])
 @pytest.mark.parametrize("sep", _SEPARATORS)
-def test_file_readers_match_text_readers(tmp_path, monkeypatch, sep, block):
-    # a small block reads one line, or a few, at a time
-    monkeypatch.setattr(spectrunc.io, "_BLOCK", block)
+def test_file_readers_match_text_readers(tmp_path, sep, pad):
+    # every line starts with ``pad`` spaces: 1 << 16 makes each line longer than
+    # the 8 KiB chunks in which a text file is decoded
+    def padded(text: str) -> str:
+        return sep.join(" " * pad + line for line in text.split("\n"))
+
     path = tmp_path / "in.txt"
     for read_text, (read_file, text) in _VALID_FILES.items():
-        text = text.replace("\n", sep)
+        text = padded(text)
         path.write_bytes(text.encode())
         assert _as_bytes(read_file(path)) == _as_bytes(read_text(text))
         # the same text with a bad last line, and a miscounted file, fail as their text does
-        miscounted = [t.replace("\n", sep) for t in _MISCOUNTED.get(read_text, [])]
+        miscounted = [padded(t) for t in _MISCOUNTED.get(read_text, [])]
         for bad in [text + sep + "x", *miscounted]:
             path.write_bytes(bad.encode())
             with pytest.raises(FormatError) as from_file:
@@ -432,6 +435,38 @@ def test_read_matrix_checks_mirror_pairs_past_the_first_chunk(tmp_path):
     with pytest.raises(FormatError) as ei:
         read_matrix("\n".join(rows) + "\n")
     assert str(ei.value) == "line 47: matrix not symmetric at (46, 71): |A_ij - A_ji| = 1.000e-03"
+
+
+def _with_pairs(A: np.ndarray, pairs) -> np.ndarray:
+    """A copy of ``A`` with each upper entry (i, j) of ``pairs`` 1 and its mirror 1.5."""
+    B = A.copy()
+    for i, j in pairs:
+        B[i, j], B[j, i] = 1.0, 1.5
+    return B
+
+
+def test_require_symmetric_names_the_pair_read_matrix_names():
+    A = np.round(np.random.default_rng(23).standard_normal((75, 75)), 3)
+    A = np.triu(A) + np.triu(A, 1).T
+    B = A.copy()
+    B[70, 45] = A[45, 70] + 1e-3  # the matrix of the mirror-chunk test above
+    C = np.round(np.random.default_rng(5).standard_normal((600, 600)), 3)
+    C = np.triu(C) + np.triu(C, 1).T
+    cases = [
+        (B, "(46, 71): |A_ij - A_ji| = 1.000e-03"),
+        # two equal worst pairs in different rows: the first in row order is named
+        (_with_pairs(A, [(60, 70), (10, 30)]), "(11, 31): |A_ij - A_ji| = 5.000e-01"),
+        # in three blocks of 256: a walk over block pairs would meet (10, 300) first
+        (_with_pairs(C, [(10, 300), (5, 590), (400, 500)]), "(6, 591): |A_ij - A_ji| = 5.000e-01"),
+    ]
+    for M, named in cases:
+        with pytest.raises(ValueError) as checked:
+            require_symmetric(M)
+        assert str(checked.value) == f"matrix not symmetric at {named}"
+        with pytest.raises(FormatError) as read:
+            read_matrix(matrix_bytes(M).decode())
+        i = int(named[1:].split(",")[0])
+        assert str(read.value) == f"line {i + 1}: {checked.value}"
 
 
 def _traced_peak(fn) -> int:

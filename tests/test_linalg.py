@@ -181,6 +181,21 @@ def test_require_symmetric_does_not_overflow_near_the_float64_limit():
         require_symmetric(np.array([[1e308, 1e308], [-1e308, 1e308]]))
 
 
+def test_require_symmetric_holds_its_copy_and_block_temporaries():
+    # max |A - A^T| held A - A.T and its abs: two more n-by-n arrays
+    A = rand_sym(np.random.default_rng(31), 600)
+    A[5, 400] += 1e-13  # asymmetric inside the tolerance, so the average is a copy
+    require_symmetric(A)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        require_symmetric(A)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= A.nbytes + 3 * linalg._SYM_BLOCK**2 * 8
+
+
 def test_truncate_rank_bounds():
     w, U = eig_sym(np.eye(3))
     with pytest.raises(ValueError, match="n-by-k basis"):
