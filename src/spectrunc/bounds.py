@@ -236,12 +236,13 @@ def descending_spectrum(eigenvalues, k: int) -> np.ndarray:
     """``eigenvalues`` as a float64 vector, checked finite and nonincreasing, cut at 1 <= k < n."""
     import numpy as np
 
+    from .linalg import check_finite
+
     sig = np.asarray(eigenvalues, dtype=np.float64)
     if sig.ndim != 1:
         raise ValueError("eigenvalues must be one-dimensional")
     check_rank(k, sig.shape[0])
-    if not np.all(np.isfinite(sig)):
-        raise ValueError("eigenvalues must be finite")
+    check_finite(sig, "eigenvalue")
     if np.any(np.diff(sig) > 0):
         raise ValueError("eigenvalues must be nonincreasing")
     return sig

@@ -58,8 +58,7 @@ class ObservationSet:
             # it) already rules out a repeat, without np.unique's sort
             if np.any(flat[1:] <= flat[:-1]) and np.unique(flat).size != flat.size:
                 raise ValueError("duplicate observation positions")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("observed values must be finite")
+        check_finite(self.values, "observed value")
 
     @property
     def count(self) -> int:
@@ -77,8 +76,7 @@ class SampleSet:
     def __post_init__(self):
         if self.X.shape != (self.N, self.n):
             raise ValueError(f"X must have shape ({self.N}, {self.n}), got {self.X.shape}")
-        if not np.all(np.isfinite(self.X)):
-            raise ValueError("samples must be finite")
+        check_finite(self.X, "sample")
 
 
 def zero_fill_rescale(obs: ObservationSet) -> np.ndarray:

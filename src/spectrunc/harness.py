@@ -59,7 +59,6 @@ OpenBLAS threads differ); the report header records the numpy version only.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -152,8 +151,6 @@ class ExperimentReport:
 
     ``pass_rate`` is the fraction of bound-satisfying trials among those
     whose precondition held (None when no trial qualifies).
-    ``runtime_seconds`` is informational and deliberately excluded from
-    serialized reports, which must be identical across reruns.
     """
 
     config: ExperimentConfig
@@ -161,7 +158,6 @@ class ExperimentReport:
     trials: list[TrialRecord]
     aggregates: dict[str, Any]
     pass_rate: float | None
-    runtime_seconds: float = 0.0
 
 
 def _tool_stamp() -> dict[str, str]:
@@ -191,12 +187,6 @@ def rate_regression(xs, ys) -> tuple[float, float]:
     slope = float(np.sum(dx * dy)) / sxx
     intercept = float(ly.mean() - slope * lx.mean())
     return slope, intercept
-
-
-def _instance(config: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum and assembled matrix for one trial (basis drawn first)."""
-    sig = config.spectrum()
-    return sig, instance(sig, config.basis, rng)
 
 
 def _truncation_error_F(A_hat: np.ndarray, k: int, sig: np.ndarray) -> float:
@@ -410,8 +400,9 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     step = EXPERIMENTS[config.experiment]
     if step is None:
         raise ValueError(f"experiment {config.experiment!r} is not organized per trial")
+    sig = config.spectrum()
     rng = rng_stream(config.seed, trial_id)
-    sig, A = _instance(config, rng)
+    A = instance(sig, config.basis, rng)
     est, k, judge = step(config, sig, A, rng)
     D = est - A
     err_F = _frobenius(D)
@@ -496,7 +487,6 @@ def _aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> tuple[di
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every trial of the configured experiment and aggregate."""
-    t0 = time.perf_counter()
     if config.experiment == "decay_rate":
         records = _decay_trials(config)
     else:
@@ -508,5 +498,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trials=records,
         aggregates=aggregates,
         pass_rate=pass_rate,
-        runtime_seconds=time.perf_counter() - t0,
     )

@@ -558,13 +558,9 @@ def read_config(path) -> ExperimentConfig:
 def _parse_config(source: str | TextIO) -> ExperimentConfig:
     raw: dict[str, str] = {}
     for ln, s in _DataLines(source):
-        joined = " ".join(s.split())
-        if "=" not in joined:
-            raise FormatError("expected 'key = value'", ln)
-        key, _, value = joined.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, eq, value = " ".join(s.split()).partition("=")
+        key, value = key.strip(), value.strip()
+        if not (eq and key and value):
             raise FormatError("expected 'key = value'", ln)
         if key in raw:
             raise FormatError(f"duplicate key {key!r}", ln)
@@ -666,7 +662,7 @@ def report_csv_bytes(report: ExperimentReport) -> bytes:
 
 
 def report_json_bytes(report: ExperimentReport) -> bytes:
-    """Full nested report as canonical JSON bytes (runtime excluded)."""
+    """Full nested report as canonical JSON bytes."""
     return _json_bytes(
         {
             "tool": report.tool,
@@ -686,10 +682,11 @@ def alignment_json_bytes(report: AlignmentReport) -> bytes:
 
 
 def alignment_csv_bytes(report: AlignmentReport) -> bytes:
-    return _lines_bytes(
-        "name,lhs,rhs,slack,passed",
-        (_csv_line([c.name, c.lhs, c.rhs, c.slack, c.passed]) for c in report.checks),
-    )
+    """A header of ``proofcheck.AlignmentCheck``'s fields, then one row per check."""
+    from .proofcheck import AlignmentCheck
+
+    header = _csv_line(f.name for f in dataclasses.fields(AlignmentCheck))
+    return _lines_bytes(header, (_csv_line(dataclasses.astuple(c)) for c in report.checks))
 
 
 def _bound_doc(result: Any) -> dict[str, Any]:

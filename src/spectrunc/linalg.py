@@ -126,8 +126,7 @@ def require_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
+    check_finite(A, "matrix")
     if np.array_equal(A, A.T):
         return A
     pair = asymmetric_pair(A)
@@ -138,13 +137,18 @@ def require_symmetric(A: np.ndarray) -> np.ndarray:
 
 
 def check_finite(A: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first non-finite entry of the matrix ``A``, if any.
+    """Raise ValueError naming the first non-finite entry of the array ``A``, if any.
 
-    The message reads ``{what} entry (i, j) is not finite: v``, 1-based.
+    This is the one finiteness check of an array.  ``A`` may have any
+    shape, an empty one included (which passes).  The first non-finite
+    entry in row-major order is named with one 1-based index per axis:
+    ``{what} entry (i, j) is not finite: v`` for a matrix, ``(i)`` for a
+    vector.
     """
-    if not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN reaches both; no mask
-        i, j = np.argwhere(~np.isfinite(A))[0]
-        raise ValueError(f"{what} entry ({i + 1}, {j + 1}) is not finite: {A[i, j]}")
+    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):  # NaN reaches both; no mask
+        at = tuple(np.argwhere(~np.isfinite(A))[0])
+        where = ", ".join(str(i + 1) for i in at)
+        raise ValueError(f"{what} entry ({where}) is not finite: {A[at]}")
 
 
 def asymmetric_pair(A: np.ndarray) -> tuple[int, int, float] | None:

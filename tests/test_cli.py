@@ -1,23 +1,28 @@
 """Command-line interface: round trips, exit codes, byte-determinism."""
 
+import contextlib
 import inspect
+import io as stdio
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as hst
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import spectrunc
-from spectrunc import covariance_reduced, linalg
-from spectrunc.bounds import KINDS
+from spectrunc import cli, covariance_reduced, linalg
+from spectrunc.bounds import COVARIANCE_MODES, KINDS, SAMPLING_REGIMES
 from spectrunc.cli import main
 from spectrunc.estimators import SampleSet
 from spectrunc.io import (
@@ -304,6 +309,67 @@ def test_bounds_names_a_field_whose_power_underflows(field, capsys):
         assert captured.out == ""
 
 
+#: floats across 2^-1000..2^1000, zero and the unit interval; ints up to 2^62
+_FUZZ_FLOATS = hst.one_of(
+    hst.just(0.0),
+    hst.floats(0.0, 1.0),
+    hst.builds(math.ldexp, hst.floats(1.0, 2.0, exclude_max=True), hst.integers(-1000, 1000)),
+)
+_FUZZ_INTS = hst.one_of(hst.integers(0, 64), hst.integers(0, 2**62))
+
+#: a choice parameter -> its table of the optional inputs each choice uses
+_CHOICES = {"regime": SAMPLING_REGIMES, "mode": COVARIANCE_MODES}
+
+
+@hst.composite
+def _bounds_call(draw):
+    """``(kind, {key: text})``: a kind, its choice if it has one, and the inputs that takes.
+
+    Every input without a default is set; one with a default is set where
+    the chosen regime or mode uses it, and at random where no table lists it.
+    """
+    kind = draw(hst.sampled_from(sorted(KINDS)))
+    params = inspect.signature(KINDS[kind], eval_str=True).parameters.values()
+    params = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    sets, listed, uses = {}, set(), set()
+    for p in params:
+        if p.name in _CHOICES:
+            sets[p.name] = draw(hst.sampled_from(sorted(_CHOICES[p.name])))
+            listed = {name for names in _CHOICES[p.name].values() for name in names}
+            uses = set(_CHOICES[p.name][sets[p.name]])
+    for p in params:
+        optional = p.default is not p.empty
+        if p.name in sets or optional and (p.name not in uses if p.name in listed
+                                           else not draw(hst.booleans())):
+            continue
+        is_int = int in (p.annotation, *typing.get_args(p.annotation))
+        sets[p.name] = str(draw(_FUZZ_INTS)) if is_int else repr(draw(_FUZZ_FLOATS))
+    return kind, sets
+
+
+def _finite_leaves(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(map(_finite_leaves, doc.values()))
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(_bounds_call())
+def test_bounds_exits_zero_with_finite_values_or_one_naming_what_failed(call):
+    kind, sets = call
+    argv = ["bounds", "--kind", kind, *(a for key, v in sets.items() for a in ("--set", f"{key}={v}"))]
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert _finite_leaves(json.loads(out.getvalue())), (argv, out.getvalue())
+    else:
+        message = err.getvalue()
+        assert code == 1 and message.startswith("error: ") and out.getvalue() == "", (argv, message)
+        named = [key for key in sets if key in message]
+        assert named or "result field" in message or "cutoff rule" in message, (argv, message)
+
+
 def _overflowing_inputs(workdir) -> dict[str, list[str]]:
     """Command -> argv of an input whose arithmetic leaves the float range."""
     a = np.eye(6)
@@ -457,6 +523,40 @@ def test_run_deterministic_bytes(workdir, capsys):
     assert run_cli("run", "--config", str(cfg), "--format", "csv", "--out", str(c1)) == 0
     assert run_cli("run", "--config", str(cfg), "--format", "csv", "--out", str(c2)) == 0
     assert c1.read_bytes() == c2.read_bytes()
+
+
+def test_run_times_the_experiment_on_stderr(workdir, capsys, monkeypatch):
+    # the run's wall time is the CLI's: it times run_experiment, and no report holds it
+    clock = iter([10.0, 13.254])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    cfg = workdir / "exp.cfg"
+    cfg.write_text(CONFIG)
+    assert run_cli("run", "--config", str(cfg)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "relative: 2 trial(s) in 3.25s\n"
+    assert "runtime" not in captured.out
+
+
+def test_synth_rejects_order_zero(capsys):
+    assert run_cli("synth", "--kind", "powerlaw", "--n", "0", "--beta", "1",
+                   "--basis", "identity") == 1
+    assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+
+
+def test_complete_rejects_order_zero_on_the_header(workdir, capsys):
+    obs = workdir / "A.obs"
+    obs.write_text("obs 0 0.5 0\n")
+    assert run_cli("complete", "--obs", str(obs), "--k", "1") == 1
+    assert capsys.readouterr().err == "error: line 1: n must be >= 1, got 0\n"
+
+
+def test_verify_rejects_matrices_of_different_orders(workdir, capsys):
+    a, b = workdir / "A.sym", workdir / "B.sym"
+    a.write_bytes(matrix_bytes(np.eye(3)))
+    b.write_bytes(matrix_bytes(np.eye(4)))
+    assert run_cli("verify", "--matrix", str(a), "--perturbed", str(b),
+                   "--k", "1", "--eps", "0.1") == 1
+    assert capsys.readouterr().err == "error: --matrix is (3, 3), --perturbed is (4, 4)\n"
 
 
 def test_exit_codes_for_bad_input(workdir, capsys):
@@ -645,6 +745,13 @@ _BOUND_INPUTS = {
     "exponential_cutoff": "delta=1e-8 c=0.1 n=500",
     "exponential_rate": "delta=1e-8 c=0.1 n=500",
 }
+
+
+def test_each_module_is_an_attribute_of_the_package():
+    # a fresh interpreter reaches this through ``spectrunc.linalg``; here every
+    # module is already imported, so the package's __getattr__ is asked directly
+    for name in spectrunc._EXPORTS:
+        assert spectrunc.__getattr__(name) is sys.modules[f"spectrunc.{name}"]
 
 
 def test_commands_that_never_solve_leave_scipy_unloaded(workdir):

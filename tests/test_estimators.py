@@ -75,6 +75,14 @@ def test_observation_set_validation():
         obs_of(3, 0.5, [(0, 0, np.inf)])
 
 
+def test_observation_set_rejects_unequal_lengths_and_names_a_non_finite_value():
+    with pytest.raises(ValueError, match="^rows, cols and values must have equal length$"):
+        ObservationSet(n=3, p=0.5, rows=np.array([0, 1]), cols=np.array([1, 2]),
+                       values=np.ones(1))
+    with pytest.raises(ValueError, match=r"^observed value entry \(2\) is not finite: nan$"):
+        obs_of(3, 0.5, [(0, 0, 1.0), (0, 1, np.nan), (1, 1, np.inf)])
+
+
 def test_complete_frozen_example():
     est = complete(obs_of(2, 0.5, [(0, 0, 1.0)]), k=1)
     np.testing.assert_array_equal(est, np.diag([2.0, 0.0]))
@@ -172,6 +180,13 @@ def test_sample_set_validation():
         SampleSet(N=3, n=2, X=np.ones((2, 3)))
     with pytest.raises(ValueError):
         SampleSet(N=1, n=1, X=np.array([[np.nan]]))
+
+
+def test_sample_set_names_its_first_non_finite_entry():
+    X = np.ones((3, 2))
+    X[1, 1], X[2, 0] = -np.inf, np.nan
+    with pytest.raises(ValueError, match=r"^sample entry \(2, 2\) is not finite: -inf$"):
+        SampleSet(N=3, n=2, X=X)
 
 
 def test_covariance_reduced_composition():

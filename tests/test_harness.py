@@ -25,13 +25,13 @@ from spectrunc import (
 from spectrunc.harness import (
     TrialRecord,
     _aggregate,
-    _instance,
     _truncation_error_F,
 )
 from spectrunc.io import matrix_bytes, report_json_bytes
 from spectrunc.linalg import _top_k_route
 from spectrunc.synth import (
     haar_orthogonal,
+    instance,
     psd_from_spectrum,
     rng_stream,
     scaled_perturbation,
@@ -223,7 +223,6 @@ def test_perturbation_trial_invariants():
         assert rep.pass_rate == 1.0
         assert rep.aggregates["pass_rate_denominator"] == 2
         assert rep.tool["name"] == "spectrunc"
-        assert rep.runtime_seconds > 0
 
 
 def test_relative_trial_near_the_top_of_the_float_range_is_finite():
@@ -275,7 +274,8 @@ def test_alignment_decomposes_each_matrix_once(monkeypatch, tmp_path):
     assert rec.aux["checks_total"] > 0  # the whole chain ran
     assert orders.count(n) == 1  # A in the chain; A_hat keeps only its top k
 
-    sig, A = _instance(cfg, rng_stream(cfg.seed, 0))
+    sig = cfg.spectrum()
+    A = instance(sig, cfg.basis, rng_stream(cfg.seed, 0))
     E = scaled_perturbation(n, 0.5 * cfg.eps**2 * sig[cfg.k], rng_stream(cfg.seed, 1))
     (tmp_path / "A.sym").write_bytes(matrix_bytes(A))
     (tmp_path / "Ahat.sym").write_bytes(matrix_bytes(A + E))
@@ -314,7 +314,8 @@ def test_covariance_oracle_rank_matches_brute_force():
     rec = run_trial(cfg, 0)
     # replay the trial's stream discipline to rebuild the same sample draw
     rng = rng_stream(cfg.seed, 0)
-    sig, A = _instance(cfg, rng)
+    sig = cfg.spectrum()
+    A = instance(sig, cfg.basis, rng)
     SC = sample_covariance(mvn_samples(A, cfg.n_samples, rng))
     w, U = eig_sym(SC)
     errs = [
@@ -325,6 +326,13 @@ def test_covariance_oracle_rank_matches_brute_force():
     assert rec.measured_error_F == pytest.approx(min(errs), rel=1e-9)
     assert rec.aux["beats_full"]
     assert rec.aux["err_full_F"] == pytest.approx(errs[-1], rel=1e-12)
+
+
+def test_run_trial_rejects_the_decay_sweep():
+    cfg = ExperimentConfig(experiment="decay_rate", n=10, trials=1, seed=0, basis="identity",
+                           spectrum_kind="powerlaw", spectrum_beta=1.0, delta_grid=(0.1,))
+    with pytest.raises(ValueError, match="^experiment 'decay_rate' is not organized per trial$"):
+        run_trial(cfg, 0)
 
 
 def test_decay_rate_structure():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -114,6 +115,31 @@ def test_principal_angle_edges():
     assert principal_angle_sin(np.zeros((4, 0)), V) == 0.0
 
 
+def test_principal_angle_rejects_mismatched_or_non_orthonormal_inputs():
+    V = np.eye(4)[:, :2]
+    with pytest.raises(ValueError, match="^U and V must share the ambient dimension$"):
+        principal_angle_sin(np.eye(3)[:, :1], V)
+    with pytest.raises(ValueError, match="^U does not have orthonormal columns$"):
+        principal_angle_sin(2.0 * V[:, :1], V)
+    with pytest.raises(ValueError, match="^V does not have orthonormal columns$"):
+        principal_angle_sin(V[:, :1], np.ones((4, 2)))
+
+
+def test_an_empty_matrix_has_norm_zero_and_an_empty_decomposition():
+    assert spectral_norm_sym(np.zeros((0, 0))) == 0.0
+    w, V = eig_sym(np.zeros((0, 0)))
+    assert w.shape == (0,) and V.shape == (0, 0)
+
+
+def test_check_finite_takes_any_shape():
+    for A in (np.empty((0, 0)), np.empty(0), np.empty((2, 0)), np.ones(3), np.ones((2, 2))):
+        linalg.check_finite(A, "x")
+    with pytest.raises(ValueError, match=r"^x entry \(3\) is not finite: nan$"):
+        linalg.check_finite(np.array([1.0, 2.0, np.nan, np.inf]), "x")
+    with pytest.raises(ValueError, match=r"^x entry \(2, 1\) is not finite: -inf$"):
+        linalg.check_finite(np.array([[1.0, 2.0], [-np.inf, np.nan]]), "x")
+
+
 def test_spikeness_frozen():
     assert spikeness(np.eye(4)) == pytest.approx(2.0, abs=1e-15)
     assert spikeness(np.ones((4, 4))) == pytest.approx(1.0, abs=1e-15)
@@ -141,7 +167,7 @@ def test_spikeness_near_float_max():
 def test_require_symmetric_rejects():
     with pytest.raises(ValueError, match="not symmetric"):
         require_symmetric(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"^matrix entry \(1, 1\) is not finite: nan$"):
         require_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         require_symmetric(np.zeros((2, 3)))
@@ -381,6 +407,21 @@ def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
     monkeypatch.setattr(linalg, "_scipy_openblas", lambda: None)
     w, _ = top_eigenpairs(A.copy(), 5)
     assert w.shape == (5,)
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda path: types.SimpleNamespace()],
+                         ids=["unloadable", "without_symbols"])
+def test_scipy_openblas_is_none_without_the_thread_symbols(cdll, monkeypatch):
+    linalg._scipy_openblas.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    try:
+        assert linalg._scipy_openblas() is None
+    finally:
+        linalg._scipy_openblas.cache_clear()
 
 
 def test_spectral_norm_matches_dense_path(monkeypatch):

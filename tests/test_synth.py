@@ -204,3 +204,10 @@ def test_mvn_samples_moments_and_psd_guard():
     ok = mvn_samples(tiny, 10, rng_stream(7, 3))
     assert np.all(np.isfinite(ok.X))
     assert np.max(np.abs(ok.X[:, 1])) == 0.0
+
+
+def test_empty_draws_are_rejected_by_name():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        goe_noise(0, 1.0, rng_stream(0, 0))
+    with pytest.raises(ValueError, match="^N must be >= 1, got 0$"):
+        mvn_samples(np.eye(2), 0, rng_stream(0, 0))
