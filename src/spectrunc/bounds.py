@@ -13,24 +13,11 @@ All numerical constants are exposed as keyword arguments with the package's
 default conventions, so alternative constant choices remain reproducible.
 They are keyword-only, except the power-law cutoff prefactor ``C1``.
 
-Each parameter name these functions share, the six constants included, has
-its domain in ``_DOMAIN``, which :func:`check_domain`, the run config
-(``config.ExperimentConfig``) and ``synth`` apply; the observation rate
-``p``, the run config's ``trials`` and ``seed`` and ``synth``'s
-``target_norm_2`` have their domains there too.  A predicate states what
-must hold, so NaN fails each one, and :func:`check_domain` names a value
-that passes it but is +inf as not finite.
-:func:`check_rank` states a truncation rank's range 1 <= k <= n - 1, for
-:func:`descending_spectrum`, the run config and ``spectrunc verify``.  Rules
-of one function, regime or mode stay inline: the delta ranges, which differ
-per family; gap > 0 where the gap regime or mode divides by it; ``gamma_k``;
-the n >= 1 of ``sample_covariance_rates``; and k < n in
-``spectral_envelope``.
-
-A choice of mode (a sampling regime or covariance mode here, an experiment
-or spectrum kind in ``config``) takes exactly the inputs its table lists;
-:func:`check_inputs` checks that ahead of the domains, so an input a regime
-ignores is named as unused.
+Each input rule has one home: a shared parameter's domain is in
+``_DOMAIN``, a truncation rank's range in :func:`check_rank`, and the
+inputs a mode takes (a sampling regime or covariance mode here, an
+experiment or spectrum kind in ``config``) in :func:`check_inputs`.  A rule
+of one function, regime or mode stays inline in it.
 """
 
 from __future__ import annotations
@@ -153,7 +140,9 @@ class RatePair:
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 
-#: parameter -> (predicate, requirement); see the module docstring
+#: parameter -> (predicate, requirement), for each parameter name the bounds share (the
+#: six constants included), ``p``, the run config's ``trials`` and ``seed``, and
+#: ``synth``'s ``target_norm_2`` and ``stream_id``; :func:`check_domain` applies it
 _DOMAIN = {
     "k": (lambda v: v >= 1, "be >= 1"),
     "n": (lambda v: v >= 2, "be >= 2"),
@@ -164,7 +153,7 @@ _DOMAIN = {
     "r_e": (lambda v: v >= 1, "be >= 1"),
     "n_samples": (lambda v: v >= 2, "be >= 2"),
     "trials": (lambda v: v >= 1, "be >= 1"),
-    "seed": _NONNEGATIVE,
+    **dict.fromkeys(("seed", "stream_id"), (lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")),
     "target_norm_2": _NONNEGATIVE,
     **dict.fromkeys(
         ("c", "mu0", "norm_F", "norm_2", "sigma_k1", "C_mc", "C1", "c_dn", "c_cov"), _POSITIVE
@@ -213,7 +202,9 @@ def check_domain(**values) -> None:
 def check_inputs(what: str, choice: str, takes: dict, **given) -> None:
     """Raise ValueError for an unknown ``choice``, then its unused inputs, then its unset ones.
 
-    ``takes`` maps each choice to the inputs it uses; in ``given`` None is unset.
+    ``takes`` maps each choice to the inputs it uses; in ``given`` None is
+    unset.  Callers check this ahead of the domains, so an input a choice
+    ignores is named as unused.
     """
     if choice not in takes:
         raise ValueError(f"unknown {what} {choice!r}; expected one of {tuple(takes)}")
@@ -477,8 +468,7 @@ def completion_sampling_threshold(
       gap error bound).
 
     ``mu0`` is the flatness measure from :func:`spectrunc.linalg.spikeness`,
-    ``t`` the failure-probability budget.  Each regime requires the inputs
-    its scale uses and rejects the others.  Regimes that divide by
+    ``t`` the failure-probability budget.  Regimes that divide by
     ``sigma_k1`` (resp. ``gap``) reject a zero value, since their guarantee
     is inapplicable for exactly rank-k (resp. gapless) matrices.
     """
@@ -554,10 +544,9 @@ def covariance_admissible(
 
     ``r_e`` is the effective rank trace/||A||_2 and ``gamma_k`` the ratio
     sigma_k/sigma_{k+1}.  When admissible, the truncated estimator tracks
-    the best rank-k approximation up to the tail multiplier
-    ``1 + eps`` (reported as ``multiplier``).  Each mode takes only the
-    inputs its expression uses.  Relative mode rejects ``gamma_k = inf``: a
-    spectrum with sigma_{k+1} = 0 has no relative scale to measure against.
+    the best rank-k approximation up to the tail multiplier ``1 + eps``
+    (reported as ``multiplier``).  Relative mode rejects ``gamma_k = inf``:
+    a spectrum with sigma_{k+1} = 0 has no relative scale to measure against.
     """
     check_inputs("mode", mode, COVARIANCE_MODES, gamma_k=gamma_k, norm_2=norm_2, gap=gap)
     check_domain(eps=eps, k=k, r_e=r_e, n_samples=n_samples, norm_2=norm_2, c_cov=c_cov)

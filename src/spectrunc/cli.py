@@ -1,24 +1,15 @@
 """Command-line interface.
 
-Subcommands
------------
-synth     generate a synthetic symmetric matrix file
-complete  rank-k completion from an observation file
-denoise   rank-k truncation of a noisy matrix file
-cov       rank-k truncated sample covariance from a samples file
-bounds    evaluate a closed-form bound from scalar inputs
-verify    measure the alignment inequality chain on a matrix pair
-run       run a configured experiment and emit its report
-
-Exit codes: 0 success, 1 invalid input (bad flags, malformed files,
-rejected configuration), 2 numerical failure at runtime.  Data goes to
-stdout or ``--out``; progress and timing go to stderr only, so captured
-output is reproducible byte-for-byte.
+One subcommand per job; ``spectrunc --help`` lists them.  Exit codes: 0
+success, 1 invalid input (bad flags, malformed files, rejected
+configuration), 2 numerical failure at runtime.  Data goes to stdout or
+``--out``; progress and timing go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import sys
 import time
@@ -53,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_fail(message))
 
 
+def _output(out: str | None):
+    """The ``--out`` file, opened for text with ``\\n`` line ends, or stdout."""
+    if out:
+        return open(out, "w", encoding="utf-8", newline="\n")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _emit(doc, args) -> None:
     """Write ``doc`` to ``--out`` or stdout by ``io.<report>_<format>_bytes``.
 
@@ -60,11 +58,8 @@ def _emit(doc, args) -> None:
     ``io`` at each call, so a wrapper patched onto the module is seen.
     """
     data = getattr(io, f"{args.report}_{args.format}_bytes")(doc)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
+    with _output(args.out) as fh:
+        fh.write(data.decode())
 
 
 def _emit_matrix(A, out: str | None) -> None:
@@ -76,11 +71,8 @@ def _emit_matrix(A, out: str | None) -> None:
     from .linalg import check_finite
 
     check_finite(A, "output")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            io.write_matrix(A, fh)
-    else:
-        io.write_matrix(A, sys.stdout)
+    with _output(out) as fh:
+        io.write_matrix(A, fh)
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, str]:

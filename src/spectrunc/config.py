@@ -5,10 +5,7 @@ just the parameters ``EXPERIMENT_PARAMS`` and ``SPECTRUM_KINDS`` list for its
 experiment and spectrum kind (:func:`bounds.check_inputs`).  The
 ``key = value`` text format that spells it is read by
 :func:`spectrunc.io.parse_config` and :func:`spectrunc.io.read_config`.
-Nothing here builds an array: :func:`spectrum_head` checks a stock
-spectrum's parameters and returns its leading eigenvalue from scalars, and
-:func:`synth.make_spectrum` runs the same check before it builds the
-spectrum.  So a config is accepted or rejected, with the same message, before
+Nothing here builds an array, so a config is accepted or rejected before
 numpy is loaded.
 """
 
@@ -69,11 +66,12 @@ def spectrum_head(
 ) -> float:
     """Check a stock spectrum's parameters and return sigma_1, building no array.
 
-    The rules are :func:`synth.make_spectrum`'s: a known kind with exactly
-    its parameter of ``SPECTRUM_KINDS`` set, finite ``beta`` > 0 or ``c`` > 0,
-    and explicit ``values`` of length n, nonincreasing, finite and
-    nonnegative.  sigma_1 is 1 for a power law, ``exp(-c)`` for exponential
-    decay (0 once it underflows) and ``values[0]`` for an explicit spectrum.
+    These are the rules of :func:`synth.make_spectrum` and the run config:
+    a known kind with exactly its parameter of ``SPECTRUM_KINDS`` set,
+    finite ``beta`` > 0 or ``c`` > 0, and explicit ``values`` of length n,
+    nonincreasing, finite and nonnegative.  sigma_1 is 1 for a power law,
+    ``exp(-c)`` for exponential decay (0 once it underflows) and
+    ``values[0]`` for an explicit spectrum.
     """
     check_inputs("spectrum kind", kind, SPECTRUM_KINDS, beta=beta, c=c, values=values)
     if n < 1:

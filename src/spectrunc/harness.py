@@ -5,55 +5,11 @@ an estimator, measure its truncation error, and compare against the
 matching closed-form bound.  One :class:`TrialRecord` per trial carries the
 measurements; :class:`ExperimentReport` adds order-independent aggregates.
 
-Experiments
------------
-relative    perturbation placed exactly at the allowance eps^2 * sigma_{k+1}
-gap         perturbation placed exactly at the allowance eps * (sigma_k - sigma_{k+1})
-alignment   as ``relative``, plus the full inequality-chain measurement
-denoising   additive Gaussian noise at level nu
-completion  Bernoulli-observed entries at rate p, rescaled and truncated
-covariance  truncated sample covariance over n_samples Gaussian draws
-decay_rate  error-vs-delta sweep with the rank chosen by the cutoff rule
-
-Trial skeleton
---------------
-:func:`run_trial` runs one trial of any experiment but ``decay_rate``: it
-draws the instance (spectrum ``sig``, matrix ``A``) from the trial's stream,
-measures the estimate's errors against ``A`` and the tail of ``sig`` past the
-kept rank (zero when every rank is kept), and builds the judged
-:class:`TrialRecord`.  Each experiment supplies only its step, which
-``EXPERIMENTS`` maps it to::
+``EXPERIMENTS`` maps each experiment to its step, which :func:`run_trial`
+runs for every experiment but ``decay_rate`` (:func:`_decay_trials`)::
 
     step(config, sig, A, rng) -> (estimate, k, judge)
     judge(err_F, tail_F) -> (bound_value, precondition_holds, precondition_margin, aux)
-
-``judge`` sees the measured error and the tail, so the bound or an ``aux``
-entry may use them.  ``decay_rate`` sweeps each perturbation over a delta
-grid in its own loop.
-
-Decay sweep
------------
-``decay_rate`` runs in A's eigenbasis.  For orthogonal U,
-``||(U M U^T)_k - U diag(sig) U^T||_F = ||M_k - diag(sig)||_F``, so a Haar
-trial rotates its unit direction G once into ``U^T G U`` and every delta's
-A_hat is ``delta * G + diag(sig)``, exactly as for the identity basis; A is
-never assembled.  The error comes from the top-k eigenpairs of A_hat alone
-through a trace identity, or densely when the identity would cancel (see
-:func:`_truncation_error_F`).
-
-Storage: a Haar trial writes ``(U^T G) U`` into G's own storage, drops U
-and symmetrizes G in place.  Each delta but the last builds A_hat in a fresh
-array, released when the next delta's replaces it; the last builds it in G's
-storage, since G is not read again.  G goes before the next trial draws its
-direction.  Releasing each A_hat right after its solve instead raises the
-peak RSS, as glibc's malloc then keeps later n x n blocks on its heap
-(BENCH_16).
-
-Determinism: trial ``i`` of a run uses the Philox stream ``(seed, i)``
-(for ``decay_rate``, one stream per perturbation-direction trial, shared
-across the delta grid).  Reports are reproducible bit-for-bit only for a
-fixed numpy version, BLAS build and BLAS thread count (reports at 1 and 2
-OpenBLAS threads differ); the report header records the numpy version only.
 """
 
 from __future__ import annotations
@@ -80,9 +36,11 @@ from .bounds import (
 )
 from .config import ExperimentConfig
 from .estimators import complete, denoise, sample_covariance
+from .io import _check_fields
 from .linalg import (
     _frobenius,
     _root_sum_sq,
+    check_finite,
     effective_rank,
     eig_sym,
     spectral_norm_sym,
@@ -126,10 +84,9 @@ class TrialRecord:
 
     ``ratio_F`` is measured_error_F / tail_F (None when the tail vanishes);
     ``bound_satisfied`` compares against ``bound_value`` with absolute
-    slack 1e-8 and is None when the trial carries no bound;
-    ``precondition_holds`` says whether the bound's hypothesis was met, and
-    trials where it fails are excluded from pass rates.  Extra
-    per-experiment quantities live in ``aux``.
+    slack ``BOUND_TOL`` and is None when the trial carries no bound;
+    ``precondition_holds`` says whether the bound's hypothesis was met.
+    Extra per-experiment quantities live in ``aux``.
     """
 
     trial_id: int
@@ -195,11 +152,10 @@ def _truncation_error_F(A_hat: np.ndarray, k: int, sig: np.ndarray) -> float:
     Uses the expansion ||V L V^T - D||_F^2 = ||sig||^2 +
     sum_i (lambda_i^2 - 2 lambda_i v_i^T D v_i) over the kept eigenpairs,
     valid for any orthonormal V, so only the top-k eigenpairs of A_hat are
-    computed (:func:`top_eigenpairs` picks the solver).  The sum cancels
-    down to err^2 with an absolute rounding error of a few
-    u * (||sig||^2 + ||lambda||^2), u the machine epsilon (at most 41 of it,
-    measured for n <= 2000).  Where err^2 is less than
-    ``TRACE_IDENTITY_MARGIN = 1e8`` times that scale, the identity would keep
+    computed.  The sum cancels down to err^2 with an absolute rounding error
+    of a few u * (||sig||^2 + ||lambda||^2), u the machine epsilon (README
+    "Measured decisions").  Where err^2 is less than
+    ``TRACE_IDENTITY_MARGIN`` times that scale, the identity would keep
     fewer than about seven digits of err, and err is measured densely as
     ||V L V^T - diag(sig)||_F instead.  A_hat is overwritten.
     """
@@ -298,6 +254,7 @@ def _completion_step(config: ExperimentConfig, sig, A, rng):
 def _covariance_step(config: ExperimentConfig, sig, A, rng):
     """Truncated sample covariance, judged against (1 + eps) * tail_F."""
     SC = sample_covariance(mvn_samples(A, config.n_samples, rng))
+    check_finite(SC, "surrogate")  # named as `cov` names it (estimators._rank_k)
     err_full = _frobenius(SC - A)
     if config.k_oracle:
         # true error at every rank via the trace expansion, then argmin
@@ -338,7 +295,14 @@ def _covariance_step(config: ExperimentConfig, sig, A, rng):
 
 
 def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
-    """decay_rate trials: one direction per stream, swept over deltas in A's eigenbasis."""
+    """decay_rate trials: one direction per stream ``(seed, t)``, swept over the delta grid.
+
+    The sweep runs in A's eigenbasis.  For orthogonal U,
+    ``||(U M U^T)_k - U diag(sig) U^T||_F = ||M_k - diag(sig)||_F``, so a
+    Haar trial rotates its unit direction G once into ``U^T G U`` and every
+    delta's A_hat is ``delta * G + diag(sig)``, as for the identity basis;
+    A is never assembled (README "Memory").
+    """
     sig = config.spectrum()
     n = config.n
     diag_idx = np.arange(n)
@@ -362,6 +326,8 @@ def _decay_trials(config: ExperimentConfig) -> list[TrialRecord]:
             del U
             symmetrize(G)
         for i, (delta, k, rate, stats) in enumerate(ladder):
+            # the last A_hat takes G's storage; an earlier one lives until the next
+            # replaces it, since releasing it after its solve raised the peak RSS
             A_hat = np.multiply(G, delta, out=G if i == last else None)
             A_hat[diag_idx, diag_idx] += sig
             err_F = _truncation_error_F(A_hat, k, sig)
@@ -396,7 +362,11 @@ EXPERIMENTS = {
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
-    """Run one trial of a per-trial experiment (not decay_rate) through its step."""
+    """Run one trial of a per-trial experiment (not decay_rate) through its step.
+
+    The instance is drawn from the stream ``(seed, trial_id)``; the tail is
+    that of its spectrum past the kept rank (zero when every rank is kept).
+    """
     step = EXPERIMENTS[config.experiment]
     if step is None:
         raise ValueError(f"experiment {config.experiment!r} is not organized per trial")
@@ -486,11 +456,14 @@ def _aggregate(config: ExperimentConfig, records: list[TrialRecord]) -> tuple[di
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every trial of the configured experiment and aggregate."""
+    """Run and aggregate every trial; a non-finite float in a trial raises ValueError naming it."""
     if config.experiment == "decay_rate":
         records = _decay_trials(config)
     else:
         records = [run_trial(config, i) for i in range(config.trials)]
+    for r in records:
+        _check_fields(vars(r), f"trial {r.trial_id}")
+        _check_fields(r.aux, f"trial {r.trial_id}")
     aggregates, pass_rate = _aggregate(config, records)
     return ExperimentReport(
         config=config,

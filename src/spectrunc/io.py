@@ -3,43 +3,16 @@
 Text formats (whitespace-separated, ``#`` starts a comment line, numbers
 written with 17 significant digits so values round-trip losslessly):
 
-matrix        ``sym n`` header, then n rows of n entries; validated
-              symmetric on read by ``linalg.asymmetric_pair``, the check
-              ``linalg.require_symmetric`` makes, and a differently spelled
-              pair averaged by ``linalg.symmetrize``.
+matrix        ``sym n`` header, then n rows of n entries (:func:`_parse_matrix`).
 observations  ``obs n p count`` header, then ``count`` lines ``i j value``
               with 1-based upper-triangular indices (i <= j).
 samples       ``samples N n`` header, then N rows of n entries.
-config        ``key = value`` lines, one per run-config field; unknown,
-              duplicate and missing mandatory keys are errors here.  Which
-              keys an experiment takes, and each value's domain, are
-              :class:`ExperimentConfig`'s rules (:mod:`spectrunc.config`).
+config        ``key = value`` lines, one per run-config field
+              (:func:`parse_config`).
 
-Decimal conversion is the cost of the file formats, so a ``sym n`` file
-converts only its n(n+1)/2 distinct values: the writer formats each upper
-entry once and reuses its text for a bitwise-equal mirror, and the reader
-parses a lower token only where its text differs from the upper token it
-mirrors.  Output bytes and parsed bits are those of converting every entry.
-
-Files stream: the ``*_file`` readers parse a line at a time and
-:func:`write_matrix` writes a row at a time, through the parsers and row
-formatter that the text functions use.  Besides the array they hold one
-line or row of text, and for a ``sym n`` file the pending mirror text:
-each column's upper tokens so far, which its lower part is compared with
-or reuses (:class:`_Mirror`).  At most n^2/4 tokens are pending: 0.65 to
-0.8 times the array for 17-digit entries of 20 to 23 characters.
-Faults are reported in the order of a reader that holds the whole file.
-
-Reports serialize to JSON (full nested structure, config and tool stamp
-included) or CSV (one row per trial, fixed column set across all
-experiments).  Serialization contains nothing volatile -- two runs with
-identical inputs produce byte-identical output; in particular measured
-wall-clock time is reported on stderr by the CLI but never serialized.
-The writers take each document as it is: a numpy scalar, as Python-API
-inputs may leave in a record or a bound result, is written as its Python
-value, and a CSV cell is ``true``/``false`` for a bool, empty for None and
-``%.17g`` for a float.  JSON holds no ``Infinity`` or ``NaN``: a non-finite
-float raises ValueError, and any other value json cannot write TypeError.
+Files and text go through the same parsers (:class:`_DataLines` reads the
+lines) and row formatter.  Reports serialize to JSON (the full nested
+structure) or CSV (one row per trial, columns ``CSV_COLUMNS``).
 """
 
 from __future__ import annotations
@@ -103,8 +76,7 @@ class _DataLines:
     ``\\u2028`` or another separator it knows ends a line in a file too, and
     the lines are numbered as in the whole text.  Iterating gives the one
     generator that reads them, which also counts them, so a parser's loop
-    runs on it directly.  As a context, after :meth:`declare`, it guards the
-    parse of the data lines a header declares.
+    runs on it directly.
     """
 
     __slots__ = ("_taken", "_lines", "_hline", "_count", "_what")
@@ -245,15 +217,15 @@ class _Mirror:
 def _parse_matrix(source: str | TextIO) -> np.ndarray:
     """``sym n`` text or file as a symmetric float64 array, one row at a time.
 
-    Each row's upper part (j >= i) goes through ``float``; a lower token is
-    converted only where its text differs from the upper token it mirrors,
-    and otherwise takes that token's value, which is what ``float`` gives
-    for equal text.  So only a differently spelled pair can be asymmetric.
-    Where there is one, the matrix is checked after the last row by
-    ``linalg.asymmetric_pair`` and averaged by ``linalg.symmetrize``, which
-    leaves every exactly mirrored pair with its bits; otherwise nothing is
-    checked or averaged, so a file :func:`write_matrix` wrote reads back
-    bit for bit.
+    Only the n(n+1)/2 distinct values are converted: each row's upper part
+    (j >= i) goes through ``float``, and a lower token only where its text
+    differs from the upper token it mirrors (:class:`_Mirror`); otherwise
+    it takes that token's value, which is what ``float`` gives for equal
+    text.  So only a differently spelled pair can be asymmetric.  Where
+    there is one, the matrix is checked after the last row by
+    ``linalg.asymmetric_pair`` and averaged by ``linalg.symmetrize``;
+    otherwise nothing is checked or averaged, so a file :func:`write_matrix`
+    wrote reads back bit for bit.
     """
     import numpy as np
 
@@ -314,10 +286,11 @@ def read_matrix_file(path) -> np.ndarray:
 def _matrix_lines(A: np.ndarray) -> Iterator[str]:
     """``sym n`` text of a square matrix, one newline-terminated line at a time.
 
-    Every entry is written as ``format(v, ".17g")``.  Each row's upper part
-    (j >= i) is formatted once; an entry below the diagonal reuses its
-    mirror's text where the two are bitwise equal (so 0.0 and -0.0 stay
-    distinct) and is formatted itself otherwise.
+    Every entry is written as ``format(v, ".17g")``, but only the distinct
+    values are formatted: each row's upper part (j >= i) once, and an entry
+    below the diagonal only where it differs bitwise from its mirror (so
+    0.0 and -0.0 stay distinct); otherwise it reuses the mirror's text
+    (:class:`_Mirror`).
     """
     import numpy as np
 
@@ -628,6 +601,7 @@ def _py(v: Any) -> Any:
 
 
 def _csv_cell(v: Any) -> str:
+    """A CSV cell: ``true``/``false`` for a bool, empty for None, ``%.17g`` for a float."""
     v = _py(v)
     if v is None:
         return ""
@@ -689,13 +663,18 @@ def alignment_csv_bytes(report: AlignmentReport) -> bytes:
     return _lines_bytes(header, (_csv_line(dataclasses.astuple(c)) for c in report.checks))
 
 
-def _bound_doc(result: Any) -> dict[str, Any]:
-    """The result's fields; a non-finite one (an overflow) raises ValueError naming it."""
-    doc = dataclasses.asdict(result) if dataclasses.is_dataclass(result) else {"value": result}
+def _check_fields(doc: dict[str, Any], what: str) -> None:
+    """Raise ValueError naming the first float of ``doc`` that is not finite (an overflow)."""
     for name, v in doc.items():
         v = _py(v)
         if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"bound result field {name!r} is not finite: {v}")
+            raise ValueError(f"{what} field {name!r} is not finite: {v}")
+
+
+def _bound_doc(result: Any) -> dict[str, Any]:
+    """The result's fields, checked by :func:`_check_fields`."""
+    doc = dataclasses.asdict(result) if dataclasses.is_dataclass(result) else {"value": result}
+    _check_fields(doc, "bound result")
     return doc
 
 

@@ -6,68 +6,14 @@ through this module, so the conventions here are load-bearing:
 * eigendecompositions are bare ``(eigenvalues, basis)`` pairs, all n from
   :func:`eig_sym` or the top k from :func:`top_eigenpairs`;
 * eigenvalues are always reported in descending algebraic order;
-* eigenvectors are canonicalized (sign and tie order) so that repeated runs
+* eigenvectors are canonicalized by :func:`_canonicalize`, so repeated runs
   on identical input produce bit-identical decompositions;
 * truncation keeps the top-k eigenpairs in algebraic order, which for
   indefinite input may discard large negative eigenvalues by design.
 
-Top-k route policy
-------------------
-:func:`top_eigenpairs` picks its solver from ``(n, k)`` alone.  Each
-cut-off is a measured crossover; README "Measured decisions" lists where
-each measurement lives.
-
-* ``k <= ARPACK_MAX_K`` and ``n >= ARPACK_MIN_N`` (and
-  ``k <= n * EVR_MAX_FRACTION``): implicitly restarted Lanczos (ARPACK),
-  whose cost grows with k through its basis size and restarts.
-* ``n < ARPACK_MIN_N``: the dense routes below, whatever k is, because
-  ARPACK's fixed cost per call loses at small orders (BENCH_7
-  ``arpack_min_n``).
-* ``ARPACK_MAX_K < k <= n * EVR_MAX_FRACTION``: LAPACK's ``evr`` (MRRR)
-  subset solver.
-* ``k > n * EVR_MAX_FRACTION``: full divide-and-conquer ``evd``, in place,
-  because its cost barely depends on k while ``evr`` slows as the kept
-  block reaches into the clustered tail.
-
-Every route is deterministic for a fixed BLAS build and thread count, so
-repeated calls agree bitwise.  The decay sweep reads only these k pairs of
-each perturbed matrix, built in A's eigenbasis, and forms the dense residual
-``V diag(lambda) V^T - diag(sigma)`` only where its trace identity would
-cancel (``harness._truncation_error_F``).
-
-Spectral norm
--------------
-:func:`spectral_norm_sym` switches at the same order: below
-``ARPACK_MIN_N`` it takes ``max |eigvalsh|``, from there on Lanczos for the
-largest magnitude (``which="LM"``) in scipy's default Krylov basis of
-``max(2k + 1, 20) = 20`` vectors, because the norms a trial takes are mostly
-of truncation errors, whose well separated top magnitude it finds in a few
-dozen products (BENCH_8 and BENCH_13 ``norm_routes``).
-
-Lanczos
--------
-Both ARPACK callers share :func:`_lanczos`:
-
-* the start vector is ``1/sqrt(n)``, so repeated calls agree bitwise;
-* ``tol=0`` runs to machine precision, so the answer does not depend on
-  when ARPACK stops;
-* the operator applies scipy's BLAS ``dsymv`` to the upper triangle of
-  ``A``, which moves half the bytes of a general product (BENCH_13
-  ``per_product_us``);
-* when ``A`` maps the start vector exactly to zero (a zero matrix, or any
-  matrix whose rows sum to zero, such as a graph Laplacian) ARPACK cannot
-  start, and the caller takes its dense route instead;
-* scipy's OpenBLAS, in which the whole loop runs, is set to one thread for
-  the call, because at 2 threads its idle worker keeps spinning and slows
-  numpy's copy next to it (BENCH_7 ``scipy_blas_pin``, BENCH_13 ``pin``).
-  Pinned, Lanczos output is bit-identical at ``OPENBLAS_NUM_THREADS=1``
-  and ``=2``.  numpy's copy is never touched, and the dense ``evr`` and
-  ``evd`` routes keep scipy's thread count.
-
-scipy is imported at the first solve that needs it, so a command that never
-solves does not pay for loading it (the package docstring says what each
-command loads).  ``eigh`` and ``eigsh`` are looked up on its modules at each
-call, so a wrapper patched onto a module is seen.
+The route rules live in :func:`_top_k_route`, :func:`spectral_norm_sym`
+and :func:`_lanczos`.  ``eigh`` and ``eigsh`` are looked up on scipy's
+modules at each call, so a wrapper patched onto a module is seen.
 """
 
 from __future__ import annotations
@@ -100,28 +46,28 @@ __all__ = [
 #: absolute entrywise tolerance for accepting a matrix as symmetric
 SYMMETRY_TOL = 1e-12
 
-#: top_eigenpairs uses ARPACK up to this many eigenpairs (see module docs)
+#: the most eigenpairs top_eigenpairs asks ARPACK for; above it, ``evr``
 ARPACK_MAX_K = 64
 
-#: top_eigenpairs uses ARPACK only from this order up (see module docs)
+#: the least order at which top_eigenpairs and spectral_norm_sym run Lanczos
 ARPACK_MIN_N = 200
 
-#: top_eigenpairs switches to the full ``evd`` solver above this k/n
+#: the k/n above which top_eigenpairs runs the full ``evd`` solver
 EVR_MAX_FRACTION = 0.2
 
 #: rows and columns of the blocks :func:`symmetrize` averages at a time, and
-#: rows of the strips :func:`asymmetric_pair` compares at a time
+#: rows of the strips :func:`asymmetric_pair` compares at a time, so each
+#: holds one block or strip where the plain forms hold n-by-n temporaries
 _SYM_BLOCK = 256
 
 
 def require_symmetric(A: np.ndarray) -> np.ndarray:
     """Validate that ``A`` is square, finite and symmetric; return it as float64.
 
-    Symmetry is checked by :func:`asymmetric_pair`, which names the pair a
-    rejection reports.  An exactly symmetric float64 array is returned as it
-    is, so a caller that overwrites the result must copy it first; any other
-    input is averaged with its transpose by :func:`symmetrize` (on a copy),
-    so later algebra never sees the sub-tolerance asymmetry.
+    A rejection names the pair :func:`asymmetric_pair` finds.  An exactly
+    symmetric float64 array is returned as it is, so a caller that
+    overwrites the result must copy it first; any other input is returned
+    as a :func:`symmetrize`'d copy.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -154,13 +100,10 @@ def check_finite(A: np.ndarray, what: str) -> None:
 def asymmetric_pair(A: np.ndarray) -> tuple[int, int, float] | None:
     """The pair whose asymmetry rejects the square float64 ``A``, or None.
 
-    This is the one symmetry check, which :func:`require_symmetric` and
-    ``io``'s ``sym n`` reader both word: the largest |a_ij - a_ji|, an
-    overflow counting as inf, is compared with ``SYMMETRY_TOL`` (absolute).
-    Past it, the 0-based ``(i, j, |a_ij - a_ji|)`` of the first such pair
-    in row order is returned, which is an upper entry (i < j).  Works
-    through strips of ``_SYM_BLOCK`` rows, so it holds one strip's
-    differences at a time.
+    This is the one symmetry check: the largest |a_ij - a_ji|, an overflow
+    counting as inf, is compared with ``SYMMETRY_TOL`` (absolute).  Past
+    it, the 0-based ``(i, j, |a_ij - a_ji|)`` of the first such pair in row
+    order is returned, which is an upper entry (i < j).
     """
     worst = (0.0, 0, 0)
     with np.errstate(over="ignore"):
@@ -178,15 +121,10 @@ def asymmetric_pair(A: np.ndarray) -> tuple[int, int, float] | None:
 def symmetrize(B: np.ndarray) -> np.ndarray:
     """Overwrite the square float64 ``B`` with the average of each pair and return it.
 
-    This is the one rule for averaging a symmetric pair, which ``io``'s
-    ``sym n`` reader and :func:`require_symmetric` apply too: each entry is
+    This is the one rule for averaging a symmetric pair: each entry is
     ``(b_ij + b_ji) / 2``, or ``b_ij/2 + b_ji/2`` where that sum overflows,
     so a pair of finite entries averages to a finite value.  The sum is
-    symmetric in its terms, so a block and its mirror share one.  Works
-    through pairs of ``_SYM_BLOCK``-square blocks, so it holds one block
-    where the plain form holds two n-by-n temporaries, and from about
-    n = 1000 up it is also the faster form (BENCH_23).  One sum over each
-    block finds an overflow; a block without one allocates nothing more.
+    symmetric in its terms, so a block and its mirror share one.
     """
     n = B.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,7 +192,7 @@ def eig_sym(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     A : (n, n) array_like
-        Symmetric with finite entries (validated; entrywise tolerance 1e-12).
+        Symmetric with finite entries, as :func:`require_symmetric` validates.
 
     Returns
     -------
@@ -273,9 +211,7 @@ def eig_sym(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     A = require_symmetric(A)
     w, V = np.linalg.eigh(A)
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    return _canonicalize(w, V)
+    return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())
 
 
 @functools.cache
@@ -303,7 +239,7 @@ def _scipy_openblas():
 
 @contextlib.contextmanager
 def _one_scipy_blas_thread():
-    """Run the block with scipy's OpenBLAS on one thread, then restore its count.
+    """Set scipy's OpenBLAS thread count to 1 for the block, then restore it.
 
     Does nothing when scipy's BLAS does not export the thread-count symbols.
     """
@@ -323,13 +259,23 @@ def _one_scipy_blas_thread():
 def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
     """``eigsh`` of ``A`` as both ARPACK callers run it, or None if it cannot start.
 
-    Lanczos starts from the fixed vector ``1/sqrt(n)`` and runs to machine
-    precision (``tol=0``) in scipy's default Krylov basis, with scipy's BLAS
-    on one thread.  Its operator is BLAS ``dsymv`` on the upper triangle of
-    ``A``, handed over as the F-ordered view ``A.T`` (no copy for C-ordered
-    ``A``).  When ``A`` maps the start vector exactly to zero (a zero
-    matrix, or rows that sum to zero) ARPACK would stop with "Starting
-    vector is zero"; None then tells the caller to take its dense route.
+    This is the one Lanczos contract:
+
+    * the start vector is ``1/sqrt(n)``, so repeated calls agree bitwise;
+    * ``tol=0`` runs to machine precision in scipy's default Krylov basis,
+      so the answer does not depend on when ARPACK stops; ``eigsh`` raises
+      ``ArpackNoConvergence`` if it does not converge;
+    * the operator is BLAS ``dsymv`` on the upper triangle of ``A``, handed
+      over as the F-ordered view ``A.T`` (no copy for C-ordered ``A``);
+    * when ``A`` maps the start vector exactly to zero (a zero matrix, or
+      rows that sum to zero, such as a graph Laplacian) ARPACK would stop
+      with "Starting vector is zero"; None then tells the caller to take
+      its dense route;
+    * the whole run, products included, is in scipy's OpenBLAS, held to
+      one thread for the call, so its output does not depend on the BLAS
+      thread count; numpy's copy and the dense routes keep their counts.
+
+    README "Measured decisions" cites what measured ``dsymv`` and the pin.
     """
     import scipy.sparse.linalg
     from scipy.linalg.blas import dsymv
@@ -349,7 +295,19 @@ def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
 
 
 def _top_k_route(n: int, k: int) -> str:
-    """Solver that :func:`top_eigenpairs` uses for the top ``k`` of order ``n``."""
+    """Solver that :func:`top_eigenpairs` uses for the top ``k`` of order ``n``.
+
+    The route is chosen from ``(n, k)`` alone, each cut-off a measured
+    crossover (README "Measured decisions"):
+
+    * ``"arpack"`` (:func:`_lanczos`) for ``k <= ARPACK_MAX_K`` from order
+      ``ARPACK_MIN_N``, below which its fixed cost per call loses; its cost
+      grows with k through its basis size and restarts;
+    * ``"evd"``, the full divide-and-conquer solver, for
+      ``k > n * EVR_MAX_FRACTION``, because its cost barely depends on k
+      while ``evr`` slows as the kept block reaches into the clustered tail;
+    * ``"evr"``, LAPACK's MRRR subset solver, otherwise.
+    """
     if k > n * EVR_MAX_FRACTION:
         return "evd"
     if k <= ARPACK_MAX_K and n >= ARPACK_MIN_N:
@@ -379,13 +337,10 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Notes
     -----
-    The route policy is in the module docstring.
-    ARPACK runs to machine precision (``tol=0``) from the fixed start vector
-    ``1/sqrt(n)``, with scipy's BLAS on one thread, and raises
-    ``ArpackNoConvergence`` if it does not converge; a matrix that maps the
-    start vector to zero takes the ``evr`` route instead.  The ``evd``
-    route hands LAPACK the F-ordered view ``A.T``, which for symmetric ``A``
-    is the same matrix, so it overwrites ``A`` instead of allocating a copy.
+    :func:`_top_k_route` picks the solver; an ARPACK run that cannot start
+    takes the ``evr`` route instead.  The ``evd`` route hands LAPACK the
+    F-ordered view ``A.T``, which for symmetric ``A`` is the same matrix, so
+    it overwrites ``A`` instead of allocating a copy.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -413,14 +368,14 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The matrix ``V diag(lambda) V^T`` of the eigenpairs kept.
 
-    ``eigenvalues`` (k,) and ``basis`` (n, k) are the kept pairs, as
-    :func:`top_eigenpairs` returns them or as leading slices of what
-    :func:`eig_sym` returns; k = 0 gives the zero matrix.  The result
-    is exactly symmetric.  An eigenvalue past the float range gives
-    non-finite entries, and no warning, for the caller to reject.
+    This is the one such product.  ``eigenvalues`` (k,) and ``basis``
+    (n, k) are the kept pairs, as :func:`top_eigenpairs` returns them or as
+    leading slices of what :func:`eig_sym` returns, or any k weights and k
+    columns; k = 0 gives the zero matrix.  The result is exactly symmetric.
+    An eigenvalue past the float range gives non-finite entries, and no
+    warning, for the caller to reject.
     """
-    k = eigenvalues.shape[0]
-    if eigenvalues.ndim != 1 or basis.ndim != 2 or basis.shape[1] != k:
+    if eigenvalues.ndim != 1 or basis.ndim != 2 or basis.shape[1] != eigenvalues.shape[0]:
         raise ValueError(
             f"need k eigenvalues and an n-by-k basis, got shapes "
             f"{eigenvalues.shape} and {basis.shape}"
@@ -433,11 +388,11 @@ def spectral_norm_sym(A: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest eigenvalue magnitude).
 
     Reads only the upper triangle of ``A``.  Orders below ``ARPACK_MIN_N``
-    use the dense eigenvalue solver; from there on a Lanczos iteration
-    (``which="LM"``, scipy's default basis) run to machine precision from a
-    fixed start vector, with scipy's BLAS on one thread, so repeated calls
-    agree bitwise.  A matrix that annihilates the start vector takes the
-    dense solver at any order.  The module docstring gives the cut-off.
+    take ``max |eigvalsh|``; from there on :func:`_lanczos` finds the
+    largest magnitude (``which="LM"``), because the norms a trial takes are
+    mostly of truncation errors, whose well separated top magnitude it finds
+    in a few dozen products (BENCH_8 and BENCH_13 ``norm_routes``).  A
+    matrix that annihilates the start vector takes ``eigvalsh`` at any order.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
@@ -474,14 +429,15 @@ def _frobenius(M: np.ndarray) -> float:
 
     The one Frobenius norm of an error or a matrix that the harness and
     proofcheck report, so a matrix near the top of the float range gives a
-    finite norm wherever the true one is finite.
+    finite norm wherever the true one is finite.  A non-finite max|M| is
+    returned as it is.
     """
     with np.errstate(over="ignore"):
         fro = float(np.linalg.norm(M, "fro"))
     if math.isfinite(fro):
         return fro
     top = float(np.max(np.abs(M)))
-    return top * float(np.linalg.norm(M / top, "fro"))
+    return top * float(np.linalg.norm(M / top, "fro")) if math.isfinite(top) else top
 
 
 def effective_rank(sig: np.ndarray) -> float:
@@ -516,10 +472,8 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         the discarded and kept parts; gap = sigma_k - sigma_{k+1};
         gamma_k = sigma_k / sigma_{k+1} (+inf when the tail vanishes or the
         ratio overflows);
-        stable rank = ||.||_F^2 / sigma_1^2; effective rank = trace / sigma_1.
-        The masses, the stable rank and the effective rank are computed from
-        the spectrum scaled by its largest value when the plain sums would
-        overflow or fall below the normal float range.
+        stable rank = ||.||_F^2 / sigma_1^2; effective rank = trace / sigma_1,
+        each rescaled by sigma_1 where the plain sums leave the normal range.
     """
     sig = descending_spectrum(eigenvalues, k)
     if sig[0] <= 0:

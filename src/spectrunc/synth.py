@@ -1,12 +1,7 @@
 """Deterministic synthetic-instance generation.
 
-Randomness policy: every stochastic routine takes an explicit
-``numpy.random.Generator``.  Experiment code obtains generators from
-:func:`rng_stream`, which keys a counter-based Philox engine on
-``(seed, stream_id)`` -- streams are statistically independent, order of
-use is irrelevant, and identical (seed, stream) pairs reproduce draws
-bit-for-bit on a fixed numpy version (the harness records that version in
-every report).
+Every stochastic routine takes an explicit ``numpy.random.Generator``;
+experiment code obtains them from :func:`rng_stream`.
 """
 
 from __future__ import annotations
@@ -16,7 +11,7 @@ import numpy as np
 from .bounds import check_domain
 from .config import check_basis, spectrum_head
 from .estimators import ObservationSet, SampleSet
-from .linalg import require_symmetric, spectral_norm_sym, symmetrize
+from .linalg import require_symmetric, spectral_norm_sym, truncate
 
 __all__ = [
     "rng_stream",
@@ -35,9 +30,13 @@ PSD_TOL = 1e-6
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Independent generator for the given (seed, stream) pair."""
-    if seed < 0 or stream_id < 0:
-        raise ValueError("seed and stream_id must be nonnegative")
+    """Independent generator for the given (seed, stream) pair, each in [0, 2**64).
+
+    A counter-based Philox engine keyed on ``(seed, stream_id)``: streams
+    are statistically independent, order of use is irrelevant, and equal
+    pairs reproduce draws bit for bit on a fixed numpy version.
+    """
+    check_domain(seed=seed, stream_id=stream_id)
     key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -51,14 +50,11 @@ def make_spectrum(
 ) -> np.ndarray:
     """Descending eigenvalue sequence of one of the stock decay profiles.
 
-    kind ``"powerlaw"``   : sigma_j = j**(-beta), needs finite ``beta`` > 0;
-    kind ``"exponential"``: sigma_j = exp(-c*j),  needs finite ``c`` > 0;
-    kind ``"explicit"``   : ``values`` verbatim (validated nonincreasing,
-    finite, nonnegative, length n).
+    kind ``"powerlaw"``   : sigma_j = j**(-beta);
+    kind ``"exponential"``: sigma_j = exp(-c*j);
+    kind ``"explicit"``   : ``values`` verbatim.
 
-    A parameter that ``kind`` does not read must be None.  The checks are
-    :func:`config.spectrum_head`'s, which the run config applies without
-    building the spectrum.
+    The parameters are checked by :func:`config.spectrum_head`.
     """
     spectrum_head(kind, n, beta=beta, c=c, values=values)
     if kind == "explicit":
@@ -80,8 +76,8 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 def psd_from_spectrum(spectrum: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     """Symmetric matrix with the prescribed spectrum in the given basis.
 
-    ``basis=None`` gives the diagonal matrix.  The assembled product is
-    re-symmetrized so the result is exactly symmetric.
+    ``basis=None`` gives the diagonal matrix, any other basis
+    ``linalg.truncate(spectrum, basis)``.
     """
     sig = np.asarray(spectrum, dtype=np.float64)
     n = sig.shape[0]
@@ -90,7 +86,7 @@ def psd_from_spectrum(spectrum: np.ndarray, basis: np.ndarray | None = None) -> 
     U = np.asarray(basis, dtype=np.float64)
     if U.shape != (n, n):
         raise ValueError(f"basis shape {U.shape} does not match spectrum length {n}")
-    return symmetrize((U * sig) @ U.T)
+    return truncate(sig, U)
 
 
 def instance(spectrum: np.ndarray, basis: str, rng: np.random.Generator) -> np.ndarray:

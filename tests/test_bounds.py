@@ -120,6 +120,9 @@ def test_envelope_frozen_three_regimes():
     assert (flat.m1, flat.m2) == (0, 6)
     steep = spectral_envelope(np.array([10.0, 1.0, 0.1, 0.01]), k=1, eps=0.25)
     assert (steep.m1, steep.m2) == (1, 1)
+    # sigma_2 = (1 + 2 eps) sigma_3 and sigma_3 = sigma_2 - 2 eps sigma_3, exactly
+    edge = spectral_envelope(np.array([4.0, 3.0, 2.0, 1.0]), k=2, eps=0.25)
+    assert (edge.m1, edge.m2) == (2, 3)
 
 
 def test_envelope_invariants_random():
@@ -290,6 +293,8 @@ def test_denoising_bound_precondition():
     assert rep.margin < 0
     ok = denoising_error_bound(nu=0.24, sigma_k1=1.0, k=1, tail_F=1.0)
     assert ok.precondition_holds
+    edge = denoising_error_bound(nu=0.25, sigma_k1=1.0, k=1, tail_F=1.0)  # nu must lie below
+    assert not edge.precondition_holds and edge.margin == 0.0
 
 
 # ------------------------------------------------------------- covariance

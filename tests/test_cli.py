@@ -6,6 +6,7 @@ import io as stdio
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -28,11 +29,13 @@ from spectrunc.estimators import SampleSet
 from spectrunc.io import (
     FormatError,
     matrix_bytes,
+    observations_bytes,
     read_matrix,
     read_observations,
     read_samples,
     samples_bytes,
 )
+from spectrunc.synth import bernoulli_observe, rng_stream
 
 
 def run_cli(*argv):
@@ -360,7 +363,9 @@ def test_bounds_exits_zero_with_finite_values_or_one_naming_what_failed(call):
     argv = ["bounds", "--kind", kind, *(a for key, v in sets.items() for a in ("--set", f"{key}={v}"))]
     out, err = stdio.StringIO(), stdio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
     if code == 0:
         assert _finite_leaves(json.loads(out.getvalue())), (argv, out.getvalue())
     else:
@@ -419,6 +424,111 @@ def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
         warnings.simplefilter("error")
         assert run_cli(*argv) == 0
     assert json.loads(capsys.readouterr().out)["all_passed"]
+
+
+#: an exit-1 message naming what failed: a field, an entry, a parameter or the spectrum
+_NAMED = re.compile(
+    r"error: (trial \d+ field '\w+'|\w+ entry \([\d, ]+\)|\w+ must|leading eigenvalue)[^\n]*\n"
+)
+_TIMING = re.compile(r"\w+: \d+ trial\(s\) in \d+\.\d\ds\n")
+
+
+def _ends_alike_without_warnings(argv, capsys):
+    """Run ``argv`` plainly, raising no warning, then with warnings as errors, to the same end.
+
+    It ends in 0 with no non-finite value written, or in 1 naming what failed.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    plain = capsys.readouterr()
+    assert not caught, (argv, [str(w.message) for w in caught])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == code, argv
+    again = capsys.readouterr()
+    assert again.out == plain.out, argv
+    assert _TIMING.sub("", again.err) == _TIMING.sub("", plain.err), argv
+    if code == 0:
+        assert not re.search(r"\b(inf|nan|infinity)\b", plain.out, re.IGNORECASE), argv
+    else:
+        assert code == 1 and _NAMED.fullmatch(plain.err), (argv, plain.err)
+
+
+#: explicit n = 12 spectra whose trials leave the float range: a Haar trial's error is
+#: about 1e284 against a tail of 3e-300, and the top pair's squares and sums overflow
+_EDGE_SPECTRA = ["1e300, " + ", ".join(["1e-300"] * 11), "1.7e308, 1e308, " + ", ".join(["1"] * 10)]
+
+
+#: per-trial experiment -> its config keys besides k
+_EDGE_KEYS = {
+    "relative": "eps = 0.1", "gap": "eps = 0.1", "alignment": "eps = 0.1", "denoising": "nu = 0.01",
+    "completion": "eps = 0.1\np = 0.5\nt = 0.1", "covariance": "eps = 0.1\nn_samples = 40",
+}
+
+
+@pytest.mark.parametrize("experiment", _EDGE_KEYS)
+def test_run_at_the_float_edges_names_what_is_not_finite(experiment, workdir, capsys):
+    keys = _EDGE_KEYS[experiment]
+    cfg = workdir / "edge.cfg"
+    for values in _EDGE_SPECTRA:
+        for basis in ("haar", "identity"):
+            cfg.write_text(f"experiment = {experiment}\nn = 12\ntrials = 2\nseed = 0\n"
+                           f"spectrum = explicit\nspectrum_values = {values}\nbasis = {basis}\n"
+                           f"k = 2\n{keys}\n")
+            for fmt in ("json", "csv"):
+                _ends_alike_without_warnings(["run", "--config", str(cfg), "--format", fmt], capsys)
+
+
+@pytest.mark.parametrize("basis", ["haar", "identity"])
+def test_synth_at_the_float_edges_ends_alike_with_warnings_as_errors(basis, capsys):
+    for values in _EDGE_SPECTRA:
+        argv = ["synth", "--kind", "explicit", "--n", "12", "--values", values, "--basis", basis]
+        _ends_alike_without_warnings(argv, capsys)
+
+
+def _edge_matrix(name: str) -> np.ndarray:
+    """ROADMAP item 1's corpus at n = 300, and three matrices at the ends of the float range."""
+    n, ones = 300, np.ones(299)
+    if name == "tied_diagonal":
+        return np.diag([1.0, 1.0, 1.0, *np.linspace(0.5, 0.01, n - 3)])
+    if name == "repeated_blocks":
+        B = linalg.symmetrize(np.random.default_rng(0).standard_normal((50, 50)))
+        return np.kron(np.eye(6), B)
+    if name == "path_laplacian_plus_identity":
+        return np.diag(np.r_[2.0, 3 * ones[1:], 2.0]) - np.diag(ones, 1) - np.diag(ones, -1)
+    if name == "cycle_laplacian":
+        return 2 * np.eye(n) - np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)
+    if name == "zero":
+        return np.zeros((n, n))
+    if name == "subnormal":
+        return np.full((6, 6), 1e-320)
+    if name == "near_max":
+        return np.diag([1.7e308, 1e308, 1.0, 1.0, 0.5, 0.1])
+    A = np.eye(6)  # "infinite_eigenvalue": the top eigenvalue, 3e308, is past the float range
+    A[:2, :2] = 1.5e308
+    return A
+
+
+@pytest.mark.parametrize("name", [
+    "tied_diagonal", "repeated_blocks", "path_laplacian_plus_identity", "cycle_laplacian",
+    "zero", "subnormal", "near_max", "infinite_eigenvalue",
+])
+def test_file_commands_at_the_edges_end_alike_with_warnings_as_errors(name, workdir, capsys):
+    A = _edge_matrix(name)
+    paths = {"sym": workdir / "a.sym", "obs": workdir / "a.obs", "samples": workdir / "a.txt"}
+    paths["sym"].write_bytes(matrix_bytes(A))
+    paths["obs"].write_bytes(observations_bytes(bernoulli_observe(A, 0.5, rng_stream(0, 0))))
+    paths["samples"].write_bytes(samples_bytes(SampleSet(N=A.shape[0], n=A.shape[0], X=A)))
+    sym, obs, samples = (str(p) for p in paths.values())
+    for argv in (
+        ["denoise", "--matrix", sym, "--k", "3"],
+        ["complete", "--obs", obs, "--k", "3"],
+        ["cov", "--samples", samples, "--k", "3"],
+        ["cov", "--samples", samples, "--k", "3", "--center"],
+        ["verify", "--matrix", sym, "--perturbed", sym, "--k", "3", "--eps", "0.1"],
+    ):
+        _ends_alike_without_warnings(argv, capsys)
 
 
 @pytest.mark.parametrize("kind, inputs, message", [
@@ -541,6 +651,13 @@ def test_synth_rejects_order_zero(capsys):
     assert run_cli("synth", "--kind", "powerlaw", "--n", "0", "--beta", "1",
                    "--basis", "identity") == 1
     assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("flag, name", [("--seed", "seed"), ("--stream", "stream_id")])
+def test_synth_rejects_a_key_past_64_bits_by_name(flag, name, capsys):
+    assert run_cli("synth", "--kind", "powerlaw", "--n", "4", "--beta", "1",
+                   "--basis", "haar", flag, str(2**64)) == 1
+    assert capsys.readouterr().err == f"error: {name} must lie in [0, 2**64), got {2**64}\n"
 
 
 def test_complete_rejects_order_zero_on_the_header(workdir, capsys):

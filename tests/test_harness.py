@@ -22,9 +22,12 @@ from spectrunc import (
     sample_covariance,
     truncate,
 )
+from spectrunc import harness
+from spectrunc.bounds import SamplingThreshold
 from spectrunc.harness import (
     TrialRecord,
     _aggregate,
+    _covariance_step,
     _truncation_error_F,
 )
 from spectrunc.io import matrix_bytes, report_json_bytes
@@ -69,7 +72,7 @@ _REJECTS = [
      "'denoising', 'completion', 'covariance', 'decay_rate')"),
     (dict(n=1), "n must be >= 2, got 1"),
     (dict(trials=0), "trials must be >= 1, got 0"),
-    (dict(seed=-1), "seed must be nonnegative, got -1"),
+    (dict(seed=-1), "seed must lie in [0, 2**64), got -1"),
     (dict(basis="fourier"), "basis must be 'haar' or 'identity', got 'fourier'"),
     (dict(spectrum_kind="cauchy"),
      "unknown spectrum kind 'cauchy'; expected one of ('powerlaw', 'exponential', 'explicit')"),
@@ -146,6 +149,8 @@ _REJECTS = [
     (dict(nu=0.05), "experiment 'relative' does not use nu"),
     (dict(experiment="denoising", eps=None, nu=0.05, p=0.5),
      "experiment 'denoising' does not use p"),
+    # a Philox key word holds 64 bits
+    (dict(seed=2**64), "seed must lie in [0, 2**64), got 18446744073709551616"),
 ]
 
 
@@ -350,6 +355,31 @@ def test_decay_rate_structure():
     assert "slope" in rep.aggregates
     # smaller delta, smaller error
     assert per[0]["median_error_F"] < per[1]["median_error_F"]
+
+
+def test_decay_precondition_holds_at_its_flip_point():
+    # C1 = 16 gives k = 31 at delta = 1/2, so tail_2 = 1/32 = delta/16 exactly
+    cfg = base_cfg(experiment="decay_rate", k=None, eps=None, n=40, trials=1,
+                   basis="identity", delta_grid=(0.5,), C1=16.0)
+    (rec,) = run_experiment(cfg).trials
+    assert (rec.aux["k_used"], rec.tail_2) == (31, 1 / 32)
+    assert rec.precondition_holds and rec.precondition_margin == 0.0
+
+
+def test_covariance_error_equal_to_the_rate_beats_the_guarantee():
+    cfg = base_cfg(experiment="covariance", n_samples=50)
+    sig = cfg.spectrum()
+    rng = rng_stream(cfg.seed, 0)
+    _, _, judge = _covariance_step(cfg, sig, instance(sig, cfg.basis, rng), rng)
+    rate = judge(0.0, 1.0)[3]["rate_frobenius"]
+    assert judge(rate, 1.0)[3]["beats_guarantee"]
+
+
+def test_completion_precondition_holds_at_the_required_rate(monkeypatch):
+    monkeypatch.setattr(harness, "completion_sampling_threshold",
+                        lambda *args, **kw: SamplingThreshold("relative", 0.5, 0.5, False))
+    rec = run_trial(base_cfg(experiment="completion", p=0.5, t=0.1), 0)
+    assert rec.precondition_holds and rec.precondition_margin == 0.0
 
 
 def test_decay_rate_deterministic():

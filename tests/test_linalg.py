@@ -230,6 +230,8 @@ def test_truncate_rank_bounds():
         truncate(w[:1], U)  # more basis columns than eigenvalues
     with pytest.raises(ValueError, match="n-by-k basis"):
         truncate(w[:, None], U)
+    with pytest.raises(ValueError, match="n-by-k basis"):
+        truncate(np.array(1.0), U)  # a 0-d array has no length to compare
 
 
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])

@@ -14,7 +14,9 @@ Single-vector Lanczos sees one direction per eigenspace (Parlett, *The
 Symmetric Eigenvalue Problem*, 1998, ch. 13), so on an eigenvalue of
 multiplicity above one it can miss copies that the dense route returns.
 The two cases that show this are strict xfails, named after ROADMAP item
-1, whose fix must flip them.
+1, whose fix must flip them.  A third strict xfail, named after items 1
+and 3, is a rank-one matrix of subnormal entries, on which Lanczos loses
+orthogonality and overstates the norm.
 """
 
 import json
@@ -45,6 +47,7 @@ from spectrunc.synth import (
 RTOL = 1e-12
 
 ITEM_1 = "ROADMAP item 1: Lanczos misses copies of a repeated eigenvalue"
+ITEMS_1_3 = "ROADMAP items 1 and 3: Lanczos loses orthogonality at subnormal scale"
 
 
 @pytest.fixture
@@ -126,6 +129,13 @@ def test_top_eigenpairs_of_repeated_blocks_agree_across_routes(both_routes):
     A = np.kron(np.eye(6), B)
     plain, dense = both_routes(lambda: linalg.top_eigenpairs(A.copy(), 4)[0])
     np.testing.assert_allclose(plain, dense, rtol=RTOL, atol=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEMS_1_3)
+def test_spectral_norm_at_subnormal_scale_agrees_across_routes(both_routes):
+    A = np.full((250, 250), 1e-310)  # rank one, lambda_1 = 2.5e-308
+    plain, dense = both_routes(lambda: linalg.spectral_norm_sym(A))
+    assert_agree(plain, dense)
 
 
 @pytest.fixture(scope="module")

@@ -29,6 +29,14 @@ def test_rng_stream_reproducible_and_independent():
         rng_stream(-1, 0)
 
 
+def test_rng_stream_keys_lie_in_0_to_2_64():
+    top = 2**64 - 1
+    assert not np.array_equal(rng_stream(top, top).random(4), rng_stream(top, 0).random(4))
+    for seed, stream, name in [(2**64, 0, "seed"), (0, 2**64, "stream_id"), (0, -1, "stream_id")]:
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\*\*64\), got "):
+            rng_stream(seed, stream)
+
+
 def test_make_spectrum_profiles():
     pl = make_spectrum("powerlaw", 4, beta=1.0)
     np.testing.assert_allclose(pl, [1.0, 0.5, 1 / 3, 0.25], rtol=1e-15)
