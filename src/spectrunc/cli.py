@@ -75,18 +75,6 @@ def _emit_matrix(A, out: str | None) -> None:
         io.write_matrix(A, fh)
 
 
-def _parse_kv(pairs: list[str]) -> dict[str, str]:
-    vals: dict[str, str] = {}
-    for item in pairs:
-        key, sep, value = item.partition("=")
-        if not sep or not key or not value:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        if key in vals:
-            raise ValueError(f"duplicate --set key {key!r}")
-        vals[key] = value
-    return vals
-
-
 def _cmd_synth(args) -> int:
     from .synth import instance, make_spectrum, rng_stream
 
@@ -144,7 +132,10 @@ def _eval_bound(kind: str, vals: dict[str, str]):
 
 
 def _cmd_bounds(args) -> int:
-    _emit(_eval_bound(args.kind, _parse_kv(args.set or [])), args)
+    items = ((None, item) for item in args.set or [])
+    vals = io.parse_pairs(items, "--set expects key=value, got {item!r}",
+                          "duplicate --set key {key!r}")
+    _emit(_eval_bound(args.kind, vals), args)
     return 0
 
 
@@ -160,7 +151,7 @@ def _cmd_verify(args) -> int:
     delta = spectral_norm_sym(A_hat - A)
     pairs = top_eigenpairs(A_hat, args.k)
     del A_hat  # only its top-k pairs are checked
-    report = check_alignment(A, *pairs, args.k, args.eps, delta)
+    report = check_alignment(A, *pairs, args.k, args.eps, delta, what="--matrix")
     _emit(report, args)
     if not report.applicable:
         print(

@@ -24,7 +24,7 @@ import json
 import math
 import types
 import typing
-from typing import TYPE_CHECKING, Any, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
 from .config import ExperimentConfig
 
@@ -48,6 +48,7 @@ __all__ = [
     "read_samples_file",
     "samples_bytes",
     "parse_value",
+    "parse_pairs",
     "parse_kwargs",
     "parse_config",
     "read_config",
@@ -528,17 +529,30 @@ def read_config(path) -> ExperimentConfig:
         return _parse_config(fh)
 
 
-def _parse_config(source: str | TextIO) -> ExperimentConfig:
+def parse_pairs(items: Iterable[tuple[int | None, str]], malformed: str,
+                duplicate: str) -> dict[str, str]:
+    """``key -> value`` of ``key = value`` items, each with its line number or None.
+
+    The one splitter of config lines and ``bounds --set`` items: whitespace
+    runs read as one space around a stripped key and value, so ``k=3`` and
+    ``k = 3`` bind alike.  An item without ``=``, a key or a value, and a
+    repeated key, raise :class:`FormatError` on the item's line, from the
+    template ``malformed`` (given ``item``) or ``duplicate`` (given ``key``).
+    """
     raw: dict[str, str] = {}
-    for ln, s in _DataLines(source):
-        key, eq, value = " ".join(s.split()).partition("=")
+    for ln, item in items:
+        key, eq, value = " ".join(item.split()).partition("=")
         key, value = key.strip(), value.strip()
         if not (eq and key and value):
-            raise FormatError("expected 'key = value'", ln)
+            raise FormatError(malformed.format(item=item), ln)
         if key in raw:
-            raise FormatError(f"duplicate key {key!r}", ln)
+            raise FormatError(duplicate.format(key=key), ln)
         raw[key] = value
+    return raw
 
+
+def _parse_config(source: str | TextIO) -> ExperimentConfig:
+    raw = parse_pairs(_DataLines(source), "expected 'key = value'", "duplicate key {key!r}")
     oracle = raw.get("k") == "oracle"
     if oracle:
         del raw["k"]

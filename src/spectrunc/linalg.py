@@ -18,7 +18,6 @@ modules at each call, so a wrapper patched onto a module is seen.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -214,46 +213,35 @@ def eig_sym(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())
 
 
-@functools.cache
-def _scipy_openblas():
-    """``(get, set)`` of the thread count of scipy's bundled OpenBLAS, or None.
+#: OpenBLAS copy -> (the module that links it, the suffix of its exported symbols)
+_OPENBLAS = {"numpy": ("numpy.linalg._umath_linalg", "64_"),
+             "scipy": ("scipy.linalg._flapack", "")}
 
-    scipy and numpy each load their own OpenBLAS copy; the symbols are
-    looked up through scipy's LAPACK extension, so numpy's copy (whose
-    symbols carry a ``64_`` suffix) is never reached.
+
+@functools.cache
+def _openblas(copy: str):
+    """``(build, get_threads, set_threads)`` of OpenBLAS copy ``copy``, or None.
+
+    This is the one ctypes handle on OpenBLAS.  numpy and scipy each load
+    their own copy, reached through the symbols ``_OPENBLAS`` names, so
+    neither reaches the other.  ``build`` is the copy's configuration string,
+    its whitespace runs read as one space.  None when the library does not
+    load or lacks a symbol.
     """
     import ctypes
+    import importlib
 
-    import scipy.linalg
-
+    module, suffix = _OPENBLAS[copy]
     try:
-        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
-        get = lib.scipy_openblas_get_num_threads
-        set_ = lib.scipy_openblas_set_num_threads
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        config, get, set_ = (getattr(lib, f"scipy_openblas_{name}{suffix}")
+                             for name in ("get_config", "get_num_threads", "set_num_threads"))
     except (OSError, AttributeError):
         return None
+    config.argtypes, config.restype = [], ctypes.c_char_p
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextlib.contextmanager
-def _one_scipy_blas_thread():
-    """Set scipy's OpenBLAS thread count to 1 for the block, then restore it.
-
-    Does nothing when scipy's BLAS does not export the thread-count symbols.
-    """
-    funcs = _scipy_openblas()
-    if funcs is None:
-        yield
-        return
-    get, set_ = funcs
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+    return " ".join(config().decode().split()), get, set_
 
 
 def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
@@ -286,12 +274,19 @@ def _lanczos(A: np.ndarray, k: int, which: str, return_eigenvectors: bool):
         (n, n), matvec=lambda x: dsymv(1.0, At, x, lower=1), dtype=np.float64
     )
     v0 = np.full(n, 1.0 / np.sqrt(n))
-    with _one_scipy_blas_thread():
+    blas = _openblas("scipy")  # None: a build without the symbols runs unpinned
+    if blas:
+        threads = blas[1]()
+        blas[2](1)
+    try:
         if not np.any(op.matvec(v0)):
             return None
         return scipy.sparse.linalg.eigsh(
             op, k=k, which=which, v0=v0, tol=0, return_eigenvectors=return_eigenvectors
         )
+    finally:
+        if blas:
+            blas[2](threads)
 
 
 def _top_k_route(n: int, k: int) -> str:
@@ -338,9 +333,9 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Notes
     -----
     :func:`_top_k_route` picks the solver; an ARPACK run that cannot start
-    takes the ``evr`` route instead.  The ``evd`` route hands LAPACK the
-    F-ordered view ``A.T``, which for symmetric ``A`` is the same matrix, so
-    it overwrites ``A`` instead of allocating a copy.
+    takes the ``evr`` route instead.  Both dense routes are one ``eigh``
+    call on the F-ordered view ``A.T``, which for symmetric ``A`` is the same
+    matrix, so LAPACK overwrites ``A`` instead of allocating a copy.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -350,19 +345,12 @@ def top_eigenpairs(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     import scipy.linalg
 
     route = _top_k_route(n, k)
-    pairs = None
-    if route == "arpack":
-        pairs = _lanczos(A, k, "LA", return_eigenvectors=True)
-    if pairs is not None:
-        w, V = pairs
-    elif route == "evd":
-        w, V = scipy.linalg.eigh(A.T, overwrite_a=True, driver="evd", check_finite=False)
-        w, V = w[n - k :], V[:, n - k :]
-    else:
-        w, V = scipy.linalg.eigh(
-            A.T, subset_by_index=[n - k, n - 1], overwrite_a=True, check_finite=False
-        )
-    return _canonicalize(w[::-1].copy(), V[:, ::-1].copy())
+    pairs = _lanczos(A, k, "LA", return_eigenvectors=True) if route == "arpack" else None
+    if pairs is None:
+        solver = {"driver": "evd"} if route == "evd" else {"subset_by_index": [n - k, n - 1]}
+        pairs = scipy.linalg.eigh(A.T, overwrite_a=True, check_finite=False, **solver)
+    w, V = pairs  # ascending: the top k are the last k
+    return _canonicalize(w[::-1][:k].copy(), V[:, ::-1][:, :k].copy())
 
 
 def truncate(eigenvalues: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -453,7 +441,7 @@ def effective_rank(sig: np.ndarray) -> float:
     return float(np.sum(sig / sig[0]))
 
 
-def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
+def spectrum_stats(eigenvalues: np.ndarray, k: int, what: str = "spectrum") -> SpectrumStats:
     """Summaries of a descending spectrum split after position ``k``.
 
     Parameters
@@ -464,6 +452,8 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
         negative tail values are tolerated.
     k : int
         Cut position, ``1 <= k <= n - 1``.
+    what : str
+        What a rejection of a leading eigenvalue that is not positive names.
 
     Returns
     -------
@@ -477,7 +467,7 @@ def spectrum_stats(eigenvalues: np.ndarray, k: int) -> SpectrumStats:
     """
     sig = descending_spectrum(eigenvalues, k)
     if sig[0] <= 0:
-        raise ValueError("leading eigenvalue must be positive")
+        raise ValueError(f"{what} has leading eigenvalue {sig[0]}; it must be positive")
     head = sig[:k]
     tail = sig[k:]
     tail_2 = float(tail[0])

@@ -146,12 +146,14 @@ def check_alignment(
     k: int,
     eps: float,
     delta: float,
+    what: str = "A",
 ) -> AlignmentReport:
     """Measure the alignment inequality chain on one perturbed instance.
 
     ``eigenvalues_hat`` (k,) and ``basis_hat`` (n, k) are the top-k
     eigenpairs of the perturbed matrix A_hat, and ``delta`` is
-    ||A_hat - A||_2, all three as the caller holds them.
+    ||A_hat - A||_2, all three as the caller holds them.  An A whose
+    leading eigenvalue is not positive is rejected by the name ``what``.
 
     Checks (all lhs <= rhs, clean spectrum sigma, perturbed basis U_hat):
 
@@ -176,7 +178,7 @@ def check_alignment(
             f"{eigenvalues_hat.shape} and {basis_hat.shape}"
         )
     sigma, U = eig_sym(A_sym)
-    stats = spectrum_stats(sigma, k)
+    stats = spectrum_stats(sigma, k, what)
     delta_allowed = eps**2 * stats.tail_2
     applicable, _ = _precondition(delta_allowed, delta)
     W, env = aligned_subspace(sigma, U, basis_hat, k, eps)

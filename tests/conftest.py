@@ -1,40 +1,30 @@
 """pytest header: the BLAS builds and thread counts the timings depend on.
 
-numpy and scipy each bundle their own OpenBLAS copy.  Their build and live
-thread count are read through ctypes, as ``spectrunc.linalg`` reads scipy's:
-numpy's copy exports its functions with a ``64_`` suffix, scipy's without.
-Report bytes and the wall-time budgets of the acceptance tests (criterion 6
-allows 180 s) both depend on these; :func:`stamp` adds the versions, and
-keys ``tests/output_digests.txt``.
+numpy and scipy each bundle their own OpenBLAS copy, read through
+``spectrunc.linalg._openblas``.  Report bytes and the wall-time budgets of
+the acceptance tests (criterion 6 allows 180 s) both depend on these;
+:func:`stamp` adds the versions, and keys ``tests/output_digests.txt``.
 """
 
-import ctypes
 import platform
 
 import numpy
-import numpy.linalg._umath_linalg as _numpy_lapack
 import scipy
-import scipy.linalg as _sla
+
+from spectrunc.linalg import _openblas
 
 
-def _openblas(path: str, suffix: str) -> str:
-    """``<build>, <n> threads`` of the OpenBLAS that ``path`` links, or why not."""
-    try:
-        lib = ctypes.CDLL(path)
-        config = getattr(lib, f"scipy_openblas_get_config{suffix}")
-        threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-    except (OSError, AttributeError):
+def _blas(copy: str) -> str:
+    """``<build>, <n> threads`` of OpenBLAS copy ``copy``, or why not."""
+    found = _openblas(copy)
+    if found is None:
         return "not a scipy-openblas build"
-    config.argtypes, config.restype = [], ctypes.c_char_p
-    threads.argtypes, threads.restype = [], ctypes.c_int
-    return f"{' '.join(config().decode().split())}, {threads()} threads"
+    build, threads, _ = found
+    return f"{build}, {threads()} threads"
 
 
 def pytest_report_header(config):
-    return [
-        f"numpy BLAS: {_openblas(_numpy_lapack.__file__, '64_')}",
-        f"scipy BLAS: {_openblas(_sla._flapack.__file__, '')}",
-    ]
+    return [f"{copy} BLAS: {_blas(copy)}" for copy in ("numpy", "scipy")]
 
 
 def stamp() -> list[str]:

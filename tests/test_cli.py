@@ -252,6 +252,20 @@ def test_bounds_input_errors(capsys):
         assert "invalid value for 'tail_F'" in captured.err and captured.out == ""
 
 
+def test_bounds_set_reads_its_pairs_as_a_config_line_does(capsys):
+    outs = []
+    for items in (["k=1", "eps=0.25", "tail_F=1", "tail_2=1"],
+                  ["k = 1", "eps= 0.25", " tail_F =1", "tail_2\t=  1"]):
+        assert run_cli("bounds", "--kind", "relative",
+                       *(a for kv in items for a in ("--set", kv))) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert run_cli("bounds", "--kind", "relative", "--set", "k") == 1
+    assert capsys.readouterr().err == "error: --set expects key=value, got 'k'\n"
+    assert run_cli("bounds", "--kind", "relative", "--set", "k=1", "--set", "k = 2") == 1
+    assert capsys.readouterr().err == "error: duplicate --set key 'k'\n"
+
+
 def test_bounds_rejects_an_overflowing_result(capsys):
     base = ["bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.25"]
     for fmt in ("json", "csv"):
@@ -426,9 +440,9 @@ def test_verify_at_subnormal_scale_raises_no_warning(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["all_passed"]
 
 
-#: an exit-1 message naming what failed: a field, an entry, a parameter or the spectrum
+#: an exit-1 message naming what failed: a field, an entry, a parameter or an input flag
 _NAMED = re.compile(
-    r"error: (trial \d+ field '\w+'|\w+ entry \([\d, ]+\)|\w+ must|leading eigenvalue)[^\n]*\n"
+    r"error: (trial \d+ field '\w+'|\w+ entry \([\d, ]+\)|\w+ must|--matrix has)[^\n]*\n"
 )
 _TIMING = re.compile(r"\w+: \d+ trial\(s\) in \d+\.\d\ds\n")
 

@@ -487,6 +487,25 @@ def test_decay_errors_below_identity_rounding_are_dense(n, seed, basis):
     assert rep.aggregates["slope"] > 0
 
 
+def test_decay_errors_within_the_trace_identity_margin_are_dense():
+    # a steep power law at small deltas puts err^2 between 1e4 and 1e8 times the
+    # identity's rounding scale u * (||sig||^2 + ||lambda||^2), inside
+    # TRACE_IDENTITY_MARGIN; the identity there read 5e-8 to 2e-6 off the dense error
+    n = 60
+    cfg = decay_cfg(n, 0, "identity", spectrum_kind="powerlaw", spectrum_beta=3.0,
+                    delta_grid=(1e-5, 1e-6))
+    rep = run_experiment(cfg)
+    sig = cfg.spectrum()
+    for r in rep.trials:
+        G = scaled_perturbation(n, 1.0, rng_stream(cfg.seed, r.aux["direction_trial"]))
+        k = r.aux["k_used"]
+        w, V = eig_sym(r.aux["delta"] * G + np.diag(sig))
+        ref = float(np.linalg.norm(truncate(w[:k], V[:, :k]) - np.diag(sig), "fro"))
+        scale = np.finfo(np.float64).eps * (sig @ sig + w[:k] @ w[:k])
+        assert 1e4 < ref**2 / scale < 1e8
+        assert r.measured_error_F == pytest.approx(ref, rel=1e-9)
+
+
 @pytest.mark.parametrize("n", [150, 300])
 def test_haar_decay_error_matches_original_basis(n):
     # the sweep runs in A's eigenbasis; measure ||A_hat_k - A||_F densely in

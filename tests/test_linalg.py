@@ -1,11 +1,9 @@
 """Core spectral primitives: frozen examples, determinism, classical inequalities."""
 
-import ctypes
 import os
 import subprocess
 import sys
 import tracemalloc
-import types
 import warnings
 from pathlib import Path
 
@@ -360,37 +358,28 @@ def test_top_eigenpairs_rejects():
             top_eigenpairs(np.eye(3), k)
 
 
-def _numpy_blas_threads():
-    """Thread count of numpy's own OpenBLAS copy, or None if it is not exported."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if get is not None:
-        get.argtypes, get.restype = [], ctypes.c_int
-    return get
-
-
 def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
-    scipy_blas, numpy_blas = linalg._scipy_openblas(), _numpy_blas_threads()
+    scipy_blas, numpy_blas = linalg._openblas("scipy"), linalg._openblas("numpy")
     if scipy_blas is None or numpy_blas is None:
         pytest.skip("this BLAS build does not export its thread count")
-    get, set_ = scipy_blas
+    (_, get, set_), numpy_threads = scipy_blas, numpy_blas[1]
     A = rand_sym(np.random.default_rng(17), 600)  # ARPACK route for both calls
     calls = (lambda: top_eigenpairs(A.copy(), 5), lambda: spectral_norm_sym(A))
     real_eigsh = scipy.sparse.linalg.eigsh
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append((get(), numpy_blas()))
+        seen.append((get(), numpy_threads()))
         return real_eigsh(*args, **kwargs)
 
     def fail(*args, **kwargs):
-        seen.append((get(), numpy_blas()))
+        seen.append((get(), numpy_threads()))
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((600, 0)))
 
     original = get()
     try:
         set_(2)  # a count the pin must restore, whatever the environment set
-        before = (get(), numpy_blas())
+        before = (get(), numpy_threads())
         for eigsh in (spy, fail):
             monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
             for call in calls:
@@ -401,29 +390,38 @@ def test_arpack_runs_on_one_scipy_blas_thread(monkeypatch):
                 else:
                     call()
                 assert seen == [(1, before[1])]
-                assert (get(), numpy_blas()) == before
+                assert (get(), numpy_threads()) == before
     finally:
         set_(original)
     # without the symbols the pin does nothing and the solve still runs
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
-    monkeypatch.setattr(linalg, "_scipy_openblas", lambda: None)
+    monkeypatch.setattr(linalg, "_openblas", lambda copy: None)
     w, _ = top_eigenpairs(A.copy(), 5)
     assert w.shape == (5,)
 
 
-def _no_library(path):
-    raise OSError(f"cannot load {path}")
-
-
-@pytest.mark.parametrize("cdll", [_no_library, lambda path: types.SimpleNamespace()],
+@pytest.mark.parametrize("module, suffix", [("json", ""), ("numpy.linalg._umath_linalg", "_x")],
                          ids=["unloadable", "without_symbols"])
-def test_scipy_openblas_is_none_without_the_thread_symbols(cdll, monkeypatch):
-    linalg._scipy_openblas.cache_clear()
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
+def test_scipy_openblas_is_none_without_the_thread_symbols(module, suffix, monkeypatch):
+    # a .py file is no library; numpy's library has no symbols with that suffix
+    linalg._openblas.cache_clear()
     try:
-        assert linalg._scipy_openblas() is None
+        for copy in ("numpy", "scipy"):
+            monkeypatch.setitem(linalg._OPENBLAS, copy, (module, suffix))
+            assert linalg._openblas(copy) is None
     finally:
-        linalg._scipy_openblas.cache_clear()
+        linalg._openblas.cache_clear()
+
+
+def test_openblas_reads_each_copy_through_its_own_symbols():
+    found = {copy: linalg._openblas(copy) for copy in ("numpy", "scipy")}
+    if None in found.values():
+        pytest.skip("this BLAS build does not export its thread count")
+    assert "USE64BITINT" in found["numpy"][0]
+    assert "USE64BITINT" not in found["scipy"][0]
+    for build, get, _ in found.values():
+        assert build == " ".join(build.split()) and get() >= 1
+    assert linalg._openblas("scipy") is found["scipy"]  # cached per copy
 
 
 def test_spectral_norm_matches_dense_path(monkeypatch):

@@ -21,9 +21,10 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "output_digests.txt"
 SCRIPT = ROOT / "scripts" / "output_digests.py"
 
-#: prints the stamp after running the script's top, which pins the BLAS, but not its main
+#: prints the stamp after running the script's top, which pins the BLAS, but not its main;
+#: conftest reads the BLAS through the package, so both directories go on the path
 _STAMP = (
-    "import runpy, sys; runpy.run_path(sys.argv[1]); sys.path.insert(0, sys.argv[2]); "
+    "import runpy, sys; runpy.run_path(sys.argv[1]); sys.path[:0] = sys.argv[2:]; "
     "import conftest; print(*conftest.stamp(), sep='\\n')"
 )
 
@@ -43,7 +44,7 @@ def _lines(run: subprocess.Popen) -> list[str]:
 
 def _stamp_and_digests() -> tuple[list[str], list[str]]:
     """The stamp and the script's output, from two processes that run side by side."""
-    stamp = _start("-c", _STAMP, str(SCRIPT), str(ROOT / "tests"))
+    stamp = _start("-c", _STAMP, str(SCRIPT), str(ROOT / "tests"), str(ROOT / "src"))
     digests = _start(str(SCRIPT), str(ROOT / "src"))
     return _lines(stamp), _lines(digests)
 
