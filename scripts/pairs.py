@@ -22,9 +22,9 @@ won (ties count for neither), the failed ops of each side, and two verdicts:
   ``unresolved`` when the parent's quartile spread exceeds the bound (as a
   fraction of its median) and not every run of the change reads better
   than every run of the parent; else ``ok``;
-* gain: ``met`` when the change won at least 9 of every 10 pairs and its
+* gain: ``met`` when the change won at least 9 of every 10 pairs, its
   median is better than the parent's by more than the parent's quartile
-  spread; else ``not met``.
+  spread, and it fails no larger share of its ops; else ``not met``.
 
 ``--out FILE`` writes the summary and every run as JSON.  Only the standard
 library is used.
@@ -78,7 +78,7 @@ def _judge(parent: dict[int, float], change: dict[int, float], bound: float, low
         regression = "unresolved"
     else:
         regression = "ok"
-    met = 10 * wins >= 9 * len(paired) and sign * (pm - cm) > q75 - q25
+    met = not worse_ops and 10 * wins >= 9 * len(paired) and sign * (pm - cm) > q75 - q25
     return {"parent_median": pm, "change_median": cm, "parent_q25": q25, "parent_q75": q75,
             "change_wins": f"{wins}/{len(paired)}", "regression": regression,
             "gain": "met" if met else "not met"}

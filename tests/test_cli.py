@@ -21,21 +21,14 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as hst
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import corpus
 import spectrunc
 from spectrunc import cli, covariance_reduced, linalg
 from spectrunc.bounds import COVARIANCE_MODES, KINDS, SAMPLING_REGIMES
 from spectrunc.cli import main
+from spectrunc.config import BASES
 from spectrunc.estimators import SampleSet
-from spectrunc.io import (
-    FormatError,
-    matrix_bytes,
-    observations_bytes,
-    read_matrix,
-    read_observations,
-    read_samples,
-    samples_bytes,
-)
-from spectrunc.synth import bernoulli_observe, rng_stream
+from spectrunc.io import FormatError, matrix_bytes, read_matrix, read_samples, samples_bytes
 
 
 def run_cli(*argv):
@@ -139,12 +132,11 @@ def test_completion_run_near_the_top_of_the_float_range_is_finite(workdir):
     # ||A||_F overflowed at sigma_1 = 1e300: the sampling threshold read -inf
     # and the report could not be written
     n = 30
-    values = ", ".join(repr(1e300 * (n - i) / n) for i in range(n))
     config = workdir / "c.cfg"
-    config.write_text(
-        f"experiment = completion\nn = {n}\ntrials = 1\nseed = 0\nbasis = haar\n"
-        f"spectrum = explicit\nspectrum_values = {values}\nk = 3\neps = 0.2\np = 0.6\nt = 0.1\n"
-    )
+    config.write_text(corpus.config_text(corpus.config(
+        "completion", n=n, trials=1, seed=0, spectrum="explicit",
+        spectrum_values=[1e300 * (n - i) / n for i in range(n)],
+    )))
     out = workdir / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,14 +224,8 @@ def test_bounds_input_errors(capsys):
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1") == 1
     assert "missing mandatory key(s): eps, tail_2, tail_F" in capsys.readouterr().err
     # an unknown key is rejected by name
-    assert run_cli("bounds", "--kind", "powerlaw_rate", "--set", "delta=0.1",
-                   "--set", "beta=1", "--set", "n=100", "--set", "zeta=3") == 1
+    assert run_cli(*corpus.REJECTED["bounds unknown key"]) == 1
     assert "zeta" in capsys.readouterr().err
-    # malformed pair and duplicate key
-    assert run_cli("bounds", "--kind", "relative", "--set", "k") == 1
-    capsys.readouterr()
-    assert run_cli("bounds", "--kind", "relative", "--set", "k=1", "--set", "k=2") == 1
-    capsys.readouterr()
     # domain violation from the bound itself
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1", "--set", "eps=0.4",
                    "--set", "tail_F=1", "--set", "tail_2=1") == 1
@@ -260,7 +246,7 @@ def test_bounds_set_reads_its_pairs_as_a_config_line_does(capsys):
                        *(a for kv in items for a in ("--set", kv))) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    assert run_cli("bounds", "--kind", "relative", "--set", "k") == 1
+    assert run_cli(*corpus.REJECTED["bad --set"]) == 1
     assert capsys.readouterr().err == "error: --set expects key=value, got 'k'\n"
     assert run_cli("bounds", "--kind", "relative", "--set", "k=1", "--set", "k = 2") == 1
     assert capsys.readouterr().err == "error: duplicate --set key 'k'\n"
@@ -389,26 +375,9 @@ def test_bounds_exits_zero_with_finite_values_or_one_naming_what_failed(call):
         assert named or "result field" in message or "cutoff rule" in message, (argv, message)
 
 
-def _overflowing_inputs(workdir) -> dict[str, list[str]]:
-    """Command -> argv of an input whose arithmetic leaves the float range."""
-    a = np.eye(6)
-    a[:2, :2] = 1.5e308  # top eigenvalue 3e308: truncate formed inf * 0
-    (workdir / "a.sym").write_bytes(matrix_bytes(a))
-    b = np.diag([1.7e308, 1e308, 1.0, 1.0, 0.5, 0.1])  # head_F is 1.97e308
-    (workdir / "b.sym").write_bytes(matrix_bytes(b))
-    X = np.random.default_rng(0).standard_normal((24, 8)) * 1e154  # X^T X overflows
-    (workdir / "s.txt").write_bytes(samples_bytes(SampleSet(N=24, n=8, X=X)))
-    (workdir / "o.txt").write_text("obs 3 0.5 2\n1 1 1.5e308\n2 3 1\n")  # value / p overflows
-    X = np.full((24, 2), 1.5e308)  # each column's sum overflows, so its mean is inf
-    (workdir / "c.txt").write_bytes(samples_bytes(SampleSet(N=24, n=2, X=X)))
-    b = str(workdir / "b.sym")
-    return {
-        "denoise": ["denoise", "--matrix", str(workdir / "a.sym"), "--k", "2"],
-        "verify": ["verify", "--matrix", b, "--perturbed", b, "--k", "2", "--eps", "0.1"],
-        "cov": ["cov", "--samples", str(workdir / "s.txt"), "--k", "2"],
-        "complete": ["complete", "--obs", str(workdir / "o.txt"), "--k", "1"],
-        "cov --center": ["cov", "--samples", str(workdir / "c.txt"), "--k", "1", "--center"],
-    }
+def _matrix_files(workdir, name: str, n: int) -> dict[str, str]:
+    """The corpus's files of matrix ``name`` at order n, in a directory of their own."""
+    return corpus.write_inputs(workdir / name, *corpus.matrix_inputs(corpus.MATRICES[name](n)))
 
 
 @pytest.mark.parametrize("command, code, err", [
@@ -416,11 +385,21 @@ def _overflowing_inputs(workdir) -> dict[str, list[str]]:
     ("verify", 0, ""),
     # LAPACK failed on the covariance's inf entries: exit 2
     ("cov", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
-    ("complete", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
+    ("complete", 1, "error: surrogate entry (1, 2) is not finite: inf\n"),
     ("cov --center", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
 ], ids=["denoise", "verify", "cov", "complete", "cov-center"])
 def test_overflowing_inputs_end_alike_with_warnings_as_errors(workdir, capsys, command, code, err):
-    argv = _overflowing_inputs(workdir)[command]
+    # at n = 6: the top eigenvalue 3e308, X^T X, a column's mean and an observed
+    # value over p leave the float range; verify's head_F is 1.97e308
+    inf = _matrix_files(workdir, "infinite_eigenvalue", 6)
+    near = _matrix_files(workdir, "near_max", 6)["A.sym"]
+    argv = {
+        "denoise": ["denoise", "--matrix", inf["A.sym"], "--k", "2"],
+        "verify": ["verify", "--matrix", near, "--perturbed", near, "--k", "2", "--eps", "0.1"],
+        "cov": ["cov", "--samples", inf["X.samples"], "--k", "2"],
+        "complete": ["complete", "--obs", inf["A.obs"], "--k", "1"],
+        "cov --center": ["cov", "--samples", inf["X.samples"], "--k", "1", "--center"],
+    }[command]
     assert run_cli(*argv) == code
     plain = capsys.readouterr()
     assert plain.err == err
@@ -469,72 +448,36 @@ def _ends_alike_without_warnings(argv, capsys):
         assert code == 1 and _NAMED.fullmatch(plain.err), (argv, plain.err)
 
 
-#: explicit n = 12 spectra whose trials leave the float range: a Haar trial's error is
-#: about 1e284 against a tail of 3e-300, and the top pair's squares and sums overflow
-_EDGE_SPECTRA = ["1e300, " + ", ".join(["1e-300"] * 11), "1.7e308, 1e308, " + ", ".join(["1"] * 10)]
-
-
-#: per-trial experiment -> its config keys besides k
-_EDGE_KEYS = {
-    "relative": "eps = 0.1", "gap": "eps = 0.1", "alignment": "eps = 0.1", "denoising": "nu = 0.01",
-    "completion": "eps = 0.1\np = 0.5\nt = 0.1", "covariance": "eps = 0.1\nn_samples = 40",
-}
-
-
-@pytest.mark.parametrize("experiment", _EDGE_KEYS)
+@pytest.mark.parametrize("experiment", [ex for ex in spectrunc.EXPERIMENTS if ex != "decay_rate"])
 def test_run_at_the_float_edges_names_what_is_not_finite(experiment, workdir, capsys):
-    keys = _EDGE_KEYS[experiment]
     cfg = workdir / "edge.cfg"
-    for values in _EDGE_SPECTRA:
-        for basis in ("haar", "identity"):
-            cfg.write_text(f"experiment = {experiment}\nn = 12\ntrials = 2\nseed = 0\n"
-                           f"spectrum = explicit\nspectrum_values = {values}\nbasis = {basis}\n"
-                           f"k = 2\n{keys}\n")
+    for spectrum in corpus.EDGE_SPECTRA.values():
+        for basis in BASES:
+            cfg.write_text(corpus.config_text(corpus.config(
+                experiment, n=12, trials=2, seed=0, basis=basis, spectrum="explicit",
+                spectrum_values=spectrum(12),
+            )))
             for fmt in ("json", "csv"):
                 _ends_alike_without_warnings(["run", "--config", str(cfg), "--format", fmt], capsys)
 
 
-@pytest.mark.parametrize("basis", ["haar", "identity"])
+@pytest.mark.parametrize("basis", BASES)
 def test_synth_at_the_float_edges_ends_alike_with_warnings_as_errors(basis, capsys):
-    for values in _EDGE_SPECTRA:
-        argv = ["synth", "--kind", "explicit", "--n", "12", "--values", values, "--basis", basis]
+    for spectrum in corpus.EDGE_SPECTRA.values():
+        argv = ["synth", "--kind", "explicit", "--n", "12", "--values", corpus.listed(spectrum(12)),
+                "--basis", basis]
         _ends_alike_without_warnings(argv, capsys)
 
 
-def _edge_matrix(name: str) -> np.ndarray:
-    """ROADMAP item 1's corpus at n = 300, and three matrices at the ends of the float range."""
-    n, ones = 300, np.ones(299)
-    if name == "tied_diagonal":
-        return np.diag([1.0, 1.0, 1.0, *np.linspace(0.5, 0.01, n - 3)])
-    if name == "repeated_blocks":
-        B = linalg.symmetrize(np.random.default_rng(0).standard_normal((50, 50)))
-        return np.kron(np.eye(6), B)
-    if name == "path_laplacian_plus_identity":
-        return np.diag(np.r_[2.0, 3 * ones[1:], 2.0]) - np.diag(ones, 1) - np.diag(ones, -1)
-    if name == "cycle_laplacian":
-        return 2 * np.eye(n) - np.roll(np.eye(n), 1, axis=1) - np.roll(np.eye(n), -1, axis=1)
-    if name == "zero":
-        return np.zeros((n, n))
-    if name == "subnormal":
-        return np.full((6, 6), 1e-320)
-    if name == "near_max":
-        return np.diag([1.7e308, 1e308, 1.0, 1.0, 0.5, 0.1])
-    A = np.eye(6)  # "infinite_eigenvalue": the top eigenvalue, 3e308, is past the float range
-    A[:2, :2] = 1.5e308
-    return A
+#: each corpus matrix at the order the sweep runs it: item 1's at an ARPACK order
+_EDGE_ORDERS = {**dict.fromkeys(corpus.LANCZOS_MATRICES, 300),
+                **dict.fromkeys(corpus.FLOAT_EDGE_MATRICES, 6)}
 
 
-@pytest.mark.parametrize("name", [
-    "tied_diagonal", "repeated_blocks", "path_laplacian_plus_identity", "cycle_laplacian",
-    "zero", "subnormal", "near_max", "infinite_eigenvalue",
-])
+@pytest.mark.parametrize("name", _EDGE_ORDERS)
 def test_file_commands_at_the_edges_end_alike_with_warnings_as_errors(name, workdir, capsys):
-    A = _edge_matrix(name)
-    paths = {"sym": workdir / "a.sym", "obs": workdir / "a.obs", "samples": workdir / "a.txt"}
-    paths["sym"].write_bytes(matrix_bytes(A))
-    paths["obs"].write_bytes(observations_bytes(bernoulli_observe(A, 0.5, rng_stream(0, 0))))
-    paths["samples"].write_bytes(samples_bytes(SampleSet(N=A.shape[0], n=A.shape[0], X=A)))
-    sym, obs, samples = (str(p) for p in paths.values())
+    files = _matrix_files(workdir, name, _EDGE_ORDERS[name])
+    sym, obs, samples = files["A.sym"], files["A.obs"], files["X.samples"]
     for argv in (
         ["denoise", "--matrix", sym, "--k", "3"],
         ["complete", "--obs", obs, "--k", "3"],
@@ -597,8 +540,7 @@ def test_unperturbed_verify_and_noiseless_run_at_lanczos_orders(workdir, capsys)
     assert doc["delta_measured"] == 0.0
     assert doc["applicable"] and doc["all_passed"]
     cfg = workdir / "denoising.cfg"
-    cfg.write_text("experiment = denoising\nn = 600\ntrials = 1\nseed = 0\n"
-                   "spectrum = powerlaw\nspectrum_beta = 1.0\nbasis = haar\nk = 5\nnu = 0\n")
+    cfg.write_text(corpus.config_text(corpus.config("denoising", n=600, trials=1, seed=0, nu=0)))
     assert run_cli("run", "--config", str(cfg)) == 0
     trial = json.loads(capsys.readouterr().out)["trials"][0]
     assert trial["aux"]["noise_norm_2"] == 0.0
@@ -619,17 +561,7 @@ def test_verify_notes_inapplicable_instance(workdir, capsys):
     assert "not applicable" in captured.err
 
 
-CONFIG = """
-experiment = relative
-n = 16
-trials = 2
-seed = 5
-spectrum = powerlaw
-spectrum_beta = 1.0
-basis = haar
-k = 2
-eps = 0.2
-"""
+CONFIG = corpus.config_text(corpus.config("relative", trials=2))
 
 
 def test_run_deterministic_bytes(workdir, capsys):
@@ -692,7 +624,7 @@ def test_verify_rejects_matrices_of_different_orders(workdir, capsys):
 
 def test_exit_codes_for_bad_input(workdir, capsys):
     cfg = workdir / "bad.cfg"
-    cfg.write_text(CONFIG + "widget = 1\n")
+    cfg.write_text(corpus.config_text(corpus.REJECTED["unknown key"]))
     assert run_cli("run", "--config", str(cfg)) == 1
     assert "widget" in capsys.readouterr().err
     # a bound constant outside its domain fails before anything runs
@@ -703,10 +635,6 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     assert captured.out == ""
     assert run_cli("run", "--config", str(workdir / "missing.cfg")) == 1
     capsys.readouterr()
-    bad_mat = workdir / "bad.mat"
-    bad_mat.write_text("sym 2\n1 2\n3 1\n")
-    assert run_cli("denoise", "--matrix", str(bad_mat), "--k", "1") == 1
-    assert "not symmetric" in capsys.readouterr().err
     # a spectrum parameter its kind does not read
     assert run_cli("synth", "--kind", "powerlaw", "--n", "4", "--beta", "1", "--c", "0.5",
                    "--basis", "identity") == 1
@@ -849,35 +777,6 @@ for argv in argvs:
 print(json.dumps(seen))
 """
 
-#: experiment -> the keys a valid config sets on top of n, trials, seed and basis
-_VALID_CONFIGS = {
-    "relative": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\neps = 0.2\n",
-    "gap": "spectrum = exponential\nspectrum_c = 0.3\nk = 2\neps = 0.1\n",
-    "alignment": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\neps = 0.2\n",
-    "denoising": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\nnu = 0.01\n",
-    "completion": "spectrum = powerlaw\nspectrum_beta = 1\nk = 2\neps = 0.2\n"
-                  "p = 0.6\nt = 0.1\n",
-    "covariance": "spectrum = explicit\nspectrum_values = 4, 3, 2, 1, 1, 1, 0.5, 0\n"
-                  "k = oracle\neps = 0.25\nn_samples = 50\n",
-    "decay_rate": "spectrum = exponential\nspectrum_c = 0.5\ndelta_grid = 0.1, 0.01\n",
-}
-
-#: bound kind -> valid ``--set`` inputs
-_BOUND_INPUTS = {
-    "relative": "k=3 eps=0.2 tail_F=0.5 tail_2=0.25 perturbation_2=0.01",
-    "gap": "k=2 eps=0.1 gap=0.3 tail_F=0.6",
-    "additive": "k=4 delta=0.05 tail_F=0.4 head_F=2",
-    "denoising": "nu=0.01 sigma_k1=0.25 k=3 tail_F=0.5",
-    "sampling": "regime=gap mu0=2 norm_F=1.5 n=64 t=0.1 gap=0.1 eps=0.2 k=3",
-    "covariance": "mode=relative r_e=3 eps=0.2 k=2 n_samples=10000 gamma_k=2",
-    "covariance_rates": "norm_2=2 r_e=3 n_samples=500 n=50",
-    "powerlaw_cutoff": "delta=0.01 beta=1 n=1000 C1=2",
-    "powerlaw_rate": "delta=0.01 beta=1.5 n=1000",
-    "exponential_cutoff": "delta=1e-8 c=0.1 n=500",
-    "exponential_rate": "delta=1e-8 c=0.1 n=500",
-}
-
-
 def test_each_module_is_an_attribute_of_the_package():
     # a fresh interpreter reaches this through ``spectrunc.linalg``; here every
     # module is already imported, so the package's __getattr__ is asked directly
@@ -889,23 +788,18 @@ def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
     # commands that never touch an array leave numpy unloaded as well.  This
     # process has both loaded (conftest reads their BLAS), so a fresh
     # interpreter runs the steps.
-    assert set(_VALID_CONFIGS) == set(spectrunc.EXPERIMENTS)
-    assert set(_BOUND_INPUTS) == set(KINDS)
     configs = []
-    for ex, keys in _VALID_CONFIGS.items():
+    for ex in spectrunc.EXPERIMENTS:
         configs.append(str(workdir / f"{ex}.cfg"))
-        Path(configs[-1]).write_text(
-            f"experiment = {ex}\nn = 8\ntrials = 1\nseed = 0\nbasis = haar\n{keys}"
-        )
+        Path(configs[-1]).write_text(corpus.config_text(corpus.config(ex)))
     bad_cfg = workdir / "bad.cfg"
-    bad_cfg.write_text(CONFIG + "widget = 1\n")
+    bad_cfg.write_text(corpus.config_text(corpus.REJECTED["unknown key"]))
     A = workdir / "A.mat"
     argvs = [
         ["--version"],
         ["--help"],
-        *(["bounds", "--kind", kind, *(a for kv in inputs.split() for a in ("--set", kv))]
-          for kind, inputs in _BOUND_INPUTS.items()),
-        ["bounds", "--kind", "nope"],
+        *(corpus.bounds_argv(name) for name in corpus.BOUNDS),
+        corpus.REJECTED["unknown --kind"],
         ["run", "--config", str(bad_cfg)],
         # the first array imports numpy, and the first solve scipy
         ["synth", "--kind", "powerlaw", "--n", "200", "--beta", "1",
@@ -919,10 +813,10 @@ def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["import spectrunc", None, False, False],
-        *(["read_config", ex, False, False] for ex in _VALID_CONFIGS),
+        *(["read_config", ex, False, False] for ex in spectrunc.EXPERIMENTS),
         ["--version", 0, False, False],
         ["--help", 0, False, False],
-        *(["bounds", 0, False, False] for _ in _BOUND_INPUTS),
+        *(["bounds", 0, False, False] for _ in corpus.BOUNDS),
         ["bounds", 1, False, False],
         ["run", 1, False, False],
         ["synth", 0, True, False],
@@ -946,47 +840,16 @@ def test_public_surface_is_unchanged():
 
 # ------------------------------------------------------------ streamed files
 
-_SHORT4 = "0 0 1 0\n0 0 0\n"
-
-#: command -> the malformed inputs of tests/test_io.py for the reader it runs
-_MALFORMED_FILES = {
-    ("denoise", "--matrix"): [
-        "", "sym 1\n0x10\n", "sym 1\nInfinity\n", "wat 2\n1 0\n0 1\n", "sym 2\n1 0\n",
-        "sym 2\n1 0\n0 1 2\n", "sym 2\n1 x\n0 1\n", "sym 2\n1 inf\n0 1\n", "sym 2\n1 2\n3 1\n",
-        "sym 4\n1 0 0 0\n0 x 0 0\n" + _SHORT4, "sym 4\n1 0 0 0\n0 1e999 0 0\n" + _SHORT4,
-        "sym 3\n1 2 3\nx 1 0\n3 0 y\n", "sym 3\n1 0 inf\n0 1 0\ninf 0 1\n",
-        "sym 3\n1 0 0\n0 1 0\n1e999 0 1\n", "sym 2\n# first row\n1 0\n\n   \n# second row\n0 inf\n",
-        "sym 100000000\n1 2\n",
-    ],
-    ("complete", "--obs"): [
-        "obs 3 0.5 1\n2 1 5.0\n", "obs 3 0.5 1\n1 4 5.0\n", "obs 3 0.5 2\n1 1 5.0\n",
-        "obs 3 0.5 1\n1 1\n", "obs 3 2.0 1\n1 1 5.0\n", "obs 3 0.5 2\n1 1 5.0\n1.0 2 3\n",
-        "obs 3 0.5 1\n1 x 5.0\n", "obs 3 0.5 2\n1 1 5.0\n1 2 inf\n",
-        "obs 3 0.5 3\n1 1 5.0\n1 2 1.0\n1 1 6.0\n", "obs 3 0.5 3\n1 1 5.0\n# c\n1 2 1.0\n1 1 6.0\n",
-        "obs 3 2.0 2\n1 1 5.0\n1 1 6.0\n", "obs 3 0.5 2\n2 1 5.0\n1 1 x\n",
-        "obs 2 0.5 2\n# i j value\n1 1 2.5\n\n2 1 -1\n",
-    ],
-    ("cov", "--samples"): [
-        "samples 2 2\n1 0\n", "samples 2 2\n1 0\n0 1 2\n", "samples 0 2\n",
-        "samples 2 2\n1 0\n0 x\n", "samples 2 2\n1 nan\n0 1\n",
-        "samples 4 4\n1 0 0 0\n0 nan 0 0\n" + _SHORT4, "samples 2 1\n\n# a\n3\n# b\nfour\n",
-        "samples 10000000000 10000000000\n1 2\n",
-    ],
-}
-
-_TEXT_READERS = {"denoise": read_matrix, "complete": read_observations, "cov": read_samples}
-
-
-@pytest.mark.parametrize("sep", ["\n", "\r\n", "\x0c", "\u2028"])
+@pytest.mark.parametrize("sep", ["\n", *sum(corpus.LINE_ENDS.values(), [])])
 def test_malformed_files_fail_as_their_text_does(workdir, capsys, sep):
     path = workdir / "bad.txt"
-    for (command, flag), texts in _MALFORMED_FILES.items():
-        for text in texts:
+    for reader, cases in corpus.MALFORMED.items():
+        for text, *_ in cases:
             text = text.replace("\n", sep)
             with pytest.raises(FormatError) as from_text:
-                _TEXT_READERS[command](text)
+                getattr(spectrunc.io, reader)(text)
             path.write_bytes(text.encode())
-            assert run_cli(command, flag, str(path), "--k", "1") == 1, repr(text)
+            assert run_cli(*corpus.READER_ARGV[reader], str(path)) == 1, repr(text)
             assert capsys.readouterr().err == f"error: {from_text.value}\n", repr(text)
 
 

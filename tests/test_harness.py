@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import corpus
 from spectrunc import (
     ExperimentConfig,
     ObservationSet,
@@ -23,14 +24,22 @@ from spectrunc import (
     truncate,
 )
 from spectrunc import harness
-from spectrunc.bounds import SamplingThreshold
+from spectrunc.bounds import KINDS, SamplingThreshold
+from spectrunc.config import BASES, SPECTRUM_KINDS
 from spectrunc.harness import (
     TrialRecord,
     _aggregate,
     _covariance_step,
     _truncation_error_F,
 )
-from spectrunc.io import matrix_bytes, report_json_bytes
+from spectrunc.io import (
+    matrix_bytes,
+    parse_config,
+    read_matrix,
+    read_observations,
+    read_samples,
+    report_json_bytes,
+)
 from spectrunc.linalg import _top_k_route
 from spectrunc.synth import (
     haar_orthogonal,
@@ -55,14 +64,18 @@ def base_cfg(**kw):
 
 
 def test_config_accepts_each_experiment():
-    base_cfg()
-    base_cfg(experiment="gap")
-    base_cfg(experiment="alignment")
-    base_cfg(experiment="denoising", eps=None, nu=0.05)
-    base_cfg(experiment="completion", p=0.5, t=0.1)
-    base_cfg(experiment="covariance", n_samples=50)
-    base_cfg(experiment="covariance", k=None, k_oracle=True, n_samples=50)
-    base_cfg(experiment="decay_rate", k=None, eps=None, delta_grid=(0.1, 0.03))
+    for name in corpus.CONFIGS:
+        assert isinstance(parse_config(corpus.config_text(corpus.config(name))), ExperimentConfig)
+
+
+def test_the_corpus_covers_each_experiment_bound_kind_basis_spectrum_and_reader():
+    configs = [corpus.config(name) for name in corpus.CONFIGS]
+    assert set(harness.EXPERIMENTS) <= set(corpus.CONFIGS)
+    assert {cfg["basis"] for cfg in configs} == set(BASES)
+    assert {cfg["spectrum"] for cfg in configs} == set(SPECTRUM_KINDS)
+    assert {inputs.get("kind", name) for name, inputs in corpus.BOUNDS.items()} == set(KINDS)
+    readers = {f.__name__ for f in (read_matrix, read_observations, read_samples, parse_config)}
+    assert set(corpus.MALFORMED) == set(corpus.READER_ARGV) == readers
 
 
 #: (config fields, the exact message they are rejected with)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import corpus
 import spectrunc.io
 from spectrunc import (
     EXPERIMENTS,
@@ -196,7 +197,8 @@ def test_read_matrix_bits_match_per_token_parse(data):
     parsed = np.array([[float(t) for t in row.split()] for row in rows])
     asym = np.abs(parsed - parsed.T)
     if asym.max() > 1e-12:
-        assert err_line(read_matrix, text) == 2 + int(np.argmax(asym)) // n
+        line = pytest.raises(FormatError, read_matrix, text).value.line
+        assert line == 2 + int(np.argmax(asym)) // n
     else:
         assert read_matrix(text).tobytes() == _reference_read(text).tobytes()
 
@@ -204,96 +206,29 @@ def test_read_matrix_bits_match_per_token_parse(data):
 # ------------------------------------------------------------ format errors
 
 
-def err_line(fn, text):
-    with pytest.raises(FormatError) as ei:
-        fn(text)
-    return ei.value.line
-
-
 def test_accepted_tokens_are_those_float_accepts():
+    # "0x10", which float rejects, and "Infinity", which is not finite, are malformed texts
     assert read_matrix("sym 1\n1_0\n")[0, 0] == float("1_0")
     assert read_samples("samples 1 2\n\u0661 +.5\n").X.tolist() == [[1.0, 0.5]]
-    assert err_line(read_matrix, "sym 1\n0x10\n") == 2
-    assert err_line(read_matrix, "sym 1\nInfinity\n") == 2
 
 
-def test_matrix_errors_carry_line_numbers():
-    assert err_line(read_matrix, "wat 2\n1 0\n0 1\n") == 1
-    assert err_line(read_matrix, "sym 2\n1 0\n") == 1  # row count on header
-    assert err_line(read_matrix, "sym 2\n1 0\n0 1 2\n") == 3
-    assert err_line(read_matrix, "sym 2\n1 x\n0 1\n") == 2
-    assert err_line(read_matrix, "sym 2\n1 inf\n0 1\n") == 2
-    # asymmetry reported on the row of the offending entry
-    assert err_line(read_matrix, "sym 2\n1 2\n3 1\n") == 2
-    with pytest.raises(FormatError):
-        read_matrix("")
-
-
-def test_observations_errors():
-    assert err_line(read_observations, "obs 3 0.5 1\n2 1 5.0\n") == 2  # i > j
-    assert err_line(read_observations, "obs 3 0.5 1\n1 4 5.0\n") == 2
-    assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n") == 1
-    assert err_line(read_observations, "obs 3 0.5 1\n1 1\n") == 2
-    assert err_line(read_observations, "obs 3 2.0 1\n1 1 5.0\n") == 1  # bad p
-    assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n1.0 2 3\n") == 3  # index
-    assert err_line(read_observations, "obs 3 0.5 1\n1 x 5.0\n") == 2
-    assert err_line(read_observations, "obs 3 0.5 2\n1 1 5.0\n1 2 inf\n") == 3  # value
-    # a repeated position names the repeating line and the pair
-    dup = "obs 3 0.5 3\n1 1 5.0\n1 2 1.0\n1 1 6.0\n"
-    assert err_line(read_observations, dup) == 4
-    with pytest.raises(FormatError, match=r"\(1, 1\), first on line 2"):
-        read_observations(dup)
-    assert err_line(read_observations, dup.replace("1 2 1.0\n", "# c\n1 2 1.0\n")) == 5
-    assert err_line(read_observations, "obs 3 2.0 2\n1 1 5.0\n1 1 6.0\n") == 1  # bad p first
-
-
-def test_samples_errors():
-    assert err_line(read_samples, "samples 2 2\n1 0\n") == 1
-    assert err_line(read_samples, "samples 2 2\n1 0\n0 1 2\n") == 3
-    assert err_line(read_samples, "samples 0 2\n") == 1
-    assert err_line(read_samples, "samples 2 2\n1 0\n0 x\n") == 3
-    assert err_line(read_samples, "samples 2 2\n1 nan\n0 1\n") == 2
-
-
-def test_first_bad_row_is_reported():
-    # a bad or non-finite token in row 2 comes before a short row 4
-    short4 = "0 0 1 0\n0 0 0\n"
-    assert err_line(read_matrix, "sym 4\n1 0 0 0\n0 x 0 0\n" + short4) == 3
-    assert err_line(read_matrix, "sym 4\n1 0 0 0\n0 1e999 0 0\n" + short4) == 3
-    assert err_line(read_samples, "samples 4 4\n1 0 0 0\n0 nan 0 0\n" + short4) == 3
-    # and an out-of-range index on one line before a bad value on a later one
-    assert err_line(read_observations, "obs 3 0.5 2\n2 1 5.0\n1 1 x\n") == 2
-
-
-def test_first_bad_matrix_line_wins_across_mirrors():
-    # a bad lower token on line 3 (its mirror reads 2) before a bad upper token on line 4
-    text = "sym 3\n1 2 3\nx 1 0\n3 0 y\n"
-    assert err_line(read_matrix, text) == 3
-    with pytest.raises(FormatError, match="'x'"):
-        read_matrix(text)
-    # an inf below the diagonal is the inf above it, reported on the earlier line
-    assert err_line(read_matrix, "sym 3\n1 0 inf\n0 1 0\ninf 0 1\n") == 2
-    assert err_line(read_matrix, "sym 3\n1 0 0\n0 1 0\n1e999 0 1\n") == 4
+@pytest.mark.parametrize("reader", corpus.MALFORMED)
+def test_malformed_texts_fail_on_their_line(reader):
+    for text, line, *pattern in corpus.MALFORMED[reader]:
+        with pytest.raises(FormatError, match=pattern[0] if pattern else None) as ei:
+            getattr(spectrunc.io, reader)(text)
+        assert ei.value.line == line, repr(text)
 
 
 def test_comment_lines_between_rows_keep_line_numbers():
+    # each text with its last row made bad is in the malformed table, on lines 7, 6 and 5
     text = "sym 2\n# first row\n1 0\n\n   \n# second row\n0 1\n"
     np.testing.assert_array_equal(read_matrix(text), np.eye(2))
-    assert err_line(read_matrix, text.replace("0 1\n", "0 inf\n")) == 7
     samples = "samples 2 1\n\n# a\n3\n# b\n4\n"
     np.testing.assert_array_equal(read_samples(samples).X, [[3.0], [4.0]])
-    assert err_line(read_samples, samples.replace("4\n", "four\n")) == 6
     obs = "obs 2 0.5 2\n# i j value\n1 1 2.5\n\n1 2 -1\n"
     back = read_observations(obs)
     np.testing.assert_array_equal(back.values, [2.5, -1.0])
-    assert err_line(read_observations, obs.replace("1 2 -1", "2 1 -1")) == 5
-
-
-def test_a_header_too_large_to_allocate_is_still_a_short_file():
-    # the row count is checked before the declared array could be allocated
-    with pytest.raises(FormatError, match="expected 100000000 data rows, found 1"):
-        read_matrix("sym 100000000\n1 2\n")
-    assert err_line(read_samples, "samples 10000000000 10000000000\n1 2\n") == 1
 
 
 # ------------------------------------------------------------------ streaming
@@ -308,15 +243,6 @@ _VALID_FILES = {
     read_samples: (read_samples_file, "samples 3 2\n1 2\n\n3 4\n  5 6  \n"),
     parse_config: (read_config, "experiment = relative\nn = 3\n# c\ntrials = 2\nseed = 0\n"
                    "\nspectrum = powerlaw\nspectrum_beta = 1\nbasis = haar\nk = 1\neps = 0.1"),
-}
-
-
-#: a file shorter than its header that also has a bad line, and one with a line
-#: past its declared count: each is reported on the header, as a wrong count
-_MISCOUNTED = {
-    read_matrix: ["sym 3\n1 x 0\n0 1 0\n", "sym 2\n1 0\n0 1\n0 0\n"],
-    read_observations: ["obs 3 0.5 3\n1 1 x\n1 2 1\n", "obs 3 0.5 1\n1 1 2.5\n1 2 1\n"],
-    read_samples: ["samples 3 2\n1 x\n3 4\n", "samples 1 2\n1 2\n3 4\n"],
 }
 
 
@@ -339,15 +265,13 @@ def test_file_readers_match_text_readers(tmp_path, sep, pad):
         text = padded(text)
         path.write_bytes(text.encode())
         assert _as_bytes(read_file(path)) == _as_bytes(read_text(text))
-        # the same text with a bad last line, and a miscounted file, fail as their text does
-        miscounted = [padded(t) for t in _MISCOUNTED.get(read_text, [])]
-        for bad in [text + sep + "x", *miscounted]:
+        # the same text with a bad last line, and each malformed text, fail as their text does
+        malformed = [padded(case[0]) for case in corpus.MALFORMED[read_text.__name__]]
+        for bad in [text + sep + "x", *malformed]:
             path.write_bytes(bad.encode())
             with pytest.raises(FormatError) as from_file:
                 read_file(path)
             assert str(from_file.value) == str(pytest.raises(FormatError, read_text, bad).value)
-        for bad in miscounted:
-            assert pytest.raises(FormatError, read_text, bad).value.line == 1
 
 
 def test_every_public_name_is_defined_in_io():
@@ -588,7 +512,6 @@ def test_parse_config_error_reporting():
     for key in ("n", "trials", "seed", "spectrum", "basis"):
         assert key in msg
     assert "duplicate" in config_error(GOOD_CONFIG + "k = 4\n")
-    assert "expected 'key = value'" in config_error("experiment relative\n")
     assert "invalid value" in config_error(GOOD_CONFIG.replace("n = 24", "n = many"))
     # domain violations surface as FormatError too
     assert "eps" in config_error(GOOD_CONFIG.replace("eps = 0.2", "eps = 0.3"))
@@ -753,24 +676,13 @@ def test_covariance_oracle_keeping_every_rank_writes_null_admissibility():
     assert [line.split(",")[column] for line in lines[1:]] == ["", "", ""]
 
 
-#: what each experiment needs on top of small_report's parameters
-SMALL_EXPERIMENTS = {
-    "relative": {},
-    "gap": {},
-    "alignment": {},
-    "denoising": dict(eps=None, nu=0.01),
-    "completion": dict(p=0.5, t=0.1),
-    "covariance": dict(n_samples=40),
-    "decay_rate": dict(k=None, eps=None, delta_grid=(0.1,)),
-}
-
-
 @pytest.fixture(scope="module")
 def aux_keys():
-    """experiment -> every aux key its trials write."""
+    """experiment -> every aux key the trials of its corpus config write."""
     return {
-        ex: {key for r in small_report(ex, **kw).trials for key in r.aux}
-        for ex, kw in SMALL_EXPERIMENTS.items()
+        ex: {key for r in run_experiment(parse_config(corpus.config_text(corpus.config(ex)))).trials
+             for key in r.aux}
+        for ex in EXPERIMENTS
     }
 
 

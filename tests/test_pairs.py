@@ -60,6 +60,10 @@ def test_a_larger_share_of_failed_ops_is_worse():
                                                          {"parent": 100, "change": 100})
     assert row["metrics"]["m"]["regression"] == "worse"
     assert _summary(PARENT, failed=(1, 1))["metrics"]["m"]["regression"] == "ok"
+    # a gain in every pair does not count when the change fails more ops
+    faster = _summary([v - 1.0 for v in PARENT], failed=(0, 1))["metrics"]["m"]
+    assert (faster["change_wins"], faster["regression"], faster["gain"]) == ("10/10", "worse",
+                                                                             "not met")
 
 
 def test_the_table_prints_one_row_per_workload_and_metric():

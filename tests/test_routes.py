@@ -13,10 +13,10 @@ largest entry.
 Single-vector Lanczos sees one direction per eigenspace (Parlett, *The
 Symmetric Eigenvalue Problem*, 1998, ch. 13), so on an eigenvalue of
 multiplicity above one it can miss copies that the dense route returns.
-The two cases that show this are strict xfails, named after ROADMAP item
-1, whose fix must flip them.  A third strict xfail, named after items 1
-and 3, is a rank-one matrix of subnormal entries, on which Lanczos loses
-orthogonality and overstates the norm.
+The cases that show this are strict xfails, named after ROADMAP item 1,
+whose fix must flip them.  The subnormal constant matrix, on which Lanczos
+loses orthogonality and overstates the norm, is a strict xfail named after
+item 14.  The configs, files and matrices come from ``tests/corpus.py``.
 """
 
 import json
@@ -24,30 +24,16 @@ import json
 import numpy as np
 import pytest
 
+import corpus
 from spectrunc import cli, linalg
-from spectrunc.config import ExperimentConfig
-from spectrunc.harness import run_experiment
-from spectrunc.io import (
-    matrix_bytes,
-    observations_bytes,
-    read_matrix,
-    report_json_bytes,
-    samples_bytes,
-)
-from spectrunc.synth import (
-    bernoulli_observe,
-    instance,
-    make_spectrum,
-    mvn_samples,
-    rng_stream,
-    scaled_perturbation,
-)
+from spectrunc.harness import EXPERIMENTS, run_experiment
+from spectrunc.io import parse_config, read_matrix, report_json_bytes
 
 #: the largest relative difference allowed between the two routes' floats
 RTOL = 1e-12
 
 ITEM_1 = "ROADMAP item 1: Lanczos misses copies of a repeated eigenvalue"
-ITEMS_1_3 = "ROADMAP items 1 and 3: Lanczos loses orthogonality at subnormal scale"
+ITEM_14 = "ROADMAP item 14: Lanczos loses orthogonality at subnormal scale"
 
 
 @pytest.fixture
@@ -85,74 +71,59 @@ def assert_matrices_agree(plain, dense):
     assert np.max(np.abs(plain - dense)) <= RTOL * np.max(np.abs(plain))
 
 
-def _report(**kw) -> dict:
-    return json.loads(report_json_bytes(run_experiment(ExperimentConfig(**kw))))
+def _report(cfg: dict) -> dict:
+    return json.loads(report_json_bytes(run_experiment(parse_config(corpus.config_text(cfg)))))
 
 
-HAAR = dict(n=400, trials=2, seed=3, basis="haar", spectrum_kind="powerlaw", spectrum_beta=1.0)
-TIED = (1.0, 1.0, 1.0, *np.linspace(0.5, 0.01, 297).tolist())
+def _xfail(reason: str):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
 
-RUNS = {
-    "relative": dict(HAAR, experiment="relative", k=5, eps=0.1),
-    "gap": dict(HAAR, experiment="gap", k=5, eps=0.1),
-    "alignment": dict(HAAR, experiment="alignment", k=5, eps=0.1),
-    "denoising": dict(HAAR, experiment="denoising", k=5, nu=0.01),
-    "completion": dict(HAAR, experiment="completion", k=2, eps=0.25, p=0.5, t=0.1,
-                       spectrum_beta=None, spectrum_kind="exponential", spectrum_c=0.5),
-    "covariance": dict(HAAR, experiment="covariance", k=3, eps=0.25, n_samples=800,
-                       spectrum_beta=None, spectrum_kind="exponential", spectrum_c=0.5),
-    "decay_rate": dict(experiment="decay_rate", n=600, trials=1, seed=0, basis="identity",
-                       spectrum_kind="powerlaw", spectrum_beta=1.0, delta_grid=(0.1, 0.03)),
+
+#: each experiment's corpus config at an ARPACK order
+RUNS = {ex: corpus.config(ex, n=400, trials=2, seed=3) for ex in EXPERIMENTS}
+RUNS["decay_rate"] = corpus.config("decay_rate", n=600, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(cfg, id=name) for name, cfg in RUNS.items()),
+    pytest.param(
+        corpus.config("denoising", n=300, trials=1, seed=0, basis="identity",
+                      spectrum="explicit", spectrum_values=corpus.tied_spectrum(300), nu=0.0),
+        id="tied_diagonal_denoising", marks=_xfail(ITEM_1),
+    ),
+])
+def test_run_reports_agree_across_routes(config, both_routes):
+    plain, dense = both_routes(lambda: _report(config))
+    assert_agree(plain, dense)
+
+
+#: each corpus matrix at an ARPACK order: name -> order
+ORDERS = {**dict.fromkeys(corpus.LANCZOS_MATRICES, 300), "subnormal": 250}
+
+#: solve -> the matrices on which its routes differ today: name -> the xfail reason
+SOLVES = {
+    "top_eigenpairs": (lambda A: linalg.top_eigenpairs(A.copy(), 4)[0],
+                       {"tied_diagonal": ITEM_1, "repeated_blocks": ITEM_1,
+                        "subnormal": ITEM_14}),
+    "spectral_norm_sym": (linalg.spectral_norm_sym, {"subnormal": ITEM_14}),
 }
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        *(pytest.param(kw, id=name) for name, kw in RUNS.items()),
-        pytest.param(
-            dict(experiment="denoising", n=300, trials=1, seed=0, basis="identity",
-                 spectrum_kind="explicit", spectrum_values=TIED, k=3, nu=0.0),
-            id="tied_diagonal_denoising",
-            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1),
-        ),
-    ],
-)
-def test_run_reports_agree_across_routes(config, both_routes):
-    plain, dense = both_routes(lambda: _report(**config))
-    assert_agree(plain, dense)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
-def test_top_eigenpairs_of_repeated_blocks_agree_across_routes(both_routes):
-    B = linalg.symmetrize(np.random.default_rng(0).standard_normal((50, 50)))
-    A = np.kron(np.eye(6), B)
-    plain, dense = both_routes(lambda: linalg.top_eigenpairs(A.copy(), 4)[0])
+@pytest.mark.parametrize("solve, name", [
+    pytest.param(solve, name, id=f"{solve}-{name}",
+                 marks=[_xfail(differ[name])] if name in differ else [])
+    for solve, (_, differ) in SOLVES.items() for name in ORDERS
+])
+def test_solves_agree_across_routes(solve, name, both_routes):
+    A = corpus.MATRICES[name](ORDERS[name])
+    plain, dense = both_routes(lambda: SOLVES[solve][0](A))
     np.testing.assert_allclose(plain, dense, rtol=RTOL, atol=0)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEMS_1_3)
-def test_spectral_norm_at_subnormal_scale_agrees_across_routes(both_routes):
-    A = np.full((250, 250), 1e-310)  # rank one, lambda_1 = 2.5e-308
-    plain, dense = both_routes(lambda: linalg.spectral_norm_sym(A))
-    assert_agree(plain, dense)
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """An n = 300 Haar power-law matrix, a perturbation of it, its observations and samples."""
-    n, k, eps = 300, 5, 0.1
-    rng = rng_stream(11, 0)
-    sig = make_spectrum("powerlaw", n, beta=1.0)
-    A = instance(sig, "haar", rng)
-    work = tmp_path_factory.mktemp("routes")
-    paths = {name: work / name for name in ("A.sym", "Ahat.sym", "A.obs", "X.samples")}
-    E = scaled_perturbation(n, 0.5 * eps**2 * sig[k], rng)
-    paths["A.sym"].write_bytes(matrix_bytes(A))
-    paths["Ahat.sym"].write_bytes(matrix_bytes(A + E))
-    paths["A.obs"].write_bytes(observations_bytes(bernoulli_observe(A, 0.5, rng)))
-    paths["X.samples"].write_bytes(samples_bytes(mvn_samples(A, 2 * n, rng)))
-    return {name: str(path) for name, path in paths.items()}
+    """The corpus's power-law matrix of order 300, its perturbation, observations and samples."""
+    return corpus.write_inputs(tmp_path_factory.mktemp("routes"), *corpus.powerlaw_inputs(300, 5))
 
 
 COMMANDS = {
@@ -160,7 +131,7 @@ COMMANDS = {
     "complete": ["complete", "--obs", "A.obs", "--k", "5"],
     "cov": ["cov", "--samples", "X.samples", "--k", "5"],
     "verify": ["verify", "--matrix", "A.sym", "--perturbed", "Ahat.sym", "--k", "5",
-               "--eps", "0.1"],
+               "--eps", str(corpus.FILES_EPS)],
 }
 
 
