@@ -174,51 +174,71 @@ REJECTED_FILES = {
 
 _SHORT4 = "0 0 1 0\n0 0 0\n"  # rows 3 and 4 of an order-4 file, row 4 short
 
-#: reader -> ``(text, line)`` of each malformed text, or ``(text, line, pattern)`` where
-#: the error must also match ``pattern``; ``line`` is the one its FormatError carries
+_MATRIX, _OBS, _SAMPLES, _CONFIG = READER_ARGV  # the readers' names
+
+#: the malformed texts, by what they show: group -> rows of ``(reader, text, line)``, or
+#: ``(reader, text, line, pattern)`` where the error must also match ``pattern``; ``reader``
+#: is a key of READER_ARGV and ``line`` the one its FormatError carries
 MALFORMED = {
-    "read_matrix": [
-        ("", None), ("sym 1\n0x10\n", 2), ("sym 1\nInfinity\n", 2),
-        ("wat 2\n1 0\n0 1\n", 1), ("sym 2\n1 0\n", 1), ("sym 2\n1 0\n0 1 2\n", 3),
-        ("sym 2\n1 x\n0 1\n", 2), ("sym 2\n1 inf\n0 1\n", 2),
-        ("sym 2\n1 2\n3 1\n", 2),  # asymmetry on the row of the upper entry
-        # a bad or non-finite token in row 2 before a short row 4
-        ("sym 4\n1 0 0 0\n0 x 0 0\n" + _SHORT4, 3), ("sym 4\n1 0 0 0\n0 1e999 0 0\n" + _SHORT4, 3),
-        # a bad lower token (its mirror reads 2) before a bad upper token
-        ("sym 3\n1 2 3\nx 1 0\n3 0 y\n", 3, "'x'"),
-        # an inf below the diagonal is the inf above it, on the earlier line
-        ("sym 3\n1 0 inf\n0 1 0\ninf 0 1\n", 2), ("sym 3\n1 0 0\n0 1 0\n1e999 0 1\n", 4),
-        ("sym 2\n# first row\n1 0\n\n   \n# second row\n0 inf\n", 7),
-        # the row count is checked before the declared array could be allocated
-        ("sym 100000000\n1 2\n", 1, "expected 100000000 data rows, found 1"),
+    "matrix_line_numbers": [
+        (_MATRIX, "", None), (_MATRIX, "wat 2\n1 0\n0 1\n", 1), (_MATRIX, "sym 2\n1 0\n", 1),
+        (_MATRIX, "sym 2\n1 0\n0 1 2\n", 3), (_MATRIX, "sym 2\n1 x\n0 1\n", 2),
+        (_MATRIX, "sym 2\n1 inf\n0 1\n", 2),
+        (_MATRIX, "sym 2\n1 2\n3 1\n", 2),  # asymmetry on the row of the upper entry
+    ],
+    # a bad or non-finite token in row 2 before a short row 4, and a bad index on one
+    # line before a bad value on a later one
+    "first_bad_row": [
+        (_MATRIX, "sym 4\n1 0 0 0\n0 x 0 0\n" + _SHORT4, 3),
+        (_MATRIX, "sym 4\n1 0 0 0\n0 1e999 0 0\n" + _SHORT4, 3),
+        (_SAMPLES, "samples 4 4\n1 0 0 0\n0 nan 0 0\n" + _SHORT4, 3),
+        (_OBS, "obs 3 0.5 2\n2 1 5.0\n1 1 x\n", 2),
+    ],
+    # a bad lower token (its mirror reads 2) before a bad upper token; an inf below the
+    # diagonal is the inf above it, on the earlier line
+    "matrix_mirrors": [
+        (_MATRIX, "sym 3\n1 2 3\nx 1 0\n3 0 y\n", 3, "'x'"),
+        (_MATRIX, "sym 3\n1 0 inf\n0 1 0\ninf 0 1\n", 2),
+        (_MATRIX, "sym 3\n1 0 0\n0 1 0\n1e999 0 1\n", 4),
+    ],
+    # the row count is checked before the declared array could be allocated
+    "huge_header": [
+        (_MATRIX, "sym 100000000\n1 2\n", 1, "expected 100000000 data rows, found 1"),
+        (_SAMPLES, "samples 10000000000 10000000000\n1 2\n", 1),
+    ],
+    # comment and blank lines between rows: the last row, made bad, keeps its line number
+    "comment_lines": [
+        (_MATRIX, "sym 2\n# first row\n1 0\n\n   \n# second row\n0 inf\n", 7),
+        (_SAMPLES, "samples 2 1\n\n# a\n3\n# b\nfour\n", 6),
+        (_OBS, "obs 2 0.5 2\n# i j value\n1 1 2.5\n\n2 1 -1\n", 5),
+    ],
+    "other": [
+        (_MATRIX, "sym 1\n0x10\n", 2), (_MATRIX, "sym 1\nInfinity\n", 2),
         # shorter than its header with a bad line, and a line past its count
-        ("sym 3\n1 x 0\n0 1 0\n", 1), ("sym 2\n1 0\n0 1\n0 0\n", 1),
-    ],
-    "read_observations": [
-        ("obs 3 0.5 1\n2 1 5.0\n", 2), ("obs 3 0.5 1\n1 4 5.0\n", 2),
-        ("obs 3 0.5 2\n1 1 5.0\n", 1), ("obs 3 0.5 1\n1 1\n", 2), ("obs 3 2.0 1\n1 1 5.0\n", 1),
-        ("obs 3 0.5 2\n1 1 5.0\n1.0 2 3\n", 3), ("obs 3 0.5 1\n1 x 5.0\n", 2),
-        ("obs 3 0.5 2\n1 1 5.0\n1 2 inf\n", 3),
+        (_MATRIX, "sym 3\n1 x 0\n0 1 0\n", 1), (_MATRIX, "sym 2\n1 0\n0 1\n0 0\n", 1),
+        (_OBS, "obs 3 0.5 1\n2 1 5.0\n", 2), (_OBS, "obs 3 0.5 1\n1 4 5.0\n", 2),
+        (_OBS, "obs 3 0.5 2\n1 1 5.0\n", 1), (_OBS, "obs 3 0.5 1\n1 1\n", 2),
+        (_OBS, "obs 3 2.0 1\n1 1 5.0\n", 1), (_OBS, "obs 3 0.5 2\n1 1 5.0\n1.0 2 3\n", 3),
+        (_OBS, "obs 3 0.5 1\n1 x 5.0\n", 2), (_OBS, "obs 3 0.5 2\n1 1 5.0\n1 2 inf\n", 3),
         # a repeated position names the repeating line and the pair
-        ("obs 3 0.5 3\n1 1 5.0\n1 2 1.0\n1 1 6.0\n", 4, r"\(1, 1\), first on line 2"),
-        ("obs 3 0.5 3\n1 1 5.0\n# c\n1 2 1.0\n1 1 6.0\n", 5),
-        ("obs 3 2.0 2\n1 1 5.0\n1 1 6.0\n", 1),  # the bad p first
-        ("obs 3 0.5 2\n2 1 5.0\n1 1 x\n", 2),  # a bad index before a later bad value
-        ("obs 2 0.5 2\n# i j value\n1 1 2.5\n\n2 1 -1\n", 5),
-        ("obs 3 0.5 3\n1 1 x\n1 2 1\n", 1), ("obs 3 0.5 1\n1 1 2.5\n1 2 1\n", 1),
+        (_OBS, "obs 3 0.5 3\n1 1 5.0\n1 2 1.0\n1 1 6.0\n", 4, r"\(1, 1\), first on line 2"),
+        (_OBS, "obs 3 0.5 3\n1 1 5.0\n# c\n1 2 1.0\n1 1 6.0\n", 5),
+        (_OBS, "obs 3 2.0 2\n1 1 5.0\n1 1 6.0\n", 1),  # the bad p first
+        (_OBS, "obs 3 0.5 3\n1 1 x\n1 2 1\n", 1), (_OBS, "obs 3 0.5 1\n1 1 2.5\n1 2 1\n", 1),
+        (_SAMPLES, "samples 2 2\n1 0\n", 1), (_SAMPLES, "samples 0 2\n", 1),
+        (_SAMPLES, "samples 2 2\n1 0\n0 1 2\n", 3), (_SAMPLES, "samples 2 2\n1 0\n0 x\n", 3),
+        (_SAMPLES, "samples 2 2\n1 nan\n0 1\n", 2), (_SAMPLES, "samples 3 2\n1 x\n3 4\n", 1),
+        (_SAMPLES, "samples 1 2\n1 2\n3 4\n", 1),
+        (_CONFIG, "experiment relative\n", 1, "expected 'key = value'"),
     ],
-    "read_samples": [
-        ("samples 2 2\n1 0\n", 1), ("samples 2 2\n1 0\n0 1 2\n", 3), ("samples 0 2\n", 1),
-        ("samples 2 2\n1 0\n0 x\n", 3), ("samples 2 2\n1 nan\n0 1\n", 2),
-        ("samples 4 4\n1 0 0 0\n0 nan 0 0\n" + _SHORT4, 3),
-        ("samples 2 1\n\n# a\n3\n# b\nfour\n", 6),
-        ("samples 10000000000 10000000000\n1 2\n", 1),
-        ("samples 3 2\n1 x\n3 4\n", 1), ("samples 1 2\n1 2\n3 4\n", 1),
-    ],
-    "parse_config": [("experiment relative\n", 1, "expected 'key = value'")],
+    "rejected_files": list(REJECTED_FILES.values()),
 }
-for _reader, _text, _line in REJECTED_FILES.values():
-    MALFORMED[_reader].append((_text, _line))
+
+
+def malformed(reader: str) -> list[tuple]:
+    """The rows of every MALFORMED group whose reader is ``reader``."""
+    return [row for rows in MALFORMED.values() for row in rows if row[0] == reader]
+
 
 #: line ends other than ``\n``: name -> the separators a file's lines end with, in turn
 LINE_ENDS = {"crlf": ["\r\n"], "ff u2028": ["\x0c", "\u2028"]}
@@ -270,12 +290,17 @@ EDGE_SPECTRA = {
 
 #: matrices at the ends of the float range: name -> the matrix of order n
 FLOAT_EDGE_MATRICES = {
-    "subnormal": lambda n: np.full((n, n), 1e-310),  # rank one, lambda_1 = n * 1e-310
+    # rank one, lambda_1 = n * scale; an entry of 1e-320 keeps about 11 significant bits
+    "subnormal": lambda n, scale=1e-320: np.full((n, n), scale),
     "near_max": lambda n: np.diag(EDGE_SPECTRA["near_max"](n)),
     "infinite_eigenvalue": _infinite_eigenvalue,
 }
 
 MATRICES = {**LANCZOS_MATRICES, **FLOAT_EDGE_MATRICES}
+
+#: each named matrix at the order the checks run it: item 1's past linalg.ARPACK_MIN_N,
+#: on the Lanczos routes, and the float-edge ones small
+ORDERS = {**dict.fromkeys(LANCZOS_MATRICES, 300), **dict.fromkeys(FLOAT_EDGE_MATRICES, 6)}
 
 # -------------------------------------------------------------- file inputs
 

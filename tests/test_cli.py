@@ -375,9 +375,10 @@ def test_bounds_exits_zero_with_finite_values_or_one_naming_what_failed(call):
         assert named or "result field" in message or "cutoff rule" in message, (argv, message)
 
 
-def _matrix_files(workdir, name: str, n: int) -> dict[str, str]:
-    """The corpus's files of matrix ``name`` at order n, in a directory of their own."""
-    return corpus.write_inputs(workdir / name, *corpus.matrix_inputs(corpus.MATRICES[name](n)))
+def _matrix_files(workdir, name: str) -> dict[str, str]:
+    """The corpus's files of matrix ``name`` at its order, in a directory of their own."""
+    A = corpus.MATRICES[name](corpus.ORDERS[name])
+    return corpus.write_inputs(workdir / name, *corpus.matrix_inputs(A))
 
 
 @pytest.mark.parametrize("command, code, err", [
@@ -389,10 +390,10 @@ def _matrix_files(workdir, name: str, n: int) -> dict[str, str]:
     ("cov --center", 1, "error: surrogate entry (1, 1) is not finite: inf\n"),
 ], ids=["denoise", "verify", "cov", "complete", "cov-center"])
 def test_overflowing_inputs_end_alike_with_warnings_as_errors(workdir, capsys, command, code, err):
-    # at n = 6: the top eigenvalue 3e308, X^T X, a column's mean and an observed
+    # the top eigenvalue 3e308, X^T X, a column's mean and an observed
     # value over p leave the float range; verify's head_F is 1.97e308
-    inf = _matrix_files(workdir, "infinite_eigenvalue", 6)
-    near = _matrix_files(workdir, "near_max", 6)["A.sym"]
+    inf = _matrix_files(workdir, "infinite_eigenvalue")
+    near = _matrix_files(workdir, "near_max")["A.sym"]
     argv = {
         "denoise": ["denoise", "--matrix", inf["A.sym"], "--k", "2"],
         "verify": ["verify", "--matrix", near, "--perturbed", near, "--k", "2", "--eps", "0.1"],
@@ -469,14 +470,9 @@ def test_synth_at_the_float_edges_ends_alike_with_warnings_as_errors(basis, caps
         _ends_alike_without_warnings(argv, capsys)
 
 
-#: each corpus matrix at the order the sweep runs it: item 1's at an ARPACK order
-_EDGE_ORDERS = {**dict.fromkeys(corpus.LANCZOS_MATRICES, 300),
-                **dict.fromkeys(corpus.FLOAT_EDGE_MATRICES, 6)}
-
-
-@pytest.mark.parametrize("name", _EDGE_ORDERS)
+@pytest.mark.parametrize("name", corpus.ORDERS)
 def test_file_commands_at_the_edges_end_alike_with_warnings_as_errors(name, workdir, capsys):
-    files = _matrix_files(workdir, name, _EDGE_ORDERS[name])
+    files = _matrix_files(workdir, name)
     sym, obs, samples = files["A.sym"], files["A.obs"], files["X.samples"]
     for argv in (
         ["denoise", "--matrix", sym, "--k", "3"],
@@ -843,8 +839,8 @@ def test_public_surface_is_unchanged():
 @pytest.mark.parametrize("sep", ["\n", *sum(corpus.LINE_ENDS.values(), [])])
 def test_malformed_files_fail_as_their_text_does(workdir, capsys, sep):
     path = workdir / "bad.txt"
-    for reader, cases in corpus.MALFORMED.items():
-        for text, *_ in cases:
+    for rows in corpus.MALFORMED.values():
+        for reader, text, *_ in rows:
             text = text.replace("\n", sep)
             with pytest.raises(FormatError) as from_text:
                 getattr(spectrunc.io, reader)(text)

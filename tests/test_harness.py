@@ -75,7 +75,7 @@ def test_the_corpus_covers_each_experiment_bound_kind_basis_spectrum_and_reader(
     assert {cfg["spectrum"] for cfg in configs} == set(SPECTRUM_KINDS)
     assert {inputs.get("kind", name) for name, inputs in corpus.BOUNDS.items()} == set(KINDS)
     readers = {f.__name__ for f in (read_matrix, read_observations, read_samples, parse_config)}
-    assert set(corpus.MALFORMED) == set(corpus.READER_ARGV) == readers
+    assert set(corpus.READER_ARGV) == readers and all(map(corpus.malformed, readers))
 
 
 #: (config fields, the exact message they are rejected with)

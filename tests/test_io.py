@@ -212,62 +212,38 @@ def test_accepted_tokens_are_those_float_accepts():
     assert read_samples("samples 1 2\n\u0661 +.5\n").X.tolist() == [[1.0, 0.5]]
 
 
-@pytest.mark.parametrize("reader", corpus.MALFORMED)
-def test_malformed_texts_fail_on_their_line(reader):
-    for text, line, *pattern in corpus.MALFORMED[reader]:
+def _fail_on_their_line(rows):
+    """Each ``(reader, text, line[, pattern])`` row of the corpus fails on its line."""
+    for reader, text, line, *pattern in rows:
         with pytest.raises(FormatError, match=pattern[0] if pattern else None) as ei:
             getattr(spectrunc.io, reader)(text)
         assert ei.value.line == line, repr(text)
 
 
-def err_line(fn, text):
-    with pytest.raises(FormatError) as ei:
-        fn(text)
-    return ei.value.line
+@pytest.mark.parametrize("reader", corpus.READER_ARGV)
+def test_malformed_texts_fail_on_their_line(reader):
+    _fail_on_their_line(corpus.malformed(reader))
 
 
 def test_matrix_errors_carry_line_numbers():
-    assert err_line(read_matrix, "wat 2\n1 0\n0 1\n") == 1
-    assert err_line(read_matrix, "sym 2\n1 0\n") == 1  # row count on header
-    assert err_line(read_matrix, "sym 2\n1 0\n0 1 2\n") == 3
-    assert err_line(read_matrix, "sym 2\n1 x\n0 1\n") == 2
-    assert err_line(read_matrix, "sym 2\n1 inf\n0 1\n") == 2
-    # asymmetry reported on the row of the offending entry
-    assert err_line(read_matrix, "sym 2\n1 2\n3 1\n") == 2
-    with pytest.raises(FormatError):
-        read_matrix("")
+    _fail_on_their_line(corpus.MALFORMED["matrix_line_numbers"])
 
 
 def test_first_bad_row_is_reported():
-    # a bad or non-finite token in row 2 comes before a short row 4
-    short4 = "0 0 1 0\n0 0 0\n"
-    assert err_line(read_matrix, "sym 4\n1 0 0 0\n0 x 0 0\n" + short4) == 3
-    assert err_line(read_matrix, "sym 4\n1 0 0 0\n0 1e999 0 0\n" + short4) == 3
-    assert err_line(read_samples, "samples 4 4\n1 0 0 0\n0 nan 0 0\n" + short4) == 3
-    # and an out-of-range index on one line before a bad value on a later one
-    assert err_line(read_observations, "obs 3 0.5 2\n2 1 5.0\n1 1 x\n") == 2
+    _fail_on_their_line(corpus.MALFORMED["first_bad_row"])
 
 
 def test_first_bad_matrix_line_wins_across_mirrors():
-    # a bad lower token on line 3 (its mirror reads 2) before a bad upper token on line 4
-    text = "sym 3\n1 2 3\nx 1 0\n3 0 y\n"
-    assert err_line(read_matrix, text) == 3
-    with pytest.raises(FormatError, match="'x'"):
-        read_matrix(text)
-    # an inf below the diagonal is the inf above it, reported on the earlier line
-    assert err_line(read_matrix, "sym 3\n1 0 inf\n0 1 0\ninf 0 1\n") == 2
-    assert err_line(read_matrix, "sym 3\n1 0 0\n0 1 0\n1e999 0 1\n") == 4
+    _fail_on_their_line(corpus.MALFORMED["matrix_mirrors"])
 
 
 def test_a_header_too_large_to_allocate_is_still_a_short_file():
-    # the row count is checked before the declared array could be allocated
-    with pytest.raises(FormatError, match="expected 100000000 data rows, found 1"):
-        read_matrix("sym 100000000\n1 2\n")
-    assert err_line(read_samples, "samples 10000000000 10000000000\n1 2\n") == 1
+    _fail_on_their_line(corpus.MALFORMED["huge_header"])
 
 
 def test_comment_lines_between_rows_keep_line_numbers():
-    # each text with its last row made bad is in the malformed table, on lines 7, 6 and 5
+    # each text below with its last row made bad fails on that row's line
+    _fail_on_their_line(corpus.MALFORMED["comment_lines"])
     text = "sym 2\n# first row\n1 0\n\n   \n# second row\n0 1\n"
     np.testing.assert_array_equal(read_matrix(text), np.eye(2))
     samples = "samples 2 1\n\n# a\n3\n# b\n4\n"
@@ -312,7 +288,7 @@ def test_file_readers_match_text_readers(tmp_path, sep, pad):
         path.write_bytes(text.encode())
         assert _as_bytes(read_file(path)) == _as_bytes(read_text(text))
         # the same text with a bad last line, and each malformed text, fail as their text does
-        malformed = [padded(case[0]) for case in corpus.MALFORMED[read_text.__name__]]
+        malformed = [padded(row[1]) for row in corpus.malformed(read_text.__name__)]
         for bad in [text + sep + "x", *malformed]:
             path.write_bytes(bad.encode())
             with pytest.raises(FormatError) as from_file:

@@ -97,8 +97,9 @@ def test_run_reports_agree_across_routes(config, both_routes):
     assert_agree(plain, dense)
 
 
-#: each corpus matrix at an ARPACK order: name -> order
-ORDERS = {**dict.fromkeys(corpus.LANCZOS_MATRICES, 300), "subnormal": 250}
+#: each corpus matrix on the Lanczos routes: name -> its builder's arguments
+ARGS = {**{name: (corpus.ORDERS[name],) for name in corpus.LANCZOS_MATRICES},
+        "subnormal": (250, 1e-310)}
 
 #: solve -> the matrices on which its routes differ today: name -> the xfail reason
 SOLVES = {
@@ -112,10 +113,10 @@ SOLVES = {
 @pytest.mark.parametrize("solve, name", [
     pytest.param(solve, name, id=f"{solve}-{name}",
                  marks=[_xfail(differ[name])] if name in differ else [])
-    for solve, (_, differ) in SOLVES.items() for name in ORDERS
+    for solve, (_, differ) in SOLVES.items() for name in ARGS
 ])
 def test_solves_agree_across_routes(solve, name, both_routes):
-    A = corpus.MATRICES[name](ORDERS[name])
+    A = corpus.MATRICES[name](*ARGS[name])
     plain, dense = both_routes(lambda: SOLVES[solve][0](A))
     np.testing.assert_allclose(plain, dense, rtol=RTOL, atol=0)
 
