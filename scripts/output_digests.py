@@ -113,7 +113,7 @@ def rejection_digests(work: Path):
              for name, (reader, text, _) in REJECTED_FILES.items()}
     for name, spec in {**REJECTED, **files}.items():
         if isinstance(spec, dict):  # a config: its text, read by ``run --config``
-            spec = (READER_ARGV["parse_config"], config_text(spec))
+            spec = (READER_ARGV["read_config"], config_text(spec))
         argv = spec
         if isinstance(spec, tuple):
             argv, text = spec
@@ -201,7 +201,7 @@ def line_end_digests(work: Path):
     n = 40
     k = FILE_ORDERS[n]
     inputs = {
-        "run relative": (READER_ARGV["parse_config"], config_text(config("relative"))),
+        "run relative": (READER_ARGV["read_config"], config_text(config("relative"))),
         f"denoise n={n}": (
             ["denoise", "--k", str(k), "--matrix"],
             Path(_file_inputs(work, n, k)["Ahat.sym"]).read_text(),

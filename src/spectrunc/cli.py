@@ -2,8 +2,9 @@
 
 One subcommand per job; ``spectrunc --help`` lists them.  Exit codes: 0
 success, 1 invalid input (bad flags, malformed files, rejected
-configuration), 2 numerical failure at runtime.  Data goes to stdout or
-``--out``; progress and timing go to stderr only.
+configuration, an input too large to allocate), 2 numerical failure at
+runtime.  Data goes to stdout or ``--out``; progress and timing go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import time
 
 from . import __version__, io
-from .bounds import KINDS, check_rank
+from .bounds import KINDS, check_domain, check_rank
 from .config import BASES, SPECTRUM_KINDS
 
 
@@ -140,6 +141,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_domain(eps=args.eps)  # ahead of numpy, the reads and the solves
     from .linalg import spectral_norm_sym, top_eigenpairs
     from .proofcheck import check_alignment
 
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
     except _numerical_errors() as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 2
-    except (io.FormatError, ValueError, OSError) as e:
+    except (io.FormatError, ValueError, OSError, MemoryError) as e:
         return _fail(str(e))
 
 

@@ -3,15 +3,18 @@
 Text formats (whitespace-separated, ``#`` starts a comment line, numbers
 written with 17 significant digits so values round-trip losslessly):
 
-matrix        ``sym n`` header, then n rows of n entries (:func:`_parse_matrix`).
+matrix        ``sym n`` header, then n rows of n entries
+              (:func:`read_matrix_file`, :func:`write_matrix`).
 observations  ``obs n p count`` header, then ``count`` lines ``i j value``
-              with 1-based upper-triangular indices (i <= j).
-samples       ``samples N n`` header, then N rows of n entries.
+              with 1-based upper-triangular indices (i <= j)
+              (:func:`read_observations_file`).
+samples       ``samples N n`` header, then N rows of n entries
+              (:func:`read_samples_file`).
 config        ``key = value`` lines, one per run-config field
-              (:func:`parse_config`).
+              (:func:`read_config`, or :func:`parse_config` of its text).
 
-Files and text go through the same parsers (:class:`_DataLines` reads the
-lines) and row formatter.  Reports serialize to JSON (the full nested
+Each data format has one reader, which reads its file a line at a time
+through :class:`_DataLines`.  Reports serialize to JSON (the full nested
 structure) or CSV (one row per trial, columns ``CSV_COLUMNS``).
 """
 
@@ -37,16 +40,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FormatError",
-    "read_matrix",
     "read_matrix_file",
-    "matrix_bytes",
     "write_matrix",
-    "read_observations",
     "read_observations_file",
-    "observations_bytes",
-    "read_samples",
     "read_samples_file",
-    "samples_bytes",
     "parse_value",
     "parse_pairs",
     "parse_kwargs",
@@ -70,28 +67,27 @@ class FormatError(ValueError):
 
 
 class _DataLines:
-    """``(line number, stripped line)`` for every non-blank, non-comment line of a source.
+    """``(line number, stripped line)`` for every non-blank, non-comment line of ``chunks``.
 
-    ``source`` is a text or an open text file, read a line at a time.  Each
-    line is split by ``str.splitlines``, so ``\\r\\n``, a form feed,
-    ``\\u2028`` or another separator it knows ends a line in a file too, and
-    the lines are numbered as in the whole text.  Iterating gives the one
-    generator that reads them, which also counts them, so a parser's loop
-    runs on it directly.
+    ``chunks`` is any iterable of text, such as an open text file, which
+    gives a line at a time.  Each chunk is split by ``str.splitlines``, so
+    ``\\r\\n``, a form feed, ``\\u2028`` or another separator it knows ends a
+    line in a file too, and the lines are numbered as in the whole text.
+    Iterating gives the one generator that reads them, which also counts
+    them, so a reader's loop runs on it directly.
     """
 
     __slots__ = ("_taken", "_lines", "_hline", "_count", "_what")
 
-    def __init__(self, source: str | TextIO):
+    def __init__(self, chunks: Iterable[str]):
         self._taken = 0
-        self._lines = self._read(source)
+        self._lines = self._read(chunks)
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
         return self._lines
 
-    def _read(self, source: str | TextIO) -> Iterator[tuple[int, str]]:
-        lines = [source] if isinstance(source, str) else source  # a file iterates by line
-        raws = (part for line in lines for part in line.splitlines())
+    def _read(self, chunks: Iterable[str]) -> Iterator[tuple[int, str]]:
+        raws = (part for chunk in chunks for part in chunk.splitlines())
         for ln, raw in enumerate(raws, 1):
             s = raw.strip()
             if s and s[0] != "#":
@@ -215,8 +211,8 @@ class _Mirror:
         self._rows = []
 
 
-def _parse_matrix(source: str | TextIO) -> np.ndarray:
-    """``sym n`` text or file as a symmetric float64 array, one row at a time.
+def read_matrix_file(path) -> np.ndarray:
+    """A ``sym n`` file as a symmetric float64 array, read one row at a time.
 
     Only the n(n+1)/2 distinct values are converted: each row's upper part
     (j >= i) goes through ``float``, and a lower token only where its text
@@ -232,36 +228,37 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
 
     from .linalg import asymmetric_pair, symmetrize
 
-    lines = _DataLines(source)
-    hline, htok = lines.header("matrix", "sym n")
-    n = _parse_int(htok[1], hline, "dimension")
-    if n < 1:
-        raise FormatError(f"dimension must be >= 1, got {n}", hline)
-    row_lines: list[int] = []
-    spelled = False  # whether a lower entry was converted itself
-    with lines.declare(n, "data rows"):
-        A = np.empty((n, n))
-        mirror = _Mirror(n)  # after A: a header too large to allocate builds no columns
-        for i, (ln, s) in zip(range(n), lines):
-            tok = s.split()
-            ok = len(tok) == n
-            try:
-                if ok:
-                    A[i, i:] = list(map(float, tok[i:]))
-                    A[i, :i] = A[:i, i]
-                    upper = " ".join(mirror.take(i))
-                    if " ".join(tok[:i]) != upper:
-                        spelled = True
-                        upper = upper.split(" ")
-                        for j in [j for j, (a, b) in enumerate(zip(tok, upper)) if a != b]:
-                            A[i, j] = float(tok[j])
-                    ok = np.isfinite(A[i]).all()
-            except ValueError:
-                ok = False
-            if not ok:
-                _row_error(tok, n, ln, "matrix entry")
-            row_lines.append(ln)
-            mirror.push(i, tok[i + 1 :])
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _DataLines(fh)
+        hline, htok = lines.header("matrix", "sym n")
+        n = _parse_int(htok[1], hline, "dimension")
+        if n < 1:
+            raise FormatError(f"dimension must be >= 1, got {n}", hline)
+        row_lines: list[int] = []
+        spelled = False  # whether a lower entry was converted itself
+        with lines.declare(n, "data rows"):
+            A = np.empty((n, n))
+            mirror = _Mirror(n)  # after A: a header too large to allocate builds no columns
+            for i, (ln, s) in zip(range(n), lines):
+                tok = s.split()
+                ok = len(tok) == n
+                try:
+                    if ok:
+                        A[i, i:] = list(map(float, tok[i:]))
+                        A[i, :i] = A[:i, i]
+                        upper = " ".join(mirror.take(i))
+                        if " ".join(tok[:i]) != upper:
+                            spelled = True
+                            upper = upper.split(" ")
+                            for j in [j for j, (a, b) in enumerate(zip(tok, upper)) if a != b]:
+                                A[i, j] = float(tok[j])
+                        ok = np.isfinite(A[i]).all()
+                except ValueError:
+                    ok = False
+                if not ok:
+                    _row_error(tok, n, ln, "matrix entry")
+                row_lines.append(ln)
+                mirror.push(i, tok[i + 1 :])
     if not spelled:
         return A
     pair = asymmetric_pair(A)
@@ -271,17 +268,6 @@ def _parse_matrix(source: str | TextIO) -> np.ndarray:
             f"matrix not symmetric at ({i + 1}, {j + 1}): |A_ij - A_ji| = {d:.3e}", row_lines[i]
         )
     return symmetrize(A)
-
-
-def read_matrix(text: str) -> np.ndarray:
-    """Parse ``sym n`` text; the same parser reads files in :func:`read_matrix_file`."""
-    return _parse_matrix(text)
-
-
-def read_matrix_file(path) -> np.ndarray:
-    """Read a ``sym n`` file line by line into a symmetric float64 array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_matrix(fh)
 
 
 def _matrix_lines(A: np.ndarray) -> Iterator[str]:
@@ -313,11 +299,6 @@ def _matrix_lines(A: np.ndarray) -> Iterator[str]:
         mirror.push(i, upper[1:])
 
 
-def matrix_bytes(A: np.ndarray) -> bytes:
-    """``sym n`` text of a square matrix, as :func:`write_matrix` writes it."""
-    return "".join(_matrix_lines(A)).encode()
-
-
 def write_matrix(A: np.ndarray, fh: TextIO) -> None:
     """Write ``sym n`` text of a square matrix to ``fh``, one row at a time."""
     fh.writelines(_matrix_lines(A))
@@ -338,8 +319,8 @@ def _observation_error(s: str, line: int, n: int) -> None:
     _parse_float(tok[2], line, "observed value")
 
 
-def _parse_observations(source: str | TextIO) -> ObservationSet:
-    """``obs n p count`` text or file as an :class:`ObservationSet`, one line at a time.
+def read_observations_file(path) -> ObservationSet:
+    """An ``obs n p count`` file as an :class:`ObservationSet`, read one line at a time.
 
     Indices and values go straight into C arrays, with each line's line
     number for naming a repeated position, so no Python number outlives
@@ -350,28 +331,34 @@ def _parse_observations(source: str | TextIO) -> ObservationSet:
 
     from .estimators import ObservationSet
 
-    lines = _DataLines(source)
-    hline, htok = lines.header("observation", "obs n p count")
-    n = _parse_int(htok[1], hline, "dimension")
-    p = _parse_float(htok[2], hline, "observation probability")
-    count = _parse_int(htok[3], hline, "observation count")
-    rows, cols, vals, at = array.array("q"), array.array("q"), array.array("d"), array.array("q")
-    with lines.declare(count, "observation lines"):
-        for ln, s in lines:  # lines past ``count`` are parsed too; the count check wins
-            try:
-                i, j, v = s.split()
-                i = int(i)
-                j = int(j)
-                v = float(v)
-                ok = 0 < i <= j <= n and v - v == 0  # v - v is nan for inf and nan
-            except ValueError:
-                ok = False
-            if not ok:
-                _observation_error(s, ln, n)
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            at.append(ln)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _DataLines(fh)
+        hline, htok = lines.header("observation", "obs n p count")
+        n = _parse_int(htok[1], hline, "dimension")
+        p = _parse_float(htok[2], hline, "observation probability")
+        count = _parse_int(htok[3], hline, "observation count")
+        if n < 1:
+            raise FormatError(f"n must be >= 1, got {n}", hline)
+        if count < 0:
+            raise FormatError(f"observation count must be >= 0, got {count}", hline)
+        rows, cols, at = array.array("q"), array.array("q"), array.array("q")
+        vals = array.array("d")
+        with lines.declare(count, "observation lines"):
+            for ln, s in lines:  # lines past ``count`` are parsed too; the count check wins
+                try:
+                    i, j, v = s.split()
+                    i = int(i)
+                    j = int(j)
+                    v = float(v)
+                    ok = 0 < i <= j <= n and v - v == 0  # v - v is nan for inf and nan
+                except ValueError:
+                    ok = False
+                if not ok:
+                    _observation_error(s, ln, n)
+                rows.append(i - 1)
+                cols.append(j - 1)
+                vals.append(v)
+                at.append(ln)
     rows = np.frombuffer(rows, dtype=np.int64)
     cols = np.frombuffer(cols, dtype=np.int64)
     try:
@@ -389,29 +376,11 @@ def _parse_observations(source: str | TextIO) -> ObservationSet:
         raise FormatError(str(e), hline) from None
 
 
-def read_observations(text: str) -> ObservationSet:
-    """Parse ``obs n p count`` text, as :func:`read_observations_file` reads a file."""
-    return _parse_observations(text)
-
-
-def read_observations_file(path) -> ObservationSet:
-    """Read an ``obs n p count`` file line by line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_observations(fh)
-
-
-def observations_bytes(obs: ObservationSet) -> bytes:
-    entries = zip((obs.rows + 1).tolist(), (obs.cols + 1).tolist(), obs.values.tolist())
-    return _lines_bytes(
-        f"obs {obs.n} {_fmt(obs.p)} {obs.count}", ("%d %d %.17g" % e for e in entries)
-    )
-
-
 # ----------------------------------------------------------------- samples
 
 
-def _parse_samples(source: str | TextIO) -> SampleSet:
-    """``samples N n`` text or file as a :class:`SampleSet`, one row at a time.
+def read_samples_file(path) -> SampleSet:
+    """A ``samples N n`` file as a :class:`SampleSet`, read one row at a time.
 
     A row converts whole, each token through ``float``; only a row that
     fails (a token ``float`` rejects, or a non-finite value) is walked token
@@ -421,43 +390,27 @@ def _parse_samples(source: str | TextIO) -> SampleSet:
 
     from .estimators import SampleSet
 
-    lines = _DataLines(source)
-    hline, htok = lines.header("sample", "samples N n")
-    N = _parse_int(htok[1], hline, "sample count")
-    n = _parse_int(htok[2], hline, "dimension")
-    if N < 1 or n < 1:
-        raise FormatError("sample count and dimension must be >= 1", hline)
-    with lines.declare(N, "sample rows"):
-        X = np.empty((N, n))
-        for r, (ln, s) in zip(range(N), lines):
-            tok = s.split()
-            ok = len(tok) == n
-            try:
-                if ok:
-                    X[r] = list(map(float, tok))
-                    ok = np.isfinite(X[r]).all()
-            except ValueError:
-                ok = False
-            if not ok:
-                _row_error(tok, n, ln, "sample entry")
-    return SampleSet(N=N, n=n, X=X)
-
-
-def read_samples(text: str) -> SampleSet:
-    """Parse ``samples N n`` text, as :func:`read_samples_file` reads a file."""
-    return _parse_samples(text)
-
-
-def read_samples_file(path) -> SampleSet:
-    """Read a ``samples N n`` file line by line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_samples(fh)
-
-
-def samples_bytes(samples: SampleSet) -> bytes:
-    fmt = " ".join(["%.17g"] * samples.X.shape[1])  # "%.17g" % v == format(v, ".17g")
-    rows = (fmt % tuple(row.tolist()) for row in samples.X)
-    return _lines_bytes(f"samples {samples.N} {samples.n}", rows)
+        lines = _DataLines(fh)
+        hline, htok = lines.header("sample", "samples N n")
+        N = _parse_int(htok[1], hline, "sample count")
+        n = _parse_int(htok[2], hline, "dimension")
+        if N < 1 or n < 1:
+            raise FormatError("sample count and dimension must be >= 1", hline)
+        with lines.declare(N, "sample rows"):
+            X = np.empty((N, n))
+            for r, (ln, s) in zip(range(N), lines):
+                tok = s.split()
+                ok = len(tok) == n
+                try:
+                    if ok:
+                        X[r] = list(map(float, tok))
+                        ok = np.isfinite(X[r]).all()
+                except ValueError:
+                    ok = False
+                if not ok:
+                    _row_error(tok, n, ln, "sample entry")
+    return SampleSet(N=N, n=n, X=X)
 
 
 # ------------------------------------------------------------------ config
@@ -520,11 +473,11 @@ def parse_config(text: str) -> ExperimentConfig:
     default are mandatory.  Unknown and duplicate keys are rejected by name;
     another experiment's parameter is rejected by :class:`ExperimentConfig`.
     """
-    return _parse_config(text)
+    return _parse_config([text])
 
 
 def read_config(path) -> ExperimentConfig:
-    """Read a config file line by line, as :func:`parse_config` reads text."""
+    """Read a config file line by line, as :func:`parse_config` reads its text."""
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_config(fh)
 
@@ -551,8 +504,8 @@ def parse_pairs(items: Iterable[tuple[int | None, str]], malformed: str,
     return raw
 
 
-def _parse_config(source: str | TextIO) -> ExperimentConfig:
-    raw = parse_pairs(_DataLines(source), "expected 'key = value'", "duplicate key {key!r}")
+def _parse_config(chunks: Iterable[str]) -> ExperimentConfig:
+    raw = parse_pairs(_DataLines(chunks), "expected 'key = value'", "duplicate key {key!r}")
     oracle = raw.get("k") == "oracle"
     if oracle:
         del raw["k"]

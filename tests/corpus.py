@@ -154,22 +154,24 @@ REJECTED = {
 
 # ---------------------------------------------------------- malformed files
 
-#: text reader (a ``spectrunc.io`` function) -> the argv whose last flag reads its file
+#: file reader (a ``spectrunc.io`` function) -> the argv whose last flag reads its file
 READER_ARGV = {
-    "read_matrix": ["denoise", "--k", "1", "--matrix"],
-    "read_observations": ["complete", "--k", "1", "--obs"],
-    "read_samples": ["cov", "--k", "1", "--samples"],
-    "parse_config": ["run", "--config"],
+    "read_matrix_file": ["denoise", "--k", "1", "--matrix"],
+    "read_observations_file": ["complete", "--k", "1", "--obs"],
+    "read_samples_file": ["cov", "--k", "1", "--samples"],
+    "read_config": ["run", "--config"],
 }
 
 #: the malformed files whose rejection the digest script prints: name -> (reader, text, line)
 REJECTED_FILES = {
-    "non-finite matrix entry": ("read_matrix", "sym 3\n1 0 0\n0 1 0\n# last row\n0 0 -inf\n", 5),
-    "short matrix row": ("read_matrix", "sym 3\r\n1 0 0\r\n0 1\r\n0 0 1\r\n", 3),
-    "asymmetric pair": ("read_matrix", "sym 3\n1 0.5 0.25\n0.5 1 2\n0.2500001 2.0 1\n", 2),
-    "bad observation index": ("read_observations",
+    "non-finite matrix entry": ("read_matrix_file",
+                                "sym 3\n1 0 0\n0 1 0\n# last row\n0 0 -inf\n", 5),
+    "short matrix row": ("read_matrix_file", "sym 3\r\n1 0 0\r\n0 1\r\n0 0 1\r\n", 3),
+    "asymmetric pair": ("read_matrix_file",
+                        "sym 3\n1 0.5 0.25\n0.5 1 2\n0.2500001 2.0 1\n", 2),
+    "bad observation index": ("read_observations_file",
                               "obs 3 0.5 3\n1 1 5.0\n1 3 1.0\n3 2 4.0\n", 4),
-    "wrong sample count": ("read_samples", "samples 4 2\n1 0\n0 1\n\n1 1\n", 1),
+    "wrong sample count": ("read_samples_file", "samples 4 2\n1 0\n0 1\n\n1 1\n", 1),
 }
 
 _SHORT4 = "0 0 1 0\n0 0 0\n"  # rows 3 and 4 of an order-4 file, row 4 short
@@ -225,6 +227,9 @@ MALFORMED = {
         (_OBS, "obs 3 0.5 3\n1 1 5.0\n# c\n1 2 1.0\n1 1 6.0\n", 5),
         (_OBS, "obs 3 2.0 2\n1 1 5.0\n1 1 6.0\n", 1),  # the bad p first
         (_OBS, "obs 3 0.5 3\n1 1 x\n1 2 1\n", 1), (_OBS, "obs 3 0.5 1\n1 1 2.5\n1 2 1\n", 1),
+        # an order or a count the header cannot hold, named on the header
+        (_OBS, "obs 0 0.5 1\n1 1 1\n", 1, "n must be >= 1, got 0"),
+        (_OBS, "obs 3 0.5 -1\n", 1, "observation count must be >= 0, got -1"),
         (_SAMPLES, "samples 2 2\n1 0\n", 1), (_SAMPLES, "samples 0 2\n", 1),
         (_SAMPLES, "samples 2 2\n1 0\n0 1 2\n", 3), (_SAMPLES, "samples 2 2\n1 0\n0 x\n", 3),
         (_SAMPLES, "samples 2 2\n1 nan\n0 1\n", 2), (_SAMPLES, "samples 3 2\n1 x\n3 4\n", 1),
@@ -345,6 +350,21 @@ def _rows_text(header: str, rows) -> str:
     return "".join([header + "\n", *(" ".join("%.17g" % v for v in row) + "\n" for row in rows)])
 
 
+def sym_text(A: np.ndarray) -> str:
+    """The ``sym n`` text of a square matrix."""
+    return _rows_text(f"sym {A.shape[0]}", A.tolist())
+
+
+def obs_text(n: int, p: float, entries: list) -> str:
+    """The ``obs n p count`` text of ``entries``, each ``(i, j, value)`` with 1-based indices."""
+    return f"obs {n} {p} {len(entries)}\n" + "".join(f"{i} {j} {v:.17g}\n" for i, j, v in entries)
+
+
+def samples_text(X: np.ndarray) -> str:
+    """The ``samples N n`` text of the rows of ``X``."""
+    return _rows_text(f"samples {X.shape[0]} {X.shape[1]}", X.tolist())
+
+
 def write_inputs(work: Path, A, A_hat, seen, X) -> dict[str, str]:
     """Write ``A.sym``, ``Ahat.sym``, ``A.obs`` and ``X.samples`` into ``work``; name -> path.
 
@@ -356,11 +376,10 @@ def write_inputs(work: Path, A, A_hat, seen, X) -> dict[str, str]:
     iu, ju = np.triu_indices(n)
     obs = zip((iu[seen] + 1).tolist(), (ju[seen] + 1).tolist(), A[iu[seen], ju[seen]].tolist())
     texts = {
-        "A.sym": _rows_text(f"sym {n}", A.tolist()),
-        "Ahat.sym": _rows_text(f"sym {n}", A_hat.tolist()),
-        "A.obs": f"obs {n} {OBS_P} {int(seen.sum())}\n"
-                 + "".join(f"{i} {j} {v:.17g}\n" for i, j, v in obs),
-        "X.samples": _rows_text(f"samples {X.shape[0]} {n}", X.tolist()),
+        "A.sym": sym_text(A),
+        "Ahat.sym": sym_text(A_hat),
+        "A.obs": obs_text(n, OBS_P, list(obs)),
+        "X.samples": samples_text(X),
     }
     for name, text in texts.items():
         (work / name).write_text(text)

@@ -27,8 +27,7 @@ from spectrunc import cli, covariance_reduced, linalg
 from spectrunc.bounds import COVARIANCE_MODES, KINDS, SAMPLING_REGIMES
 from spectrunc.cli import main
 from spectrunc.config import BASES
-from spectrunc.estimators import SampleSet
-from spectrunc.io import FormatError, matrix_bytes, read_matrix, read_samples, samples_bytes
+from spectrunc.io import FormatError, read_matrix_file, read_samples_file
 
 
 def run_cli(*argv):
@@ -44,15 +43,14 @@ def test_synth_writes_valid_matrix(workdir, capsys):
     out = workdir / "A.mat"
     assert run_cli("synth", "--kind", "powerlaw", "--n", "12", "--beta", "1.0",
                    "--basis", "haar", "--seed", "3", "--out", str(out)) == 0
-    A = read_matrix(out.read_text())
+    A = read_matrix_file(out)
     assert A.shape == (12, 12)
     w = np.linalg.eigvalsh(A)[::-1]
     np.testing.assert_allclose(w, 1.0 / np.arange(1, 13), atol=1e-12)
     # without --out the matrix goes to stdout
     assert run_cli("synth", "--kind", "explicit", "--n", "2", "--values", "2,1",
                    "--basis", "identity") == 0
-    text = capsys.readouterr().out
-    np.testing.assert_array_equal(read_matrix(text), np.diag([2.0, 1.0]))
+    assert capsys.readouterr().out == corpus.sym_text(np.diag([2.0, 1.0]))
 
 
 @pytest.mark.parametrize("basis", ["haar", "identity"])
@@ -70,7 +68,7 @@ def test_synth_writes_the_matrix_of_run_trial(basis, workdir, monkeypatch):
     out = workdir / "A.sym"
     assert run_cli("synth", "--kind", "powerlaw", "--beta", "1", "--n", "12", "--basis", basis,
                    "--seed", "7", "--stream", "2", "--out", str(out)) == 0
-    assert out.read_bytes() == matrix_bytes(seen[0])
+    assert out.read_text() == corpus.sym_text(seen[0])
 
 
 def test_synth_values_read_as_the_config_list(workdir, capsys):
@@ -93,7 +91,7 @@ def test_complete_frozen_example(workdir, capsys):
     obs.write_text("obs 2 0.5 1\n1 1 1.0\n")
     out = workdir / "est.mat"
     assert run_cli("complete", "--obs", str(obs), "--k", "1", "--out", str(out)) == 0
-    np.testing.assert_array_equal(read_matrix(out.read_text()), np.diag([2.0, 0.0]))
+    np.testing.assert_array_equal(read_matrix_file(out), np.diag([2.0, 0.0]))
     err = capsys.readouterr().err
     assert "1 observations" in err and "rank 1" in err
 
@@ -104,14 +102,13 @@ def test_denoise_roundtrip(workdir):
                    "--basis", "identity", "--out", str(src)) == 0
     out = workdir / "D.mat"
     assert run_cli("denoise", "--matrix", str(src), "--k", "1", "--out", str(out)) == 0
-    np.testing.assert_array_equal(read_matrix(out.read_text()),
-                                  np.diag([3.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(read_matrix_file(out), np.diag([3.0, 0.0, 0.0]))
 
 
 def test_denoise_rejects_a_non_finite_estimate_before_writing(workdir, capsys):
     # the top eigenvalue is 9e308: the estimate was written as rows of inf
     src = workdir / "Y.sym"
-    src.write_bytes(matrix_bytes(np.full((6, 6), 1.5e308)))
+    src.write_text(corpus.sym_text(np.full((6, 6), 1.5e308)))
     out = workdir / "D.sym"
     assert run_cli("denoise", "--matrix", str(src), "--k", "2", "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: output entry (1, 1) is not finite: inf\n"
@@ -125,7 +122,7 @@ def test_synth_near_the_top_of_the_float_range_writes_finite_entries(workdir):
         warnings.simplefilter("error")
         assert run_cli("synth", "--kind", "explicit", "--n", "3", "--values",
                        "1.7e308,1e308,1", "--basis", "haar", "--out", str(out)) == 0
-    assert np.isfinite(read_matrix(out.read_text())).all()
+    assert np.isfinite(read_matrix_file(out)).all()
 
 
 def test_completion_run_near_the_top_of_the_float_range_is_finite(workdir):
@@ -148,14 +145,12 @@ def test_completion_run_near_the_top_of_the_float_range_is_finite(workdir):
 
 def test_cov_matches_library(workdir):
     rng = np.random.default_rng(9)
-    X = rng.standard_normal((20, 4))
-    lines = ["samples 20 4"] + [" ".join(format(v, ".17g") for v in row) for row in X]
     src = workdir / "S.samples"
-    src.write_text("\n".join(lines) + "\n")
+    src.write_text(corpus.samples_text(rng.standard_normal((20, 4))))
     out = workdir / "C.mat"
     assert run_cli("cov", "--samples", str(src), "--k", "2", "--out", str(out)) == 0
-    expect = covariance_reduced(read_samples(src.read_text()), 2)
-    np.testing.assert_allclose(read_matrix(out.read_text()), expect, atol=1e-15)
+    expect = covariance_reduced(read_samples_file(src), 2)
+    np.testing.assert_allclose(read_matrix_file(out), expect, atol=1e-15)
 
 
 def test_bounds_json_and_csv(capsys):
@@ -611,11 +606,12 @@ def test_complete_rejects_order_zero_on_the_header(workdir, capsys):
 
 def test_verify_rejects_matrices_of_different_orders(workdir, capsys):
     a, b = workdir / "A.sym", workdir / "B.sym"
-    a.write_bytes(matrix_bytes(np.eye(3)))
-    b.write_bytes(matrix_bytes(np.eye(4)))
+    a.write_text(corpus.sym_text(np.eye(3)))
+    b.write_text(corpus.sym_text(np.eye(4)))
     assert run_cli("verify", "--matrix", str(a), "--perturbed", str(b),
                    "--k", "1", "--eps", "0.1") == 1
     assert capsys.readouterr().err == "error: --matrix is (3, 3), --perturbed is (4, 4)\n"
+
 
 
 def test_exit_codes_for_bad_input(workdir, capsys):
@@ -631,6 +627,18 @@ def test_exit_codes_for_bad_input(workdir, capsys):
     assert captured.out == ""
     assert run_cli("run", "--config", str(workdir / "missing.cfg")) == 1
     capsys.readouterr()
+    # verify's eps is checked before either file is read
+    missing = str(workdir / "missing.sym")
+    assert run_cli("verify", "--matrix", missing, "--perturbed", missing,
+                   "--k", "1", "--eps", "0.3") == 1
+    assert capsys.readouterr().err == "error: eps must lie in (0, 0.25], got 0.3\n"
+    # no observations of order 1e8: the reader holds none, and the estimate
+    # of 1e16 entries cannot be allocated
+    obs = workdir / "A.obs"
+    obs.write_text("obs 100000000 0.5 0\n")
+    assert run_cli("complete", "--obs", str(obs), "--k", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
     # a spectrum parameter its kind does not read
     assert run_cli("synth", "--kind", "powerlaw", "--n", "4", "--beta", "1", "--c", "0.5",
                    "--basis", "identity") == 1
@@ -659,7 +667,7 @@ def test_arpack_failures_map_to_two(monkeypatch, workdir, capsys):
     rng = np.random.default_rng(4)
     Y = rng.standard_normal((n, n))
     src = workdir / "Y.mat"
-    src.write_bytes(matrix_bytes((Y + Y.T) / 2.0))
+    src.write_text(corpus.sym_text((Y + Y.T) / 2.0))
     big = workdir / "A600.mat"
     assert run_cli("synth", "--kind", "powerlaw", "--n", "600", "--beta", "1",
                    "--basis", "haar", "--out", str(big)) == 0
@@ -698,7 +706,7 @@ def test_denoise_rank_range(workdir, capsys):
                    "--basis", "identity", "--out", str(src)) == 0
     out = workdir / "D.mat"
     assert run_cli("denoise", "--matrix", str(src), "--k", "0", "--out", str(out)) == 0
-    np.testing.assert_array_equal(read_matrix(out.read_text()), np.zeros((3, 3)))
+    np.testing.assert_array_equal(read_matrix_file(out), np.zeros((3, 3)))
     out.unlink()
     assert run_cli("denoise", "--matrix", str(src), "--k", "4", "--out", str(out)) == 1
     assert "k must lie in [0, 3], got 4" in capsys.readouterr().err
@@ -797,6 +805,7 @@ def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
         *(corpus.bounds_argv(name) for name in corpus.BOUNDS),
         corpus.REJECTED["unknown --kind"],
         ["run", "--config", str(bad_cfg)],
+        ["verify", "--matrix", str(A), "--perturbed", str(A), "--k", "3", "--eps", "0.3"],
         # the first array imports numpy, and the first solve scipy
         ["synth", "--kind", "powerlaw", "--n", "200", "--beta", "1",
          "--basis", "haar", "--out", str(A)],
@@ -815,6 +824,7 @@ def test_commands_that_never_solve_leave_scipy_unloaded(workdir):
         *(["bounds", 0, False, False] for _ in corpus.BOUNDS),
         ["bounds", 1, False, False],
         ["run", 1, False, False],
+        ["verify", 1, False, False],
         ["synth", 0, True, False],
         ["denoise", 0, True, True],
     ]
@@ -842,11 +852,11 @@ def test_malformed_files_fail_as_their_text_does(workdir, capsys, sep):
     for rows in corpus.MALFORMED.values():
         for reader, text, *_ in rows:
             text = text.replace("\n", sep)
-            with pytest.raises(FormatError) as from_text:
-                getattr(spectrunc.io, reader)(text)
             path.write_bytes(text.encode())
+            with pytest.raises(FormatError) as from_reader:
+                getattr(spectrunc.io, reader)(path)
             assert run_cli(*corpus.READER_ARGV[reader], str(path)) == 1, repr(text)
-            assert capsys.readouterr().err == f"error: {from_text.value}\n", repr(text)
+            assert capsys.readouterr().err == f"error: {from_reader.value}\n", repr(text)
 
 
 def test_matrix_commands_write_the_same_bytes_to_stdout(workdir, capsys):
@@ -860,7 +870,7 @@ def test_matrix_commands_write_the_same_bytes_to_stdout(workdir, capsys):
         assert run_cli(*argv, "--out", str(out)) == 0
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
-    assert out.read_bytes() == matrix_bytes(read_matrix(out.read_text()))
+    assert out.read_text() == corpus.sym_text(read_matrix_file(out))
 
 
 def _traced_peak(argv) -> int:
@@ -884,8 +894,8 @@ def test_file_commands_hold_their_array_not_their_text(workdir):
     A = (A + A.T) / 2.0
     X = rng.standard_normal((2 * n, n)) @ Q
     mat, smp, out = workdir / "A.sym", workdir / "X.samples", str(workdir / "out.sym")
-    mat.write_bytes(matrix_bytes(A))
-    smp.write_bytes(samples_bytes(SampleSet(N=2 * n, n=n, X=X)))
+    mat.write_text(corpus.sym_text(A))
+    smp.write_text(corpus.samples_text(X))
     for argv, array_bytes in (
         (["denoise", "--matrix", str(mat), "--k", "5", "--out", out], A.nbytes),
         (["cov", "--samples", str(smp), "--k", "5", "--center", "--out", out], X.nbytes),

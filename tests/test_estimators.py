@@ -57,6 +57,8 @@ def test_zero_fill_mirrors_off_diagonal():
 
 
 def test_observation_set_validation():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        obs_of(0, 0.5, [])
     with pytest.raises(ValueError, match="upper-triangular"):
         obs_of(3, 0.5, [(2, 0, 1.0)])
     with pytest.raises(ValueError, match="duplicate"):

@@ -33,11 +33,11 @@ from spectrunc.harness import (
     _truncation_error_F,
 )
 from spectrunc.io import (
-    matrix_bytes,
     parse_config,
-    read_matrix,
-    read_observations,
-    read_samples,
+    read_config,
+    read_matrix_file,
+    read_observations_file,
+    read_samples_file,
     report_json_bytes,
 )
 from spectrunc.linalg import _top_k_route
@@ -74,7 +74,8 @@ def test_the_corpus_covers_each_experiment_bound_kind_basis_spectrum_and_reader(
     assert {cfg["basis"] for cfg in configs} == set(BASES)
     assert {cfg["spectrum"] for cfg in configs} == set(SPECTRUM_KINDS)
     assert {inputs.get("kind", name) for name, inputs in corpus.BOUNDS.items()} == set(KINDS)
-    readers = {f.__name__ for f in (read_matrix, read_observations, read_samples, parse_config)}
+    readers = {f.__name__
+               for f in (read_matrix_file, read_observations_file, read_samples_file, read_config)}
     assert set(corpus.READER_ARGV) == readers and all(map(corpus.malformed, readers))
 
 
@@ -295,8 +296,8 @@ def test_alignment_decomposes_each_matrix_once(monkeypatch, tmp_path):
     sig = cfg.spectrum()
     A = instance(sig, cfg.basis, rng_stream(cfg.seed, 0))
     E = scaled_perturbation(n, 0.5 * cfg.eps**2 * sig[cfg.k], rng_stream(cfg.seed, 1))
-    (tmp_path / "A.sym").write_bytes(matrix_bytes(A))
-    (tmp_path / "Ahat.sym").write_bytes(matrix_bytes(A + E))
+    (tmp_path / "A.sym").write_text(corpus.sym_text(A))
+    (tmp_path / "Ahat.sym").write_text(corpus.sym_text(A + E))
     orders.clear()
     assert cli.main(["verify", "--matrix", str(tmp_path / "A.sym"),
                      "--perturbed", str(tmp_path / "Ahat.sym"), "--k", str(cfg.k),

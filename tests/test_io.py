@@ -4,8 +4,11 @@ import dataclasses
 import inspect
 import json
 import os
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,23 +29,36 @@ from spectrunc.io import (
     FormatError,
     bound_csv_bytes,
     bound_json_bytes,
-    matrix_bytes,
-    observations_bytes,
     parse_config,
     read_config,
-    read_matrix,
     read_matrix_file,
-    read_observations,
     read_observations_file,
-    read_samples,
     read_samples_file,
     report_csv_bytes,
     report_json_bytes,
-    samples_bytes,
     write_matrix,
 )
 from spectrunc.linalg import require_symmetric
 from spectrunc.synth import rng_stream
+
+
+def read(read_file, text: str):
+    """``text`` written as a file, with its line ends as they are, and read by ``read_file``."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "in.txt"
+        path.write_bytes(text.encode())
+        return read_file(path)
+
+
+def read_sym(text: str) -> np.ndarray:
+    return read(read_matrix_file, text)
+
+
+def written(A: np.ndarray) -> str:
+    """The ``sym n`` text :func:`write_matrix` writes of ``A``."""
+    buf = StringIO()
+    write_matrix(A, buf)
+    return buf.getvalue()
 
 
 # -------------------------------------------------------------- round trips
@@ -52,7 +68,7 @@ def test_matrix_round_trip_bitwise():
     rng = rng_stream(31, 0)
     M = rng.standard_normal((6, 6))
     A = (M + M.T) / 2.0
-    back = read_matrix(matrix_bytes(A).decode())
+    back = read_sym(written(A))
     np.testing.assert_array_equal(back, A)
 
 
@@ -60,7 +76,7 @@ def test_matrix_round_trip_bitwise():
 @given(hst.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_seventeen_digits_round_trip(x):
     A = np.array([[x]])
-    back = read_matrix(matrix_bytes(A).decode())
+    back = read_sym(written(A))
     assert back[0, 0] == x
 
 
@@ -72,7 +88,8 @@ def test_observations_round_trip():
         cols=np.array([0, 3, 2]),
         values=np.array([1.5, -2.0, 1 / 7]),
     )
-    back = read_observations(observations_bytes(obs).decode())
+    entries = list(zip(obs.rows + 1, obs.cols + 1, obs.values))
+    back = read(read_observations_file, corpus.obs_text(obs.n, obs.p, entries))
     assert back.n == 4 and back.p == obs.p and back.count == 3
     np.testing.assert_array_equal(back.rows, obs.rows)
     np.testing.assert_array_equal(back.cols, obs.cols)
@@ -81,13 +98,13 @@ def test_observations_round_trip():
 
 def test_samples_round_trip():
     ss = SampleSet(N=3, n=2, X=rng_stream(32, 0).standard_normal((3, 2)))
-    back = read_samples(samples_bytes(ss).decode())
+    back = read(read_samples_file, corpus.samples_text(ss.X))
     np.testing.assert_array_equal(back.X, ss.X)
 
 
 def test_comments_and_blank_lines_are_skipped():
     text = "# a matrix\n\nsym 2\n# rows follow\n1 0\n\n0 1\n"
-    np.testing.assert_array_equal(read_matrix(text), np.eye(2))
+    np.testing.assert_array_equal(read_sym(text), np.eye(2))
 
 
 def _reference_row(row) -> str:
@@ -96,23 +113,10 @@ def _reference_row(row) -> str:
 
 def test_writers_match_per_entry_format():
     rng = rng_stream(33, 0)
-    X = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
-    X[0] = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1 / 3]
-    X[1] = rng.standard_normal(5)
-    A = X[:5]
-    assert matrix_bytes(A).decode() == "\n".join(
-        ["sym 5", *map(_reference_row, A)]
-    ) + "\n"
-    assert samples_bytes(SampleSet(N=6, n=5, X=X)).decode() == "\n".join(
-        ["samples 6 5", *map(_reference_row, X)]
-    ) + "\n"
-    iu, ju = np.triu_indices(5)
-    values = A[iu, ju]
-    obs = ObservationSet(n=5, p=1 / 3, rows=iu, cols=ju, values=values)
-    assert observations_bytes(obs).decode() == "\n".join(
-        [f"obs 5 {format(1 / 3, '.17g')} {iu.size}"]
-        + [f"{i + 1} {j + 1} {format(v, '.17g')}" for i, j, v in zip(iu, ju, values)]
-    ) + "\n"
+    A = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-300, 300, (5, 5))
+    A[0] = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1 / 3]
+    A[1] = rng.standard_normal(5)
+    assert written(A) == "\n".join(["sym 5", *map(_reference_row, A)]) + "\n"
 
 
 #: values whose text is easy to get wrong: signed zeros, subnormals, the float range
@@ -141,14 +145,14 @@ def test_matrix_bytes_reuses_mirror_text_only_for_equal_bits(data):
                 [-mirror, np.nextafter(mirror, 0.0), data.draw(_ENTRIES)]
             ))
     expected = "\n".join([f"sym {n}", *map(_reference_row, A)]) + "\n"
-    assert matrix_bytes(A).decode() == expected
-    assert matrix_bytes(np.asfortranarray(A)).decode() == expected
+    assert written(A) == expected
+    assert written(np.asfortranarray(A)) == expected
 
 
 def test_matrix_bytes_keeps_signed_zero_mirrors_apart():
     A = np.array([[1.0, 0.0], [-0.0, 1.0]])
-    assert matrix_bytes(A) == b"sym 2\n1 0\n-0 1\n"
-    assert matrix_bytes(A.T) == b"sym 2\n1 -0\n0 1\n"
+    assert written(A) == "sym 2\n1 0\n-0 1\n"
+    assert written(A.T) == "sym 2\n1 -0\n0 1\n"
 
 
 def _reference_read(text: str) -> np.ndarray:
@@ -160,13 +164,13 @@ def _reference_read(text: str) -> np.ndarray:
 
 def test_a_matrix_of_dimension_zero_is_rejected_on_its_header():
     with pytest.raises(FormatError, match="^line 2: dimension must be >= 1, got 0$"):
-        read_matrix("# empty\nsym 0\n")
+        read_sym("# empty\nsym 0\n")
 
 
 def test_read_matrix_parses_differently_spelled_mirrors():
     for half in ("0.5", "5e-1", "+.5", "0.50000"):
         text = f"sym 3\n1 0.5 -2\n{half} 3 1e-3\n-2.0 0.001 2\n"
-        back = read_matrix(text)
+        back = read_sym(text)
         np.testing.assert_array_equal(back, _reference_read(text))
         assert back[1, 0] == back[0, 1] == 0.5
 
@@ -197,10 +201,10 @@ def test_read_matrix_bits_match_per_token_parse(data):
     parsed = np.array([[float(t) for t in row.split()] for row in rows])
     asym = np.abs(parsed - parsed.T)
     if asym.max() > 1e-12:
-        line = pytest.raises(FormatError, read_matrix, text).value.line
+        line = pytest.raises(FormatError, read_sym, text).value.line
         assert line == 2 + int(np.argmax(asym)) // n
     else:
-        assert read_matrix(text).tobytes() == _reference_read(text).tobytes()
+        assert read_sym(text).tobytes() == _reference_read(text).tobytes()
 
 
 # ------------------------------------------------------------ format errors
@@ -208,15 +212,15 @@ def test_read_matrix_bits_match_per_token_parse(data):
 
 def test_accepted_tokens_are_those_float_accepts():
     # "0x10", which float rejects, and "Infinity", which is not finite, are malformed texts
-    assert read_matrix("sym 1\n1_0\n")[0, 0] == float("1_0")
-    assert read_samples("samples 1 2\n\u0661 +.5\n").X.tolist() == [[1.0, 0.5]]
+    assert read_sym("sym 1\n1_0\n")[0, 0] == float("1_0")
+    assert read(read_samples_file, "samples 1 2\n\u0661 +.5\n").X.tolist() == [[1.0, 0.5]]
 
 
 def _fail_on_their_line(rows):
     """Each ``(reader, text, line[, pattern])`` row of the corpus fails on its line."""
     for reader, text, line, *pattern in rows:
         with pytest.raises(FormatError, match=pattern[0] if pattern else None) as ei:
-            getattr(spectrunc.io, reader)(text)
+            read(getattr(spectrunc.io, reader), text)
         assert ei.value.line == line, repr(text)
 
 
@@ -245,11 +249,11 @@ def test_comment_lines_between_rows_keep_line_numbers():
     # each text below with its last row made bad fails on that row's line
     _fail_on_their_line(corpus.MALFORMED["comment_lines"])
     text = "sym 2\n# first row\n1 0\n\n   \n# second row\n0 1\n"
-    np.testing.assert_array_equal(read_matrix(text), np.eye(2))
+    np.testing.assert_array_equal(read_sym(text), np.eye(2))
     samples = "samples 2 1\n\n# a\n3\n# b\n4\n"
-    np.testing.assert_array_equal(read_samples(samples).X, [[3.0], [4.0]])
+    np.testing.assert_array_equal(read(read_samples_file, samples).X, [[3.0], [4.0]])
     obs = "obs 2 0.5 2\n# i j value\n1 1 2.5\n\n1 2 -1\n"
-    back = read_observations(obs)
+    back = read(read_observations_file, obs)
     np.testing.assert_array_equal(back.values, [2.5, -1.0])
 
 
@@ -259,12 +263,11 @@ def test_comment_lines_between_rows_keep_line_numbers():
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
 
 _VALID_FILES = {
-    read_matrix: (read_matrix_file,
-                  "# m\nsym 3\n1 0.5 -2\n\n5e-1 3 1e-3\n# row 3\n-2.0 0.001 2"),
-    read_observations: (read_observations_file, "obs 3 0.5 3\n1 1 2.5\n# c\n1 3 -1\n3 3 4"),
-    read_samples: (read_samples_file, "samples 3 2\n1 2\n\n3 4\n  5 6  \n"),
-    parse_config: (read_config, "experiment = relative\nn = 3\n# c\ntrials = 2\nseed = 0\n"
-                   "\nspectrum = powerlaw\nspectrum_beta = 1\nbasis = haar\nk = 1\neps = 0.1"),
+    read_matrix_file: "# m\nsym 3\n1 0.5 -2\n\n5e-1 3 1e-3\n# row 3\n-2.0 0.001 2",
+    read_observations_file: "obs 3 0.5 3\n1 1 2.5\n# c\n1 3 -1\n3 3 4",
+    read_samples_file: "samples 3 2\n1 2\n\n3 4\n  5 6  \n",
+    read_config: "experiment = relative\nn = 3\n# c\ntrials = 2\nseed = 0\n"
+                 "\nspectrum = powerlaw\nspectrum_beta = 1\nbasis = haar\nk = 1\neps = 0.1",
 }
 
 
@@ -276,24 +279,26 @@ def _as_bytes(parsed) -> list:
 
 @pytest.mark.parametrize("pad", [1, 5, 1 << 16])
 @pytest.mark.parametrize("sep", _SEPARATORS)
-def test_file_readers_match_text_readers(tmp_path, sep, pad):
+def test_files_read_alike_at_every_line_end(tmp_path, sep, pad):
     # every line starts with ``pad`` spaces: 1 << 16 makes each line longer than
     # the 8 KiB chunks in which a text file is decoded
-    def padded(text: str) -> str:
-        return sep.join(" " * pad + line for line in text.split("\n"))
-
     path = tmp_path / "in.txt"
-    for read_text, (read_file, text) in _VALID_FILES.items():
-        text = padded(text)
-        path.write_bytes(text.encode())
-        assert _as_bytes(read_file(path)) == _as_bytes(read_text(text))
-        # the same text with a bad last line, and each malformed text, fail as their text does
-        malformed = [padded(row[1]) for row in corpus.malformed(read_text.__name__)]
-        for bad in [text + sep + "x", *malformed]:
-            path.write_bytes(bad.encode())
-            with pytest.raises(FormatError) as from_file:
-                read_file(path)
-            assert str(from_file.value) == str(pytest.raises(FormatError, read_text, bad).value)
+
+    def outcome(read_file, text: str, end: str):
+        """What ``read_file`` makes of ``text`` with each line padded and ended by ``end``."""
+        path.write_bytes(end.join(" " * pad + line for line in text.splitlines()).encode())
+        try:
+            return _as_bytes(read_file(path))
+        except FormatError as e:
+            return str(e)
+
+    for read_file, text in _VALID_FILES.items():
+        # the same text with a bad last line, and each malformed text, fail as with ``\n``
+        bad = [text + "\nx", *(row[1] for row in corpus.malformed(read_file.__name__))]
+        for t in [text, *bad]:
+            expected = outcome(read_file, t, "\n")
+            assert isinstance(expected, str) == (t is not text), repr(t)
+            assert outcome(read_file, t, sep) == expected, repr(t)
 
 
 def test_every_public_name_is_defined_in_io():
@@ -317,25 +322,25 @@ def test_read_matrix_round_trips_at_the_extremes(data):
     for i in range(n):
         for j in range(i, n):
             A[i, j] = A[j, i] = data.draw(hst.sampled_from(_EXTREME_VALUES))
-    assert read_matrix(matrix_bytes(A).decode()).tobytes() == A.tobytes()
+    assert read_sym(written(A)).tobytes() == A.tobytes()
     rows = [" ".join(data.draw(hst.sampled_from(_SPELLINGS))(float(v)) for v in row)
             for row in A]
-    assert read_matrix("\n".join([f"sym {n}", *rows]) + "\n").tobytes() == A.tobytes()
+    assert read_sym("\n".join([f"sym {n}", *rows]) + "\n").tobytes() == A.tobytes()
 
 
 def test_read_matrix_keeps_a_subnormal_beside_a_huge_entry():
     A = np.array([[2.0**1023, 5e-324], [5e-324, 1.0]])
-    assert read_matrix(matrix_bytes(A).decode()).tobytes() == A.tobytes()
-    assert read_matrix(f"sym 1\n{2.0**1023!r}\n")[0, 0] == 2.0**1023
+    assert read_sym(written(A)).tobytes() == A.tobytes()
+    assert read_sym(f"sym 1\n{2.0**1023!r}\n")[0, 0] == 2.0**1023
     big = "1.7976931348623157e308"
-    back = read_matrix(f"sym 2\n1 {big}\n{float(big):.30e} 1\n")  # the pair's sum overflows
+    back = read_sym(f"sym 2\n1 {big}\n{float(big):.30e} 1\n")  # the pair's sum overflows
     assert back[0, 1] == back[1, 0] == float(big)
 
 
 def test_read_matrix_averages_a_pair_as_require_symmetric_does():
     # (5e-324 + 1e-323) / 2 rounds to 1e-323; require_symmetric's
     # 5e-324/2 + 1e-323/2 gave 5e-324
-    back = read_matrix("sym 2\n1 5e-324\n1e-323 1\n")
+    back = read_sym("sym 2\n1 5e-324\n1e-323 1\n")
     A = np.array([[1.0, 5e-324], [1e-323, 1.0]])
     assert back.tobytes() == require_symmetric(A).tobytes()
     assert back[0, 1] == back[1, 0] == 1e-323
@@ -355,36 +360,32 @@ def test_matrix_bytes_breaks_mirror_pairs_past_the_first_chunk(tmp_path):
     A[74, 2] = -A[2, 74]
     for M in (A, A.T):
         expected = ("\n".join([f"sym {n}", *map(_reference_row, M)]) + "\n").encode()
-        assert matrix_bytes(M) == expected
         path = tmp_path / "M.sym"
         with open(path, "w", encoding="utf-8") as fh:
             write_matrix(M, fh)
         assert path.read_bytes() == expected
 
 
-def test_read_matrix_checks_mirror_pairs_past_the_first_chunk(tmp_path):
+def test_read_matrix_checks_mirror_pairs_past_the_first_chunk():
     n = 75
     A = np.round(np.random.default_rng(23).standard_normal((n, n)), 3)
     A = np.triu(A) + np.triu(A, 1).T
     A[40, 70] = A[70, 40] = 2.0
-    rows = matrix_bytes(A).decode().splitlines()
+    rows = written(A).splitlines()
     row = rows[1 + 70].split()
     assert row[40] == "2"
     row[40] = "2.0"  # spelled otherwise than its mirror
     row[45] = format(A[45, 70] + 0.5e-12, ".17g")  # asymmetric inside the tolerance
     rows[1 + 70] = " ".join(row)
     text = "\n".join(rows) + "\n"
-    back = read_matrix(text)
+    back = read_sym(text)
     assert back.tobytes() == _reference_read(text).tobytes()
     assert back[70, 40] == back[40, 70] == 2.0
-    path = tmp_path / "A.sym"
-    path.write_text(text)
-    assert read_matrix_file(path).tobytes() == back.tobytes()
     # outside the tolerance: named at the upper entry, on its row's line
     row[45] = format(A[45, 70] + 1e-3, ".17g")
     rows[1 + 70] = " ".join(row)
     with pytest.raises(FormatError) as ei:
-        read_matrix("\n".join(rows) + "\n")
+        read_sym("\n".join(rows) + "\n")
     assert str(ei.value) == "line 47: matrix not symmetric at (46, 71): |A_ij - A_ji| = 1.000e-03"
 
 
@@ -415,7 +416,7 @@ def test_require_symmetric_names_the_pair_read_matrix_names():
             require_symmetric(M)
         assert str(checked.value) == f"matrix not symmetric at {named}"
         with pytest.raises(FormatError) as read:
-            read_matrix(matrix_bytes(M).decode())
+            read_sym(written(M))
         i = int(named[1:].split(",")[0])
         assert str(read.value) == f"line {i + 1}: {checked.value}"
 
@@ -450,7 +451,7 @@ def test_write_matrix_holds_at_most_the_array():
 def test_read_matrix_file_holds_at_most_the_array_beyond_it(tmp_path):
     A = _goe_300()
     path = tmp_path / "A.sym"
-    path.write_bytes(matrix_bytes(A))
+    path.write_text(written(A))
     read_matrix_file(path)  # loads what the reader imports on first use
     # the peak includes the array the reader returns
     assert _traced_peak(lambda: read_matrix_file(path)) <= 2 * A.nbytes
